@@ -1,0 +1,6 @@
+"""Make ``perf/`` importable the way ``python perf/run.py`` sees it."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
