@@ -1,7 +1,7 @@
 """Event-dispatch microbenchmark: calendar-queue kernel vs reference.
 
-Pits ``Simulator(fast=True)`` (calendar/near-future event queue, event
-free list, inlined dispatch loop) against ``Simulator(fast=False)``
+Pits ``SimConfig(fast=True)`` (calendar/near-future event queue, event
+free list, inlined dispatch loop) against ``SimConfig(fast=False)``
 (the pre-optimisation heap-only reference, also selected process-wide
 by ``REPRO_SLOW_PATH=1``) on the workload the optimisation targets:
 a burst of short-delay timers — the loopback / rule-scan /
@@ -31,6 +31,7 @@ counts — CI smoke runs use 0.1.
 import os
 import time
 
+from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0") or "1.0")
@@ -66,7 +67,7 @@ def best_of(fn, *args, rounds: int = TIMING_ROUNDS, **kwargs) -> float:
 
 def dispatch_burst(fast: bool, events: int = DRAIN_EVENTS, span: float = DRAIN_SPAN):
     """Schedule ``events`` short-delay timers, then drain them."""
-    sim = Simulator(seed=1, observe=False, fast=fast)
+    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=fast))
     dt = span / events
     schedule = sim.schedule
     for i in range(events):
@@ -80,7 +81,7 @@ def dispatch_burst(fast: bool, events: int = DRAIN_EVENTS, span: float = DRAIN_S
 
 def dispatch_steady(fast: bool, events: int = STEADY_EVENTS, timers: int = STEADY_TIMERS):
     """Self-rescheduling timer wheel: push interleaved with pop."""
-    sim = Simulator(seed=1, observe=False, fast=fast)
+    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=fast))
     schedule = sim.schedule
     state = [0]
 
@@ -101,7 +102,7 @@ def dispatch_steady(fast: bool, events: int = STEADY_EVENTS, timers: int = STEAD
 
 def dispatch_wide(fast: bool, events: int = WIDE_EVENTS, span: float = WIDE_SPAN):
     """Events spread over a wide horizon: stresses window migration."""
-    sim = Simulator(seed=1, observe=False, fast=fast)
+    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=fast))
     dt = span / events
     schedule = sim.schedule
     for i in range(events):

@@ -7,7 +7,7 @@ optimisations (see DESIGN.md, "Hot-path architecture"):
 * an adaptive-window calendar/near-future tier + ``Event`` free list
   in :class:`repro.sim.event.EventQueue`,
 * packet-train batching of back-to-back pipe deliveries in
-  :class:`repro.net.pipe.DummynetPipe`, and
+  :class:`repro.net.pipe.DummynetPipe` (booked deliveries), and
 * packet pooling / reuse on the transport paths.
 
 All four are **semantics-preserving**: verdicts, emulated latencies,

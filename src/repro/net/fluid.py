@@ -57,12 +57,13 @@ The scheduler keeps exactly one materialized kernel event — at the
 earliest pending delivery — whenever it holds any pending segment, so
 ``Simulator.next_event_time()`` stays a safe lower bound (the
 partition driver's lookahead argument is untouched: all fluid activity
-is cell-local and never posts cross-cell messages). Between queue
-events, consecutive deliveries dispatch inline (advancing the clock)
-only when they provably precede everything in the event queue — the
-same rule packet trains use. ``REPRO_SLOW_PATH=1`` or
-``SimConfig(fluid=False)`` disables the engine entirely; the tree then
-behaves byte-identically to the packet-only build.
+is cell-local and never posts cross-cell messages). Every agenda entry
+is a kernel *booked delivery* (DESIGN.md, "Booked deliveries"), the
+primitive packet trains use too: the kernel owns the ledger and the
+may-dispatch-inline predicate, this module owns the agenda heap.
+``REPRO_SLOW_PATH=1`` or ``SimConfig(fluid=False)`` disables the engine
+entirely; the tree then behaves byte-identically to the packet-only
+build.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.ipfw import DIR_IN, DIR_OUT
 from repro.net.packet import Packet, PROTO_TCP, TCP_HEADER
-from repro.sim.event import PRIORITY_NORMAL
 
 #: Hop tags in a resolved path: a fixed delay or a Dummynet pipe.
 _HOP_DELAY = 0
@@ -155,7 +155,7 @@ class _FluidSegment:
         #: Set when the flow de-fluidizes: pending hop events become
         #: no-ops.
         self.dead = False
-        #: Kernel sequence number burned for this segment's delivery
+        #: Kernel sequence number booked for this segment's delivery
         #: (see ``FlowScheduler._heap``); ``-1`` until assigned.
         self.seq = -1
 
@@ -315,18 +315,18 @@ class FlowScheduler:
         #: (``aux=(flow, fseg)``, invalidated by ``fseg.dead``), kind
         #: ``_ENTRY_DELIVER`` delivers a flow head
         #: (``aux=(flow_idx, token)``, lazily invalidated via the
-        #: per-flow token). ``seq`` is a *kernel* sequence number burned
-        #: (``EventQueue.burn_seq``) at the moment the packet path
-        #: would have pushed the corresponding event, and every
-        #: materialization/inline dispatch honours full
-        #: ``(time, priority, seq)`` order against the kernel queue —
-        #: so equal-time ties against ordinary packet events (a FIN
-        #: chasing the last DATA segment, say) resolve exactly as on
-        #: the reference path.
+        #: per-flow token). ``seq`` is booked (``Simulator.book``) at
+        #: the moment the packet path would have pushed the
+        #: corresponding event, so equal-time ties against ordinary
+        #: packet events (a FIN chasing the last DATA segment, say)
+        #: resolve exactly as on the reference path. Every undelivered
+        #: segment holds exactly one live booking at a time (its next
+        #: hop, or its delivery); an epoch re-pushing a head at a new
+        #: time reuses the segment's booking.
         self._heap: List[Tuple[float, int, int, Any]] = []
+        #: The one materialised booking: a wake-up carrying the key of
+        #: the agenda head it was armed for.
         self._event: Optional[Any] = None
-        self._event_time = 0.0
-        self._event_seq = -1
         self._in_fire = False
         #: pipe id -> absolute time until which the pipe's capacity is
         #: committed to exact-mode claims written *before* the pipe
@@ -337,9 +337,6 @@ class FlowScheduler:
         self._pipe_release: Dict[int, float] = {}
         self._epoch_timer: Optional[Any] = None
         self._epoch_timer_at = 0.0
-        #: Admitted-but-undelivered segments (the kernel folds these
-        #: into ``Simulator.pending``).
-        self.pending_segments = 0
         registry = getattr(sim, "metrics", None)
         from repro.obs.metrics import NULL_REGISTRY
 
@@ -411,7 +408,6 @@ class FlowScheduler:
         if flow.mode == MODE_EXACT:
             fseg.cursor = now
             flow.queue.append(fseg)
-            self.pending_segments += 1
             self._hop_step(flow, fseg)
             if len(flow.queue) >= self.fair_depth and self._active_neighbor(flow):
                 # Deep backlog on a shared path: the steady-state
@@ -428,10 +424,9 @@ class FlowScheduler:
             flow.advance(now)
             flow.cum_admitted += size
             fseg.cum_target = flow.cum_admitted
-            fseg.seq = sim._queue.burn_seq()
+            fseg.seq = sim.book()
             was_empty = not flow.queue
             flow.queue.append(fseg)
-            self.pending_segments += 1
             if was_empty and not flow.delivering:
                 # Idle -> active transition: the flow re-enters the
                 # fair-share competition; everyone's rate may change.
@@ -595,13 +590,12 @@ class FlowScheduler:
                         # book it then, so traffic arriving in between
                         # keeps the pipe's true FIFO order. (Fast pipes
                         # are booked immediately — see DEFER_TXN.) The
-                        # burned seq pins the booking's tie order among
+                        # booked seq pins the hop's tie order among
                         # equal-time kernel events to the packet path's.
                         fseg.cursor = t
                         fseg.hop_i = i
                         heappush(
-                            self._heap,
-                            (t, sim._queue.burn_seq(), _ENTRY_HOP, (flow, fseg)),
+                            self._heap, (t, sim.book(), _ENTRY_HOP, (flow, fseg))
                         )
                         self._sync_event()
                         return
@@ -623,9 +617,9 @@ class FlowScheduler:
         fseg.cursor = t
         fseg.hop_i = i
         fseg.deliver_at = t
-        # Burned now — the moment the packet path's final transmit
+        # Booked now — the moment the packet path's final transmit
         # would have scheduled the delivery event.
-        fseg.seq = sim._queue.burn_seq()
+        fseg.seq = sim.book()
         if flow.queue and flow.queue[0] is fseg:
             flow.token += 1
             self._push_head(flow)
@@ -798,9 +792,7 @@ class FlowScheduler:
             if self._epoch_timer_at <= t:
                 return
             self.sim.cancel(self._epoch_timer)
-        self._epoch_timer = self.sim._queue.push(
-            t, self._epoch_timer_fire, (), PRIORITY_NORMAL
-        )
+        self._epoch_timer = self.sim.schedule_at(t, self._epoch_timer_fire)
         self._epoch_timer_at = t
 
     def _epoch_timer_fire(self) -> None:
@@ -838,51 +830,36 @@ class FlowScheduler:
             heappop(heap)
         return None
 
-    @property
-    def deferred(self) -> int:
-        """Pending fluid deliveries not represented by a queue event."""
-        n = self.pending_segments
-        if self._event is not None and n > 0:
-            n -= 1
-        return n
+    def _arm(self, t: float, seq: int) -> None:
+        """Materialise the agenda head ``(t, seq)`` as the wake-up."""
+        sim = self.sim
+        self._event = sim.materialise(t if t > sim.now else sim.now, seq, self._fire)
 
     def _sync_event(self) -> None:
         """Re-establish the invariant: one materialized kernel event at
         (or before) the earliest pending delivery, or none when idle."""
         if self._in_fire:
             return  # the _fire loop re-materializes on exit
-        sim = self.sim
         top = self._peek()
-        if top is None:
-            if self._event is not None:
-                sim.cancel(self._event)
-                self._event = None
-            return
-        t = top[0]
-        seq = top[1]
-        if self._event is not None:
-            if self._event_time < t or (
-                self._event_time == t and self._event_seq <= seq
-            ):
+        ev = self._event
+        if ev is not None:
+            if top is not None and (ev.time, ev.seq) <= (top[0], top[1]):
                 return  # existing event already fires in order (early is safe)
-            sim.cancel(self._event)
-        if t < sim.now:
-            t = sim.now
-        self._event = sim._queue.push_with_seq(
-            t, self._fire, (), PRIORITY_NORMAL, seq
-        )
-        self._event_time = t
-        self._event_seq = seq
+            self.sim.reclaim(ev)
+            self._event = None
+        if top is not None:
+            self._arm(top[0], top[1])
 
     def _fire(self) -> None:
-        """Run every due heap action (hop bookings and deliveries),
-        then either dispatch the next one inline (same rule as packet
-        trains: provably precedes the whole event queue, inside a
-        permissive ``run()``, within the horizon) or re-materialize one
-        kernel event for it."""
+        """The wake-up fired: run every agenda entry (hop bookings and
+        deliveries) the kernel lets dispatch ahead of the queue, then
+        re-arm one wake-up for the first it does not."""
+        sim = self.sim
+        # The wake-up only stands for the agenda head (which may have
+        # moved since it was armed); heads are consumed by dispatch.
+        sim.reclaim(self._event)
         self._event = None
         self._in_fire = True
-        sim = self.sim
         heap = self._heap
         try:
             while True:
@@ -890,46 +867,14 @@ class FlowScheduler:
                 if top is None:
                     break
                 t = top[0]
-                seq = top[1]
-                if t < sim.now:
-                    heappop(heap)  # defensive: already late, run it
-                    self._run_entry(top)
-                    continue
-                nxt = sim._queue.next_entry()
-                precedes = nxt is None or t < nxt[0] or (
-                    t == nxt[0]
-                    and (
-                        PRIORITY_NORMAL < nxt[1]
-                        or (PRIORITY_NORMAL == nxt[1] and seq < nxt[2])
-                    )
-                )
-                if t == sim.now and precedes:
-                    heappop(heap)
-                    self._run_entry(top)
-                    continue
-                if (
-                    t > sim.now
-                    and precedes
-                    and sim._train_inline
-                    and not sim._stopped
-                ):
-                    horizon = sim._horizon
-                    if horizon is None or t <= horizon:
-                        heappop(heap)
-                        sim.now = t
-                        if top[2] == _ENTRY_DELIVER:
-                            self._m_inline.inc()
-                        self._run_entry(top)
-                        continue
-                # A queue event fires first (or inline dispatch is off):
-                # re-materialize with the burned seq, so even an exact
-                # (time, priority) tie resolves in packet-path order.
-                self._event = sim._queue.push_with_seq(
-                    t, self._fire, (), PRIORITY_NORMAL, seq
-                )
-                self._event_time = t
-                self._event_seq = seq
-                break
+                advances = t > sim.now
+                if not sim.dispatch_booked(t, top[1], False):
+                    self._arm(t, top[1])
+                    break
+                heappop(heap)
+                if advances and top[2] == _ENTRY_DELIVER:
+                    self._m_inline.inc()
+                self._run_entry(top)
         finally:
             self._in_fire = False
 
@@ -943,7 +888,6 @@ class FlowScheduler:
     def _deliver_head(self, flow: FluidFlow) -> None:
         fseg = flow.queue.popleft()
         flow.token += 1
-        self.pending_segments -= 1
         if flow.mode == MODE_FAIR:
             flow.advance(self.sim.now)
         self._push_head(flow)
@@ -1007,7 +951,7 @@ class FlowScheduler:
             p._busy_until = rolled if rolled > now else now
         flow.queue.clear()
         flow.token += 1
-        self.pending_segments -= len(pending)
+        self.sim.release(len(pending))  # one live booking per segment
         self._remove_flow(flow)
         if pending:
             self._m_defluidized.inc()

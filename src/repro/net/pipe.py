@@ -29,7 +29,6 @@ from repro.errors import FirewallError
 from repro.net.packet import Packet
 from repro.obs.flight import NULL_FLIGHT
 from repro.obs.metrics import BYTES_EDGES, NULL_REGISTRY
-from repro.sim.event import PRIORITY_NORMAL
 
 DeliverFn = Callable[[Packet], Any]
 
@@ -170,8 +169,8 @@ class DummynetPipe:
         self.bytes_out = 0
         # Packet-train batching (fast path; see DESIGN.md "Hot-path
         # architecture"). The deque holds coalesced deliveries as
-        # ``(arrival_time, seq, deliver, packet)`` — each carrying the
-        # burned sequence number the per-packet path would have used.
+        # ``(arrival_time, seq, deliver, packet)`` — each follower
+        # carrying the sequence number ``sim.book()`` drew for it.
         self._batch = bool(getattr(sim, "fast", False)) if batch is None else batch
         self._train: deque = deque()
         self._train_live = False  # a head/continuation event will drain the deque
@@ -255,13 +254,11 @@ class DummynetPipe:
         if self._batch and bandwidth is not None:
             t_a = now + arrival_delay
             if not self._train_live:
-                # Head of a new train. The kernel event consumes the
-                # same sequence number the per-packet path's push would
-                # have drawn; the delivery itself rides in the deque so
-                # the drain can hand the packet over with exactly the
-                # reference path's reference count (``_deliver_local``
-                # proves pool reuse by it). ``-1`` marks event-backed
-                # entries (never re-materialised, not deferred).
+                # Head of a new train: a real kernel event, exactly the
+                # per-packet path's push. The delivery itself rides in
+                # the deque so the drain can hand the packet over with
+                # the reference path's reference count; ``-1`` marks
+                # event-backed entries (they hold no booking).
                 self._train_live = True
                 self._train_last_t = t_a
                 self._train.append((t_a, -1, deliver, packet))
@@ -273,14 +270,10 @@ class DummynetPipe:
                 and self._train_bytes + size <= self._train_cap
                 and len(self._train) < TRAIN_MAX_PACKETS
             ):
-                # Coalesce: no kernel event, but burn the sequence
-                # number the per-packet path's push would have drawn so
-                # the global (time, priority, seq) stream is unchanged.
-                seq = sim._queue.burn_seq()
-                self._train.append((t_a, seq, deliver, packet))
+                # Coalesce: a booked delivery instead of a kernel event.
+                self._train.append((t_a, sim.book(), deliver, packet))
                 self._train_bytes += size
                 self._train_last_t = t_a
-                sim._deferred_deliveries += 1
                 self._m_coalesced.inc()
             else:
                 # Train full (or a reconfigure made arrivals
@@ -297,72 +290,47 @@ class DummynetPipe:
         """Deliver the train's event-backed front entry, then drain.
 
         The front of the deque is always the entry this event stands
-        for (the train head, or a follower re-materialised by a prior
-        drain). A follower is dispatched inline — with the clock
-        advanced to its own arrival time — only when its burned
-        ``(time, priority, seq)`` key provably precedes everything
-        still in the event queue, the kernel allows inline dispatch
-        (no ``max_events`` budget, no profiler, inside ``run()``), the
-        loop has not been stopped, and the arrival lies within the run
-        horizon. In every other case the follower is re-materialised
-        as a real queue event with its exact reference-path identity —
-        so the served total order is identical either way.
+        for (the train head, or a follower materialised by a prior
+        drain). Each follower behind it is a booked delivery
+        (DESIGN.md, "Booked deliveries"): dispatched inline when the
+        kernel allows it, materialised with its booked identity — and
+        the drain suspended behind it — otherwise, so the served total
+        order is identical either way.
 
-        ``popleft`` + unpack drops the entry tuple before the callback
-        runs, so the packet reaches ``deliver`` with exactly the
-        reference path's reference count (``_deliver_local`` proves
-        pool reuse by it).
+        Each entry tuple is dropped before its callback runs, so the
+        packet reaches ``deliver`` with exactly the reference path's
+        reference count (``_deliver_local`` proves pool reuse by it).
         """
         dq = self._train
         _, _, d, p = dq.popleft()
         self._train_bytes -= p.size
         d(p)
-        if not dq:
-            self._train_live = False
-            return
         sim = self.sim
-        queue = sim._queue
         while dq:
-            head = dq[0]
-            t = head[0]
-            if sim._train_inline and not sim._stopped:
-                horizon = sim._horizon
-                if horizon is None or t <= horizon:
-                    nxt = queue.next_entry()
-                    # The tuple comparison resolves at the unique seq,
-                    # never reaching the queue entry's event object.
-                    if nxt is None or (t, PRIORITY_NORMAL, head[1]) < nxt:
-                        _, _, d, p = dq.popleft()
-                        self._train_bytes -= p.size
-                        sim._deferred_deliveries -= 1
-                        sim.now = t
-                        sim._extra_events += 1
-                        d(p)
-                        continue
-            # Re-materialise the front entry as a real queue event with
-            # its burned identity; it stays in the deque (marked ``-1``)
-            # so the continuation can hand the packet over with the
-            # reference reference count.
-            self._train[0] = (t, -1, head[2], head[3])
-            sim._deferred_deliveries -= 1
-            queue.push_with_seq(t, self._train_fire, (), PRIORITY_NORMAL, head[1])
-            return  # the continuation keeps the train live
+            t, seq, d, p = dq[0]
+            if not sim.dispatch_booked(t, seq, True):
+                # The entry stays in the deque (marked ``-1``) so the
+                # continuation finds its own front entry there.
+                dq[0] = (t, -1, d, p)
+                sim.materialise(t, seq, self._train_fire)
+                return  # the continuation keeps the train live
+            dq.popleft()
+            self._train_bytes -= p.size
+            d(p)
         self._train_live = False
 
     def _train_flush(self) -> None:
-        """Re-materialise every coalesced follower as a real queue event.
+        """Materialise every coalesced follower as a plain delivery
+        event.
 
         Called by :meth:`reconfigure`: a live train's coalescing
         envelope (``_train_cap``, the monotone-arrival watermark) was
         computed under the *old* bandwidth/delay, so carrying it across
-        a parameter change leaves ``_train_bytes`` and the deferred
-        accounting inconsistent with the new configuration — and the
-        non-monotone-arrival fallback then pins every subsequent packet
-        on the unbatched path until the stale train drains. Flushing is
-        observationally invisible: each follower becomes a plain
-        delivery event with the exact ``(time, priority, seq)`` identity
-        the per-packet path would have used (the same mechanism
-        ``_train_fire`` uses to re-materialise), and the event-backed
+        a parameter change leaves ``_train_bytes`` inconsistent with
+        the new configuration — and the non-monotone-arrival fallback
+        then pins every subsequent packet on the unbatched path until
+        the stale train drains. Flushing is observationally invisible
+        (each follower keeps its booked identity), and the event-backed
         front entry stays so the already-scheduled head event finds the
         deque it expects. After the flush a fresh train can form under
         the new parameters as soon as the head fires.
@@ -371,13 +339,11 @@ class DummynetPipe:
         if len(dq) <= 1:
             return
         sim = self.sim
-        queue = sim._queue
         head = dq.popleft()
         while dq:
             t, seq, d, p = dq.popleft()
             self._train_bytes -= p.size
-            sim._deferred_deliveries -= 1
-            queue.push_with_seq(t, d, (p,), PRIORITY_NORMAL, seq)
+            sim.materialise(t, seq, d, p)
         dq.append(head)
         self._train_last_t = head[0]
 

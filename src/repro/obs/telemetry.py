@@ -247,10 +247,7 @@ def register_sim(sim, label: str) -> str:
             "label": label,
             "sim_time": float(target.now),
             "events": int(target.events_processed),
-            "queue_depth": int(
-                len(getattr(target, "_queue", ()))
-                + getattr(target, "_deferred_deliveries", 0)
-            ),
+            "queue_depth": int(target.pending),
         }
 
     return register_probe(label, sample)

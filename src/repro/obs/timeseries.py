@@ -133,10 +133,7 @@ class TimeSeriesSampler:
         from repro.obs import telemetry
 
         gauges = telemetry.process_gauges()
-        gauges["event_queue_depth"] = float(
-            len(getattr(self.sim, "_queue", ()))
-            + getattr(self.sim, "_deferred_deliveries", 0)
-        )
+        gauges["event_queue_depth"] = float(self.sim.pending)
         for name in sorted(gauges):
             self.wall_series.setdefault(f"process.{name}", {}).setdefault(
                 "value", []

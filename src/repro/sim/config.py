@@ -9,10 +9,7 @@ single hashable value that can be stored in manifests, threaded through
 worker processes (:mod:`repro.sim.partition`) without re-encoding each
 knob.
 
-``Simulator(config=SimConfig(...))`` is the canonical constructor; the
-historical ``Simulator(flight=..., fast=...)`` kwargs survive one
-release as a deprecation shim that maps onto an equivalent config (see
-:class:`~repro.sim.kernel.Simulator`).
+``Simulator(config=SimConfig(...))`` is the only constructor surface.
 """
 
 from __future__ import annotations

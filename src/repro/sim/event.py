@@ -144,7 +144,7 @@ class Event:
             other.seq,
         )
 
-    # A cancelled entry re-inserted through ``push_with_seq`` can tie an
+    # A cancelled entry re-inserted through ``push(seq=...)`` can tie an
     # existing tombstone on all of (time, priority, seq), so entry-tuple
     # comparisons may reach the Event objects themselves. At most one of
     # such a pair is live (the other is skipped on pop), making their
@@ -249,12 +249,20 @@ class EventQueue:
         callback: Callable[..., Any],
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Insert a new event and return its handle (for cancellation)."""
+        """Insert a new event and return its handle (for cancellation).
+
+        ``seq`` re-inserts a previously :meth:`burn_seq`-ed sequence
+        number instead of drawing a fresh one (kernel-private: how
+        ``Simulator.materialise`` gives a booked delivery the exact
+        identity the reference path's push would have given it).
+        """
         if callback is None:
             raise SimulationError("cannot schedule a None callback")
-        seq = self._seq
-        self._seq = seq + 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
         self._live += 1
         free = self._free
         if free:
@@ -278,54 +286,11 @@ class EventQueue:
             self._insert_far(entry)
         return ev
 
-    def push_with_seq(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple,
-        priority: int,
-        seq: int,
-    ) -> Event:
-        """Insert an event carrying a previously :meth:`burn_seq`-ed
-        sequence number.
-
-        This is how the pipe packet-train machinery re-materialises a
-        coalesced delivery as a real kernel event: the entry gets
-        exactly the ``(time, priority, seq)`` identity the per-packet
-        reference path would have given it, so the total order — and
-        therefore every observable — is unchanged.
-        """
-        self._live += 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = seq
-            ev.callback = callback
-            ev.args = args
-        else:
-            ev = Event(time, priority, seq, callback, args)
-        entry = (time, priority, seq, ev)
-        if not self._calendar:
-            heapq.heappush(self._heap, entry)
-        elif time < self._win_end:
-            self._insert_near(entry)
-        else:
-            self._insert_far(entry)
-        return ev
-
     def burn_seq(self) -> int:
-        """Allocate (and consume) one sequence number without inserting
-        an event.
-
-        The caller promises to account for it: either dispatch the
-        associated work itself in exact ``(time, priority, seq)`` order
-        (the in-train fast path) or re-insert it later through
-        :meth:`push_with_seq`. Burning keeps the global sequence stream
-        identical to the reference path's, where every delivery is a
-        real ``push``.
-        """
+        """Consume one sequence number without inserting an event
+        (kernel-private: ``Simulator.book``). Burning keeps the global
+        sequence stream identical to the reference path's, where every
+        delivery is a real ``push``."""
         seq = self._seq
         self._seq = seq + 1
         return seq
@@ -474,8 +439,9 @@ class EventQueue:
         self._sorted = bucket  # slices of a sorted run are sorted
         self._si = 0
 
-    def _peek_entry(self) -> Optional[tuple]:
-        """The next live entry, or ``None``. Tombstones are discarded."""
+    def peek_entry(self) -> Optional[tuple]:
+        """The next live ``(time, priority, seq, event)`` entry without
+        consuming it, or ``None``. Tombstones are discarded."""
         if not self._calendar:
             heap = self._heap
             while heap:
@@ -522,20 +488,8 @@ class EventQueue:
             else:
                 return None
 
-    def next_entry(self) -> Optional[tuple]:
-        """The next live ``(time, priority, seq, event)`` entry without
-        consuming it, or ``None`` when the queue is empty.
-
-        Used by the pipe packet-train drain to prove that a coalesced
-        delivery precedes everything still in the queue: a candidate
-        ``(time, priority, seq)`` triple compares against the returned
-        entry tuple directly (the comparison always resolves at the
-        unique ``seq`` and never reaches the event object).
-        """
-        return self._peek_entry()
-
     def _consume(self, entry: tuple) -> Event:
-        """Remove the entry returned by :meth:`_peek_entry`."""
+        """Remove the entry returned by :meth:`peek_entry`."""
         if self._calendar:
             si = self._si
             self._sorted[si] = None  # drop the tuple's reference to the event
@@ -568,7 +522,7 @@ class EventQueue:
                     self._live -= 1
                     return ev
             raise SimulationError("pop from empty event queue")
-        entry = self._peek_entry()
+        entry = self.peek_entry()
         if entry is None:
             raise SimulationError("pop from empty event queue")
         return self._consume(entry)
@@ -598,7 +552,7 @@ class EventQueue:
                     self._near -= 1
                     self._live -= 1
                     return entry[3]
-        entry = self._peek_entry()
+        entry = self.peek_entry()
         if entry is None or (until is not None and entry[0] > until):
             return None
         return self._consume(entry)
@@ -610,7 +564,7 @@ class EventQueue:
             while heap and heap[0][3].callback is None:
                 heapq.heappop(heap)
             return heap[0][0] if heap else None
-        entry = self._peek_entry()
+        entry = self.peek_entry()
         return entry[0] if entry is not None else None
 
     # ------------------------------------------------------------------

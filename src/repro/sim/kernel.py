@@ -17,10 +17,6 @@ from repro.sim.event import EVENT_POOL_CAP, Event, EventQueue, PRIORITY_NORMAL
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit value in
-#: the deprecated ``Simulator(flight=..., fast=...)`` shim.
-_UNSET: Any = object()
-
 #: Bucket edges for the (wall-clock) per-callback latency histogram —
 #: callbacks run in microseconds to milliseconds.
 CALLBACK_SECONDS_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -44,18 +40,7 @@ class Simulator:
     config:
         A :class:`~repro.sim.config.SimConfig` naming every behaviour
         knob (hot path, flight recording, profiler, packet reuse,
-        partitioning). This is the canonical configuration surface.
-    flight, fast:
-        **Deprecated** keyword shims for ``config=SimConfig(flight=...,
-        fast=...)``; they emit a :class:`DeprecationWarning` and
-        override the corresponding config field for one release of
-        back-compat. ``fast=True`` enables the hot-path optimisations
-        (calendar event queue, event free list, packet reuse);
-        ``fast=False`` selects the unoptimised reference path; ``None``
-        follows the ``REPRO_SLOW_PATH`` environment escape hatch (see
-        :mod:`repro.hotpath`) — both paths are observationally
-        identical. ``flight=True`` (with ``observe=True``) attaches a
-        :class:`~repro.obs.flight.FlightRecorder` as ``sim.flight``.
+        partitioning, fluid engine) — the only configuration surface.
 
     Examples
     --------
@@ -72,24 +57,7 @@ class Simulator:
         seed: int = 0,
         observe: bool = True,
         config: Optional[SimConfig] = None,
-        flight: Any = _UNSET,
-        fast: Any = _UNSET,
     ) -> None:
-        if flight is not _UNSET or fast is not _UNSET:
-            import warnings
-
-            warnings.warn(
-                "Simulator(flight=..., fast=...) is deprecated; pass "
-                "config=SimConfig(flight=..., fast=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = (config if config is not None else SimConfig()).replace(
-                **(
-                    ({} if flight is _UNSET else {"flight": flight})
-                    | ({} if fast is _UNSET else {"fast": fast})
-                )
-            )
         #: The resolved configuration (defaults when none was given).
         self.config: SimConfig = config if config is not None else SimConfig()
         config = self.config
@@ -109,25 +77,22 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed: int = 0
-        # Packet-train support (net/pipe.py). Trains coalesce per-pipe
-        # back-to-back deliveries into one kernel event; to stay
-        # observationally identical to the per-packet reference path
-        # the train drain needs the loop's horizon and permission to
-        # dispatch inline, and the kernel needs to account for
-        # deliveries the trains are holding outside the queue.
+        # Booked deliveries (see the section below): state of the one
+        # ledger and the one inline-dispatch predicate that pipe packet
+        # trains and the fluid flow engine share.
         #: Active ``run(until=...)`` horizon (None outside ``run``).
         self._horizon: Optional[float] = None
-        #: True while a train may dispatch coalesced deliveries inline
-        #: (set by ``run()``; off under ``max_events`` budgets, while
-        #: profiling, and outside ``run`` entirely, where every train
-        #: entry is re-materialised as a real queue event instead).
-        self._train_inline = False
-        #: Inline deliveries dispatched by trains this run; folded into
+        #: True while booked deliveries may be dispatched inline (set
+        #: by ``run()``; off under ``max_events`` budgets, while
+        #: profiling, and outside ``run`` entirely, where every booking
+        #: is materialised as a real queue event instead).
+        self._inline = False
+        #: Counted inline dispatches this run; folded into
         #: ``events_processed`` so the count matches the reference path.
-        self._extra_events = 0
-        #: Deliveries currently coalesced inside pipe trains (they are
-        #: pending work, but not queue entries).
-        self._deferred_deliveries = 0
+        self._inline_events = 0
+        #: Bookings their consumers hold outside the queue (pending
+        #: work, but not queue entries).
+        self._booked = 0
         # Observability substrate (repro.obs). ``observe=False`` swaps
         # in shared no-op instruments: the hot loop then pays one bool
         # test per event and nothing else.
@@ -214,6 +179,80 @@ class Simulator:
             self._queue.note_cancelled()
 
     # ------------------------------------------------------------------
+    # Booked deliveries (DESIGN.md, "Booked deliveries")
+    # ------------------------------------------------------------------
+    def book(self) -> int:
+        """Book a delivery instead of scheduling it: draw the sequence
+        number ``schedule()`` would draw now, queue nothing.
+
+        The consumer keeps the ``(time, seq)`` key on its own agenda
+        and owes the booking exactly one of :meth:`dispatch_booked`,
+        :meth:`materialise` or :meth:`release`, so the global
+        ``(time, priority, seq)`` stream — and with it every
+        observable — stays what one ``schedule()`` per delivery
+        produces.
+        """
+        self._booked += 1
+        return self._queue.burn_seq()
+
+    def dispatch_booked(self, t: float, seq: int, counted: bool) -> bool:
+        """May the booking ``(t, seq)`` run right now, ahead of the
+        queue? On ``True`` the clock stands at ``t``, the booking is
+        consumed and the caller runs it; on ``False`` nothing changed
+        and the caller materialises it.
+
+        The one predicate: inside a permissive ``run()`` (no
+        ``max_events`` budget and no profiler — both are enforced at
+        the loop head, which inline dispatch bypasses), not stopped,
+        ``t`` within the horizon, and the key strictly before the
+        queue head.
+
+        ``counted`` is the one difference between the two consumers. A
+        train follower stands for one event of the per-packet path, so
+        it is tallied into ``events_processed``. A fluid agenda entry
+        has no single reference event; it is tallied nowhere, and one
+        due at the current instant is just more work inside the running
+        event, so for it only the order test applies.
+        """
+        if counted or t > self.now:
+            if not self._inline or self._stopped:
+                return False
+            horizon = self._horizon
+            if horizon is not None and t > horizon:
+                return False
+        head = self._queue.peek_entry()
+        # The tuple comparison resolves at the unique seq, never
+        # reaching the queue entry's event object.
+        if head is not None and not (t, PRIORITY_NORMAL, seq) < head:
+            return False
+        self._booked -= 1
+        if t > self.now:
+            self.now = t
+        if counted:
+            self._inline_events += 1
+        return True
+
+    def materialise(
+        self, t: float, seq: int, callback: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Hand a booking to the queue as a real event carrying its
+        booked ``(t, PRIORITY_NORMAL, seq)`` identity."""
+        self._booked -= 1
+        return self._queue.push(t, callback, args, PRIORITY_NORMAL, seq)
+
+    def release(self, n: int) -> None:
+        """Abandon ``n`` bookings that will never run (their consumer
+        dropped the deliveries they stood for)."""
+        self._booked -= n
+
+    def reclaim(self, event: Event) -> None:
+        """Take a materialised booking back onto its consumer's agenda:
+        ``event`` is cancelled if still queued (a no-op when it has
+        just fired as a mere wake-up, without running the booking)."""
+        self.cancel(event)
+        self._booked += 1
+
+    # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
     def run(
@@ -243,10 +282,7 @@ class Simulator:
         observe_cb = self._m_callback.observe
         record_prof = profiler.record if profiler.enabled else None
         self._horizon = until
-        # Inline train dispatch bypasses the loop head, so it must be
-        # off whenever the loop head enforces something per-event: an
-        # event budget, or per-callback profiling.
-        self._train_inline = max_events is None and not profile
+        self._inline = max_events is None and not profile
         try:
             if self.fast and not profile:
                 # Hot path: the common iteration — next slot of the
@@ -347,17 +383,14 @@ class Simulator:
                     if until is not None and until > self.now:
                         self.now = until
         finally:
-            processed += self._extra_events
-            self._extra_events = 0
+            processed += self._inline_events
+            self._inline_events = 0
             self._horizon = None
-            self._train_inline = False
+            self._inline = False
             self.events_processed += processed
             self._m_events.inc(processed)
             self._m_runs.inc()
-            depth = len(queue) + self._deferred_deliveries
-            if self.fluid is not None:
-                depth += self.fluid.deferred
-            self._m_queue_depth.set(depth)
+            self._m_queue_depth.set(self.pending)
             self._running = False
 
     def step(self) -> bool:
@@ -372,7 +405,7 @@ class Simulator:
         callback(*args)
         self.events_processed += 1
         self._m_events.inc()
-        self._m_queue_depth.set(len(self._queue) + self._deferred_deliveries)
+        self._m_queue_depth.set(self.pending)
         return True
 
     def stop(self) -> None:
@@ -405,13 +438,15 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live scheduled events (including deliveries
-        coalesced inside pipe packet trains and segments held by the
-        fluid flow engine)."""
-        n = len(self._queue) + self._deferred_deliveries
-        if self.fluid is not None:
-            n += self.fluid.deferred
-        return n
+        """Number of live scheduled events, booked deliveries included
+        (pipe packet trains and the fluid flow engine hold theirs
+        outside the queue)."""
+        return len(self._queue) + self._booked
+
+    @property
+    def booked(self) -> int:
+        """Booked deliveries currently held outside the queue."""
+        return self._booked
 
     def manifest(
         self,

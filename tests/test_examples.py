@@ -1,6 +1,7 @@
 """Smoke tests keeping the example scripts honest (the fast ones run
 end-to-end; the slow ones are import/syntax-checked)."""
 
+import os
 import pathlib
 import py_compile
 import subprocess
@@ -8,15 +9,26 @@ import sys
 
 import pytest
 
+import repro
+
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
 
 def run_example(name, timeout=240, args=()):
+    # The children import ``repro`` from wherever this process found it
+    # (the in-tree ``src`` on a clean checkout), not from the caller's
+    # environment.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC_DIR, env.get("PYTHONPATH")])
+    )
     return subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
 
 

@@ -39,13 +39,11 @@ TOLERANCE = 0.02
 # ----------------------------------------------------------------------
 # Topology helpers
 # ----------------------------------------------------------------------
-def _pair_sim(fluid, n=40, seed=5, config=None, on_build=None):
+def _build_pair(sim, n=40, arrivals=None):
     """One bulk transfer a->b through an up (512 kbps) and a down
-    (2048 kbps) pipe — the exactness class. Returns
-    (arrivals, end, events, sim)."""
-    sim = Simulator(
-        seed=seed, observe=True, config=config or SimConfig(fluid=fluid)
-    )
+    (2048 kbps) pipe — the exactness class — built on ``sim`` but not
+    run. Returns (arrivals, a, b); ``arrivals`` (a fresh list unless
+    one is passed in) fills as blocks land."""
     switch = Switch(sim)
     a = NetworkStack(sim, "a", switch=switch)
     a.set_admin_address("192.168.38.1")
@@ -62,7 +60,8 @@ def _pair_sim(fluid, n=40, seed=5, config=None, on_build=None):
     )
     b.fw.add(ACTION_PIPE, pipe=1, dst=IPv4Address("10.0.0.2"), direction=DIR_IN)
 
-    arrivals = []
+    if arrivals is None:
+        arrivals = []
 
     def server():
         sock = Socket(b)
@@ -88,6 +87,16 @@ def _pair_sim(fluid, n=40, seed=5, config=None, on_build=None):
 
     Process(sim, server())
     Process(sim, client(), start_delay=0.1)
+    return arrivals, a, b
+
+
+def _pair_sim(fluid, n=40, seed=5, config=None, on_build=None):
+    """Run :func:`_build_pair` to completion. Returns
+    (arrivals, end, events, sim)."""
+    sim = Simulator(
+        seed=seed, observe=True, config=config or SimConfig(fluid=fluid)
+    )
+    arrivals, a, b = _build_pair(sim, n)
     if on_build is not None:
         on_build(sim, a, b)
     sim.run()
@@ -185,6 +194,8 @@ def test_defluidize_on_tap_attach_mid_transfer():
     # Every block still arrives, exactly once, in order.
     assert [msg[0] for _, msg in af] == [("blk", i) for i in range(40)]
     assert simf.metrics.get("net.fluid.defluidized").value == 1
+    # The killed flow's bookings were released, not leaked.
+    assert simf.pending == 0 and simf.booked == 0
     # The tap saw the re-materialized bulk segments as real packets.
     assert sum(1 for pkt in tapped if pkt.size > BLOCK) > 0
 
@@ -293,3 +304,36 @@ def test_fig8_reduced_twin_within_tolerance():
         rf = run_fig8(seed=seed, fluid=True, **kw)
         dev = abs(rf.last_completion - rp.last_completion) / rp.last_completion
         assert dev <= TOLERANCE, (seed, rp.last_completion, rf.last_completion)
+
+
+# ----------------------------------------------------------------------
+# Queue depth: one ledger behind every reader
+# ----------------------------------------------------------------------
+def test_step_queue_depth_counts_fluid_held_segments():
+    """Regression: ``step()``, the telemetry probe and the wall-side
+    sampler used to compute queue depth by hand and forgot the segments
+    the fluid engine holds; all three now read ``sim.pending``."""
+    from repro.obs import telemetry
+    from repro.obs.timeseries import TimeSeriesSampler
+
+    sim = Simulator(seed=5, observe=True, config=SimConfig(fluid=True))
+    arrivals, _a, _b = _build_pair(sim)
+    sampler = TimeSeriesSampler(sim, period=1.0, process_gauges=True)
+    telemetry.clear_probes()
+    label = telemetry.register_sim(sim, "pair")
+    try:
+        held = 0
+        while len(arrivals) < 20 and sim.step():
+            depth = sim.metrics.gauge("sim.kernel.queue_depth").value
+            assert depth == sim.pending
+            held = max(held, sim.booked)
+        assert held > 0  # the engine really held segments outside the queue
+        probe = next(
+            s for s in telemetry.sample_probes() if s["label"] == "pair"
+        )
+        assert probe["queue_depth"] == sim.pending
+        sampler.sample_now()
+        series = sampler.wall_series["process.event_queue_depth"]["value"]
+        assert series[-1] == (sim.now, float(sim.pending))
+    finally:
+        telemetry.unregister_probe(label)

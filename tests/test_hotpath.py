@@ -28,7 +28,7 @@ from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.ipfw import ACTION_ALLOW, ACTION_COUNT, ACTION_DENY, ACTION_PIPE, Firewall
 from repro.net.packet import PROTO_TCP, Packet, acquire, release, retag
 from repro.net.pipe import DummynetPipe
-from repro.sim import Simulator
+from repro.sim import SimConfig, Simulator
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
@@ -195,14 +195,14 @@ class TestPacketPool:
     def test_tap_disables_reuse_permanently(self):
         from repro.net.stack import NetworkStack
 
-        sim = Simulator(seed=0, observe=False, fast=True)
+        sim = Simulator(seed=0, observe=False, config=SimConfig(fast=True))
         assert sim.allow_packet_reuse is True
         stack = NetworkStack(sim, "node1")
         stack.add_tap(lambda p: None)
         assert sim.allow_packet_reuse is False  # taps may retain packets
 
     def test_slow_path_sim_never_reuses(self):
-        sim = Simulator(seed=0, observe=False, fast=False)
+        sim = Simulator(seed=0, observe=False, config=SimConfig(fast=False))
         assert sim.allow_packet_reuse is False
 
 

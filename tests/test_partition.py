@@ -174,18 +174,6 @@ class TestSimConfig:
         assert sim.fast is False
         assert sim.config.fast is False
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="SimConfig"):
-            sim = Simulator(seed=1, fast=False, flight=True)
-        assert sim.fast is False
-        assert sim.config.flight is True
-
-    def test_legacy_kwargs_overlay_config(self):
-        with pytest.warns(DeprecationWarning):
-            sim = Simulator(config=SimConfig(fast=True), flight=True)
-        assert sim.config.fast is True  # config survives the overlay
-        assert sim.config.flight is True
-
     def test_canonical_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
