@@ -11,13 +11,21 @@ max-min rate model and the whole storm advances by rate epochs plus
 (mostly inline) delivery dispatch, with per-segment cost independent
 of the hop count.
 
-Two gated metrics (``compare.py --gate``, asserted here at full scale):
+Three gated metrics (``compare.py --gate``, asserted here at full scale):
 
 * ``events_ratio`` — packet-path ``events_processed`` over fluid-path
   ``events_processed`` on the storm (>= 10x: the point of the model is
   to collapse the per-packet event stream);
 * ``speedup`` — packet wall over fluid wall, best of ``TIMING_ROUNDS``
-  runs each (>= 3x).
+  runs each (>= 3x);
+* ``churn_epochs_per_s`` — rate epochs per wall second on the *churn*
+  case. The storm keeps eight deep queues and sees a few hundred
+  events; a swarm does the opposite — many fair flows with one block
+  in flight each, idle at every delivery and active again at the next
+  request, two epochs per block — and that is where the scheduler's
+  own bookkeeping (agenda upkeep, per-epoch re-derivation) shows. The
+  case also records ``agenda_peak`` and asserts, at every scale, that
+  the agenda never holds more than one entry per block in flight.
 
 A single uncontended pair is also run both ways and its delivery times
 asserted **bit-identical** — the exactness class of the model's proof
@@ -57,6 +65,15 @@ BLOCK = 16384
 #: and convert that into wall-clock.
 MIN_EVENTS_RATIO = 10.0
 MIN_SPEEDUP = 3.0
+
+#: Churn case: fair flows with one block in flight each (the fig10-shape
+#: swarm keeps ~180 heads live), and blocks per flow.
+CHURN_FLOWS = max(24, int(160 * SCALE)) // 4 * 4
+CHURN_BLOCKS = max(6, int(12 * SCALE))
+#: Floor on the churn case's epochs per wall second (full scale reads
+#: ~3000 on the reference box; the lazily-invalidated agenda read 1590).
+#: An epoch costs O(active flows), so smaller scales only read higher.
+MIN_CHURN_EPOCHS_PER_S = 2000.0
 
 #: Each wall-clock number is the best of this many runs (see
 #: bench_kernel.py on single-shot drift).
@@ -123,6 +140,67 @@ def storm(fluid: bool, pairs: int = PAIRS, msgs: int = MSGS):
     expect = pairs * msgs
     assert delivered[0] == expect, (delivered[0], expect)
     return wall, delivered[0], sim.events_processed, sim.now
+
+
+def churn(flows: int = CHURN_FLOWS, blocks: int = CHURN_BLOCKS):
+    """``flows`` request/response transfers over four shared uplinks and
+    four shared downlinks, one 16 KiB block in flight each; returns
+    (wall, epochs, agenda_peak)."""
+    sim = Simulator(seed=13, observe=True, config=SimConfig(fluid=True))
+    switch = Switch(sim)
+    per = flows // 4
+
+    def group(name: str, net: int, g: int, bw: float, delay: float, direction):
+        st = NetworkStack(sim, f"{name}{g}", switch=switch)
+        st.set_admin_address(f"192.168.79.{net * 4 + g + 1}")
+        st.fw.add_pipe(1, DummynetPipe(sim, bandwidth=bw, delay=delay, name=st.name))
+        side = "src" if direction == DIR_OUT else "dst"
+        for i in range(per):
+            addr = f"10.{9 + net}.{g}.{i + 1}"
+            st.add_address(addr)
+            st.fw.add(
+                ACTION_PIPE, pipe=1, direction=direction, **{side: IPv4Address(addr)}
+            )
+        return st
+
+    tx = [group("ctx", 0, g, mbps(8), 0.02, DIR_OUT) for g in range(4)]
+    rx = [group("crx", 1, g, mbps(12), 0.01, DIR_IN) for g in range(4)]
+    received = [0]
+
+    def server(stack, addr: str):
+        sock = Socket(stack)
+        sock.bind((addr, 7000))
+        sock.listen()
+        conn = yield sock.accept()
+        for i in range(blocks):
+            yield conn.recv()
+            received[0] += 1
+            conn.send(("req", i), 64)
+        conn.close()
+
+    def client(stack, addr: str, dst: str):
+        sock = Socket(stack)
+        sock.bind((addr, 0))
+        yield sock.connect((dst, 7000))
+        for i in range(blocks):
+            yield sock.send(("blk", i), BLOCK)
+            yield sock.recv()
+        sock.close()
+
+    for k in range(flows):
+        g, i = k % 4, k // 4
+        h = (g + i) % 4  # every uplink fans out over all four downlinks
+        dst = f"10.10.{h}.{i + 1}"
+        Process(sim, server(rx[h], dst))
+        Process(sim, client(tx[g], f"10.9.{g}.{i + 1}", dst), start_delay=0.01 * (k + 1))
+    t0 = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - t0
+    assert received[0] == flows * blocks, (received[0], flows * blocks)
+    assert sim.fluid.agenda_size == 0 and sim.booked == 0
+    epochs = sim.metrics.get("net.fluid.epochs").value
+    peak = int(sim.metrics.get("net.fluid.agenda_peak").peak)
+    return wall, epochs, peak
 
 
 def exact_pair(fluid: bool, msgs: int = 50):
@@ -203,6 +281,15 @@ def test_fluid_storm_speedup(benchmark, bench_json):
     events_ratio = packet_events / max(fluid_events, 1)
     end_dev = abs(fluid_end - packet_end) / packet_end
 
+    churn_runs = [churn() for _ in range(TIMING_ROUNDS)]
+    churn_wall = min(r[0] for r in churn_runs)
+    _, churn_epochs, agenda_peak = churn_runs[0]
+    churn_epochs_per_s = churn_epochs / churn_wall
+    # Live entries only: one per block in flight, whatever the scale
+    # and however many epochs re-keyed the heads.
+    assert agenda_peak <= CHURN_FLOWS, (agenda_peak, CHURN_FLOWS)
+    assert churn_epochs >= CHURN_FLOWS * CHURN_BLOCKS, churn_epochs
+
     bench_json(
         "fluid",
         pairs=PAIRS,
@@ -215,11 +302,19 @@ def test_fluid_storm_speedup(benchmark, bench_json):
         events_ratio=round(events_ratio, 3),
         exact_pair_events_ratio=round(exact_ratio, 3),
         storm_end_deviation=round(end_dev, 6),
+        churn_flows=CHURN_FLOWS,
+        churn_epochs=churn_epochs,
+        churn_wall_seconds=round(churn_wall, 6),
+        churn_epochs_per_s=round(churn_epochs_per_s, 1),
+        agenda_peak=agenda_peak,
     )
     print(
         f"\nfluid storm: packet={packet_wall:.3f}s fluid={fluid_wall:.3f}s "
         f"-> {speedup:.2f}x wall, {events_ratio:.1f}x events "
         f"({delivered} blocks, {PAIRS} pairs, end dev {end_dev * 100:.2f}%)\n"
+        f"fluid churn: {churn_epochs} epochs over {CHURN_FLOWS} flows in "
+        f"{churn_wall:.3f}s -> {churn_epochs_per_s:.0f} epochs/s, "
+        f"agenda peak {agenda_peak}\n"
     )
 
     if SCALE >= 1.0:
@@ -230,4 +325,8 @@ def test_fluid_storm_speedup(benchmark, bench_json):
         assert speedup >= MIN_SPEEDUP, (
             f"fluid path only {speedup:.2f}x over the packet path "
             f"(need >= {MIN_SPEEDUP}x)"
+        )
+        assert churn_epochs_per_s >= MIN_CHURN_EPOCHS_PER_S, (
+            f"churn case only {churn_epochs_per_s:.0f} epochs/s "
+            f"(need >= {MIN_CHURN_EPOCHS_PER_S})"
         )

@@ -68,9 +68,11 @@ SPEEDUP_GATES: Dict[str, Dict[str, float]] = {
     # (CPU-seconds based — machine-independent; see bench_dist.py).
     "dist": {"speedup": 1.4},
     # Fluid-flow engine on the steady-state bulk storm: must collapse
-    # the per-packet event stream and convert it into wall-clock
-    # (see bench_fluid.py).
-    "fluid": {"speedup": 3.0, "events_ratio": 10.0},
+    # the per-packet event stream and convert it into wall-clock; and
+    # on the churn case (one block in flight per flow, the regime a
+    # swarm runs in) keep its rate epochs cheap — epochs per wall
+    # second, not a ratio (see bench_fluid.py).
+    "fluid": {"speedup": 3.0, "events_ratio": 10.0, "churn_epochs_per_s": 2000.0},
     # Streaming/lazy topology compilation vs the eager seed path:
     # build wall-clock and retained bytes per vnode (see bench_topo.py).
     "topo": {"speedup": 5.0, "mem_ratio": 4.0},
@@ -226,12 +228,12 @@ def run(
                 value = metrics.get(metric)
                 if value is None or value < floor:
                     gate_failures.append(
-                        f"{figure}:{metric}={value} (floor {floor}x)"
+                        f"{figure}:{metric}={value} (floor {floor})"
                     )
 
     if gate_failures:
         print(
-            f"\nFAIL: hot-path speedup gate: {'; '.join(gate_failures)}",
+            f"\nFAIL: hot-path gate: {'; '.join(gate_failures)}",
             file=sys.stderr,
         )
         return 1

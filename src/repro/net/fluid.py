@@ -69,11 +69,13 @@ build.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.ipfw import DIR_IN, DIR_OUT
 from repro.net.packet import Packet, PROTO_TCP, TCP_HEADER
+from repro.net.tcp import Connection
+from repro.obs.metrics import NULL_REGISTRY
 
 #: Hop tags in a resolved path: a fixed delay or a Dummynet pipe.
 _HOP_DELAY = 0
@@ -108,9 +110,7 @@ FAIR_DEPTH = 1
 #: (txn well above this) always defer.
 DEFER_TXN = 1e-3
 
-#: Action-heap entry kinds (see ``FlowScheduler._heap``).
-_ENTRY_HOP = 0
-_ENTRY_DELIVER = 1
+_INF = float("inf")
 
 
 class _FluidSegment:
@@ -125,7 +125,6 @@ class _FluidSegment:
         "claims",
         "hop_i",
         "cursor",
-        "dead",
         "seq",
     )
 
@@ -152,9 +151,6 @@ class _FluidSegment:
         #: segment's arrival sim-time there.
         self.hop_i = 0
         self.cursor = 0.0
-        #: Set when the flow de-fluidizes: pending hop events become
-        #: no-ops.
-        self.dead = False
         #: Kernel sequence number booked for this segment's delivery
         #: (see ``FlowScheduler._heap``); ``-1`` until assigned.
         self.seq = -1
@@ -171,10 +167,11 @@ class FluidFlow:
         "remote_key",
         "hops",
         "pipes",
+        "pids",
         "fixed_base",
+        "lat",
         "mode",
         "queue",
-        "token",
         "rate",
         "cum_admitted",
         "cum_drained",
@@ -204,11 +201,15 @@ class FluidFlow:
         self.pipes = tuple(
             h[1] for h in hops if h[0] == _HOP_PIPE and h[1].bandwidth is not None
         )
+        #: The scheduler's small-integer id of each of ``pipes``
+        #: (filled in by ``FlowScheduler._create_flow``).
+        self.pids: Tuple[int, ...] = ()
         self.fixed_base = fixed_base
+        #: ``latency(size)`` memo; the scheduler clears it when a pipe
+        #: of the path is reconfigured.
+        self.lat: Dict[int, float] = {}
         self.mode = MODE_EXACT
         self.queue: Deque[_FluidSegment] = deque()
-        #: Heap-entry validity token (bumped whenever the head changes).
-        self.token = 0
         self.rate: Optional[float] = None
         self.cum_admitted = 0.0
         self.cum_drained = 0.0
@@ -235,10 +236,14 @@ class FluidFlow:
         The drain term (``remaining / rate``) already covers one
         serialization at the bottleneck (``rate`` never exceeds any
         pipe's capacity), so every *other* shaped pipe contributes one
-        ``size / bandwidth`` store-and-forward hop; propagation delays
-        are read live so ``reconfigure(delay=...)`` takes effect at the
-        next projection.
+        ``size / bandwidth`` store-and-forward hop. Memoised per size:
+        ``reconfigure()`` is the only thing that changes a term, and it
+        reaches ``FlowScheduler.on_pipe_reconfigured``, which drops the
+        memo before the epoch that reprojects with it.
         """
+        lat = self.lat.get(size)
+        if lat is not None:
+            return lat
         lat = self.fixed_base
         ser = 0.0
         largest = 0.0
@@ -251,7 +256,8 @@ class FluidFlow:
                     ser += txn
                     if txn > largest:
                         largest = txn
-        return lat + ser - largest
+        lat = self.lat[size] = lat + ser - largest
+        return lat
 
     def reproject(self, now: float) -> None:
         """Recompute queued delivery times under the current rate.
@@ -266,7 +272,7 @@ class FluidFlow:
             if fseg.cum_target > drained:
                 if rate is None or rate <= 0.0:
                     d = now + (fseg.cum_target - drained) / _MIN_RATE
-                elif rate == float("inf"):
+                elif rate == _INF:
                     d = now + self.latency(fseg.size)
                 else:
                     d = (
@@ -294,36 +300,42 @@ class FlowScheduler:
     def __init__(self, sim: Any, threshold: int = 8192) -> None:
         self.sim = sim
         self.threshold = threshold
-        self.fair_depth = FAIR_DEPTH
-        self.defer_txn = DEFER_TXN
         self._flows: Dict[int, FluidFlow] = {}
         self._by_conn: Dict[Any, FluidFlow] = {}
         #: conn -> src firewall generation at the ineligibility verdict
         #: (re-probed when the rule set changes).
         self._ineligible: Dict[Any, int] = {}
-        #: pipe id() -> {flow_idx: flow} — registration in deterministic
+        #: pipe -> {flow_idx: flow} — registration in deterministic
         #: creation order (dicts double as ordered sets here).
-        self._by_pipe: Dict[int, Dict[int, FluidFlow]] = {}
-        #: pipe id() -> deterministic small integer (epoch iteration and
+        self._by_pipe: Dict[Any, Dict[int, FluidFlow]] = {}
+        #: pipe -> deterministic small integer (epoch iteration and
         #: tie-breaking must never order by raw ``id()`` values).
-        self._pipe_ids: Dict[int, int] = {}
-        self._pipe_objs: Dict[int, Any] = {}
+        self._pipe_ids: Dict[Any, int] = {}
+        #: The flows competing for fair shares right now — fair mode
+        #: with a non-empty queue — kept current at the transitions
+        #: (:meth:`_activate` / :meth:`_deactivate`) instead of being
+        #: filtered out of ``_flows`` at every epoch; and the same set
+        #: per shaped pipe, for :meth:`_active_fair_neighbor`.
+        self._active_fair: Dict[int, FluidFlow] = {}
+        self._fair_by_pipe: Dict[Any, Dict[int, FluidFlow]] = {}
         self._next_flow = 0
         self._next_pipe = 0
-        #: Global action heap of ``(time, seq, kind, aux)`` entries —
-        #: kind ``_ENTRY_HOP`` books a deferred hop step
-        #: (``aux=(flow, fseg)``, invalidated by ``fseg.dead``), kind
-        #: ``_ENTRY_DELIVER`` delivers a flow head
-        #: (``aux=(flow_idx, token)``, lazily invalidated via the
-        #: per-flow token). ``seq`` is booked (``Simulator.book``) at
-        #: the moment the packet path would have pushed the
-        #: corresponding event, so equal-time ties against ordinary
-        #: packet events (a FIN chasing the last DATA segment, say)
-        #: resolve exactly as on the reference path. Every undelivered
-        #: segment holds exactly one live booking at a time (its next
-        #: hop, or its delivery); an epoch re-pushing a head at a new
-        #: time reuses the segment's booking.
-        self._heap: List[Tuple[float, int, int, Any]] = []
+        #: The agenda: a heap of ``(time, seq, flow, fseg)`` entries —
+        #: ``fseg`` set books that segment's deferred hop step,
+        #: ``fseg=None`` delivers the flow's head. ``seq`` is booked
+        #: (``Simulator.book``) at the moment the packet path would
+        #: have pushed the corresponding event, so equal-time ties
+        #: against ordinary packet events (a FIN chasing the last DATA
+        #: segment, say) resolve exactly as on the reference path; it
+        #: is unique, so comparisons never reach the objects. Every
+        #: undelivered segment holds exactly one live booking at a time
+        #: (its next hop, or its delivery). **Live entries only**: one
+        #: hop entry per segment mid-chain plus at most one delivery
+        #: entry per flow, for a head whose time is known. Whatever
+        #: re-keys or drops a head removes the entry it had — an epoch
+        #: rebuilds the heap (:meth:`_epoch`), a kill filters it
+        #: (:meth:`_kill_flow`) — so the top is always the next action.
+        self._heap: List[Tuple[float, int, FluidFlow, Any]] = []
         #: The one materialised booking: a wake-up carrying the key of
         #: the agenda head it was armed for.
         self._event: Optional[Any] = None
@@ -337,10 +349,7 @@ class FlowScheduler:
         self._pipe_release: Dict[int, float] = {}
         self._epoch_timer: Optional[Any] = None
         self._epoch_timer_at = 0.0
-        registry = getattr(sim, "metrics", None)
-        from repro.obs.metrics import NULL_REGISTRY
-
-        registry = registry or NULL_REGISTRY
+        registry = getattr(sim, "metrics", None) or NULL_REGISTRY
         self._m_flows = registry.counter("net.fluid.flows")
         self._m_segments = registry.counter("net.fluid.segments")
         self._m_bytes = registry.counter("net.fluid.bytes")
@@ -352,6 +361,12 @@ class FlowScheduler:
         # observable.
         self._m_inline = registry.counter("net.fluid.inline_deliveries", wall=True)
         self._m_dead = registry.counter("net.fluid.dead_deliveries", wall=True)
+        self._m_agenda = registry.gauge("net.fluid.agenda_peak", wall=True)
+
+    @property
+    def agenda_size(self) -> int:
+        """Entries on the agenda right now (all live; see ``_heap``)."""
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Admission (the Connection._transmit seam)
@@ -409,7 +424,7 @@ class FlowScheduler:
             fseg.cursor = now
             flow.queue.append(fseg)
             self._hop_step(flow, fseg)
-            if len(flow.queue) >= self.fair_depth and self._active_neighbor(flow):
+            if len(flow.queue) >= FAIR_DEPTH and self._active_neighbor(flow):
                 # Deep backlog on a shared path: the steady-state
                 # "packet storm" regime. Hand the whole neighbourhood
                 # to the rate model — one epoch instead of per-segment
@@ -427,13 +442,15 @@ class FlowScheduler:
             fseg.seq = sim.book()
             was_empty = not flow.queue
             flow.queue.append(fseg)
+            if was_empty:
+                self._activate(flow)
             if was_empty and not flow.delivering:
                 # Idle -> active transition: the flow re-enters the
                 # fair-share competition; everyone's rate may change.
                 self._epoch(now)
             else:
                 rate = flow.rate
-                if rate == float("inf"):
+                if rate == _INF:
                     d = now + flow.latency(size)
                 elif rate is None or rate <= 0.0:
                     d = now + (fseg.cum_target - flow.cum_drained) / _MIN_RATE
@@ -448,8 +465,7 @@ class FlowScheduler:
                     if d < prev:
                         d = prev
                 fseg.deliver_at = d
-                if len(flow.queue) == 1:
-                    flow.token += 1
+                if was_empty:
                     self._push_head(flow)
             self._sync_event()
         return True
@@ -536,12 +552,13 @@ class FlowScheduler:
         for tag, val in flow.hops:
             if tag != _HOP_PIPE:
                 continue
-            pid = self._pipe_ids.get(id(val))
-            if pid is None:
-                pid = self._pipe_ids[id(val)] = self._next_pipe
-                self._pipe_objs[pid] = val
+            if val not in self._pipe_ids:
+                self._pipe_ids[val] = self._next_pipe
                 self._next_pipe += 1
-            self._by_pipe.setdefault(id(val), {})[flow.idx] = flow
+                self._by_pipe[val] = {}
+                self._fair_by_pipe[val] = {}
+            self._by_pipe[val][flow.idx] = flow
+        flow.pids = tuple(self._pipe_ids[p] for p in flow.pipes)
         # New flows always start on the chain-walk discipline: with a
         # sole occupant it is bit-identical to the packet path, and
         # under contention it reproduces the pipes' FIFO service order.
@@ -585,7 +602,7 @@ class FlowScheduler:
                 if bandwidth is None:
                     t = t + val.delay
                 else:
-                    if t > sim.now and size / bandwidth >= self.defer_txn:
+                    if t > sim.now and size / bandwidth >= DEFER_TXN:
                         # The segment reaches this serializer later:
                         # book it then, so traffic arriving in between
                         # keeps the pipe's true FIFO order. (Fast pipes
@@ -594,9 +611,7 @@ class FlowScheduler:
                         # equal-time kernel events to the packet path's.
                         fseg.cursor = t
                         fseg.hop_i = i
-                        heappush(
-                            self._heap, (t, sim.book(), _ENTRY_HOP, (flow, fseg))
-                        )
+                        self._push((t, sim.book(), flow, fseg))
                         self._sync_event()
                         return
                     busy = val._busy_until
@@ -610,7 +625,7 @@ class FlowScheduler:
                     if release:
                         # The pool is rate-gating this pipe: keep the
                         # release horizon honest about the new claim.
-                        pid = self._pipe_ids[id(val)]
+                        pid = self._pipe_ids[val]
                         if pid in release and depart > release[pid]:
                             release[pid] = depart
             i += 1
@@ -621,7 +636,6 @@ class FlowScheduler:
         # would have scheduled the delivery event.
         fseg.seq = sim.book()
         if flow.queue and flow.queue[0] is fseg:
-            flow.token += 1
             self._push_head(flow)
             self._sync_event()
 
@@ -632,7 +646,7 @@ class FlowScheduler:
         here. Intervals already drained contribute nothing even when
         the segment itself is still in flight further down its path."""
         total = 0.0
-        for f in self._by_pipe[id(pipe)].values():
+        for f in self._by_pipe[pipe].values():
             for fseg in f.queue:
                 for p, txn, end in fseg.claims:
                     if p is pipe and end > now:
@@ -664,12 +678,26 @@ class FlowScheduler:
         flow.cum_admitted = 0.0
         flow.cum_drained = 0.0
         flow.last_update = now
-        for p in flow.pipes:
-            pid = self._pipe_ids[id(p)]
+        if flow.queue:
+            self._activate(flow)
+        for p, pid in zip(flow.pipes, flow.pids):
             busy = p._busy_until
             if busy > now and busy > self._pipe_release.get(pid, 0.0):
                 self._pipe_release[pid] = busy
         self._m_demotions.inc()
+
+    def _activate(self, flow: FluidFlow) -> None:
+        """``flow`` (fair mode) now has a queue: it competes for shares."""
+        self._active_fair[flow.idx] = flow
+        for p in flow.pipes:
+            self._fair_by_pipe[p][flow.idx] = flow
+
+    def _deactivate(self, flow: FluidFlow) -> None:
+        """``flow``'s queue emptied (or it was killed): it competes no
+        more. A no-op for a flow that was not competing."""
+        if self._active_fair.pop(flow.idx, None) is not None:
+            for p in flow.pipes:
+                self._fair_by_pipe[p].pop(flow.idx, None)
 
     def _neighbors(self, flow: FluidFlow) -> List[FluidFlow]:
         """Other flows registered on any of ``flow``'s shaped pipes,
@@ -677,7 +705,7 @@ class FlowScheduler:
         out: List[FluidFlow] = []
         seen = {flow.idx}
         for p in flow.pipes:
-            for f2 in self._by_pipe[id(p)].values():
+            for f2 in self._by_pipe[p].values():
                 if f2.idx not in seen:
                     seen.add(f2.idx)
                     out.append(f2)
@@ -685,47 +713,49 @@ class FlowScheduler:
 
     def _active_neighbor(self, flow: FluidFlow) -> bool:
         for p in flow.pipes:
-            for f2 in self._by_pipe[id(p)].values():
+            for f2 in self._by_pipe[p].values():
                 if f2 is not flow and f2.queue:
                     return True
         return False
 
     def _active_fair_neighbor(self, flow: FluidFlow) -> bool:
+        idx = flow.idx
         for p in flow.pipes:
-            for f2 in self._by_pipe[id(p)].values():
-                if f2 is not flow and f2.queue and f2.mode == MODE_FAIR:
-                    return True
+            fair = self._fair_by_pipe[p]
+            if len(fair) > (idx in fair):  # someone other than ``flow``
+                return True
         return False
 
     def _epoch(self, now: float) -> None:
         """One rate-change epoch: progressive-filling max-min shares
         over every contended pipe, then reprojection of all active
-        fair flows. Deterministic: iteration follows flow/pipe
-        registration order, never hash or ``id()`` order."""
-        active = [
-            f
-            for f in self._flows.values()
-            if f.mode == MODE_FAIR and f.queue
-        ]
-        if not active:
+        fair flows and a rebuild of the agenda around their new head
+        times. Deterministic: iteration follows flow/pipe registration
+        order, never hash or ``id()`` order.
+
+        Every active flow is advanced and reprojected at every epoch,
+        also the many whose rate did not change: ``now`` enters each
+        projection, so skipping one would round differently."""
+        if not self._active_fair:
             self._sync_event()
             return
         self._m_epochs.inc()
+        active_fair = self._active_fair
+        active = [active_fair[idx] for idx in sorted(active_fair)]
         for f in active:
             f.advance(now)
         # Pipe membership (insertion-ordered by flow idx, hop order).
         cap_left: Dict[int, float] = {}
         members: Dict[int, List[FluidFlow]] = {}
         unfrozen: Dict[int, FluidFlow] = {}
-        flow_pids: Dict[int, List[int]] = {}
-        next_release = float("inf")
+        release = self._pipe_release
+        next_release = _INF
         for f in active:
-            pids = []
-            for p in f.pipes:
-                pid = self._pipe_ids[id(p)]
+            pids = f.pids
+            for p, pid in zip(f.pipes, pids):
                 if pid not in members:
                     members[pid] = []
-                    rel = self._pipe_release.get(pid, 0.0)
+                    rel = release.get(pid, 0.0)
                     if rel > now:
                         # Part of the window up to ``rel`` is committed
                         # to exact-era claims — but only the claimed
@@ -744,22 +774,20 @@ class FlowScheduler:
                             next_release = rel
                     else:
                         if rel:
-                            del self._pipe_release[pid]
+                            del release[pid]
                         cap_left[pid] = p.bandwidth
                 members[pid].append(f)
-                pids.append(pid)
-            flow_pids[f.idx] = pids
             if pids:
                 unfrozen[f.idx] = f
             else:
-                f.rate = float("inf")  # pure-delay path: drains instantly
+                f.rate = _INF  # pure-delay path: drains instantly
+        # Pipes that still have an unfrozen member; one leaves the scan
+        # when its last member freezes.
         unfrozen_count = {pid: len(flows) for pid, flows in members.items()}
         while unfrozen:
             best_pid = -1
             best_share = 0.0
             for pid, n in unfrozen_count.items():
-                if n <= 0:
-                    continue
                 share = cap_left[pid] / n
                 if best_pid < 0 or share < best_share:
                     best_pid = pid
@@ -773,15 +801,27 @@ class FlowScheduler:
                     continue
                 f.rate = best_share
                 del unfrozen[f.idx]
-                for pid in flow_pids[f.idx]:
+                for pid in f.pids:
                     left = cap_left[pid] - best_share
                     cap_left[pid] = left if left > 0.0 else 0.0
-                    unfrozen_count[pid] -= 1
+                    n = unfrozen_count[pid] - 1
+                    if n:
+                        unfrozen_count[pid] = n
+                    else:
+                        del unfrozen_count[pid]
+        # Every active fair head is re-keyed, so rebuild: keep the
+        # entries an epoch does not touch (hop steps, chain-walk flows'
+        # heads), append the new head keys, heapify.
+        heap = self._heap
+        heap[:] = [e for e in heap if e[3] is not None or e[2].mode != MODE_FAIR]
         for f in active:
             f.reproject(now)
-            f.token += 1
-            self._push_head(f)
-        if next_release < float("inf"):
+            head = f.queue[0]
+            if head.deliver_at >= 0.0:
+                heap.append((head.deliver_at, head.seq, f, None))
+        heapify(heap)
+        self._note_agenda_size()
+        if next_release < _INF:
             self._schedule_epoch_timer(next_release)
         self._sync_event()
 
@@ -802,33 +842,23 @@ class FlowScheduler:
     # ------------------------------------------------------------------
     # Delivery machinery
     # ------------------------------------------------------------------
+    def _push(self, entry: Tuple[float, int, FluidFlow, Any]) -> None:
+        heappush(self._heap, entry)
+        self._note_agenda_size()
+
+    def _note_agenda_size(self) -> None:
+        n = len(self._heap)
+        if n > self._m_agenda.peak:
+            self._m_agenda.set(n)
+
     def _push_head(self, flow: FluidFlow) -> None:
+        """Enter the (new) head of ``flow`` on the agenda. A head still
+        walking its hop chain (``deliver_at < 0``) is entered by
+        :meth:`_hop_step` when its final hop is booked."""
         if flow.queue:
             head = flow.queue[0]
-            d = head.deliver_at
-            if d >= 0.0:
-                heappush(
-                    self._heap,
-                    (d, head.seq, _ENTRY_DELIVER, (flow.idx, flow.token)),
-                )
-            # A head still walking its hop chain (d < 0) is pushed by
-            # _hop_step when its final hop is booked.
-
-    def _peek(self) -> Optional[Tuple[float, int, int, Any]]:
-        heap = self._heap
-        flows = self._flows
-        while heap:
-            top = heap[0]
-            if top[2] == _ENTRY_HOP:
-                if not top[3][1].dead:
-                    return top
-            else:
-                idx, token = top[3]
-                f = flows.get(idx)
-                if f is not None and f.queue and f.token == token:
-                    return top
-            heappop(heap)
-        return None
+            if head.deliver_at >= 0.0:
+                self._push((head.deliver_at, head.seq, flow, None))
 
     def _arm(self, t: float, seq: int) -> None:
         """Materialise the agenda head ``(t, seq)`` as the wake-up."""
@@ -840,7 +870,7 @@ class FlowScheduler:
         (or before) the earliest pending delivery, or none when idle."""
         if self._in_fire:
             return  # the _fire loop re-materializes on exit
-        top = self._peek()
+        top = self._heap[0] if self._heap else None
         ev = self._event
         if ev is not None:
             if top is not None and (ev.time, ev.seq) <= (top[0], top[1]):
@@ -860,36 +890,30 @@ class FlowScheduler:
         sim.reclaim(self._event)
         self._event = None
         self._in_fire = True
-        heap = self._heap
+        heap = self._heap  # rebuilt in place, never rebound
         try:
-            while True:
-                top = self._peek()
-                if top is None:
-                    break
-                t = top[0]
+            while heap:
+                t, seq, flow, fseg = heap[0]
                 advances = t > sim.now
-                if not sim.dispatch_booked(t, top[1], False):
-                    self._arm(t, top[1])
+                if not sim.dispatch_booked(t, seq, False):
+                    self._arm(t, seq)
                     break
                 heappop(heap)
-                if advances and top[2] == _ENTRY_DELIVER:
-                    self._m_inline.inc()
-                self._run_entry(top)
+                if fseg is not None:
+                    self._hop_step(flow, fseg)
+                else:
+                    if advances:
+                        self._m_inline.inc()
+                    self._deliver_head(flow)
         finally:
             self._in_fire = False
 
-    def _run_entry(self, entry: Tuple[float, int, int, Any]) -> None:
-        if entry[2] == _ENTRY_HOP:
-            flow, fseg = entry[3]
-            self._hop_step(flow, fseg)
-        else:
-            self._deliver_head(self._flows[entry[3][0]])
-
     def _deliver_head(self, flow: FluidFlow) -> None:
         fseg = flow.queue.popleft()
-        flow.token += 1
         if flow.mode == MODE_FAIR:
             flow.advance(self.sim.now)
+            if not flow.queue:
+                self._deactivate(flow)
         self._push_head(flow)
         remote = flow.dst_stack.tcp._conns.get(flow.remote_key)
         flow.delivering = True
@@ -904,8 +928,6 @@ class FlowScheduler:
         finally:
             flow.delivering = False
         if not flow.queue:
-            from repro.net.tcp import Connection
-
             if flow.conn.state is Connection.CLOSED:
                 self._remove_flow(flow)
             if flow.mode == MODE_FAIR:
@@ -927,30 +949,28 @@ class FlowScheduler:
             del self._by_conn[flow.conn]
         for tag, val in flow.hops:
             if tag == _HOP_PIPE:
-                residents = self._by_pipe.get(id(val))
-                if residents is not None:
-                    residents.pop(flow.idx, None)
+                self._by_pipe[val].pop(flow.idx, None)
 
     def _kill_flow(self, flow: FluidFlow, resend: bool) -> None:
         """Cancel the flow, roll back undelivered serializer claims and
         (optionally) re-send the undelivered segments through the
         packet path, in order, at the flow's current offset."""
         now = self.sim.now
-        undo: Dict[int, List[Any]] = {}
+        undo: Dict[Any, float] = {}
         pending = list(flow.queue)
         for fseg in pending:
-            fseg.dead = True  # pending hop events become no-ops
             for p, txn, _end in fseg.claims:
-                ent = undo.get(id(p))
-                if ent is None:
-                    undo[id(p)] = [p, txn]
-                else:
-                    ent[1] += txn
-        for p, total in undo.values():
+                undo[p] = undo.get(p, 0.0) + txn
+        for p, total in undo.items():
             rolled = p._busy_until - total
             p._busy_until = rolled if rolled > now else now
         flow.queue.clear()
-        flow.token += 1
+        self._deactivate(flow)
+        if pending:
+            # Its hop entries and its head's delivery entry die with it.
+            heap = self._heap
+            heap[:] = [e for e in heap if e[2] is not flow]
+            heapify(heap)
         self.sim.release(len(pending))  # one live booking per segment
         self._remove_flow(flow)
         if pending:
@@ -960,8 +980,6 @@ class FlowScheduler:
         else:
             self._sync_event()
         if resend:
-            from repro.net.tcp import Connection
-
             conn = flow.conn
             for fseg in pending:
                 if conn.state is Connection.CLOSED:
@@ -982,7 +1000,7 @@ class FlowScheduler:
     def on_pipe_reconfigured(self, pipe: Any) -> None:
         """``ipfw pipe N config ...`` mid-run. Lossy pipes force their
         flows off the fluid path; capacity changes are a rate epoch."""
-        residents = self._by_pipe.get(id(pipe))
+        residents = self._by_pipe.get(pipe)
         if not residents:
             return
         if pipe.plr > 0.0:
@@ -993,7 +1011,10 @@ class FlowScheduler:
         # and their committed claims are absolute times — exactly the
         # packet path's carry-over of ``_busy_until`` across a
         # reconfigure — so they need no transition. Pool-modelled flows
-        # get their shares refilled from the new capacity.
+        # get their shares refilled from the new capacity, and projected
+        # with the path's new latency.
+        for flow in residents.values():
+            flow.lat.clear()
         self._epoch(self.sim.now)
 
     def on_conn_closed(self, conn: Any) -> None:

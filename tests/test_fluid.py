@@ -11,6 +11,7 @@ reference path outright, and under the partitioned kernel the merged
 result is byte-identical for every worker count.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -152,6 +153,43 @@ def _contended_sim(fluid, n=30, seed=5):
     return finish, sim.events_processed
 
 
+def _shaped_stack(sim, switch, name, admin, addrs, bw, delay, direction):
+    """A stack whose ``addrs`` all share one ``bw`` kbps pipe in
+    ``direction``. Returns (stack, pipe)."""
+    st = NetworkStack(sim, name, switch=switch)
+    st.set_admin_address(admin)
+    pipe = DummynetPipe(sim, bandwidth=kbps(bw), delay=delay, name=name)
+    st.fw.add_pipe(1, pipe)
+    side = "src" if direction == DIR_OUT else "dst"
+    for addr in addrs:
+        st.add_address(addr)
+        st.fw.add(
+            ACTION_PIPE, pipe=1, direction=direction, **{side: IPv4Address(addr)}
+        )
+    return st, pipe
+
+
+def _run_child(code, **env_overrides):
+    """Run ``code`` in a fresh interpreter that can import ``repro``
+    and ``tests`` (flags such as ``REPRO_SLOW_PATH`` are read at import
+    time; ``PYTHONHASHSEED`` only takes effect at start-up). Returns
+    its standard output."""
+    env = dict(os.environ)
+    env.update(env_overrides)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + str(
+        pathlib.Path(__file__).resolve().parent.parent
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 # ----------------------------------------------------------------------
 # Exactness class
 # ----------------------------------------------------------------------
@@ -174,6 +212,192 @@ def test_contended_class_within_tolerance():
         dev = abs(ff[key] - fp[key]) / fp[key]
         assert dev <= TOLERANCE, (key, fp[key], ff[key], dev)
     assert evf < evp
+
+
+# ----------------------------------------------------------------------
+# Fair mode, bit for bit
+# ----------------------------------------------------------------------
+#: BLAKE2b of :func:`_golden_doc`, computed at the commit before the
+#: agenda/epoch rewrite of ``net/fluid.py`` (PR 15). Fair mode is an
+#: approximation of the packet path, but it is a *deterministic* one: a
+#: change to the scheduler that is meant to be behaviour-neutral must
+#: reproduce every delivery time, serializer claim and counter exactly.
+GOLDEN_FAIR_DIGEST = "3ac7da902b1e73c83fcc9460b137195c"
+
+
+def _golden_doc():
+    """Six senders over two shared up pipes and two shared down pipes,
+    two segment sizes, streaming (even) and request/response (odd)
+    clients, a mid-run ``reconfigure(delay=)`` and
+    ``reconfigure(bandwidth=)`` on shared pipes, a sender aborted
+    mid-drain and a tap attach. Returns the full delivery log, every
+    pipe's final ``_busy_until`` and the deterministic metrics."""
+    sim = Simulator(seed=7, observe=True, config=SimConfig(fluid=True))
+    switch = Switch(sim)
+    shaped = [
+        _shaped_stack(sim, switch, "tx0", "192.168.40.1",
+                      ["10.0.2.1", "10.0.2.2", "10.0.2.3"], 1024, 0.02, DIR_OUT),
+        _shaped_stack(sim, switch, "tx1", "192.168.40.2",
+                      ["10.0.2.4", "10.0.2.5", "10.0.2.6"], 768, 0.015, DIR_OUT),
+        _shaped_stack(sim, switch, "rx0", "192.168.40.3",
+                      ["10.0.3.1"], 1536, 0.01, DIR_IN),
+        _shaped_stack(sim, switch, "rx1", "192.168.40.4",
+                      ["10.0.3.2"], 896, 0.012, DIR_IN),
+    ]
+    pipes = [pipe for _st, pipe in shaped]
+    tx = [st for st, _pipe in shaped[:2]]
+    rx = [st for st, _pipe in shaped[2:]]
+    log = []
+    socks = {}
+
+    def server(k):
+        sock = Socket(rx[k % 2])
+        sock.bind((f"10.0.3.{k % 2 + 1}", 6000 + k))
+        sock.listen()
+        conn = yield sock.accept()
+        while True:
+            msg = yield conn.recv()
+            if msg is None:
+                break
+            log.append((sim.now.hex(), k, msg[1]))
+            if k % 2:
+                conn.send(("req", msg[1]), 64)
+        conn.close()
+
+    def client(k):
+        sock = socks[k] = Socket(tx[k // 3], window=65536)
+        sock.bind((f"10.0.2.{k + 1}", 0))
+        yield sock.connect((f"10.0.3.{k % 2 + 1}", 6000 + k))
+        for i in range(24):
+            if sock.closed:
+                return
+            yield sock.send(("blk", i), 40000 if i % 3 == 0 else BLOCK)
+            # Odd clients wait for the receiver's next request (one
+            # block in flight: two rate epochs per block, the swarm
+            # regime); even ones stream against the window.
+            if k % 2 and (yield sock.recv()) is None:
+                return
+        sock.close()
+
+    for k in range(6):
+        Process(sim, server(k))
+        Process(sim, client(k), start_delay=0.1 + 0.3 * k)
+    sim.schedule_at(3.0, lambda: pipes[2].reconfigure(delay=0.05))
+    sim.schedule_at(5.0, lambda: pipes[0].reconfigure(bandwidth=kbps(700)))
+    sim.schedule_at(7.0, lambda: socks[5].abort())
+    sim.schedule_at(9.0, lambda: rx[1].add_tap(lambda pkt: None, DIR_IN))
+    sim.run()
+    assert sim.pending == 0 and sim.booked == 0
+    return {
+        "log": log,
+        "pipes": {p.name: p._busy_until.hex() for p in pipes},
+        "metrics": sim.metrics.snapshot(),
+    }
+
+
+def _golden_digest():
+    blob = json.dumps(_golden_doc(), sort_keys=True).encode()
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+def test_fair_mode_golden_digest():
+    doc = _golden_doc()
+    counts = {
+        name: doc["metrics"][f"net.fluid.{name}"]["value"]
+        for name in ("flows", "epochs", "demotions", "defluidized")
+    }
+    # The scenario must stay in the regime it pins: contended, many
+    # epochs, both teardown paths taken, one sender cut short.
+    assert counts == {
+        "flows": 6, "epochs": 59, "demotions": 6, "defluidized": 2,
+    }
+    assert sum(1 for _t, k, _i in doc["log"] if k == 5) == 5
+    code = "import tests.test_fluid as tf; print(tf._golden_digest())"
+    for hashseed in ("1", "31337"):
+        digest = _run_child(code, PYTHONHASHSEED=hashseed).strip()
+        assert digest == GOLDEN_FAIR_DIGEST, hashseed
+
+
+def _churn_sim(flows=24, blocks=8):
+    """The regime a swarm keeps the engine in: ``flows`` fair flows
+    over four shared up and four shared down pipes, each with one
+    block in flight — a flow goes idle at every delivery and active
+    again at the receiver's next request, two rate epochs per block.
+    Built, not run. Returns (sim, counts) where ``counts`` tallies
+    blocks sent and received."""
+    sim = Simulator(seed=3, observe=True, config=SimConfig(fluid=True))
+    switch = Switch(sim)
+    per = flows // 4
+    tx = [
+        _shaped_stack(
+            sim, switch, f"tx{g}", f"192.168.41.{g + 1}",
+            [f"10.1.{g}.{i + 1}" for i in range(per)], 2048, 0.02, DIR_OUT,
+        )[0]
+        for g in range(4)
+    ]
+    rx = [
+        _shaped_stack(
+            sim, switch, f"rx{g}", f"192.168.41.{g + 5}",
+            [f"10.2.{g}.{i + 1}" for i in range(per)], 3072, 0.01, DIR_IN,
+        )[0]
+        for g in range(4)
+    ]
+    counts = {"sent": 0, "received": 0}
+
+    def server(stack, addr):
+        sock = Socket(stack)
+        sock.bind((addr, 7000))
+        sock.listen()
+        conn = yield sock.accept()
+        for i in range(blocks):
+            yield conn.recv()
+            counts["received"] += 1
+            conn.send(("req", i), 64)
+        conn.close()
+
+    def client(stack, addr, dst):
+        sock = Socket(stack)
+        sock.bind((addr, 0))
+        yield sock.connect((dst, 7000))
+        for i in range(blocks):
+            counts["sent"] += 1
+            yield sock.send(("blk", i), BLOCK)
+            yield sock.recv()
+        sock.close()
+
+    for k in range(flows):
+        g, i = k % 4, k // 4
+        # Sender group g fans out over all four receiver groups.
+        h = (g + i) % 4
+        dst = f"10.2.{h}.{i + 1}"
+        Process(sim, server(rx[h], dst))
+        Process(sim, client(tx[g], f"10.1.{g}.{i + 1}", dst), start_delay=0.1 + 0.01 * k)
+    return sim, counts
+
+
+def test_agenda_holds_live_entries_only():
+    """Regression: the agenda used to be lazily invalidated and every
+    epoch re-pushed every active head, so it grew with the number of
+    epochs (84 089 entries for ~180 live heads on the fig10-shape
+    swarm). It holds one entry per undelivered segment at most."""
+    flows, blocks = 24, 8
+    sim, counts = _churn_sim(flows, blocks)
+    fluid = sim.fluid
+    epochs = sim.metrics.get("net.fluid.epochs")
+    seen = 0
+    while sim.pending:
+        sim.run(until=sim.now + 0.02)
+        in_flight = counts["sent"] - counts["received"]
+        # Undelivered segments + flows with a head.
+        assert fluid.agenda_size <= in_flight + min(in_flight, flows)
+        seen += 1
+    assert seen > 100 and counts["received"] == flows * blocks
+    assert epochs.value >= 300
+    assert fluid.agenda_size == 0 and sim.booked == 0
+    # ... and never held more in between two looks either.
+    peak = sim.metrics.get("net.fluid.agenda_peak")
+    assert peak.wall and 0 < peak.peak <= 2 * flows
+    assert "net.fluid.agenda_peak" not in sim.metrics.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +436,7 @@ def test_fluid_false_is_reference_path():
 def test_slow_path_env_selects_reference():
     """``REPRO_SLOW_PATH=1`` must win over ``SimConfig(fluid=True)``:
     the engine is never attached and the timeline is the reference
-    one. (Subprocess: the flag is read at import time.)"""
+    one."""
     code = (
         "import sys, tests.test_fluid as tf\n"
         "ap, endp, evp, simp = tf._pair_sim(False, n=10)\n"
@@ -221,20 +445,7 @@ def test_slow_path_env_selects_reference():
         "assert ap == af and endp == endf\n"
         "print('ok')\n"
     )
-    env = dict(os.environ)
-    env["REPRO_SLOW_PATH"] = "1"
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + str(
-        pathlib.Path(__file__).resolve().parent.parent
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "ok" in out.stdout
+    assert "ok" in _run_child(code, REPRO_SLOW_PATH="1")
 
 
 # ----------------------------------------------------------------------

@@ -437,7 +437,7 @@ def _fluid_model(m):
     m.perturb = lambda: a.fw.pipe(1).reconfigure(bandwidth=1e5, delay=0.03)
     fluid = sim.fluid
     m.idle = lambda: fluid is None or (
-        fluid._peek() is None
+        fluid.agenda_size == 0
         and fluid._event is None
         and not any(f.queue for f in fluid._flows.values())
     )
