@@ -25,7 +25,9 @@ and O(1) afterwards. A cache *hit replays* the original verdict's full
 accounting (``scanned`` charge, per-rule ``hits``, registry counters),
 so emulated latency, metrics snapshots and fig6's linear-vs-indexed
 comparison are byte-identical with the cache on or off — only wall
-clock changes. The cache is invalidated by every mutating operation
+clock changes. Flows that matched the same rules point at one shared
+verdict object, so a cached flow costs a key and a dict slot. The
+cache is invalidated by every mutating operation
 (``add``/``delete``/``flush``/``add_pipe``) and by flipping
 ``indexed``. ``REPRO_SLOW_PATH=1`` (see :mod:`repro.hotpath`) disables
 it by default.
@@ -233,6 +235,15 @@ class Firewall:
         # accounting bit-for-bit (see module docstring). Initialised
         # first because the ``indexed`` property setter flushes it.
         self._flow_cache: Dict[Tuple[int, int, str, str], Tuple[Verdict, Tuple[Rule, ...]]] = {}
+        # Flows that matched the same rules share one such pair: keyed
+        # by ``(matched Rule objects, scanned, allowed)`` — rules hash
+        # by identity, and everything else in a verdict follows from
+        # them. Thousands of flows on a pnode reduce to a handful of
+        # rule sets, so a flow costs its key and a dict slot. Emptied
+        # together with the flow cache (:meth:`_invalidate`).
+        self._verdicts: Dict[
+            Tuple[Tuple[Rule, ...], int, bool], Tuple[Verdict, Tuple[Rule, ...]]
+        ] = {}
         self.flow_cache_enabled = (not SLOW_PATH) if flow_cache is None else flow_cache
         #: Monotone counter bumped whenever a cached verdict could go
         #: stale (rule add/delete/flush, pipe table change, cost-model
@@ -297,8 +308,14 @@ class Firewall:
     def indexed(self, value: bool) -> None:
         if value != self._indexed:
             self._indexed = value
+            self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Every cached verdict may be stale: drop them all."""
+        if self._flow_cache:
             self._flow_cache.clear()
-            self.generation += 1
+            self._verdicts.clear()
+        self.generation += 1
 
     # -- pipe table ----------------------------------------------------
     def add_pipe(self, pipe_id: int, pipe: DummynetPipe) -> DummynetPipe:
@@ -306,8 +323,7 @@ class Firewall:
         if pipe_id in self._pipes:
             raise FirewallError(f"pipe {pipe_id} already configured")
         self._pipes[pipe_id] = pipe
-        self._flow_cache.clear()
-        self.generation += 1
+        self._invalidate()
         return pipe
 
     def register_lazy_pipe(self, pipe_id: int, pipe: DummynetPipe) -> DummynetPipe:
@@ -365,8 +381,7 @@ class Firewall:
         else:
             self._generic.append(rule)
         self._dirty = True
-        self._flow_cache.clear()
-        self.generation += 1
+        self._invalidate()
         self._m_rules.inc()
         if number >= self._next_number:
             self._next_number = number + 100
@@ -427,9 +442,7 @@ class Firewall:
         self._bucket_insert(self._by_src, addr.value, up)
         self._bucket_insert(self._by_dst, addr.value, down)
         self._dirty = True
-        if self._flow_cache:
-            self._flow_cache.clear()
-        self.generation += 1
+        self._invalidate()
         self._m_rules.inc(2)
         if number + 1 >= self._next_number:
             self._next_number = number + 101
@@ -489,8 +502,7 @@ class Firewall:
                     table[key] = kept
         self._generic = [r for r in self._generic if r.number != number]
         self._dirty = True
-        self._flow_cache.clear()
-        self.generation += 1
+        self._invalidate()
 
     def flush(self) -> None:
         self._m_rules.dec(len(self._rules))
@@ -504,8 +516,7 @@ class Firewall:
         self._next_number = 100
         self._dirty = False
         self._needs_sort = False
-        self._flow_cache.clear()
-        self.generation += 1
+        self._invalidate()
 
     @property
     def rules(self) -> List[Rule]:
@@ -649,12 +660,19 @@ class Firewall:
         self._m_scanned.inc(scanned)
         if not allowed:
             self._m_denied.inc()
-        verdict = Verdict(allowed, tuple(pipes), scanned, tuple(matched))
-        if self.flow_cache_enabled:
-            self._flow_cache[key] = (verdict, tuple(matched_rules))
-            self.flow_cache_misses += 1
-            self._m_cache_misses.inc()
-        return verdict
+        if not self.flow_cache_enabled:
+            return Verdict(allowed, tuple(pipes), scanned, tuple(matched))
+        rules = tuple(matched_rules)
+        shared = (rules, scanned, allowed)
+        entry = self._verdicts.get(shared)
+        if entry is None:
+            entry = self._verdicts[shared] = (
+                Verdict(allowed, tuple(pipes), scanned, tuple(matched)), rules
+            )
+        self._flow_cache[key] = entry
+        self.flow_cache_misses += 1
+        self._m_cache_misses.inc()
+        return entry[0]
 
     def stats(self) -> dict:
         return {
@@ -663,6 +681,7 @@ class Firewall:
             "packets_evaluated": self.packets_evaluated,
             "rules_scanned_total": self.rules_scanned_total,
             "flow_cache_entries": len(self._flow_cache),
+            "flow_cache_verdicts": len(self._verdicts),
             "flow_cache_hits": self.flow_cache_hits,
             "flow_cache_misses": self.flow_cache_misses,
         }

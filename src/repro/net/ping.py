@@ -62,10 +62,12 @@ def ping_process(
     rtts: List[float] = []
     sent = 0
     for i in range(count):
-        sig = stack.send_echo(src, dst, size=size)
+        ident, sig = stack.send_echo(src, dst, size=size)
         sent += 1
         rtt = yield (sig, timeout)
-        if rtt is not TIMEOUT:
+        if rtt is TIMEOUT:
+            stack.cancel_echo(ident)
+        else:
             rtts.append(rtt)
         if i != count - 1:
             yield interval

@@ -47,6 +47,8 @@ class Socket:
     TCP = "tcp"
     UDP = "udp"
 
+    __slots__ = ("stack", "type", "window", "local", "_listener", "_conn", "_udp", "closed")
+
     def __init__(self, stack, type: str = TCP, window: int = DEFAULT_WINDOW) -> None:
         if type not in (Socket.TCP, Socket.UDP):
             raise InvalidSocketState(f"unknown socket type {type!r}")

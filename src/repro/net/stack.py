@@ -370,14 +370,16 @@ class NetworkStack:
         src: Union[IPv4Address, str],
         dst: Union[IPv4Address, str],
         size: int = 64,
-    ) -> Signal:
-        """Send one ICMP echo; the signal fires with the RTT in seconds,
-        or never if the echo or its reply is lost (wait with a timeout).
+    ) -> Tuple[int, Signal]:
+        """Send one ICMP echo; returns ``(ident, signal)``. The signal
+        fires with the RTT in seconds, or never if the echo or its
+        reply is lost: wait with a timeout and hand ``ident`` to
+        :meth:`cancel_echo` when it expires.
         """
         src, dst = ip(src), ip(dst)
         self._icmp_ident += 1
         ident = self._icmp_ident
-        sig = Signal(self.sim, name=f"ping/{dst}#{ident}")
+        sig = Signal(self.sim, name="ping")
         self._icmp_pending[ident] = (self.sim.now, sig)
         pkt = acquire(
             src,
@@ -388,7 +390,13 @@ class NetworkStack:
             kind="echo",
         )
         self.send_packet(pkt)
-        return sig
+        return ident, sig
+
+    def cancel_echo(self, ident: int) -> None:
+        """Stop waiting for echo ``ident`` (the caller's timeout
+        expired): a lost echo then retains nothing, and a reply that
+        does arrive late is ignored, as a real ``ping`` does."""
+        self._icmp_pending.pop(ident, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NetworkStack({self.name!r}, addrs={len(self.iface)}, rules={len(self.fw)})"

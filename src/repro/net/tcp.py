@@ -67,7 +67,9 @@ Endpoint = Tuple[IPv4Address, int]
 class _Segment:
     """Payload envelope carried inside a data/fin packet."""
 
-    __slots__ = ("seq", "payload", "size", "ack_hook", "acked", "sent_at", "last_pkt_id")
+    __slots__ = (
+        "seq", "payload", "size", "ack_hook", "acked", "attempts", "sent_at", "last_pkt_id",
+    )
 
     def __init__(self, seq: int, payload: Any, size: int, ack_hook: Callable[["_Segment"], None]) -> None:
         self.seq = seq
@@ -75,6 +77,8 @@ class _Segment:
         self.size = size
         self.ack_hook = ack_hook
         self.acked = False
+        #: Retransmissions so far (a pipe dropped that many copies).
+        self.attempts = 0
         #: Sim-time of the most recent (re)transmission — the basis of
         #: the ``net.tcp.rtt_seconds`` samples.
         self.sent_at: Optional[float] = None
@@ -90,6 +94,14 @@ class Connection:
     CONNECTING = "connecting"
     ESTABLISHED = "established"
     CLOSED = "closed"
+
+    __slots__ = (
+        "tcp", "sim", "local", "remote", "window", "state", "connect_signal",
+        "_next_seq", "_in_flight", "_send_queue", "local_closed", "_fin_acked",
+        "_expected_seq", "_reorder", "recv_channel", "remote_closed",
+        "bytes_sent", "bytes_received", "messages_sent", "messages_received",
+        "retransmissions", "_m_retx", "_m_segments", "_m_rtt", "_flight",
+    )
 
     def __init__(
         self,
@@ -109,16 +121,19 @@ class Connection:
         # Send side.
         self._next_seq = 0
         self._in_flight = 0
-        self._send_queue: Deque[Tuple[_Segment, Optional[Signal], str]] = deque()
-        self._retries: Dict[int, int] = {}
+        #: Segments waiting behind a full window, in send order; ``None``
+        #: whenever nothing waits (the usual state: an empty deque is
+        #: 760 bytes per endpoint, and most sends are admitted at once).
+        self._send_queue: Optional[Deque[Tuple[_Segment, Optional[Signal], str]]] = None
         self.local_closed = False
-        self._fin_sent = False
         self._fin_acked = False
 
         # Receive side.
         self._expected_seq = 0
-        self._reorder: Dict[int, Tuple[str, _Segment]] = {}
-        self.recv_channel = Channel(self.sim, name=f"tcp.recv/{local}->{remote}")
+        #: Segments that arrived ahead of a dropped predecessor, by
+        #: sequence number; ``None`` whenever nothing is parked.
+        self._reorder: Optional[Dict[int, Tuple[str, _Segment]]] = None
+        self.recv_channel = Channel(self.sim, name="tcp.recv")
         self.remote_closed = False
 
         # Stats.
@@ -154,21 +169,42 @@ class Connection:
         admitted = Signal(self.sim, name="tcp.send.admitted")
         seg = _Segment(self._next_seq, payload, size, self._on_segment_delivered)
         self._next_seq += 1
-        self._send_queue.append((seg, admitted, KIND_DATA))
-        self._pump()
+        self._submit(seg, admitted, KIND_DATA)
         return admitted
 
+    def _submit(self, seg: _Segment, admitted: Optional[Signal], kind: str) -> None:
+        """Put ``seg`` on the wire now if nothing waits ahead of it and
+        the window admits it; queue it in send order otherwise."""
+        queue = self._send_queue
+        if queue is not None:
+            queue.append((seg, admitted, kind))
+            self._pump()
+        elif self._window_full(seg, kind):
+            self._send_queue = deque(((seg, admitted, kind),))
+        else:
+            self._admit(seg, admitted, kind)
+
+    def _window_full(self, seg: _Segment, kind: str) -> bool:
+        return kind == KIND_DATA and self._in_flight + seg.size > self.window and self._in_flight > 0
+
+    def _admit(self, seg: _Segment, admitted: Optional[Signal], kind: str) -> None:
+        self._in_flight += seg.size
+        self._transmit(seg, kind)
+        if admitted is not None:
+            admitted.trigger(None)
+
     def _pump(self) -> None:
-        """Admit queued segments while window space is available."""
-        while self._send_queue:
-            seg, admitted, kind = self._send_queue[0]
-            if kind == KIND_DATA and self._in_flight + seg.size > self.window and self._in_flight > 0:
+        """Admit queued segments while window space is available; the
+        queue is released once drained."""
+        while self._send_queue is not None:
+            queue = self._send_queue
+            seg, admitted, kind = queue[0]
+            if self._window_full(seg, kind):
                 break
-            self._send_queue.popleft()
-            self._in_flight += seg.size
-            self._transmit(seg, kind)
-            if admitted is not None:
-                admitted.trigger(None)
+            queue.popleft()
+            if not queue:
+                self._send_queue = None
+            self._admit(seg, admitted, kind)
 
     def _transmit(self, seg: _Segment, kind: str) -> None:
         if kind == KIND_DATA:
@@ -214,11 +250,11 @@ class Connection:
         """A pipe dropped the segment: retransmit with backoff."""
         if self.state is Connection.CLOSED:
             return
-        attempt = self._retries.get(seg.seq, 0) + 1
+        attempt = seg.attempts + 1
         if attempt > MAX_RETRIES:
             self._fail_reset("too many retransmissions")
             return
-        self._retries[seg.seq] = attempt
+        seg.attempts = attempt
         self.retransmissions += 1
         self._m_retx.inc()
         rto = INITIAL_RTO * (2 ** (attempt - 1))
@@ -244,7 +280,6 @@ class Connection:
                 self._flight.ack(
                     seg.last_pkt_id, self.tcp.stack.name, self.sim.now, rtt
                 )
-        self._retries.pop(seg.seq, None)
         self._in_flight -= seg.size
         self._pump()
 
@@ -269,20 +304,31 @@ class Connection:
         else:
             # Default emulation shortcut: credit the window at delivery.
             seg.ack_hook(seg)
-        if seg.seq < self._expected_seq or seg.seq in self._reorder:
-            return  # duplicate from a spurious retransmission
-        self._reorder[seg.seq] = (kind, seg)
-        while self._expected_seq in self._reorder:
-            next_kind, next_seg = self._reorder.pop(self._expected_seq)
+        if seg.seq != self._expected_seq:
+            # Ahead of a dropped predecessor: park it until the gap
+            # closes. Behind, or already parked: a duplicate from a
+            # spurious retransmission.
+            if seg.seq > self._expected_seq:
+                if self._reorder is None:
+                    self._reorder = {}
+                self._reorder.setdefault(seg.seq, (kind, seg))
+            return
+        while True:
             self._expected_seq += 1
-            if next_kind == KIND_FIN:
+            if kind == KIND_FIN:
                 self.remote_closed = True
                 self.recv_channel.close()
                 self._maybe_teardown()
             else:
                 self.messages_received += 1
-                self.bytes_received += next_seg.size
-                self.recv_channel.put((next_seg.payload, next_seg.size))
+                self.bytes_received += seg.size
+                self.recv_channel.put((seg.payload, seg.size))
+            parked = self._reorder
+            if parked is None or self._expected_seq not in parked:
+                return
+            kind, seg = parked.pop(self._expected_seq)
+            if not parked:
+                self._reorder = None
 
     def _send_ack(self, seg: _Segment) -> None:
         pkt = acquire(
@@ -316,15 +362,12 @@ class Connection:
             return
         seg = _Segment(self._next_seq, None, 0, self._on_fin_delivered)
         self._next_seq += 1
-        self._fin_sent = True
-        self._send_queue.append((seg, None, KIND_FIN))
-        self._pump()
+        self._submit(seg, None, KIND_FIN)
 
     def _on_fin_delivered(self, seg: _Segment) -> None:
         if seg.acked:
             return
         seg.acked = True
-        self._retries.pop(seg.seq, None)
         self._fin_acked = True
         self._maybe_teardown()
 
@@ -370,8 +413,7 @@ class Connection:
         if self.state is Connection.CLOSED:
             return
         self.state = Connection.CLOSED
-        self._send_queue.clear()
-        self._retries.clear()
+        self._send_queue = None
         self.remote_closed = True
         if not self.recv_channel.closed:
             self.recv_channel.close()
@@ -389,6 +431,8 @@ class Connection:
 
 class Listener:
     """A listening endpoint with a backlog of established connections."""
+
+    __slots__ = ("tcp", "local", "backlog", "accept_channel", "closed")
 
     def __init__(self, tcp: "TcpLayer", local: Endpoint, backlog: int = 128) -> None:
         self.tcp = tcp
@@ -423,24 +467,23 @@ class TcpLayer:
         self._listeners: Dict[Tuple[int, int], Listener] = {}
         self._conns: Dict[Tuple[int, int, int, int], Connection] = {}
         self._next_ephemeral: Dict[int, int] = {}
+        #: local ip value -> local port -> connections using it (kept in
+        #: step with ``_conns``), so the ephemeral-port search is a dict
+        #: probe per candidate instead of a walk over every connection.
+        self._port_uses: Dict[int, Dict[int, int]] = {}
 
     # -- port management -------------------------------------------------
     def alloc_ephemeral_port(self, local_ip: IPv4Address) -> int:
         key = local_ip.value
         port = self._next_ephemeral.get(key, self.EPHEMERAL_BASE)
         start = port
-        while (key, port) in self._listeners or self._port_in_use(key, port):
+        in_use = self._port_uses.get(key, ())
+        while (key, port) in self._listeners or port in in_use:
             port = port + 1 if port < 65535 else self.EPHEMERAL_BASE
             if port == start:
                 raise SocketError("EADDRNOTAVAIL", f"no free ports on {local_ip}")
         self._next_ephemeral[key] = port + 1 if port < 65535 else self.EPHEMERAL_BASE
         return port
-
-    def _port_in_use(self, ip_value: int, port: int) -> bool:
-        for (lip, lport, _rip, _rport) in self._conns:
-            if lport == port and lip == ip_value:
-                return True
-        return False
 
     # -- listener management ----------------------------------------------
     def listen(self, local: Endpoint, backlog: int = 128) -> Listener:
@@ -471,9 +514,9 @@ class TcpLayer:
         if key in self._conns:
             raise AddressInUse(f"4-tuple {key} in use")
         conn = Connection(self, local, remote, window=window)
-        sig = Signal(self.stack.sim, name=f"tcp.connect/{local}->{remote}")
+        sig = Signal(self.stack.sim, name="tcp.connect")
         conn.connect_signal = sig
-        self._conns[key] = conn
+        self._register(key, conn)
         self._send_syn(conn, attempt=1)
         return conn, sig
 
@@ -500,11 +543,22 @@ class TcpLayer:
         if conn.state is Connection.CONNECTING:
             self._send_syn(conn, attempt + 1)
 
+    def _register(self, key: Tuple[int, int, int, int], conn: Connection) -> None:
+        self._conns[key] = conn
+        uses = self._port_uses.get(key[0])
+        if uses is None:
+            uses = self._port_uses[key[0]] = {}
+        uses[key[1]] = uses.get(key[1], 0) + 1
+
     def forget(self, conn: Connection) -> None:
-        self._conns.pop(
-            (conn.local[0].value, conn.local[1], conn.remote[0].value, conn.remote[1]),
-            None,
-        )
+        ip_value, port = conn.local[0].value, conn.local[1]
+        if self._conns.pop((ip_value, port, conn.remote[0].value, conn.remote[1]), None) is None:
+            return
+        uses = self._port_uses[ip_value]
+        if uses[port] > 1:
+            uses[port] -= 1
+        else:
+            del uses[port]
 
     @property
     def connections(self) -> Dict[Tuple[int, int, int, int], Connection]:
@@ -532,7 +586,7 @@ class TcpLayer:
                 self, local=(pkt.dst, pkt.dport), remote=(pkt.src, pkt.sport)
             )
             server_conn.state = Connection.ESTABLISHED
-            self._conns[key] = server_conn
+            self._register(key, server_conn)
             self._send_synack(server_conn)
             listener.accept_channel.put(server_conn)
             return

@@ -43,8 +43,11 @@ class Channel:
     def __init__(self, sim, name: str = "channel") -> None:
         self.sim = sim
         self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Signal] = deque()
+        # Each queue exists only while it holds something (``None``
+        # otherwise): an empty deque is 760 bytes, and at swarm scale
+        # almost every channel is idle or subscribed and never queues.
+        self._items: Optional[Deque[Any]] = None
+        self._getters: Optional[Deque[Signal]] = None
         self._subscriber = None
         self.closed = False
 
@@ -54,8 +57,10 @@ class Channel:
             raise SimulationError(f"put on closed channel {self.name!r}")
         if self._subscriber is not None:
             self._subscriber(item)
-        elif self._getters:
-            self._getters.popleft().trigger(item)
+        elif self._getters is not None:
+            self._pop_getter().trigger(item)
+        elif self._items is None:
+            self._items = deque((item,))
         else:
             self._items.append(item)
 
@@ -66,30 +71,32 @@ class Channel:
         (one BitTorrent peer connection per remote peer)."""
         if self._subscriber is not None:
             raise SimulationError(f"channel {self.name!r} already subscribed")
-        if self._getters:
+        if self._getters is not None:
             raise SimulationError(
                 f"channel {self.name!r} has blocked getters; cannot subscribe"
             )
         self._subscriber = callback
-        while self._items:
-            callback(self._items.popleft())
+        while self._items is not None:
+            callback(self._pop_item())
         if self.closed:
             callback(None)
 
     def get(self) -> Signal:
         """Return a signal that fires with the next item (or ``None`` at close)."""
-        sig = Signal(self.sim, name=f"{self.name}.get")
-        if self._items:
-            sig.trigger(self._items.popleft())
+        sig = Signal(self.sim, name=self.name)
+        if self._items is not None:
+            sig.trigger(self._pop_item())
         elif self.closed:
             sig.trigger(None)
+        elif self._getters is None:
+            self._getters = deque((sig,))
         else:
             self._getters.append(sig)
         return sig
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get; ``None`` when empty."""
-        return self._items.popleft() if self._items else None
+        return self._pop_item() if self._items is not None else None
 
     def close(self) -> None:
         """Close the channel: pending and future getters receive ``None``."""
@@ -98,11 +105,27 @@ class Channel:
         self.closed = True
         if self._subscriber is not None:
             self._subscriber(None)
-        while self._getters:
-            self._getters.popleft().trigger(None)
+        while self._getters is not None:
+            self._pop_getter().trigger(None)
+
+    def _pop_item(self) -> Any:
+        """Oldest queued item; the queue is released once drained."""
+        items = self._items
+        item = items.popleft()
+        if not items:
+            self._items = None
+        return item
+
+    def _pop_getter(self) -> Signal:
+        """Oldest blocked getter; the queue is released once drained."""
+        getters = self._getters
+        sig = getters.popleft()
+        if not getters:
+            self._getters = None
+        return sig
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items) if self._items is not None else 0
 
 
 #: A Store is semantically identical to a Channel in this kernel.

@@ -1,0 +1,540 @@
+"""Idle connections and cached flows must cost (almost) nothing.
+
+The heap of a paper-scale run is per *connection* and per *flow*, not
+per vnode, so this file pins what those retain — and that the
+containers which make them small (queues that exist only while they
+hold something, one verdict object per matched-rule set, a per-port use
+count) behave exactly like the always-allocated ones they replaced.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.errors import SimulationError
+from repro.net.addr import IPv4Address, IPv4Network
+from repro.net.ipfw import (
+    ACTION_ALLOW,
+    ACTION_COUNT,
+    ACTION_DENY,
+    ACTION_PIPE,
+    DIR_IN,
+    DIR_OUT,
+    Firewall,
+)
+from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
+from repro.net.ping import ping
+from repro.net.pipe import DummynetPipe
+from repro.net.socket_api import Socket
+from repro.net.stack import NetworkStack
+from repro.net.switch import Switch
+from repro.net.tcp import Connection, Listener, TcpLayer
+from repro.sim import Channel, Simulator
+from repro.units import ms
+
+
+def make_lan(seed=5):
+    sim = Simulator(seed=seed, observe=False)
+    switch = Switch(sim)
+    a = NetworkStack(sim, "a", switch=switch)
+    a.set_admin_address("192.168.38.1")
+    b = NetworkStack(sim, "b", switch=switch)
+    b.set_admin_address("192.168.38.2")
+    return sim, a, b
+
+
+def connect_pairs(sim, a, b, n, port=5000):
+    """``n`` established connections a -> b:``port``; returns
+    (client ends, server ends)."""
+    listener = b.tcp.listen((b.iface.primary, port), backlog=n)
+    servers = []
+    listener.accept_channel.subscribe(servers.append)
+    clients = []
+    for _ in range(n):
+        local = (a.iface.primary, a.tcp.alloc_ephemeral_port(a.iface.primary))
+        clients.append(a.tcp.connect(local, (b.iface.primary, port))[0])
+    sim.run()
+    assert len(servers) == n
+    assert all(c.state is Connection.ESTABLISHED for c in clients + servers)
+    return clients, servers
+
+
+# -- budgets ---------------------------------------------------------------
+
+
+def test_idle_connection_pair_stays_under_memory_budget():
+    """2 000 established, idle pairs between two stacks: both
+    endpoints, their receive channels and the demux entries together
+    retain at most 3.5 KB per pair (7.4 KB before the queues were
+    allocated on first use)."""
+    pairs = 2000
+    sim, a, b = make_lan()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clients, servers = connect_pairs(sim, a, b, pairs)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_pair = (after - before) / pairs
+    assert per_pair <= 3500, f"an idle connection pair retains {per_pair:.0f} B"
+    # Idle means idle: nothing was ever queued on either side.
+    for conn in clients + servers:
+        assert conn._send_queue is None and conn._reorder is None
+        assert len(conn.recv_channel) == 0
+
+
+def test_cached_flow_stays_under_memory_budget_when_rule_sets_are_shared():
+    """20 000 flows that match one of 8 rule sets: a flow costs its
+    key and a dict slot (at most 250 B; 375 B when each owned a
+    Verdict and three tuples)."""
+    flows, senders = 20_000, 8
+    sim = Simulator(seed=0, observe=False)
+    fw = Firewall(flow_cache=True)
+    for i in range(senders):
+        fw.add(
+            ACTION_PIPE,
+            pipe=DummynetPipe(sim, delay=ms(1), name=f"up{i}"),
+            src=IPv4Address((10 << 24) + i),
+            direction=DIR_OUT,
+        )
+    packets = [
+        Packet(
+            IPv4Address((10 << 24) + j % senders),
+            IPv4Address((11 << 24) + j),
+            PROTO_TCP,
+            1500,
+        )
+        for j in range(flows)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for packet in packets:
+            fw.evaluate(packet, DIR_OUT)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stats = fw.stats()
+    assert stats["flow_cache_entries"] == flows
+    assert stats["flow_cache_verdicts"] == senders
+    per_flow = (after - before) / flows
+    assert per_flow <= 250, f"a cached flow retains {per_flow:.0f} B"
+
+
+def test_connection_listener_and_socket_have_no_instance_dict():
+    sim, a, b = make_lan()
+    listener = b.tcp.listen((b.iface.primary, 5000))
+    conn, _sig = a.tcp.connect((a.iface.primary, 50000), (b.iface.primary, 5000))
+    for obj in (conn, listener, Socket(a)):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    assert isinstance(listener, Listener)
+
+
+# -- Channel: queues exist only while they hold something -------------------
+
+
+class TestChannelQueuesOnFirstUse:
+    def test_never_used_channel(self):
+        ch = Channel(Simulator())
+        assert len(ch) == 0
+        assert ch.try_get() is None
+        assert ch._items is None and ch._getters is None
+
+    def test_put_before_subscribe_drains_in_order_then_goes_direct(self):
+        ch = Channel(Simulator())
+        for item in (1, 2, 3):
+            ch.put(item)
+        assert len(ch) == 3
+        got = []
+        ch.subscribe(got.append)
+        assert got == [1, 2, 3]
+        assert len(ch) == 0 and ch._items is None
+        ch.put(4)
+        assert got == [1, 2, 3, 4]
+        assert ch._items is None  # a subscribed channel never queues
+        ch.close()
+        assert got == [1, 2, 3, 4, None]
+
+    def test_subscribe_on_closed_channel_still_delivers_backlog_then_none(self):
+        ch = Channel(Simulator())
+        ch.put("a")
+        ch.close()
+        got = []
+        ch.subscribe(got.append)
+        assert got == ["a", None]
+
+    def test_get_before_put_is_fifo_and_releases_the_getter_queue(self):
+        sim = Simulator()
+        ch = Channel(sim)
+        first, second, third = ch.get(), ch.get(), ch.get()
+        assert len(ch._getters) == 3
+        ch.put("x")
+        ch.put("y")
+        assert (first.value, second.value) == ("x", "y")
+        assert not third.triggered
+        ch.put("z")
+        assert third.value == "z"
+        assert ch._getters is None
+        ch.put("queued")  # nobody waits any more: this one is buffered
+        assert len(ch) == 1 and ch.try_get() == "queued" and ch._items is None
+
+    def test_put_then_get_interleaved_keeps_order(self):
+        ch = Channel(Simulator())
+        ch.put(1)
+        ch.put(2)
+        assert ch.get().value == 1
+        ch.put(3)
+        assert [ch.get().value, ch.get().value] == [2, 3]
+        assert ch._items is None
+        assert not ch.get().triggered
+
+    def test_close_delivers_none_to_every_getter_and_to_later_ones(self):
+        ch = Channel(Simulator())
+        waiting = [ch.get(), ch.get()]
+        ch.close()
+        assert [sig.value for sig in waiting] == [None, None]
+        assert all(sig.triggered for sig in waiting)
+        assert ch._getters is None
+        late = ch.get()
+        assert late.triggered and late.value is None
+
+    def test_error_messages_name_the_channel(self):
+        closed = Channel(Simulator(), name="gone")
+        closed.close()
+        with pytest.raises(SimulationError, match="closed channel 'gone'"):
+            closed.put(1)
+        ch = Channel(Simulator(), name="demo")
+        ch.get()
+        with pytest.raises(SimulationError, match="'demo' has blocked getters"):
+            ch.subscribe(lambda item: None)
+        other = Channel(Simulator(), name="demo2")
+        other.subscribe(lambda item: None)
+        with pytest.raises(SimulationError, match="'demo2' already subscribed"):
+            other.subscribe(lambda item: None)
+
+    def test_listener_backlog_counts_queued_connections(self):
+        """SYN-accept reads ``len(accept_channel)``: with nobody
+        accepting, the third connection of a backlog-2 listener is
+        refused; draining the backlog admits the next one."""
+        sim, a, b = make_lan()
+        listener = b.tcp.listen((b.iface.primary, 5000), backlog=2)
+        outcomes = []
+        for port in (50001, 50002, 50003):
+            _conn, sig = a.tcp.connect((a.iface.primary, port), (b.iface.primary, 5000))
+            sig.wait_callback(lambda value: outcomes.append(type(value).__name__))
+        sim.run()
+        assert outcomes == ["Connection", "Connection", "ConnectionRefused"]
+        assert len(listener.accept_channel) == 2
+        assert listener.accept().value.remote[1] == 50001
+        _conn, sig = a.tcp.connect((a.iface.primary, 50004), (b.iface.primary, 5000))
+        sim.run()
+        assert isinstance(sig.value, Connection)
+        assert [c.remote[1] for c in iter(listener.accept_channel.try_get, None)] == [
+            50002, 50004,
+        ]
+
+
+# -- Connection: send queue only while the window is full --------------------
+
+
+class TestSendQueueOnFirstUse:
+    def test_admitted_send_never_queues(self):
+        sim, a, b = make_lan()
+        (client,), _servers = connect_pairs(sim, a, b, 1)
+        admitted = client.send("m", 100)
+        assert admitted.triggered and client._send_queue is None
+        assert (client.messages_sent, client.in_flight) == (1, 100)
+
+    def test_full_window_queues_in_order_and_releases_once_drained(self):
+        sim, a, b = make_lan()
+        # A slow uplink keeps segments in flight long enough to fill
+        # the window.
+        a.fw.add(
+            ACTION_PIPE,
+            pipe=DummynetPipe(sim, bandwidth=100_000.0, name="up"),
+            direction=DIR_OUT,
+        )
+        listener = b.tcp.listen((b.iface.primary, 5000))
+        client, _sig = a.tcp.connect(
+            (a.iface.primary, 50000), (b.iface.primary, 5000), window=2500
+        )
+        sim.run()
+        server = listener.accept().value
+        received = []
+        server.recv_channel.subscribe(received.append)
+        admitted = [client.send(i, 1000) for i in range(6)]
+        # 2 x 1000 B fit the 2500 B window; the rest wait, FIFO.
+        assert [sig.triggered for sig in admitted] == [True, True] + [False] * 4
+        assert [entry[0].payload for entry in client._send_queue] == [2, 3, 4, 5]
+        # A waiter on ``admitted`` runs after its segment went out.
+        sent_when_admitted = []
+        for sig in admitted[2:]:
+            sig.wait_callback(lambda _v: sent_when_admitted.append(client.messages_sent))
+        client.close()  # the FIN queues behind the data
+        sim.run()
+        assert all(sig.triggered for sig in admitted)
+        assert received == [(i, 1000) for i in range(6)] + [None]
+        assert sent_when_admitted == [3, 4, 5, 6]
+        assert client._send_queue is None
+
+    def test_out_of_order_arrival_parks_then_delivers_in_order(self):
+        sim, a, b = make_lan()
+        (client,), (server,) = connect_pairs(sim, a, b, 1)
+        received = []
+        server.recv_channel.subscribe(received.append)
+        # The sender's firewall eats the first copy of seq 0 (TCP
+        # retransmits it after INITIAL_RTO); seq 1 and 2 overtake it.
+        deny = a.fw.add(ACTION_DENY, proto=PROTO_TCP, direction=DIR_OUT)
+        client.send(0, 100)
+        a.fw.delete(deny.number)
+        client.send(1, 100)
+        client.send(2, 100)
+        sim.run(until=sim.now + 0.1)
+        assert received == [] and sorted(server._reorder) == [1, 2]
+        sim.run()
+        assert received == [(0, 100), (1, 100), (2, 100)]
+        assert server._reorder is None
+        assert client.retransmissions == 1
+
+
+# -- ephemeral ports: the use count hands out what the walk handed out ---------
+
+
+def _walk_port_in_use(tcp: TcpLayer, ip_value: int, port: int) -> bool:
+    """The walk over every connection that the use count replaced."""
+    return any(
+        lport == port and lip == ip_value for (lip, lport, _r, _p) in tcp.connections
+    )
+
+
+class TestPortUseCount:
+    def test_count_follows_connect_accept_and_forget(self):
+        sim, a, b = make_lan()
+        clients, servers = connect_pairs(sim, a, b, 3, port=49152)
+        a_ip, b_ip = a.iface.primary.value, b.iface.primary.value
+        assert a.tcp._port_uses[a_ip] == {c.local[1]: 1 for c in clients}
+        assert b.tcp._port_uses[b_ip] == {49152: 3}
+        servers[0].abort()
+        sim.run()
+        assert b.tcp._port_uses[b_ip] == {49152: 2}
+        assert a.tcp._port_uses[a_ip] == {c.local[1]: 1 for c in clients[1:]}
+        for conn in clients[1:]:
+            conn.abort()
+        sim.run()
+        assert a.tcp._port_uses[a_ip] == {} and b.tcp._port_uses[b_ip] == {}
+        assert a.tcp.connections == {} and b.tcp.connections == {}
+
+    def test_allocation_skips_ports_of_live_connections_after_wraparound(self):
+        sim, a, b = make_lan()
+        clients, servers = connect_pairs(sim, a, b, 4, port=49152)
+        first = [c.local[1] for c in clients]
+        assert first == [49152, 49153, 49154, 49155]
+        clients[1].abort()  # 49153 becomes free again
+        sim.run()
+        a.tcp._next_ephemeral[a.iface.primary.value] = 65535
+        handed = [a.tcp.alloc_ephemeral_port(a.iface.primary) for _ in range(2)]
+        assert handed == [65535, 49153]  # wrapped, skipped the live 49152
+        ip_value = a.iface.primary.value
+        for port in range(49150, 49160):
+            assert (port in a.tcp._port_uses[ip_value]) == _walk_port_in_use(
+                a.tcp, ip_value, port
+            )
+
+    def test_accepted_connections_hold_the_port_after_the_listener_closed(self):
+        sim, a, b = make_lan()
+        _clients, servers = connect_pairs(sim, a, b, 1, port=49152)
+        listener = b.tcp._listeners[(b.iface.primary.value, 49152)]
+        listener.close()
+        assert b.tcp.alloc_ephemeral_port(b.iface.primary) == 49153
+        servers[0].abort()
+        sim.run()
+        b.tcp._next_ephemeral.clear()
+        assert b.tcp.alloc_ephemeral_port(b.iface.primary) == 49152
+
+
+# -- ICMP: a lost echo retains nothing ---------------------------------------------
+
+
+class TestEchoTable:
+    def test_timed_out_echoes_leave_the_pending_table_empty(self):
+        """Lossy pipe, timeout shorter than the RTT: every wait times
+        out, replies that do come back are late and ignored."""
+        sim, a, b = make_lan(seed=11)
+        a.fw.add(
+            ACTION_PIPE,
+            pipe=DummynetPipe(sim, delay=ms(30), plr=0.5, name="lossy"),
+            proto="icmp",
+            direction=DIR_OUT,
+        )
+        probe = ping(
+            sim, a, a.iface.primary, b.iface.primary,
+            count=20, interval=0.1, timeout=0.02,
+        )
+        sim.run()
+        assert b.packets_received > 0  # some echoes did get through...
+        assert a.packets_received == b.packets_received  # ...and were answered
+        result = probe.result
+        assert (result.sent, result.received, result.lost, result.rtts) == (20, 0, 20, ())
+        assert a._icmp_pending == {}
+
+    def test_answered_echoes_leave_it_empty_too_and_rtts_are_unchanged(self):
+        sim, a, b = make_lan()
+        a.fw.add(
+            ACTION_PIPE,
+            pipe=DummynetPipe(sim, delay=ms(10), name="d"),
+            direction=DIR_OUT,
+        )
+        probe = ping(sim, a, a.iface.primary, b.iface.primary, count=3, interval=0.1)
+        sim.run()
+        assert probe.result.received == 3
+        assert probe.result.min == pytest.approx(probe.result.max)
+        assert ms(10) < probe.result.avg < ms(11)
+        assert a._icmp_pending == {}
+
+
+# -- ipfw: one verdict per matched-rule set -------------------------------------------
+
+
+def _packet(src, dst="10.200.0.1", proto=PROTO_TCP):
+    return Packet(IPv4Address(src), IPv4Address(dst), proto, 1500)
+
+
+def _shared_fw(sim, flow_cache=True, indexed=False):
+    """Two access rules sharing the *number* 500 but not the pipe, a
+    count rule, a deny and a final allow."""
+    fw = Firewall(flow_cache=flow_cache, indexed=indexed)
+    fw.add(ACTION_COUNT, number=100, src=IPv4Network("10.1.0.0/16"))
+    fw.add(
+        ACTION_PIPE, number=500, src=IPv4Address("10.1.0.1"), direction=DIR_OUT,
+        pipe=DummynetPipe(sim, delay=ms(1), name="one"),
+    )
+    fw.add(
+        ACTION_PIPE, number=500, src=IPv4Address("10.1.0.2"), direction=DIR_OUT,
+        pipe=DummynetPipe(sim, delay=ms(2), name="two"),
+    )
+    fw.add(ACTION_DENY, number=600, src=IPv4Network("10.9.0.0/16"))
+    fw.add(ACTION_ALLOW, number=700)
+    return fw
+
+
+class TestSharedVerdicts:
+    def test_flows_matching_the_same_rules_share_one_verdict_object(self):
+        sim = Simulator(seed=0, observe=False)
+        fw = _shared_fw(sim)
+        verdicts = [
+            fw.evaluate(_packet("10.1.0.1", dst=f"10.200.0.{i}"), DIR_OUT)
+            for i in range(1, 6)
+        ]
+        assert all(v is verdicts[0] for v in verdicts)
+        stats = fw.stats()
+        assert (stats["flow_cache_entries"], stats["flow_cache_verdicts"]) == (5, 1)
+        # Another protocol is another flow key but the same rule set.
+        assert fw.evaluate(_packet("10.1.0.1", proto=PROTO_UDP), DIR_OUT) is verdicts[0]
+        assert fw.stats()["flow_cache_verdicts"] == 1
+
+    def test_same_rule_number_but_different_pipe_is_never_merged(self):
+        sim = Simulator(seed=0, observe=False)
+        fw = _shared_fw(sim)
+        one = fw.evaluate(_packet("10.1.0.1"), DIR_OUT)
+        two = fw.evaluate(_packet("10.1.0.2"), DIR_OUT)
+        assert one.matched == two.matched == (100, 500, 700)
+        assert one.scanned == two.scanned and one.allowed and two.allowed
+        assert one is not two
+        assert [p.name for p in one.pipes] == ["one"]
+        assert [p.name for p in two.pipes] == ["two"]
+        assert fw.stats()["flow_cache_verdicts"] == 2
+        # ...and the hit path keeps them apart as well.
+        assert fw.evaluate(_packet("10.1.0.2"), DIR_OUT).pipes[0].name == "two"
+
+    def test_terminal_rule_and_cost_model_separate_verdicts(self):
+        sim = Simulator(seed=0, observe=False)
+        fw = _shared_fw(sim)
+        denied = fw.evaluate(_packet("10.9.0.1"), DIR_OUT)
+        allowed = fw.evaluate(_packet("10.3.0.1"), DIR_OUT)
+        assert not denied.allowed and allowed.allowed
+        assert denied.scanned == 4 and allowed.scanned == 5
+        assert fw.stats()["flow_cache_verdicts"] == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda fw, sim: fw.add(ACTION_COUNT, number=50),
+            lambda fw, sim: fw.delete(100),
+            lambda fw, sim: fw.flush(),
+            lambda fw, sim: fw.add_pipe(9, DummynetPipe(sim, delay=ms(1))),
+            lambda fw, sim: setattr(fw, "indexed", True),
+            lambda fw, sim: fw.add_access_pair(
+                IPv4Address("10.1.0.9"), 800,
+                up_pipe=DummynetPipe(sim, delay=ms(1)),
+                down_pipe=DummynetPipe(sim, delay=ms(1)),
+            ),
+        ],
+        ids=["add", "delete", "flush", "add_pipe", "indexed", "add_access_pair"],
+    )
+    def test_every_cache_clearing_mutator_drops_the_shared_verdicts(self, mutate):
+        sim = Simulator(seed=0, observe=False)
+        fw = _shared_fw(sim)
+        stale = fw.evaluate(_packet("10.1.0.1"), DIR_OUT)
+        fw.evaluate(_packet("10.1.0.2"), DIR_OUT)
+        generation = fw.generation
+        mutate(fw, sim)
+        stats = fw.stats()
+        assert (stats["flow_cache_entries"], stats["flow_cache_verdicts"]) == (0, 0)
+        assert fw.generation == generation + 1
+        fresh = fw.evaluate(_packet("10.1.0.1"), DIR_OUT)
+        assert fresh is not stale
+        assert fw.stats()["flow_cache_verdicts"] == 1
+
+    def test_lazy_pipe_materialisation_keeps_the_cache(self):
+        """``register_lazy_pipe`` happens inside the evaluation that
+        first caches the verdict, so it must not clear anything."""
+        sim = Simulator(seed=0, observe=False)
+        fw = Firewall(flow_cache=True)
+        fw.add(ACTION_ALLOW, number=900)
+        fw.evaluate(_packet("10.3.0.1"), DIR_OUT)
+
+        def factory(rule):
+            return fw.register_lazy_pipe(7, DummynetPipe(sim, delay=ms(1), name="lazy"))
+
+        fw.add_access_pair(IPv4Address("10.1.0.1"), 500, up_factory=factory, down_factory=factory)
+        verdict = fw.evaluate(_packet("10.1.0.1"), DIR_OUT)
+        assert [p.name for p in verdict.pipes] == ["lazy"]
+        assert fw.stats()["flow_cache_entries"] == 1
+        assert fw.evaluate(_packet("10.1.0.1", dst="10.200.0.2"), DIR_OUT) is verdict
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["linear", "indexed"])
+    def test_cache_on_and_off_agree_on_verdict_fields_and_hits(self, indexed):
+        sim = Simulator(seed=0, observe=False)
+        cached = _shared_fw(sim, flow_cache=True, indexed=indexed)
+        plain = _shared_fw(sim, flow_cache=False, indexed=indexed)
+        sources = ["10.1.0.1", "10.1.0.2", "10.1.7.7", "10.9.0.1", "10.3.0.1"]
+        for round_ in range(3):
+            for src in sources:
+                for direction in (DIR_OUT, DIR_IN):
+                    v1 = cached.evaluate(_packet(src, dst=f"10.200.0.{round_ + 1}"), direction)
+                    v2 = plain.evaluate(_packet(src, dst=f"10.200.0.{round_ + 1}"), direction)
+                    assert (v1.allowed, v1.scanned, v1.matched) == (
+                        v2.allowed, v2.scanned, v2.matched,
+                    )
+                    assert [p.name for p in v1.pipes] == [p.name for p in v2.pipes]
+        assert [r.hits for r in cached.rules] == [r.hits for r in plain.rules]
+        assert cached.rules_scanned_total == plain.rules_scanned_total
+        assert plain.stats()["flow_cache_verdicts"] == 0
+        assert cached.stats()["flow_cache_verdicts"] < cached.stats()["flow_cache_entries"]
+
+    def test_linear_and_indexed_agree_on_everything_but_the_charge(self):
+        sim = Simulator(seed=0, observe=False)
+        linear = _shared_fw(sim, indexed=False)
+        indexed = _shared_fw(sim, indexed=True)
+        for src in ["10.1.0.1", "10.1.0.2", "10.9.0.1", "10.3.0.1"] * 2:
+            v1 = linear.evaluate(_packet(src), DIR_OUT)
+            v2 = indexed.evaluate(_packet(src), DIR_OUT)
+            assert (v1.allowed, v1.matched) == (v2.allowed, v2.matched)
+            assert [p.name for p in v1.pipes] == [p.name for p in v2.pipes]
+        assert [r.hits for r in linear.rules] == [r.hits for r in indexed.rules]
