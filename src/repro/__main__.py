@@ -179,10 +179,8 @@ def run_one(
         seed = int(overrides.pop("seed"))
     elif seed is None:
         seed = 0
-    telemetry_on = bool(telemetry_log) or listen is not None
     request = RunRequest.make(
-        entry.id, overrides, seed=seed, partitions=partitions, fluid=fluid,
-        telemetry=True if telemetry_on else None,
+        entry.id, overrides, seed=seed, partitions=partitions, fluid=fluid
     )
     start = time.perf_counter()
     try:
@@ -293,7 +291,6 @@ def run_sweep(argv: List[str]) -> int:
             base[key] = _parse_overrides([pair])[key]
             grid.pop(key, None)
 
-    telemetry_on = bool(args.telemetry) or args.listen is not None
     plan = ExecutionPlan.build(
         entry.id,
         grid=grid,
@@ -302,7 +299,6 @@ def run_sweep(argv: List[str]) -> int:
         base_seed=args.seed if args.seed is not None else 0,
         partitions=args.partitions,
         fluid=args.fluid,
-        telemetry=True if telemetry_on else None,
     )
     print(
         f"== sweep {entry.id}: {len(plan)} points "

@@ -75,15 +75,6 @@ class RunRequest:
     #: different (approximated) results — so a set value IS part of
     #: :attr:`key`; unset requests keep their legacy keys.
     fluid: Optional[bool] = None
-    #: Stream live telemetry (:mod:`repro.obs.telemetry`) while this
-    #: point runs; ``None`` = off. Wall-clock-only observability — it
-    #: can never change a result — so it is excluded from BOTH
-    #: :attr:`key` and :meth:`as_dict`: no checkpoint line, sweep
-    #: aggregate or serialized surface ever records whether a run was
-    #: watched (that is what keeps telemetry-on output byte-identical
-    #: to telemetry-off). The flag still crosses process boundaries via
-    #: pickling, which is how a sweep worker learns to emit.
-    telemetry: Optional[bool] = None
 
     @classmethod
     def make(
@@ -94,7 +85,6 @@ class RunRequest:
         replication: int = 0,
         partitions: Optional[int] = None,
         fluid: Optional[bool] = None,
-        telemetry: Optional[bool] = None,
     ) -> "RunRequest":
         return cls(
             experiment_id=experiment_id,
@@ -103,7 +93,6 @@ class RunRequest:
             replication=replication,
             partitions=partitions,
             fluid=fluid,
-            telemetry=telemetry,
         )
 
     @property
@@ -145,7 +134,6 @@ class RunRequest:
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunRequest":
         partitions = doc.get("partitions")
         fluid = doc.get("fluid")
-        telemetry = doc.get("telemetry")  # never written by as_dict
         return cls.make(
             doc["experiment_id"],
             doc.get("params") or {},
@@ -153,7 +141,6 @@ class RunRequest:
             replication=int(doc.get("replication", 0)),
             partitions=None if partitions is None else int(partitions),
             fluid=None if fluid is None else bool(fluid),
-            telemetry=None if telemetry is None else bool(telemetry),
         )
 
 

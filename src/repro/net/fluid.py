@@ -20,7 +20,7 @@ Hybridization seam
 admit` every DATA segment. A segment fluidizes only when *all* of the
 following hold; anything else takes the exact packet path:
 
-* the segment's wire size is at least ``SimConfig.fluid_threshold``;
+* the segment's wire size is at least :data:`FLUID_THRESHOLD`;
 * explicit ACKs are off (the fluid model uses the delivery-time window
   credit) and the flight recorder is disabled;
 * neither endpoint stack has a packet tap (Sniffer) attached;
@@ -89,6 +89,11 @@ MODE_FAIR = "fair"
 #: corner where accumulated subtraction drives a pipe's residual
 #: capacity epsilon-negative (rates must stay positive and finite).
 _MIN_RATE = 1e-9
+
+#: Minimum wire size (bytes, TCP header included) a segment must reach
+#: to be eligible for the fluid path; smaller transfers stay on the
+#: exact packet path.
+FLUID_THRESHOLD = 8192
 
 #: Queue depth (segments) at which a flow sharing a pipe with another
 #: active flow leaves the per-segment chain-walk discipline for the
@@ -297,9 +302,8 @@ class FluidFlow:
 class FlowScheduler:
     """Max-min fair fluid-flow engine attached to one simulator."""
 
-    def __init__(self, sim: Any, threshold: int = 8192) -> None:
+    def __init__(self, sim: Any) -> None:
         self.sim = sim
-        self.threshold = threshold
         self._flows: Dict[int, FluidFlow] = {}
         self._by_conn: Dict[Any, FluidFlow] = {}
         #: conn -> src firewall generation at the ineligibility verdict
@@ -379,7 +383,7 @@ class FlowScheduler:
         path.
         """
         size = seg.size + TCP_HEADER
-        if size < self.threshold:
+        if size < FLUID_THRESHOLD:
             return False
         flow = self._by_conn.get(conn)
         if flow is not None and flow.fw_gens != (

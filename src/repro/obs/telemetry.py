@@ -163,7 +163,7 @@ def pipe_emitter(conn, lock: threading.Lock, source: str,
 
 # -- ambient emitter ----------------------------------------------------
 # The process-wide emitter. Installed by whoever owns the transport
-# (the CLI parent, a sweep worker's main, a CommandWorker child); read
+# (the CLI parent, the inline executor, a CommandWorker child); read
 # by layers that cannot be reached through an argument (the partition
 # driver deep inside an experiment's run function). Telemetry is OFF
 # unless someone installed an emitter, so the default cost is one
@@ -340,9 +340,9 @@ class Heartbeat:
     so even sub-interval runs leave a resource trace.
     """
 
-    def __init__(self, emitter, interval: float = HEARTBEAT_INTERVAL) -> None:
+    def __init__(self, emitter, interval: Optional[float] = None) -> None:
         self.emitter = emitter
-        self.interval = interval
+        self.interval = HEARTBEAT_INTERVAL if interval is None else interval
         self._stop = threading.Event()
         self._seq = 0
         self._thread = threading.Thread(

@@ -10,8 +10,9 @@ every point whose key is already present, and seeds the aggregate with
 the stored results — no finished work is redone. Keys are the stable
 :attr:`~repro.experiments.api.RunRequest.key`, so a checkpoint written
 by a ``--parallel 8`` run resumes correctly under ``--parallel 1`` and
-vice versa. Unparseable trailing lines (a crash mid-write) are
-ignored, which makes the format append-crash-safe.
+vice versa. An unparseable line (a crash mid-write) is ignored by the
+loaders, and a writer that finds one at the end of the file starts on
+a fresh line, which makes the format append-crash-safe.
 
 The executor also interleaves per-point *lifecycle event* lines::
 
@@ -45,17 +46,31 @@ class CheckpointWriter:
         self._fh: Optional[TextIO] = None
         self.lines_written = 0
 
-    def record(self, result: RunResult) -> None:
+    def _append(self, line: str) -> None:
         if self._fh is None:
+            # A crash mid-write leaves a torn last line. Appending
+            # straight onto it would glue this line to the fragment
+            # and the loaders would drop both: start on a fresh line.
+            torn = False
+            if self.path.exists() and self.path.stat().st_size:
+                with self.path.open("rb") as fh:
+                    fh.seek(-1, 2)
+                    torn = fh.read(1) != b"\n"
             self._fh = self.path.open("a")
-        line = json.dumps(
-            {"key": result.request.key, "result": result.as_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+            if torn:
+                self._fh.write("\n")
         self._fh.write(line + "\n")
         self._fh.flush()
         self.lines_written += 1
+
+    def record(self, result: RunResult) -> None:
+        self._append(
+            json.dumps(
+                {"key": result.request.key, "result": result.as_dict()},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+        )
 
     def event(self, doc: Mapping[str, Any]) -> None:
         """Append one lifecycle-event line (``{"event": {...}}``).
@@ -64,17 +79,13 @@ class CheckpointWriter:
         failures are swallowed so a weird event payload can never take
         down the sweep it is describing.
         """
-        if self._fh is None:
-            self._fh = self.path.open("a")
         try:
             line = json.dumps(
                 {"event": dict(doc)}, sort_keys=True, separators=(",", ":")
             )
         except (TypeError, ValueError):
             return
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        self.lines_written += 1
+        self._append(line)
 
     def close(self) -> None:
         if self._fh is not None:

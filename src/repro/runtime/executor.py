@@ -1,11 +1,26 @@
 """Parallel, fault-tolerant execution of an :class:`ExecutionPlan`.
 
-The engine fans plan points out over a pool of worker *processes*
-(one process per point — each point is a whole emulation run, so
-process startup is noise) with three robustness mechanisms:
+Everything this package runs in another process — one sweep point per
+process, or a partition worker holding its cells' simulators across
+barrier windows — goes through one seam:
+
+* **one child entry point** (:func:`_child_main`): build a handler,
+  serve ``(command, payload)`` requests until ``("close", None)``,
+  ship any exception back with its traceback;
+* **one parent-side pump** (:func:`_pump`): multiplex any set of
+  :class:`CommandWorker` pipes, fold interleaved telemetry into its
+  sink, turn EOF or a shipped error into the one
+  :class:`WorkerCrashed` report, hand back replies.
+  :meth:`CommandWorker.receive`, :func:`receive_all` and the sweep
+  scheduler are all built on it;
+* **one retry ladder** (:meth:`SweepExecutor._settle`) shared by
+  ``parallel=0`` (points run inline in the calling process — no
+  isolation, but convenient under a debugger) and ``parallel>=1``.
+
+The sweep engine adds three robustness mechanisms on top:
 
 * **wall-clock timeouts** — a worker past its per-point deadline is
-  terminated and the point is retried;
+  killed and the point is retried;
 * **crash/exception capture** — a worker that raises, or dies without
   reporting (segfault, ``os._exit``, OOM-kill), surfaces as a failed
   attempt instead of hanging the sweep;
@@ -16,9 +31,7 @@ process startup is noise) with three robustness mechanisms:
 Completed points stream into an incremental JSONL checkpoint
 (:mod:`repro.runtime.checkpoint`); re-running with ``resume=True``
 skips them. Because every point's seed is fixed by the plan (not by
-scheduling), results are byte-identical whatever ``parallel`` is —
-including ``parallel=0``, which runs points inline in the calling
-process (no isolation, but convenient under a debugger).
+scheduling), results are byte-identical whatever ``parallel`` is.
 
 Worker start method defaults to ``fork`` where available (closures in
 custom runners work, module import cost is not repaid per point) and
@@ -29,10 +42,10 @@ the pickling path. The engine instruments itself through
 
 Live telemetry: pass a :class:`~repro.obs.telemetry.TelemetryHub` and
 workers interleave wall-clock-only ``("telemetry", event)`` messages
-(heartbeats, per-point lifecycle) with their protocol replies on the
-same pipes; the parent folds them into the hub as they arrive. The
-per-point ``started/finished/retried/crashed/failed`` records are also
-appended to the checkpoint JSONL (telemetry or not), which is how a
+(heartbeats, per-point lifecycle) with their replies on the same
+pipes; the pump folds them into the hub as they arrive. The per-point
+``started/finished/retried/crashed/failed`` records are also appended
+to the checkpoint JSONL (telemetry or not), which is how a
 ``--resume`` run reports what previously failed. None of this touches
 the deterministic path — results and aggregates are byte-identical
 with telemetry on or off.
@@ -45,9 +58,10 @@ import os
 import threading
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.api import RunRequest, RunResult
 from repro.obs import telemetry as obs_telemetry
@@ -65,6 +79,10 @@ from repro.runtime.plan import ExecutionPlan
 #: to the code running a point — used by fault-injection tests.
 ATTEMPT_ENV = "REPRO_RUNTIME_ATTEMPT"
 
+#: How long the parent waits for a child that should already be gone
+#: (exit code after EOF, exit after ``close``) before killing it.
+_REAP_SECONDS = 5.0
+
 Runner = Callable[[RunRequest], RunResult]
 
 
@@ -76,22 +94,34 @@ def registry_runner(request: RunRequest) -> RunResult:
     return get_experiment(request.experiment_id).execute(request)
 
 
-def _worker_main(
-    conn: Connection,
-    runner: Runner,
-    request: RunRequest,
-    attempt: int,
-    telemetry_on: bool = False,
-    heartbeat_interval: Optional[float] = None,
-) -> None:
-    """Child-process entry point: run one point, ship the result back.
+def _cause(exc: BaseException) -> str:
+    """The one-line form of a failure, the same whichever process the
+    point ran in (it is recorded in checkpoints and aggregates)."""
+    return f"{type(exc).__name__}: {exc}"
 
-    With ``telemetry_on`` the worker installs a pipe emitter as the
-    process-ambient telemetry emitter and starts a heartbeat thread;
-    both share ``conn`` with the final reply, serialized by a lock so
-    a heartbeat can never tear a result message.
+
+def _child_main(
+    conn: Connection,
+    handler_factory,
+    init_payload,
+    source: Optional[str],
+    heartbeat_interval: Optional[float],
+) -> None:
+    """Child-process entry point of every :class:`CommandWorker`.
+
+    Builds the handler once, then answers each ``(command, payload)``
+    with ``("ok", handler(command, payload))`` until ``("close",
+    None)``. Any exception — in the factory or in a handler call — is
+    shipped as ``("error", {"error", "traceback"})`` and ends the
+    child; a child that dies without a word is the parent's EOF.
+
+    With a ``source`` the child streams telemetry: a pipe emitter is
+    installed as the process-ambient emitter *before* the factory runs
+    (so the factory can register progress probes, or relabel the
+    stream as :func:`_point_handler` does) and a heartbeat thread
+    starts after it. Both share ``conn`` with the replies, serialized
+    by a lock so a heartbeat can never tear a reply.
     """
-    os.environ[ATTEMPT_ENV] = str(attempt)
     send_lock = threading.Lock()
 
     def send(message) -> None:
@@ -101,107 +131,18 @@ def _worker_main(
     # A forked child inherits the parent's ambient emitter and probe
     # table — neither may leak into this process's stream.
     obs_telemetry.clear_probes()
-    obs_telemetry.set_emitter(None)
+    obs_telemetry.set_emitter(
+        obs_telemetry.pipe_emitter(conn, send_lock, source)
+        if source is not None
+        else None
+    )
     heartbeat: Optional[obs_telemetry.Heartbeat] = None
-    if telemetry_on:
-        emitter = obs_telemetry.pipe_emitter(
-            conn,
-            send_lock,
-            f"sweep/pid{os.getpid()}",
-            static={"point": request.key},
-        )
-        obs_telemetry.set_emitter(emitter)
-        heartbeat = obs_telemetry.Heartbeat(
-            emitter,
-            interval=(
-                heartbeat_interval
-                if heartbeat_interval is not None
-                else obs_telemetry.HEARTBEAT_INTERVAL
-            ),
-        ).start()
-
-    def stop_heartbeat() -> None:
-        nonlocal heartbeat
-        if heartbeat is not None:
-            try:
-                heartbeat.stop()
-            except Exception:
-                pass
-            heartbeat = None
-
-    try:
-        result = runner(request)
-        stop_heartbeat()
-        send(("ok", result.as_dict()))
-    except BaseException as exc:  # noqa: BLE001 — must never escape silently
-        stop_heartbeat()
-        try:
-            send(
-                (
-                    "error",
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-            )
-        except Exception:  # conn already broken — parent sees a crash
-            pass
-    finally:
-        stop_heartbeat()
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-def _command_worker_main(
-    conn: Connection,
-    handler_factory,
-    init_payload,
-    telemetry_on: bool = False,
-    telemetry_source: Optional[str] = None,
-    heartbeat_interval: Optional[float] = None,
-) -> None:
-    """Child entry point for a :class:`CommandWorker`.
-
-    Builds the handler once, then serves ``(command, payload)`` requests
-    until ``("close", None)`` — the long-lived dual of the one-shot
-    :func:`_worker_main` (a partition worker holds live simulators
-    across barrier windows, so it cannot be respawned per request).
-
-    With ``telemetry_on`` the ambient emitter and heartbeat thread are
-    installed *before* ``handler_factory`` runs, so the factory (e.g.
-    the partition driver building its cells) can register progress
-    probes that the heartbeats will sample.
-    """
-    send_lock = threading.Lock()
-
-    def send(message) -> None:
-        with send_lock:
-            conn.send(message)
-
-    obs_telemetry.clear_probes()  # fork inherits the parent's probe table
-    obs_telemetry.set_emitter(None)
-    heartbeat: Optional[obs_telemetry.Heartbeat] = None
-    if telemetry_on:
-        emitter = obs_telemetry.pipe_emitter(
-            conn,
-            send_lock,
-            telemetry_source or f"cells/pid{os.getpid()}",
-        )
-        obs_telemetry.set_emitter(emitter)
-        heartbeat = obs_telemetry.Heartbeat(
-            emitter,
-            interval=(
-                heartbeat_interval
-                if heartbeat_interval is not None
-                else obs_telemetry.HEARTBEAT_INTERVAL
-            ),
-        ).start()
     try:
         handler = handler_factory(init_payload)
-        send(("ready", None))
+        if source is not None:
+            heartbeat = obs_telemetry.Heartbeat(
+                obs_telemetry.get_emitter(), interval=heartbeat_interval
+            ).start()
         while True:
             command, payload = conn.recv()
             if command == "close":
@@ -210,20 +151,14 @@ def _command_worker_main(
     except BaseException as exc:  # noqa: BLE001 — must never escape silently
         try:
             send(
-                (
-                    "error",
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    },
-                )
+                ("error", {"error": _cause(exc), "traceback": traceback.format_exc()})
             )
-        except Exception:
+        except Exception:  # conn already broken — parent sees a crash
             pass
     finally:
         if heartbeat is not None:
             try:
-                heartbeat.stop()
+                heartbeat.stop()  # final sample, ahead of the EOF
             except Exception:
                 pass
         try:
@@ -233,29 +168,37 @@ def _command_worker_main(
 
 
 class WorkerCrashed(RuntimeError):
-    """A :class:`CommandWorker` child died or reported an exception."""
+    """A :class:`CommandWorker` child died or reported an exception.
+
+    ``error`` is the one-line cause — the child's ``"Type: message"``,
+    or ``"worker crashed (exitcode N)"`` when it died without a word —
+    which is what a sweep records for a failed attempt; ``str()``
+    names the worker and appends the child's traceback.
+    """
+
+    def __init__(self, worker: str, error: str, traceback: str = "") -> None:
+        super().__init__(f"{worker}: {error}\n{traceback}".rstrip())
+        self.error = error
 
 
 class CommandWorker:
-    """A persistent worker process serving ``(command, payload)`` calls.
-
-    The sweep pool above spawns one process per point because each
-    point is a whole run; the partition driver
-    (:mod:`repro.sim.partition`) instead needs workers that *retain
-    state* (their cells' simulators) between short synchronous calls.
-    This wraps the same ``Pipe``/``Process``/crash-capture machinery in
-    a request/response shape:
+    """A worker process serving ``(command, payload)`` calls.
 
     ``handler_factory(init_payload)`` runs once in the child and
     returns a ``handler(command, payload)`` callable; :meth:`request`
-    round-trips one command. A child that raises ships the traceback
-    back and every subsequent call raises :class:`WorkerCrashed`.
+    round-trips one command. A partition worker
+    (:mod:`repro.sim.partition`) *retains state* (its cells'
+    simulators) between short synchronous calls; a sweep point is the
+    one-shot case (one ``run`` command, then :meth:`close`). A child
+    that raises — building its handler or serving a call — ships the
+    traceback back: the next :meth:`receive` raises
+    :class:`WorkerCrashed`, as does every later call.
 
-    With ``telemetry=True`` the child streams heartbeat events on the
-    same pipe; :meth:`_recv` transparently skips them past the
-    request/response protocol, handing each one to ``on_telemetry``
-    (typically the ambient emitter's ``forward``, relaying cell events
-    up to whatever hub owns this process).
+    With ``telemetry=True`` the child streams heartbeat events
+    (``source`` = ``name``) on the same pipe; the pump hands each one
+    to ``on_telemetry`` (a hub's ``ingest``, or the ambient emitter's
+    ``forward`` to relay cell events up to whatever hub owns this
+    process) without disturbing the request/response protocol.
     """
 
     def __init__(
@@ -273,16 +216,16 @@ class CommandWorker:
                 "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
             )
         ctx = multiprocessing.get_context(mp_context)
+        self.name = name
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._on_telemetry = on_telemetry
         self._process = ctx.Process(
-            target=_command_worker_main,
+            target=_child_main,
             args=(
                 child_conn,
                 handler_factory,
                 init_payload,
-                telemetry,
-                name,
+                name if telemetry else None,
                 heartbeat_interval,
             ),
             daemon=True,
@@ -291,29 +234,6 @@ class CommandWorker:
         self._process.start()
         child_conn.close()
         self._dead = False
-        self._recv()  # wait for ("ready", None) / surface build failures
-
-    def _recv(self):
-        while True:
-            try:
-                kind, payload = self._conn.recv()
-            except (EOFError, OSError):
-                self._dead = True
-                self._process.join(timeout=5.0)
-                raise WorkerCrashed(
-                    f"{self._process.name} crashed "
-                    f"(exitcode {self._process.exitcode})"
-                ) from None
-            if kind == "telemetry":
-                self._handle_telemetry(payload)
-                continue
-            if kind == "error":
-                self._dead = True
-                raise WorkerCrashed(
-                    f"{self._process.name} failed: {payload['error']}\n"
-                    f"{payload['traceback']}"
-                )
-            return payload
 
     def send(self, command: str, payload=None) -> None:
         """Dispatch a command without waiting (pair with :meth:`receive`).
@@ -322,110 +242,138 @@ class CommandWorker:
         worker before collecting any reply — the barrier-window driver
         would otherwise serialize its workers."""
         if self._dead:
-            raise WorkerCrashed(f"{self._process.name} is no longer running")
-        self._conn.send((command, payload))
+            raise WorkerCrashed(self.name, "no longer running")
+        try:
+            self._conn.send((command, payload))
+        except OSError:
+            pass  # the child is gone; receive() reports why
 
     def receive(self):
         """Block for the reply to the oldest un-received :meth:`send`."""
-        return self._recv()
+        return receive_all([self])[0]
 
     def request(self, command: str, payload=None):
         """Send one command and block for its reply."""
         self.send(command, payload)
-        return self._recv()
+        return self.receive()
 
-    def _handle_telemetry(self, payload) -> None:
-        if self._on_telemetry is not None:
-            try:
-                self._on_telemetry(payload)
-            except Exception:
-                pass
+    def kill(self) -> None:
+        """Kill the child without asking (a point past its deadline)."""
+        self._dead = True
+        self._process.kill()
+        self.close()
 
     def close(self) -> None:
         """Shut the child down (idempotent)."""
         if not self._dead:
             try:
                 self._conn.send(("close", None))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
+            # Read on to the child's EOF so its last heartbeat (sent
+            # while it stops) still reaches the sink.
+            give_up = time.monotonic() + _REAP_SECONDS
+            while not self._dead and time.monotonic() < give_up:
+                _pump([self], give_up - time.monotonic())
             self._dead = True
-        try:
-            self._conn.close()
-        except Exception:
-            pass
-        self._process.join(timeout=5.0)
+        self._conn.close()
+        self._process.join(timeout=_REAP_SECONDS)
         if self._process.is_alive():  # pragma: no cover - defensive
             self._process.kill()
-            self._process.join(timeout=5.0)
+            self._process.join(timeout=_REAP_SECONDS)
 
 
-def receive_all(workers: List["CommandWorker"]) -> List[Any]:
+def _pump(
+    workers: List[CommandWorker], timeout: Optional[float] = None
+) -> List[Tuple[CommandWorker, Any]]:
+    """The one parent-side reader of the worker protocol.
+
+    Waits (at most ``timeout`` seconds; ``None`` = until something
+    arrives) on every worker's pipe at once and reads one message from
+    each pipe that is ready. ``("telemetry", event)`` goes to that
+    worker's sink; anything else is a reply and is returned as
+    ``(worker, payload)``. A worker whose pipe hit EOF (the process
+    died, or closed it, without a word) or that shipped an ``error``
+    is marked dead and its reply is the :class:`WorkerCrashed`
+    describing it — returned, not raised, so one crash cannot swallow
+    the other workers' replies.
+    """
+    by_conn = {worker._conn: worker for worker in workers}
+    replies: List[Tuple[CommandWorker, Any]] = []
+    for conn in connection_wait(list(by_conn), timeout):
+        worker = by_conn[conn]
+        try:
+            kind, payload = conn.recv()
+        except (EOFError, OSError):
+            worker._process.join(timeout=_REAP_SECONDS)
+            kind = "error"
+            payload = {
+                "error": f"worker crashed (exitcode {worker._process.exitcode})"
+            }
+        if kind == "telemetry":
+            if worker._on_telemetry is not None:
+                try:
+                    worker._on_telemetry(payload)
+                except Exception:
+                    pass  # telemetry must never break the run it watches
+        elif kind == "error":
+            worker._dead = True
+            replies.append((worker, WorkerCrashed(worker.name, **payload)))
+        else:
+            replies.append((worker, payload))
+    return replies
+
+
+def receive_all(workers: List[CommandWorker]) -> List[Any]:
     """Collect one reply from every worker, processing messages in
     *arrival* order across all their pipes.
 
     The sequential alternative (``[w.receive() for w in workers]``)
     blocks on worker 0's reply while workers 1..N's telemetry queues
-    unseen — a long barrier window would go dark. Multiplexing with
-    :func:`multiprocessing.connection.wait` keeps every stream live.
-    Replies are returned in worker order; a crash or shipped error
-    raises :class:`WorkerCrashed` exactly as :meth:`CommandWorker.
-    receive` would.
+    unseen — a long barrier window would go dark. Replies are returned
+    in worker order; the first crash or shipped error is raised as
+    :class:`WorkerCrashed`.
     """
-    replies: Dict[int, Any] = {}
-    by_conn = {worker._conn: worker for worker in workers}
+    replies: Dict[CommandWorker, Any] = {}
     while len(replies) < len(workers):
-        for conn in connection_wait(
-            [w._conn for w in workers if id(w) not in replies]
-        ):
-            worker = by_conn[conn]
-            try:
-                kind, payload = conn.recv()
-            except (EOFError, OSError):
-                worker._dead = True
-                worker._process.join(timeout=5.0)
-                raise WorkerCrashed(
-                    f"{worker._process.name} crashed "
-                    f"(exitcode {worker._process.exitcode})"
-                ) from None
-            if kind == "telemetry":
-                worker._handle_telemetry(payload)
-            elif kind == "error":
-                worker._dead = True
-                raise WorkerCrashed(
-                    f"{worker._process.name} failed: {payload['error']}\n"
-                    f"{payload['traceback']}"
-                )
-            else:
-                replies[id(worker)] = payload
-    return [replies[id(worker)] for worker in workers]
+        for worker, reply in _pump([w for w in workers if w not in replies]):
+            if isinstance(reply, WorkerCrashed):
+                raise reply
+            replies[worker] = reply
+    return [replies[worker] for worker in workers]
+
+
+def _run_attempt(runner: Runner, request: RunRequest, attempt: int) -> RunResult:
+    """One try at one point, in whichever process runs it."""
+    os.environ[ATTEMPT_ENV] = str(attempt)
+    return runner(request).with_attempts(attempt)
+
+
+def _point_handler(payload):
+    """:class:`CommandWorker` factory for one sweep-point attempt: the
+    handler answers the single ``run`` command with the result dict."""
+    runner, request, attempt = payload
+    stream = obs_telemetry.get_emitter()
+    if stream.enabled:
+        # A sweep worker's events (heartbeats included — they start
+        # after this factory) are labelled with its pid and its point.
+        obs_telemetry.set_emitter(
+            obs_telemetry.CallbackEmitter(
+                stream.forward, f"sweep/pid{os.getpid()}", {"point": request.key}
+            )
+        )
+    return lambda _command, _payload: _run_attempt(runner, request, attempt).as_dict()
 
 
 @dataclass
-class _Pending:
+class _Attempt:
+    """One try at one point: queued in ``pending``, or (pool mode)
+    running under a worker in ``active``."""
+
     request: RunRequest
-    attempt: int = 1  # the attempt number the *next* launch will be
+    number: int = 1
     not_before: float = 0.0  # monotonic time gate (retry backoff)
-
-
-@dataclass
-class _Active:
-    request: RunRequest
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
-    deadline: Optional[float] = None
-    result: Optional[RunResult] = None
-    error: Optional[str] = None
-
-    def reap(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.kill()
-            self.process.join(timeout=5.0)
+    deadline: Optional[float] = None  # monotonic kill time once launched
 
 
 @dataclass
@@ -433,8 +381,8 @@ class _Book:
     """Mutable execution state shared by the scheduling helpers."""
 
     results: Dict[str, RunResult] = field(default_factory=dict)
-    pending: List[_Pending] = field(default_factory=list)
-    active: List[_Active] = field(default_factory=list)
+    pending: List[_Attempt] = field(default_factory=list)
+    active: Dict[CommandWorker, _Attempt] = field(default_factory=dict)
 
 
 class SweepExecutor:
@@ -467,13 +415,9 @@ class SweepExecutor:
         self.retry_backoff = retry_backoff
         self.checkpoint_path = checkpoint_path
         self.resume = resume
+        self.mp_context = mp_context
         self.telemetry = telemetry
         self.heartbeat_interval = heartbeat_interval
-        if mp_context is None:
-            mp_context = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(mp_context)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         m = self.metrics
         self._m_completed = m.counter("runtime.points_completed")
@@ -545,7 +489,7 @@ class SweepExecutor:
 
         for point in self.plan:
             if point.key not in book.results:
-                book.pending.append(_Pending(point))
+                book.pending.append(_Attempt(point))
 
         self._emit(
             "run_started",
@@ -567,15 +511,15 @@ class SweepExecutor:
             writer = CheckpointWriter(self.checkpoint_path)
         try:
             if self.parallel == 0:
-                self._run_inline(book, writer)
+                with self._inline_scope():
+                    self._drive(book, writer)
             else:
-                self._run_pool(book, writer)
+                self._drive(book, writer)
         finally:
             if writer is not None:
                 writer.close()
-            for active in book.active:  # pragma: no cover - interrupt path
-                active.process.terminate()
-                active.reap()
+            for worker in book.active:  # pragma: no cover - interrupt path
+                worker.kill()
 
         ordered = [book.results[p.key] for p in self.plan]
         outcome = SweepOutcome(
@@ -594,12 +538,71 @@ class SweepExecutor:
         )
         return outcome
 
+    # -- scheduling -----------------------------------------------------
+    def _drive(self, book: _Book, writer: Optional[CheckpointWriter]) -> None:
+        """Start every ready attempt up to the concurrency cap, settle
+        what finishes, until nothing is queued or running. Inline mode
+        is the same loop with the calling process as its one worker."""
+        slots = max(1, self.parallel)
+        while book.pending or book.active:
+            now = time.monotonic()
+            ready = [a for a in book.pending if a.not_before <= now]
+            for item in ready[: slots - len(book.active)]:
+                book.pending.remove(item)
+                self._point_event(
+                    writer, "point_started", item.request.key, attempt=item.number
+                )
+                if self.parallel == 0:
+                    self._settle(book, writer, item, self._run_inline(item))
+                else:
+                    self._launch(book, item)
+            if book.active:
+                self._collect(book, writer)
+            elif not ready:
+                # Everything left is backoff-gated; sleep until the gate.
+                gate = min(a.not_before for a in book.pending)
+                time.sleep(max(0.0, gate - time.monotonic()))
+
+    def _settle(
+        self,
+        book: _Book,
+        writer: Optional[CheckpointWriter],
+        item: _Attempt,
+        outcome: Union[RunResult, str],
+    ) -> None:
+        """The retry ladder: record a result; on an error string,
+        requeue the point behind its backoff gate or, out of attempts,
+        record it as failed."""
+        if isinstance(outcome, RunResult):
+            self._record(book, writer, outcome)
+            return
+        key = item.request.key
+        self._point_event(
+            writer, "point_crashed", key, attempt=item.number, error=outcome
+        )
+        if item.number < self.max_attempts:
+            self._m_retried.inc()
+            self._point_event(
+                writer, "point_retried", key, attempt=item.number, error=outcome
+            )
+            backoff = self.retry_backoff * (2 ** (item.number - 1))
+            book.pending.append(
+                _Attempt(item.request, item.number + 1, time.monotonic() + backoff)
+            )
+        else:
+            self._record(
+                book, writer,
+                RunResult.failed(item.request, outcome, attempts=item.number),
+            )
+
     # -- inline (parallel=0) -------------------------------------------
-    def _run_inline(self, book: _Book, writer: Optional[CheckpointWriter]) -> None:
+    @contextmanager
+    def _inline_scope(self):
+        """Inline points run in *this* process: feed the hub directly
+        through the ambient emitter so partition drivers (and any other
+        deep layer) stream exactly as they would from a worker, and put
+        the caller's ``ATTEMPT_ENV`` back afterwards."""
         saved = os.environ.get(ATTEMPT_ENV)
-        # Inline points run in *this* process: feed the hub directly
-        # through the ambient emitter so partition drivers (and any
-        # other deep layer) stream exactly as they would from a worker.
         emitter = (
             self.telemetry.emitter("inline")
             if self.telemetry is not None
@@ -607,183 +610,64 @@ class SweepExecutor:
         )
         try:
             with obs_telemetry.use_emitter(emitter):
-                for item in book.pending:
-                    request = item.request
-                    last_error = "never attempted"
-                    for attempt in range(1, self.max_attempts + 1):
-                        os.environ[ATTEMPT_ENV] = str(attempt)
-                        self._point_event(
-                            writer, "point_started", request.key, attempt=attempt
-                        )
-                        try:
-                            result = self.runner(request).with_attempts(attempt)
-                        except Exception as exc:  # noqa: BLE001
-                            last_error = f"{type(exc).__name__}: {exc}"
-                            self._point_event(
-                                writer, "point_crashed", request.key,
-                                attempt=attempt, error=last_error,
-                            )
-                            if attempt < self.max_attempts:
-                                self._m_retried.inc()
-                                self._point_event(
-                                    writer, "point_retried", request.key,
-                                    attempt=attempt, error=last_error,
-                                )
-                                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-                            continue
-                        self._record(book, writer, result)
-                        break
-                    else:
-                        self._record(
-                            book,
-                            writer,
-                            RunResult.failed(
-                                request, last_error, attempts=self.max_attempts
-                            ),
-                        )
-                book.pending.clear()
+                yield
         finally:
             if saved is None:
                 os.environ.pop(ATTEMPT_ENV, None)
             else:
                 os.environ[ATTEMPT_ENV] = saved
 
+    def _run_inline(self, item: _Attempt) -> Union[RunResult, str]:
+        try:
+            return _run_attempt(self.runner, item.request, item.number)
+        except Exception as exc:  # noqa: BLE001
+            return _cause(exc)
+
     # -- process pool ---------------------------------------------------
-    def _launch(
-        self, book: _Book, item: _Pending, writer: Optional[CheckpointWriter]
-    ) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        telemetry_on = self.telemetry is not None or bool(item.request.telemetry)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self.runner,
-                item.request,
-                item.attempt,
-                telemetry_on,
-                self.heartbeat_interval,
-            ),
-            daemon=True,
+    def _launch(self, book: _Book, item: _Attempt) -> None:
+        hub = self.telemetry
+        worker = CommandWorker(
+            _point_handler,
+            (self.runner, item.request, item.number),
+            mp_context=self.mp_context,
             name=f"repro-sweep-{item.request.replication}",
+            telemetry=hub is not None,
+            on_telemetry=hub.ingest if hub is not None else None,
+            heartbeat_interval=self.heartbeat_interval,
         )
-        process.start()
-        child_conn.close()
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
-        book.active.append(
-            _Active(item.request, item.attempt, process, parent_conn, deadline)
-        )
+        book.active[worker] = item
         self._m_workers.inc()
-        self._point_event(
-            writer, "point_started", item.request.key, attempt=item.attempt
+        worker.send("run")
+        if self.timeout is not None:
+            item.deadline = time.monotonic() + self.timeout
+
+    def _collect(self, book: _Book, writer: Optional[CheckpointWriter]) -> None:
+        """One pump over the running workers, bounded by the nearest
+        deadline; settle every attempt that answered, died or ran out
+        of time."""
+        now = time.monotonic()
+        wait_for = min(
+            [0.25]  # also the latency of noticing an opened backoff gate
+            + [a.deadline - now for a in book.active.values() if a.deadline is not None]
         )
-
-    def _run_pool(self, book: _Book, writer: Optional[CheckpointWriter]) -> None:
-        while book.pending or book.active:
-            now = time.monotonic()
-            # Launch every ready point up to the concurrency cap.
-            launchable = [
-                p for p in book.pending if p.not_before <= now
-            ][: max(0, self.parallel - len(book.active))]
-            for item in launchable:
-                book.pending.remove(item)
-                self._launch(book, item, writer)
-
-            if not book.active:
-                # Everything left is backoff-gated; sleep until the gate.
-                if book.pending:
-                    gate = min(p.not_before for p in book.pending)
-                    time.sleep(max(0.0, min(gate - time.monotonic(), 0.25)))
-                continue
-
-            # Wait for results, bounded by the nearest deadline.
-            wait_for = 0.25
-            for active in book.active:
-                if active.deadline is not None:
-                    wait_for = min(wait_for, max(0.0, active.deadline - now))
-            ready = connection_wait(
-                [a.conn for a in book.active], timeout=wait_for
+        finished: Dict[CommandWorker, Union[RunResult, str]] = {}
+        for worker, reply in _pump(list(book.active), max(0.0, wait_for)):
+            finished[worker] = (
+                reply.error
+                if isinstance(reply, WorkerCrashed)
+                else RunResult.from_dict(reply)
             )
-            now = time.monotonic()
-
-            finished: List[_Active] = []
-            for active in book.active:
-                if active.conn in ready:
-                    try:
-                        # Drain interleaved telemetry; the first
-                        # non-telemetry message (if any is ready) is
-                        # the worker's final reply.
-                        message = active.conn.recv()
-                        while message[0] == "telemetry":
-                            if self.telemetry is not None:
-                                self.telemetry.ingest(message[1])
-                            if not active.conn.poll():
-                                message = None
-                                break
-                            message = active.conn.recv()
-                    except (EOFError, OSError):
-                        active.process.join(timeout=5.0)
-                        code = active.process.exitcode
-                        active.error = f"worker crashed (exitcode {code})"
-                    else:
-                        if message is None:
-                            continue  # still running — only heartbeats so far
-                        kind, payload = message
-                        if kind == "ok":
-                            active.result = RunResult.from_dict(payload).with_attempts(
-                                active.attempt
-                            )
-                        else:
-                            active.error = payload["error"]
-                    finished.append(active)
-                elif not active.process.is_alive() and not active.conn.poll():
-                    # Died without a word (hard crash before send()).
-                    code = active.process.exitcode
-                    active.error = f"worker crashed (exitcode {code})"
-                    finished.append(active)
-                elif active.deadline is not None and now >= active.deadline:
-                    active.process.terminate()
-                    active.error = f"timeout after {self.timeout:g}s"
-                    self._m_timeout.inc()
-                    finished.append(active)
-
-            for active in finished:
-                book.active.remove(active)
-                active.reap()
-                self._m_workers.dec()
-                if active.result is not None:
-                    self._record(book, writer, active.result)
-                    continue
-                self._point_event(
-                    writer, "point_crashed", active.request.key,
-                    attempt=active.attempt, error=active.error,
-                )
-                if active.attempt < self.max_attempts:
-                    self._m_retried.inc()
-                    self._point_event(
-                        writer, "point_retried", active.request.key,
-                        attempt=active.attempt, error=active.error,
-                    )
-                    backoff = self.retry_backoff * (2 ** (active.attempt - 1))
-                    book.pending.append(
-                        _Pending(
-                            active.request,
-                            attempt=active.attempt + 1,
-                            not_before=time.monotonic() + backoff,
-                        )
-                    )
-                else:
-                    self._record(
-                        book,
-                        writer,
-                        RunResult.failed(
-                            active.request,
-                            active.error or "unknown failure",
-                            attempts=active.attempt,
-                        ),
-                    )
+        now = time.monotonic()
+        for worker, item in book.active.items():
+            if worker not in finished and item.deadline is not None and now >= item.deadline:
+                worker.kill()
+                finished[worker] = f"timeout after {self.timeout:g}s"
+                self._m_timeout.inc()
+        for worker, outcome in finished.items():
+            item = book.active.pop(worker)
+            worker.close()
+            self._m_workers.dec()
+            self._settle(book, writer, item, outcome)
 
     # ------------------------------------------------------------------
     def _record(

@@ -73,7 +73,6 @@ class ExecutionPlan:
         seeds: Optional[Sequence[int]] = None,
         partitions: Optional[int] = None,
         fluid: Optional[bool] = None,
-        telemetry: Optional[bool] = None,
     ) -> "ExecutionPlan":
         """Expand ``grid`` × ``replications`` into run requests.
 
@@ -82,10 +81,6 @@ class ExecutionPlan:
         the partitioned kernel shard each point's run. ``fluid`` (a
         model knob, part of each point's key when set) selects the
         fluid-flow transfer model for experiments that accept it.
-        ``telemetry`` (wall-clock observability, excluded from both
-        keys and serialized requests) tells each point's worker to
-        stream live events back to the parent's
-        :class:`~repro.obs.telemetry.TelemetryHub`.
 
         * ``grid`` maps parameter names to the values to sweep; the
           cross product is taken in sorted-key order (deterministic).
@@ -132,7 +127,6 @@ class ExecutionPlan:
                         replication=rep,
                         partitions=partitions,
                         fluid=fluid,
-                        telemetry=telemetry,
                     )
                 )
         return cls(

@@ -1,10 +1,10 @@
 """The unified simulator configuration surface: :class:`SimConfig`.
 
 :class:`~repro.sim.kernel.Simulator` accreted one keyword argument per
-PR (``fast=``, ``flight=``, profiler enablement via a method call,
-packet-reuse as a mutable attribute). ``SimConfig`` absorbs that sprawl
-into one frozen dataclass so a simulator's behaviour is named by a
-single hashable value that can be stored in manifests, threaded through
+PR (``fast=``, ``flight=``, profiler enablement via a method call).
+``SimConfig`` absorbs that sprawl into one frozen dataclass so a
+simulator's behaviour is named by a single hashable value that can be
+stored in manifests, threaded through
 :class:`~repro.experiments.api.RunRequest`, and shipped to partition
 worker processes (:mod:`repro.sim.partition`) without re-encoding each
 knob.
@@ -38,9 +38,6 @@ class SimConfig:
         Attach the wall-clock event-loop profiler from construction
         (equivalent to calling :meth:`Simulator.enable_profiler` before
         the first ``run()``).
-    allow_packet_reuse:
-        Force the packet pool on/off; ``None`` (default) follows
-        ``fast`` (pooling on exactly on the hot path).
     partitions:
         Worker processes a partitioned run may use
         (:mod:`repro.sim.partition`). ``1`` = a single worker; the
@@ -56,20 +53,14 @@ class SimConfig:
         as *flows* advanced by rate-change epochs instead of per-packet
         events. Only effective on the fast path; ``REPRO_SLOW_PATH=1``
         always selects the reference packet path regardless.
-    fluid_threshold:
-        Minimum wire size (bytes, TCP header included) a segment must
-        reach to be eligible for the fluid path; smaller transfers stay
-        on the exact packet path.
     """
 
     fast: Optional[bool] = None
     flight: bool = False
     profiler: bool = False
-    allow_packet_reuse: Optional[bool] = None
     partitions: int = 1
     lookahead: Optional[float] = None
     fluid: bool = False
-    fluid_threshold: int = 8192
 
     def __post_init__(self) -> None:
         if self.partitions < 1:
@@ -79,10 +70,6 @@ class SimConfig:
         if self.lookahead is not None and self.lookahead <= 0:
             raise SimulationError(
                 f"lookahead must be positive, got {self.lookahead!r}"
-            )
-        if self.fluid_threshold < 1:
-            raise SimulationError(
-                f"fluid_threshold must be >= 1, got {self.fluid_threshold!r}"
             )
 
     def replace(self, **changes: Any) -> "SimConfig":

@@ -67,11 +67,7 @@ class Simulator:
         #: Transports may recycle pooled packets when this is True; it
         #: is cleared whenever a packet tap is installed (a tap may
         #: retain packet objects) and on the slow reference path.
-        self.allow_packet_reuse = (
-            self.fast
-            if config.allow_packet_reuse is None
-            else config.allow_packet_reuse
-        )
+        self.allow_packet_reuse = self.fast
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder()
         self._running = False
@@ -131,7 +127,7 @@ class Simulator:
         if config.fluid and self.fast and not SLOW_PATH:
             from repro.net.fluid import FlowScheduler
 
-            self.fluid = FlowScheduler(self, threshold=config.fluid_threshold)
+            self.fluid = FlowScheduler(self)
 
     def enable_profiler(self) -> EventLoopProfiler:
         """Attach (and return) a live :class:`EventLoopProfiler`.

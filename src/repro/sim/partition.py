@@ -18,7 +18,7 @@ alone — its derived seed (BLAKE2b, ``derive_seed(seed, "cell/<name>")``),
 its own packet-id stream (:func:`repro.net.packet.swap_id_stream`), and
 the deterministic barrier schedule — so the merged result is
 **byte-identical for every worker count**, including ``partitions=1``
-(the single-process run). The subprocess A/B tests and the ``dist-smoke``
+(the single-process run). The subprocess A/B tests and the ``runtime-smoke``
 CI job enforce exactly this.
 
 Barrier-window protocol
@@ -516,27 +516,6 @@ def run_partitioned(
     else:
         from repro.runtime.executor import CommandWorker, receive_all
 
-        # Live telemetry is inherited from the ambient emitter: child
-        # workers heartbeat over their command pipes and this process
-        # relays the events to whatever hub/pipe it is itself wired to.
-        emitter = _telemetry.get_emitter()
-        for w, group in enumerate(layout.assignments):
-            workers.append(
-                CommandWorker(
-                    _worker_factory,
-                    init_payload=(
-                        [(i, cells[i]) for i in group],
-                        seed,
-                        config.as_dict(),
-                        observe,
-                    ),
-                    mp_context=mp_context,
-                    name=f"repro-partition-{w}",
-                    telemetry=emitter.enabled,
-                    on_telemetry=emitter.forward if emitter.enabled else None,
-                )
-            )
-
     def broadcast(command: str, payloads):
         """One request per engine, fanned out before any reply is
         collected; returns per-worker replies in worker order.
@@ -566,6 +545,28 @@ def run_partitioned(
     windows = 0
     emitter = _telemetry.get_emitter()
     try:
+        # Workers start inside the guarded region: when worker k fails
+        # to start, workers 0..k-1 are closed rather than left blocked.
+        # Live telemetry is inherited from the ambient emitter: they
+        # heartbeat over their command pipes and this process relays
+        # the events to whatever hub/pipe it is itself wired to.
+        if inline is None:
+            for w, group in enumerate(layout.assignments):
+                workers.append(
+                    CommandWorker(
+                        _worker_factory,
+                        init_payload=(
+                            [(i, cells[i]) for i in group],
+                            seed,
+                            config.as_dict(),
+                            observe,
+                        ),
+                        mp_context=mp_context,
+                        name=f"repro-partition-{w}",
+                        telemetry=emitter.enabled,
+                        on_telemetry=emitter.forward if emitter.enabled else None,
+                    )
+                )
         # Build every cell; collect build-time messages + first horizons.
         replies = broadcast("build", [None] * max(1, layout.workers))
         pending = sorted(

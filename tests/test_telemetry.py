@@ -98,7 +98,7 @@ def _finish_counter(handle, state):
 def _wedged_factory(init_payload):
     """CommandWorker factory whose probe never advances — the wedged
     fixture the stall watchdog must catch (also exercised by CI's
-    telemetry-smoke job)."""
+    runtime-smoke job)."""
     telemetry.register_probe(
         "cell/wedged",
         lambda: {"label": "cell/wedged", "sim_time": 0.0,
@@ -305,7 +305,7 @@ class TestWatchdog:
         hub.close()
 
     def test_wedged_command_worker_is_flagged_mid_call(self, tmp_path):
-        """Integration fixture (what CI's telemetry-smoke drives): a
+        """Integration fixture (what CI's runtime-smoke drives): a
         worker wedged inside a handler keeps heartbeating with frozen
         counters, and the watchdog names it before the call returns."""
         log = tmp_path / "t.jsonl"
@@ -584,22 +584,6 @@ class TestExecutorTelemetry:
         assert "prior point_failed: ghost (attempt 3): Boom: gone" in err
 
 
-class TestRunRequestQuarantine:
-    def test_telemetry_flag_never_enters_key_or_dict(self):
-        plain = RunRequest.make("toy", {"x": 1}, seed=3)
-        streamed = RunRequest.make("toy", {"x": 1}, seed=3, telemetry=True)
-        assert streamed.telemetry is True
-        assert streamed.key == plain.key
-        assert streamed.as_dict() == plain.as_dict()
-        assert "telemetry" not in streamed.as_dict()
-
-    def test_plan_stamps_telemetry_without_changing_keys(self):
-        quiet = ExecutionPlan.build("toy", grid={"x": [1, 2]})
-        loud = ExecutionPlan.build("toy", grid={"x": [1, 2]}, telemetry=True)
-        assert [p.key for p in loud] == [p.key for p in quiet]
-        assert all(p.telemetry for p in loud)
-
-
 # ----------------------------------------------------------------------
 # Partition integration: cell probes, worker heartbeats, window events
 # ----------------------------------------------------------------------
@@ -728,7 +712,6 @@ if shape in ("inline", "parallel"):
         "fig6",
         grid={"rule_count": (0, 300)},
         base_params={"pings_per_point": 1},
-        telemetry=True if telemetry_on else None,
     )
     outcome = execute_plan(
         plan,
