@@ -118,8 +118,8 @@ def test_pipe_train_speedup(benchmark, bench_json):
     for _ in range(BURST):
         link.transmit(Packet(SRC, DST, "udp", PACKET_BYTES), lambda p: None)
     sim.run()
-    coalesced = sim.metrics.counter("net.pipe.train_coalesced", wall=True).value
-    trains = sim.metrics.counter("net.pipe.trains", wall=True).value
+    coalesced = sim.metrics.get("net.pipe.train_coalesced").value
+    trains = sim.metrics.get("net.pipe.trains").value
 
     bench_json(
         "pipe",

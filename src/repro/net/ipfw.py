@@ -25,10 +25,12 @@ and O(1) afterwards. A cache *hit replays* the original verdict's full
 accounting (``scanned`` charge, per-rule ``hits``, registry counters),
 so emulated latency, metrics snapshots and fig6's linear-vs-indexed
 comparison are byte-identical with the cache on or off — only wall
-clock changes. Flows that matched the same rules point at one shared
-verdict object, so a cached flow costs a key and a dict slot. The
-cache is invalidated by every mutating operation
-(``add``/``delete``/``flush``/``add_pipe``) and by flipping
+clock changes. The registry counters are fed from this object's plain
+slots at read time (:meth:`repro.obs.metrics.MetricsRegistry.feed`), so
+neither path calls an instrument per packet. Flows that matched the
+same rules point at one shared verdict object, so a cached flow costs
+a key and a dict slot. The cache is invalidated by every mutating
+operation (``add``/``delete``/``flush``/``add_pipe``) and by flipping
 ``indexed``. ``REPRO_SLOW_PATH=1`` (see :mod:`repro.hotpath`) disables
 it by default.
 """
@@ -250,10 +252,10 @@ class Firewall:
         #: flip). The fluid flow engine (net/fluid.py) snapshots it per
         #: resolved path and re-probes when it moves.
         self.generation = 0
-        #: Wall-clock performance counters for the cache itself (plain
-        #: attributes; the registry twins are ``wall=True`` so they are
-        #: excluded from deterministic snapshots — the cache is a
-        #: wall-time optimisation, not an emulation observable).
+        #: Wall-clock performance counters for the cache itself (the
+        #: registry twins are ``wall=True`` so they are excluded from
+        #: deterministic snapshots — the cache is a wall-time
+        #: optimisation, not an emulation observable).
         self.flow_cache_hits = 0
         self.flow_cache_misses = 0
         #: Cost model selector. ``indexed=False`` (IPFW reality) charges
@@ -272,14 +274,18 @@ class Firewall:
         self.packets_evaluated = 0
         self.rules_scanned_total = 0
         # Shared observability instruments (aggregated across every
-        # firewall of the testbed; see repro.obs).
+        # firewall of the testbed; see repro.obs). The per-packet ones
+        # are summed from the slots above whenever the registry is read.
         registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_pkts = registry.counter("net.ipfw.packets_evaluated")
-        self._m_scanned = registry.counter("net.ipfw.rules_scanned_total")
+        registry.feed(
+            self,
+            packets_evaluated=registry.counter("net.ipfw.packets_evaluated"),
+            rules_scanned_total=registry.counter("net.ipfw.rules_scanned_total"),
+            flow_cache_hits=registry.counter("net.ipfw.flow_cache_hits", wall=True),
+            flow_cache_misses=registry.counter("net.ipfw.flow_cache_misses", wall=True),
+        )
         self._m_denied = registry.counter("net.ipfw.packets_denied")
         self._m_rules = registry.gauge("net.ipfw.rules")
-        self._m_cache_hits = registry.counter("net.ipfw.flow_cache_hits", wall=True)
-        self._m_cache_misses = registry.counter("net.ipfw.flow_cache_misses", wall=True)
         # Evaluation shortcut indexes (see class docstring).
         # Bucket values are a bare Rule (the overwhelmingly common
         # case: one up rule per source address, one down rule per
@@ -289,7 +295,7 @@ class Firewall:
         self._by_src: dict[int, Union[Rule, List[Rule]]] = {}
         self._by_dst: dict[int, Union[Rule, List[Rule]]] = {}
         self._generic: List[Rule] = []
-        self._positions: dict[int, int] = {}  # id(rule) -> linear index
+        self._positions: Dict[Rule, int] = {}  # rule (by identity) -> linear index
         self._dirty = False
         #: Rules are appended, not insorted: topology compilation emits
         #: them in increasing number order, so the list is almost
@@ -560,7 +566,7 @@ class Firewall:
     # -- evaluation ----------------------------------------------------
     def _refresh_positions(self) -> None:
         self._ensure_sorted()
-        self._positions = {id(rule): i for i, rule in enumerate(self._rules)}
+        self._positions = {rule: i for i, rule in enumerate(self._rules)}
         self._dirty = False
 
     def evaluate(self, packet: Packet, direction: str) -> Verdict:
@@ -579,20 +585,16 @@ class Firewall:
         if cached is not None:
             # Replay the original verdict's accounting bit-for-bit:
             # same ``scanned`` charge (hence same emulated latency),
-            # same per-rule ``hits``, same registry counters. Only the
+            # same per-rule ``hits``, same counters. Only the
             # wall-clock linear walk is skipped.
             verdict, matched_rules = cached
             for rule in matched_rules:
                 rule.hits += 1
-            scanned = verdict.scanned
             self.packets_evaluated += 1
-            self.rules_scanned_total += scanned
-            self._m_pkts.inc()
-            self._m_scanned.inc(scanned)
+            self.rules_scanned_total += verdict.scanned
             if not verdict.allowed:
                 self._m_denied.inc()
             self.flow_cache_hits += 1
-            self._m_cache_hits.inc()
             return verdict
         if self._dirty:
             self._refresh_positions()
@@ -612,8 +614,8 @@ class Firewall:
         if self._generic:
             candidates.extend(self._generic)
         if len(candidates) > 1:
-            positions = self._positions
-            candidates.sort(key=lambda r: positions[id(r)])
+            # Rules hash by identity, so the key is one C-level lookup.
+            candidates.sort(key=self._positions.__getitem__)
 
         indexed = self.indexed
         pipes: List[DummynetPipe] = []
@@ -642,12 +644,12 @@ class Firewall:
                 pipes.append(pipe)
             elif action == ACTION_ALLOW:
                 if not indexed:
-                    scanned = self._positions[id(rule)] + 1
+                    scanned = self._positions[rule] + 1
                 break
             elif action == ACTION_DENY:
                 allowed = False
                 if not indexed:
-                    scanned = self._positions[id(rule)] + 1
+                    scanned = self._positions[rule] + 1
                 break
             # ACTION_COUNT falls through.
         if indexed:
@@ -656,8 +658,6 @@ class Firewall:
             scanned = 2 + examined
         self.packets_evaluated += 1
         self.rules_scanned_total += scanned
-        self._m_pkts.inc()
-        self._m_scanned.inc(scanned)
         if not allowed:
             self._m_denied.inc()
         if not self.flow_cache_enabled:
@@ -671,7 +671,6 @@ class Firewall:
             )
         self._flow_cache[key] = entry
         self.flow_cache_misses += 1
-        self._m_cache_misses.inc()
         return entry[0]
 
     def stats(self) -> dict:

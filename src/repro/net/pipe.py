@@ -74,6 +74,40 @@ class ShapingProfile:
         )
 
 
+class _PipeTally:
+    """Per-packet counts of every pipe of one registry, in plain slots.
+
+    Pipes are too many (a pair per vnode) and too short-lived (lazily
+    built, deleted, stand-alone) to be fed to the registry one by one.
+    ``idle`` counts arrivals at an empty shaped pipe: the occupancy
+    histogram's 0.0 observations. The train slots are wall-only
+    (batching stays invisible to deterministic snapshots); ``inline``
+    is the part of ``coalesced`` that ran without a kernel event.
+    """
+
+    __slots__ = (
+        "packets_out", "drops_loss", "drops_queue", "idle",
+        "trains", "coalesced", "inline", "occupancy",
+    )
+
+    def __init__(self, registry) -> None:
+        self.packets_out = self.drops_loss = self.drops_queue = self.idle = 0
+        self.trains = self.coalesced = self.inline = 0
+        registry.feed(
+            self,
+            packets_out=registry.counter("net.pipe.packets_out"),
+            drops_loss=registry.counter("net.pipe.drops_loss"),
+            drops_queue=registry.counter("net.pipe.drops_queue"),
+            trains=registry.counter("net.pipe.trains", wall=True),
+            coalesced=registry.counter("net.pipe.train_coalesced", wall=True),
+            inline=registry.counter("net.pipe.train_inline", wall=True),
+        )
+        self.occupancy = registry.feed_zeros(
+            registry.histogram("net.pipe.queue_occupancy_bytes", edges=BYTES_EDGES),
+            self, "idle",
+        )
+
+
 class DummynetPipe:
     """One emulated link: bandwidth + delay + loss + bounded queue."""
 
@@ -94,18 +128,13 @@ class DummynetPipe:
         "packets_dropped_queue",
         "bytes_in",
         "bytes_out",
-        "_m_out",
-        "_m_drop_loss",
-        "_m_drop_queue",
-        "_m_occupancy",
+        "_tally",
         "_batch",
         "_train",
         "_train_live",
         "_train_bytes",
         "_train_cap",
         "_train_last_t",
-        "_m_trains",
-        "_m_coalesced",
     )
 
     def __init__(
@@ -181,18 +210,10 @@ class DummynetPipe:
             if bandwidth is not None
             else 0.0
         )
-        # Platform-wide pipe instruments (shared registry on the sim).
+        # Platform-wide pipe counts go to the one tally of the sim's
+        # registry (see _PipeTally).
         registry = getattr(sim, "metrics", None) or NULL_REGISTRY
-        self._m_out = registry.counter("net.pipe.packets_out")
-        self._m_drop_loss = registry.counter("net.pipe.drops_loss")
-        self._m_drop_queue = registry.counter("net.pipe.drops_queue")
-        self._m_occupancy = registry.histogram(
-            "net.pipe.queue_occupancy_bytes", edges=BYTES_EDGES
-        )
-        # Train telemetry is wall-only: batching must stay invisible to
-        # deterministic snapshots (the reference path records zero).
-        self._m_trains = registry.counter("net.pipe.trains", wall=True)
-        self._m_coalesced = registry.counter("net.pipe.train_coalesced", wall=True)
+        self._tally = registry.shared(_PipeTally)
 
     # ------------------------------------------------------------------
     def transmit(self, packet: Packet, deliver: DeliverFn) -> bool:
@@ -202,13 +223,14 @@ class DummynetPipe:
         sim = self.sim
         now = sim.now
         flight = self._flight
+        tally = self._tally
         size = packet.size
         self.packets_in += 1
         self.bytes_in += size
 
         if self._rng is not None and self._rng.random() < self.plr:
             self.packets_dropped_loss += 1
-            self._m_drop_loss.inc()
+            tally.drops_loss += 1
             if flight.enabled:
                 flight.drop(packet, self.owner, now, f"loss:{self.name}")
             return False
@@ -218,13 +240,18 @@ class DummynetPipe:
             wait = txn = backlog_bytes = 0.0
             arrival_delay = self.delay
         else:
-            backlog_start = self._busy_until if self._busy_until > now else now
-            backlog_bytes = (backlog_start - now) * bandwidth
-            self._m_occupancy.observe(backlog_bytes)
+            backlog_start = self._busy_until
+            if backlog_start > now:
+                backlog_bytes = (backlog_start - now) * bandwidth
+                tally.occupancy.observe(backlog_bytes)
+            else:
+                backlog_start = now
+                backlog_bytes = 0.0
+                tally.idle += 1
             if self.queue_limit is not None:
                 if backlog_bytes + size > self.queue_limit:
                     self.packets_dropped_queue += 1
-                    self._m_drop_queue.inc()
+                    tally.drops_queue += 1
                     if flight.enabled:
                         flight.drop(packet, self.owner, now, f"queue:{self.name}")
                     return False
@@ -236,7 +263,7 @@ class DummynetPipe:
 
         self.packets_out += 1
         self.bytes_out += size
-        self._m_out.inc()
+        tally.packets_out += 1
         if flight.enabled:
             # t1 uses the scheduler's own arithmetic (now + delay), so
             # consecutive hop boundaries tile exactly.
@@ -263,7 +290,7 @@ class DummynetPipe:
                 self._train_last_t = t_a
                 self._train.append((t_a, -1, deliver, packet))
                 self._train_bytes += size
-                self._m_trains.inc()
+                tally.trains += 1
                 sim.schedule(arrival_delay, self._train_fire)
             elif (
                 t_a >= self._train_last_t  # reconfigure() can shrink the delay
@@ -274,7 +301,7 @@ class DummynetPipe:
                 self._train.append((t_a, sim.book(), deliver, packet))
                 self._train_bytes += size
                 self._train_last_t = t_a
-                self._m_coalesced.inc()
+                tally.coalesced += 1
             else:
                 # Train full (or a reconfigure made arrivals
                 # non-monotone): fall back to a plain event with exact
@@ -316,6 +343,7 @@ class DummynetPipe:
                 return  # the continuation keeps the train live
             dq.popleft()
             self._train_bytes -= p.size
+            self._tally.inline += 1  # rare: most followers are re-materialised
             d(p)
         self._train_live = False
 

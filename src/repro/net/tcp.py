@@ -87,6 +87,23 @@ class _Segment:
         self.last_pkt_id: Optional[int] = None
 
 
+class _TcpTally:
+    """Counts of every connection of one registry, in plain slots
+    (connections come and go; what they sent stays counted), plus the
+    RTT histogram they observe into."""
+
+    __slots__ = ("segments_sent", "retransmissions", "rtt")
+
+    def __init__(self, registry) -> None:
+        self.segments_sent = self.retransmissions = 0
+        registry.feed(
+            self,
+            segments_sent=registry.counter("net.tcp.segments_sent"),
+            retransmissions=registry.counter("net.tcp.retransmissions"),
+        )
+        self.rtt = registry.histogram("net.tcp.rtt_seconds")
+
+
 class Connection:
     """One established (or establishing) TCP connection endpoint."""
 
@@ -100,7 +117,7 @@ class Connection:
         "_next_seq", "_in_flight", "_send_queue", "local_closed", "_fin_acked",
         "_expected_seq", "_reorder", "recv_channel", "remote_closed",
         "bytes_sent", "bytes_received", "messages_sent", "messages_received",
-        "retransmissions", "_m_retx", "_m_segments", "_m_rtt", "_flight",
+        "retransmissions", "_tally", "_flight",
     )
 
     def __init__(
@@ -143,12 +160,10 @@ class Connection:
         self.messages_received = 0
         self.retransmissions = 0
 
-        # Shared observability instruments (aggregate over every
+        # Shared observability counts (aggregate over every
         # connection of the run; see repro.obs).
         registry = getattr(self.sim, "metrics", None) or NULL_REGISTRY
-        self._m_retx = registry.counter("net.tcp.retransmissions")
-        self._m_segments = registry.counter("net.tcp.segments_sent")
-        self._m_rtt = registry.histogram("net.tcp.rtt_seconds")
+        self._tally = registry.shared(_TcpTally)
         # Flight recorder, cached at construction (NULL when disabled).
         self._flight = getattr(self.sim, "flight", NULL_FLIGHT)
 
@@ -216,7 +231,7 @@ class Connection:
             fluid = getattr(self.sim, "fluid", None)
             if fluid is not None and fluid.admit(self, seg, kind):
                 seg.sent_at = self.sim.now
-                self._m_segments.inc()
+                self._tally.segments_sent += 1
                 self.bytes_sent += seg.size
                 self.messages_sent += 1
                 return
@@ -240,7 +255,7 @@ class Connection:
                 f"{self.remote[0]}:{self.remote[1]}"
             )
             seg.last_pkt_id = pkt.id
-        self._m_segments.inc()
+        self._tally.segments_sent += 1
         self.tcp.stack.send_packet(pkt)
         if kind == KIND_DATA:
             self.bytes_sent += seg.size
@@ -256,7 +271,7 @@ class Connection:
             return
         seg.attempts = attempt
         self.retransmissions += 1
-        self._m_retx.inc()
+        self._tally.retransmissions += 1
         rto = INITIAL_RTO * (2 ** (attempt - 1))
         self.sim.schedule(rto, self._retransmit, seg, kind)
 
@@ -275,7 +290,7 @@ class Connection:
             # true RTT; in the default window-credit shortcut it is the
             # one-way delivery time standing in for it.
             rtt = self.sim.now - seg.sent_at
-            self._m_rtt.observe(rtt)
+            self._tally.rtt.observe(rtt)
             if self._flight.enabled and seg.last_pkt_id is not None:
                 self._flight.ack(
                     seg.last_pkt_id, self.tcp.stack.name, self.sim.now, rtt

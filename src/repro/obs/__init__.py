@@ -3,7 +3,11 @@
 One deterministic measurement substrate for the whole platform:
 
 * :class:`MetricsRegistry` — named counters, gauges and fixed-bucket
-  histograms shared by every layer (``layer.component.metric``);
+  histograms shared by every layer (``layer.component.metric``).
+  Cold paths push (``inc``/``set``/``observe``); per-packet counts
+  stay in plain slots on their owners and are folded in, by
+  assignment, whenever the registry is read — so read through the
+  registry, not through an instrument held from earlier;
 * :class:`Tracer` / :class:`Span` — timeline spans keyed to sim-time;
 * :class:`RunManifest` — per-run provenance (seed, topology hash,
   versions, clocks, event counts);

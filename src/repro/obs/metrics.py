@@ -20,10 +20,15 @@ Design rules:
 * **Naming.** ``layer.component.metric`` with dots, e.g.
   ``sim.kernel.events_processed``, ``net.ipfw.rules_scanned_total``,
   ``bt.client.choke_rounds``.
+* **Read-time fold.** Per-packet sites call no instrument: they bump
+  a plain slot on the object that owns the number, declared once
+  through :meth:`MetricsRegistry.feed`, and every registry read first
+  *assigns* each fed instrument the sum of its owners' slots. A held
+  instrument that is fed this way is current only after such a read.
+  Cold paths keep the push API (``inc``/``set``/``observe``).
 * **Zero-overhead no-op.** :data:`NULL_REGISTRY` hands out shared
-  do-nothing instruments; components cache the instrument at
-  construction time, so a disabled run costs one attribute lookup and
-  an empty method call per event at most.
+  do-nothing instruments and ignores ``feed``: a disabled run keeps
+  the slot bumps and pays no call for them.
 """
 
 from __future__ import annotations
@@ -195,6 +200,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
+        #: fed instrument -> (its ``observe()`` side when a histogram,
+        #: the ``(owner, slot)`` pairs whose sum it is assigned).
+        self._feeds: Dict[object, Tuple[Optional[Histogram], List[Tuple[object, str]]]] = {}
+        self._shared: Dict[object, object] = {}
 
     # -- factories -----------------------------------------------------
     def _get_or_create(self, name: str, kind: str, factory) -> object:
@@ -225,8 +234,62 @@ class MetricsRegistry:
             )
         return hist  # type: ignore[return-value]
 
+    # -- read-time fold ------------------------------------------------
+    def shared(self, factory):
+        """This registry's one ``factory(self)`` object: the tally that
+        owners too many or too short-lived to feed one by one (pipes,
+        connections) bump together."""
+        tally = self._shared.get(factory)
+        if tally is None:
+            tally = self._shared[factory] = factory(self)
+        return tally
+
+    def feed(self, owner: object, **slots: object) -> None:
+        """Declare, once at construction, that these instruments' totals
+        live in ``owner``'s plain slots: ``slot=counter_or_gauge``.
+        Owners feeding one instrument are summed, and held for the
+        registry's lifetime, so what they counted stays counted."""
+        for slot, metric in slots.items():
+            self._feeds.setdefault(metric, (None, []))[1].append((owner, slot))
+
+    def feed_zeros(self, hist: Histogram, owner: object, slot: str) -> Histogram:
+        """``owner.slot`` counts the 0.0 observations of ``hist``;
+        returns the histogram to ``observe()`` the others on. Exact:
+        ``observe(0.0)`` lands in bucket 0 and leaves ``sum`` as is."""
+        pushed, sources = self._feeds.setdefault(
+            hist, (Histogram(hist.name, hist.edges, hist.wall), [])
+        )
+        sources.append((owner, slot))
+        return pushed  # type: ignore[return-value]
+
+    def fold(self) -> None:
+        """Bring every fed instrument up to date. Totals are assigned,
+        never added to: folding again, or from a second thread mid-run,
+        yields what folding once does."""
+        for metric, (pushed, sources) in list(self._feeds.items()):
+            total = 0
+            for owner, slot in sources:
+                total += getattr(owner, slot)
+            if pushed is None:
+                if metric.kind == "gauge":  # type: ignore[attr-defined]
+                    metric.set(total)  # type: ignore[attr-defined]
+                else:
+                    metric.value = total  # type: ignore[attr-defined]
+                continue
+            counts = list(pushed.counts)
+            counts[0] += total
+            metric.counts = counts  # type: ignore[attr-defined]
+            metric.count = pushed.count + total  # type: ignore[attr-defined]
+            metric.sum = pushed.sum  # type: ignore[attr-defined]
+            low, high = pushed.min, pushed.max
+            if total:
+                low = 0.0 if low is None or low > 0.0 else low
+                high = 0.0 if high is None or high < 0.0 else high
+            metric.min, metric.max = low, high  # type: ignore[attr-defined]
+
     # -- introspection -------------------------------------------------
     def get(self, name: str) -> Optional[object]:
+        self.fold()
         return self._metrics.get(name)
 
     def names(self) -> List[str]:
@@ -246,6 +309,7 @@ class MetricsRegistry:
         same-seed runs produce byte-identical snapshots (the
         reproducibility guard the paper's methodology needs).
         """
+        self.fold()
         out: Snapshot = {}
         for name in sorted(self._metrics):
             metric = self._metrics[name]
@@ -359,11 +423,24 @@ class NullMetricsRegistry:
 
     Components cache the instrument they obtain at construction time;
     with this registry every subsequent ``inc``/``observe`` is an empty
-    method on a ``__slots__ = ()`` singleton — the "disabled" mode of
+    method on a ``__slots__ = ()`` singleton, and slots declared
+    through :meth:`feed` are read by nobody — the "disabled" mode of
     the observability layer.
     """
 
     enabled = False
+    #: Tallies here are write-only sinks: bumped like live ones, never read.
+    _shared: Dict[object, object] = {}
+    shared = MetricsRegistry.shared
+
+    def feed(self, owner: object, **slots: object) -> None:
+        pass
+
+    def feed_zeros(self, hist, owner: object, slot: str) -> NullHistogram:
+        return _NULL_HISTOGRAM
+
+    def fold(self) -> None:
+        pass
 
     def counter(self, name: str, wall: bool = False) -> NullCounter:
         return _NULL_COUNTER

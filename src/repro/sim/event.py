@@ -88,13 +88,6 @@ MISS_HORIZON_SPANS = 4.0
 #: Upper bound on the Event free list (handles, not payloads).
 EVENT_POOL_CAP = 4096
 
-#: Window-advance hybrid threshold: a migrated window of at most this
-#: many entries is served directly as one sorted run (the slice is
-#: already in total order); above it entries are distributed into
-#: buckets so later same-window pushes stay O(1) appends instead of
-#: O(n) ordered inserts into a huge run.
-SPARSE_RUN_MAX = 512
-
 
 class Event:
     """A single scheduled callback.
@@ -375,11 +368,13 @@ class EventQueue:
 
         Migration is sort-based: the far tier is sorted in place (a
         sorted list is a valid heap; a no-op when monotone appends
-        kept it sorted) and the window sliced off its front. A
-        *sparse* window (at most :data:`SPARSE_RUN_MAX` entries) is
-        served directly as the opened sorted run; a *dense* window is
+        kept it sorted), the window sliced off its front and
         distributed into buckets — in ascending order, so each bucket
         is born sorted and its open-time ``sort()`` is a linear scan.
+        Only bucket 0 is opened: the opened run never spans more than
+        one bucket, so the ordered inserts of later same-window pushes
+        move a bucket's worth of live entries, not a window's, and the
+        run's consumed slots are dropped at the next bucket.
         """
         heap = self._heap
         if not self._heap_sorted:
@@ -410,18 +405,6 @@ class EventQueue:
         del heap[:k]
         self._occ.clear()
         self._near = k
-        if k <= SPARSE_RUN_MAX:
-            # Sparse window: serve the (already sorted) slice directly.
-            # The cursor rises to the run's last bucket so that later
-            # same-window pushes below it do an ordered insert into the
-            # run (order with buckets above the cursor stays correct:
-            # every run time < (cur+1) bucket boundary).
-            self._sorted = run
-            self._si = 0
-            idx = int((run[-1][0] - t0) * inv)
-            self._cur = NEAR_BUCKETS - 1 if idx >= NEAR_BUCKETS else idx
-            return
-        # Dense window: distribute into buckets, in ascending order.
         buckets = self._buckets
         occ = self._occ
         self._cur = 0

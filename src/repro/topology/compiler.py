@@ -60,26 +60,29 @@ class _PipeLedger:
 
     The registry twins are ``wall=True`` so deterministic metric
     snapshots never see them (how many pipes happen to have
-    materialised is a memory fact, not an emulation observable).
+    materialised is a memory fact, not an emulation observable) and
+    are fed from the two slots when the registry is read. ``pending``
+    only rises inside ``deploy()``, which ends with a fold so that the
+    gauge's peak is the true high-water mark.
     """
 
-    __slots__ = ("pending", "materialized", "_g_pending", "_c_materialized")
+    __slots__ = ("pending", "materialized")
 
     def __init__(self, registry) -> None:
         self.pending = 0
         self.materialized = 0
-        self._g_pending = registry.gauge("topo.lazy_pipes_pending", wall=True)
-        self._c_materialized = registry.counter("topo.pipes_materialized", wall=True)
+        registry.feed(
+            self,
+            pending=registry.gauge("topo.lazy_pipes_pending", wall=True),
+            materialized=registry.counter("topo.pipes_materialized", wall=True),
+        )
 
     def defer(self, n: int = 1) -> None:
         self.pending += n
-        self._g_pending.inc(n)
 
     def materialize(self) -> None:
         self.pending -= 1
         self.materialized += 1
-        self._g_pending.dec()
-        self._c_materialized.inc()
 
 
 class _AccessPipeFactory:
@@ -165,8 +168,8 @@ class TopologyCompiler:
         self.vnodes_by_group: Dict[str, List[VirtualNode]] = {}
         self.rules_installed = 0
         self.pipes_installed = 0
-        registry = getattr(testbed.sim, "metrics", None) or NULL_REGISTRY
-        self._ledger = _PipeLedger(registry)
+        self._metrics = getattr(testbed.sim, "metrics", None) or NULL_REGISTRY
+        self._ledger = _PipeLedger(self._metrics)
         #: One interned flyweight profile per group.
         self._profiles: Dict[str, ShapingProfile] = {
             name: ShapingProfile(g.down_bw, g.up_bw, g.latency, g.plr)
@@ -237,6 +240,7 @@ class TopologyCompiler:
             if self.lazy:
                 self._ledger.defer(2 * len(created))
             self._install_group_rules()
+            self._metrics.fold()
         finally:
             if pause_gc:
                 gc.enable()

@@ -21,7 +21,6 @@ from repro.sim.event import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
-    SPARSE_RUN_MAX,
     EventQueue,
 )
 from repro.sim.config import SimConfig
@@ -149,9 +148,9 @@ def test_interleaved_push_pop_identical(seed):
 
 
 def test_dense_window_beyond_sparse_run_max():
-    """> SPARSE_RUN_MAX events in one far window forces the dense
-    bucket-distribution migration path; order must still match."""
-    n = SPARSE_RUN_MAX * 3
+    """Many events in one far window, distributed over its buckets at
+    migration; order must still match."""
+    n = 1536
     base = 50 * WINDOW  # far from t=0: guarantees a migration
     heap_q = EventQueue(calendar=False)
     cal_q = EventQueue(calendar=True)
@@ -354,3 +353,26 @@ def test_simulator_fast_and_slow_execute_identically(seed):
     slow_result = build_and_run(False)
     assert fast_result == slow_result
     assert fast_result[1] > 300  # the workload actually rescheduled
+
+
+def test_opened_run_is_bounded_by_a_bucket_not_the_window():
+    """A few timers spread over a wide horizon make the window wide;
+    a ticker at millisecond scale then pushes into the *opened* run
+    for the whole window. The run must be restarted bucket by bucket
+    (consumed slots dropped) instead of growing with the window."""
+    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=True))
+    for i in range(100):
+        sim.schedule(10.0 * (i + 1), _noop)
+    longest = [0]
+    ticks = [0]
+
+    def tick() -> None:
+        ticks[0] += 1
+        longest[0] = max(longest[0], len(sim._queue._sorted))
+        if ticks[0] < 100_000:
+            sim.schedule(0.001, tick)
+
+    sim.schedule(0.0, tick)
+    sim.run()
+    assert ticks[0] == 100_000
+    assert longest[0] < 10_000, longest[0]

@@ -54,11 +54,11 @@ def _run_twins(scenario):
 
 
 def _trains(sim):
-    return sim.metrics.counter("net.pipe.trains", wall=True).value
+    return sim.metrics.get("net.pipe.trains").value
 
 
 def _coalesced(sim):
-    return sim.metrics.counter("net.pipe.train_coalesced", wall=True).value
+    return sim.metrics.get("net.pipe.train_coalesced").value
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,29 @@
 """Tests for the unified observability layer (repro.obs)."""
 
+import gc
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs import (
     BYTES_EDGES,
+    Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
     NULL_TRACER,
     NullTracer,
     RunManifest,
+    TimeSeriesSampler,
     Tracer,
     diff_snapshots,
     topology_fingerprint,
 )
 from repro.sim import Simulator
 from repro.topology.spec import TopologySpec
+from tests.test_fluid import _run_child
 
 
 # ----------------------------------------------------------------------
@@ -287,16 +293,21 @@ class TestKernelIntegration:
         assert full["sim.kernel.callback_seconds"]["count"] == 1
 
 
-def _run_swarm(seed):
+def _launched_swarm(seed=5, observe=True):
     from repro.bittorrent import Swarm, SwarmConfig
-    from repro.units import MB
 
     swarm = Swarm(
         SwarmConfig(
             leechers=3, seeders=1, file_size=512 * 1024,
-            stagger=1.0, num_pnodes=2, seed=seed,
+            stagger=1.0, num_pnodes=2, seed=seed, observe=observe,
         )
     )
+    swarm.launch()
+    return swarm
+
+
+def _run_swarm(seed):
+    swarm = _launched_swarm(seed)
     swarm.run(max_time=20000)
     return swarm
 
@@ -330,6 +341,231 @@ class TestEndToEndDeterminism:
         assert manifest.seed == 9
         assert manifest.events_processed == swarm.sim.events_processed
         assert manifest.topology_hash == topology_fingerprint(swarm.spec)
+
+
+# ----------------------------------------------------------------------
+# Read-time fold: per-packet counts live in plain slots on their owners
+# and reach the registry whenever it is read
+# ----------------------------------------------------------------------
+
+
+def _slot_totals(swarm):
+    """What the owners themselves say, bypassing the registry."""
+    firewalls = [p.stack.fw for p in swarm.testbed.pnodes]
+    pipes = [pipe for fw in firewalls for pipe in fw.pipes.values()]
+    for port in swarm.testbed.switch._ports.values():
+        pipes += [port.tx, port.rx]
+    return {
+        "net.ipfw.packets_evaluated": sum(fw.packets_evaluated for fw in firewalls),
+        "net.ipfw.rules_scanned_total": sum(fw.rules_scanned_total for fw in firewalls),
+        "net.pipe.packets_out": sum(pipe.packets_out for pipe in pipes),
+    }
+
+
+def _full(sim):
+    snap = sim.metrics.snapshot(include_wall=True)
+    del snap["sim.kernel.callback_seconds"]  # host wall clock
+    return snap
+
+
+class TestReadTimeFold:
+    def test_mid_run_reads_see_every_packet_so_far(self):
+        swarm = _launched_swarm()
+        sim = swarm.sim
+        sampler = TimeSeriesSampler(sim, period=1000.0)
+        sampler.sample_now()
+        sim.run(until=6.0)
+        truth = _slot_totals(swarm)
+        assert all(v > 0 for v in truth.values()), truth
+        snap = sim.metrics.snapshot()
+        sampler.sample_now()
+        for name, value in truth.items():
+            assert sim.metrics.get(name).value == value
+            assert snap[name]["value"] == value
+            assert sum(v for _t, v in sampler.get(name)) == value
+        occupancy = snap["net.pipe.queue_occupancy_bytes"]
+        assert occupancy["count"] == sum(occupancy["counts"]) > 0
+        assert occupancy["counts"][0] > 0 and occupancy["min"] == 0.0
+
+    def test_two_reads_in_a_row_are_equal(self):
+        swarm = _launched_swarm()
+        swarm.sim.run(until=6.0)
+        assert _full(swarm.sim) == _full(swarm.sim)
+        swarm.sim.metrics.fold()
+        held = swarm.sim.metrics.get("net.pipe.queue_occupancy_bytes")
+        before = held.as_dict()
+        swarm.sim.metrics.fold()
+        assert held.as_dict() == before
+
+    def test_reading_between_bursts_does_not_change_the_final_read(self):
+        docs = []
+        for read_midway in (True, False):
+            swarm = _launched_swarm()
+            sim = swarm.sim
+            for horizon in (3.0, 6.0):
+                sim.run(until=horizon)
+                if read_midway:
+                    sim.metrics.snapshot(include_wall=True)
+                    sim.metrics.get("net.tcp.segments_sent")
+            swarm.run(max_time=20000)
+            docs.append(json.dumps(_full(sim), sort_keys=True))
+        assert docs[0] == docs[1]
+
+    def test_closed_connections_and_dropped_pipes_stay_counted(self):
+        from repro.net.addr import ip
+        from repro.net.packet import Packet
+        from repro.net.pipe import DummynetPipe
+
+        sim = Simulator(seed=1)
+        sent = 0
+        for burst in (3, 2):
+            pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.01, name="tmp")
+            for _ in range(burst):
+                pipe.transmit(Packet(ip("10.0.0.1"), ip("10.0.0.2"), "udp", 500), lambda p: None)
+            sent += burst
+            sim.run()
+            del pipe
+            gc.collect()
+            assert sim.metrics.get("net.pipe.packets_out").value == sent
+        occupancy = sim.metrics.get("net.pipe.queue_occupancy_bytes")
+        assert occupancy.count == 5 and occupancy.counts[0] == 2
+
+        swarm = _launched_swarm()
+        swarm.run(max_time=20000)
+        segments = swarm.sim.metrics.get("net.tcp.segments_sent").value
+        for client in swarm.clients:
+            client.stop()
+        swarm.sim.run(until=swarm.sim.now + 60.0)
+        gc.collect()
+        assert not any(p.stack.tcp._conns for p in swarm.testbed.pnodes)
+        assert swarm.sim.metrics.get("net.tcp.segments_sent").value >= segments > 0
+
+    def test_observe_false_registers_nothing(self):
+        swarm = _launched_swarm(observe=False)
+        swarm.run(max_time=20000)
+        metrics = swarm.sim.metrics
+        assert metrics is NULL_REGISTRY
+        assert metrics.snapshot(include_wall=True) == {} and len(metrics) == 0
+        assert metrics.get("net.pipe.packets_out") is None
+        # The slots themselves still count (they are the owners' own).
+        assert _slot_totals(swarm)["net.pipe.packets_out"] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e8)),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_zero_fed_histogram_equals_plain_observe(self, backlogs):
+        class Owner:
+            idle = 0
+
+        plain = Histogram("h", BYTES_EDGES)
+        registry = MetricsRegistry()
+        owner = Owner()
+        fed = registry.histogram("h", edges=BYTES_EDGES)
+        pushed = registry.feed_zeros(fed, owner, "idle")
+        for value, read_now in backlogs:
+            plain.observe(value)
+            if value == 0.0:
+                owner.idle += 1
+            else:
+                pushed.observe(value)
+            if read_now:
+                assert registry.get("h").as_dict() == plain.as_dict()
+        assert registry.snapshot()["h"] == plain.as_dict()
+        assert fed.as_dict() == plain.as_dict()
+
+
+# ----------------------------------------------------------------------
+# Byte identity across the fold: digests computed at the commit before
+# per-packet instruments became slots, each over a run that is read
+# mid-way and sampled throughout
+# ----------------------------------------------------------------------
+GOLDEN_METRICS_DIGESTS = {
+    "swarm": "96a26fb4df4f2529c57c7e7b8795c2d7",
+    "ping": "f7adeb52d0ece6eb0067f2393d3072d0",
+}
+
+
+def _golden_swarm():
+    """Reduced fig8: staggered leechers, 16 KB blocks."""
+    from repro.bittorrent import Swarm, SwarmConfig
+
+    swarm = Swarm(
+        SwarmConfig(
+            leechers=6, seeders=1, file_size=768 * 1024,
+            stagger=5.0, num_pnodes=3, seed=8,
+        )
+    )
+    swarm.launch()
+    return swarm.sim, lambda: swarm.run(max_time=20000)
+
+
+def _golden_ping():
+    """Reduced ping mesh over the Figure-7 topology plus an idle group."""
+    import random
+
+    from repro.net.ping import ping_process
+    from repro.sim.process import Process
+    from repro.topology.compiler import compile_topology
+    from repro.topology.presets import figure7_topology
+    from repro.units import mbps, ms
+    from repro.virt.deployment import Testbed
+
+    testbed = Testbed(num_pnodes=4, seed=3)
+    spec = figure7_topology(scale=0.04)
+    active_groups = list(spec.groups)
+    spec.add_group(
+        "idle", "10.64.0.0/10", 500, down_bw=mbps(2), up_bw=mbps(1), latency=ms(30)
+    )
+    compiler = compile_topology(spec, testbed)
+    active = [v for group in active_groups for v in compiler.vnodes(group)]
+    rng = random.Random(3)
+
+    def prober(src, targets):
+        for dst in targets:
+            yield from ping_process(
+                src.pnode.stack, src.address, dst.address,
+                count=3, interval=0.5, size=64, timeout=10.0,
+            )
+
+    for i, src in enumerate(rng.sample(active, 40)):
+        Process(testbed.sim, prober(src, rng.sample(active, 4)), start_delay=0.01 * i)
+    return testbed.sim, testbed.sim.run
+
+
+def _golden_metrics_digest(kind):
+    sim, run = {"swarm": _golden_swarm, "ping": _golden_ping}[kind]()
+    sampler = TimeSeriesSampler(sim, period=2.0)
+    sampler.start()
+    midway = []
+    sim.schedule_at(4.0, lambda: midway.append(sim.metrics.snapshot()))
+    sim.schedule_at(60.0, sampler.stop)
+    run()
+    doc = {
+        "midway": midway,
+        "final": sim.metrics.snapshot(),
+        "series": sampler.as_dict(),
+    }
+    assert midway and midway[0]["net.pipe.packets_out"]["value"] > 0
+    blob = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_METRICS_DIGESTS))
+def test_metrics_document_golden_digest(kind):
+    code = f"import tests.test_obs as t; print(t._golden_metrics_digest({kind!r}))"
+    for env in (
+        {"PYTHONHASHSEED": "1"},
+        {"PYTHONHASHSEED": "31337"},
+        {"PYTHONHASHSEED": "1", "REPRO_SLOW_PATH": "1"},
+    ):
+        assert _run_child(code, **env).strip() == GOLDEN_METRICS_DIGESTS[kind], env
 
 
 # ----------------------------------------------------------------------
