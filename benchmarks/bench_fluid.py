@@ -17,7 +17,8 @@ Three gated metrics (``compare.py --gate``, asserted here at full scale):
   ``events_processed`` on the storm (>= 10x: the point of the model is
   to collapse the per-packet event stream);
 * ``speedup`` — packet wall over fluid wall, best of ``TIMING_ROUNDS``
-  runs each (>= 3x);
+  runs each (>= 2x; the packet path it is measured against costs a
+  quarter less since it stopped building packet trains and closures);
 * ``churn_epochs_per_s`` — rate epochs per wall second on the *churn*
   case. The storm keeps eight deep queues and sees a few hundred
   events; a swarm does the opposite — many fair flows with one block
@@ -64,7 +65,7 @@ BLOCK = 16384
 #: Gates (full scale): the fluid path must collapse the event stream
 #: and convert that into wall-clock.
 MIN_EVENTS_RATIO = 10.0
-MIN_SPEEDUP = 3.0
+MIN_SPEEDUP = 2.0
 
 #: Churn case: fair flows with one block in flight each (the fig10-shape
 #: swarm keeps ~180 heads live), and blocks per flow.

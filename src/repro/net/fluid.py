@@ -58,9 +58,9 @@ earliest pending delivery — whenever it holds any pending segment, so
 ``Simulator.next_event_time()`` stays a safe lower bound (the
 partition driver's lookahead argument is untouched: all fluid activity
 is cell-local and never posts cross-cell messages). Every agenda entry
-is a kernel *booked delivery* (DESIGN.md, "Booked deliveries"), the
-primitive packet trains use too: the kernel owns the ledger and the
-may-dispatch-inline predicate, this module owns the agenda heap.
+is a kernel *booked delivery* (DESIGN.md, "Booked deliveries"): the
+kernel owns the ledger and the may-dispatch-inline predicate, this
+module — the primitive's only consumer — owns the agenda heap.
 ``REPRO_SLOW_PATH=1`` or ``SimConfig(fluid=False)`` disables the engine
 entirely; the tree then behaves byte-identically to the packet-only
 build.
@@ -899,7 +899,7 @@ class FlowScheduler:
             while heap:
                 t, seq, flow, fseg = heap[0]
                 advances = t > sim.now
-                if not sim.dispatch_booked(t, seq, False):
+                if not sim.dispatch_booked(t, seq):
                     self._arm(t, seq)
                     break
                 heappop(heap)

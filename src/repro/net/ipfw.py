@@ -188,9 +188,17 @@ class Verdict:
     ``matched`` carries the numbers of the rules that matched, in
     evaluation order — what ``ipfw show`` hit counters would attribute
     this packet to, and what the flight recorder reports per hop.
+
+    ``to_switch`` / ``to_host`` / ``to_local`` belong to the owning
+    :class:`~repro.net.stack.NetworkStack`: the entry point of the hop
+    chain it compiled over ``pipes`` for each of its three
+    continuations, ``None`` until a packet first needs it. They live on
+    the verdict so that whatever drops a verdict drops its chains.
     """
 
-    __slots__ = ("allowed", "pipes", "scanned", "matched")
+    __slots__ = (
+        "allowed", "pipes", "scanned", "matched", "to_switch", "to_host", "to_local",
+    )
 
     def __init__(
         self,
@@ -203,6 +211,7 @@ class Verdict:
         self.pipes = pipes
         self.scanned = scanned
         self.matched = matched
+        self.to_switch = self.to_host = self.to_local = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -317,7 +326,8 @@ class Firewall:
             self._invalidate()
 
     def _invalidate(self) -> None:
-        """Every cached verdict may be stale: drop them all."""
+        """Every cached verdict may be stale: drop them all (and with
+        them the hop chains the stack compiled over their pipes)."""
         if self._flow_cache:
             self._flow_cache.clear()
             self._verdicts.clear()
@@ -411,7 +421,7 @@ class Firewall:
         compiler's hot loop: at a million vnodes the Python-level call
         overhead of rule installation is the build time, so the two
         rules are built with direct slot stores instead of the
-        validating constructor (this method's signature constrains the
+        validating constructor (this method's signature already fixes the
         shapes :class:`Rule` would validate).
         """
         if (up_pipe is None and up_factory is None) or (

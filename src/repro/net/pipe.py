@@ -17,11 +17,15 @@ Semantics per packet of size ``S`` arriving at time ``t``:
 ``bandwidth=None`` means an unshaped pipe (pure delay), which is how
 the inter-group latency rules of the paper's topology model are
 configured.
+
+Every delivery is one kernel event, scheduled by :meth:`transmit` the
+moment the packet is accepted: a pipe holds no packets of its own, only
+the serializer's ``_busy_until`` and its counters, so what is "in the
+pipe" is what the kernel has pending for it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -31,15 +35,6 @@ from repro.obs.flight import NULL_FLIGHT
 from repro.obs.metrics import BYTES_EDGES, NULL_REGISTRY
 
 DeliverFn = Callable[[Packet], Any]
-
-#: Packet-train bounds. A train coalesces back-to-back serialization
-#: events on one shaped pipe into a single kernel event; its size is
-#: bounded by the pipe's bandwidth-delay product (packets within one
-#: BDP are in flight together anyway), floored at ``TRAIN_FLOOR_BYTES``
-#: so short/zero-delay access pipes still coalesce bursts, and capped
-#: at ``TRAIN_MAX_PACKETS`` entries.
-TRAIN_FLOOR_BYTES = 64 * 1024
-TRAIN_MAX_PACKETS = 256
 
 
 @dataclass(frozen=True)
@@ -80,27 +75,18 @@ class _PipeTally:
     Pipes are too many (a pair per vnode) and too short-lived (lazily
     built, deleted, stand-alone) to be fed to the registry one by one.
     ``idle`` counts arrivals at an empty shaped pipe: the occupancy
-    histogram's 0.0 observations. The train slots are wall-only
-    (batching stays invisible to deterministic snapshots); ``inline``
-    is the part of ``coalesced`` that ran without a kernel event.
+    histogram's 0.0 observations.
     """
 
-    __slots__ = (
-        "packets_out", "drops_loss", "drops_queue", "idle",
-        "trains", "coalesced", "inline", "occupancy",
-    )
+    __slots__ = ("packets_out", "drops_loss", "drops_queue", "idle", "occupancy")
 
     def __init__(self, registry) -> None:
         self.packets_out = self.drops_loss = self.drops_queue = self.idle = 0
-        self.trains = self.coalesced = self.inline = 0
         registry.feed(
             self,
             packets_out=registry.counter("net.pipe.packets_out"),
             drops_loss=registry.counter("net.pipe.drops_loss"),
             drops_queue=registry.counter("net.pipe.drops_queue"),
-            trains=registry.counter("net.pipe.trains", wall=True),
-            coalesced=registry.counter("net.pipe.train_coalesced", wall=True),
-            inline=registry.counter("net.pipe.train_inline", wall=True),
         )
         self.occupancy = registry.feed_zeros(
             registry.histogram("net.pipe.queue_occupancy_bytes", edges=BYTES_EDGES),
@@ -129,12 +115,6 @@ class DummynetPipe:
         "bytes_in",
         "bytes_out",
         "_tally",
-        "_batch",
-        "_train",
-        "_train_live",
-        "_train_bytes",
-        "_train_cap",
-        "_train_last_t",
     )
 
     def __init__(
@@ -146,7 +126,6 @@ class DummynetPipe:
         queue_limit: Optional[int] = None,
         name: str = "pipe",
         owner: Optional[str] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         """
         Parameters
@@ -165,13 +144,6 @@ class DummynetPipe:
             or ``"switch"`` for fabric port pipes). Used by the flight
             recorder / Perfetto export for row attribution; defaults to
             the pipe name.
-        batch:
-            ``True`` coalesces back-to-back serialization events into
-            packet-train events (shaped pipes only); ``False`` keeps
-            the per-packet reference path. ``None`` (default) follows
-            ``sim.fast``. Batching is observationally invisible: every
-            delivery keeps the exact ``(time, priority, seq)`` identity
-            the per-packet path would have given it.
         """
         if bandwidth is not None and bandwidth <= 0:
             raise FirewallError(f"pipe bandwidth must be positive, got {bandwidth}")
@@ -196,20 +168,6 @@ class DummynetPipe:
         self.packets_dropped_queue = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        # Packet-train batching (fast path; see DESIGN.md "Hot-path
-        # architecture"). The deque holds coalesced deliveries as
-        # ``(arrival_time, seq, deliver, packet)`` — each follower
-        # carrying the sequence number ``sim.book()`` drew for it.
-        self._batch = bool(getattr(sim, "fast", False)) if batch is None else batch
-        self._train: deque = deque()
-        self._train_live = False  # a head/continuation event will drain the deque
-        self._train_bytes = 0
-        self._train_last_t = 0.0  # newest arrival handed to the live train
-        self._train_cap = (
-            max(bandwidth * delay, float(TRAIN_FLOOR_BYTES))
-            if bandwidth is not None
-            else 0.0
-        )
         # Platform-wide pipe counts go to the one tally of the sim's
         # registry (see _PipeTally).
         registry = getattr(sim, "metrics", None) or NULL_REGISTRY
@@ -278,102 +236,8 @@ class DummynetPipe:
                 self.delay,
                 backlog_bytes,
             )
-        if self._batch and bandwidth is not None:
-            t_a = now + arrival_delay
-            if not self._train_live:
-                # Head of a new train: a real kernel event, exactly the
-                # per-packet path's push. The delivery itself rides in
-                # the deque so the drain can hand the packet over with
-                # the reference path's reference count; ``-1`` marks
-                # event-backed entries (they hold no booking).
-                self._train_live = True
-                self._train_last_t = t_a
-                self._train.append((t_a, -1, deliver, packet))
-                self._train_bytes += size
-                tally.trains += 1
-                sim.schedule(arrival_delay, self._train_fire)
-            elif (
-                t_a >= self._train_last_t  # reconfigure() can shrink the delay
-                and self._train_bytes + size <= self._train_cap
-                and len(self._train) < TRAIN_MAX_PACKETS
-            ):
-                # Coalesce: a booked delivery instead of a kernel event.
-                self._train.append((t_a, sim.book(), deliver, packet))
-                self._train_bytes += size
-                self._train_last_t = t_a
-                tally.coalesced += 1
-            else:
-                # Train full (or a reconfigure made arrivals
-                # non-monotone): fall back to a plain event with exact
-                # reference identity. Only one chain per pipe may be
-                # live at a time — the drain relies on the deque front
-                # being its own event-backed entry.
-                sim.schedule(arrival_delay, deliver, packet)
-        else:
-            sim.schedule(arrival_delay, deliver, packet)
+        sim.schedule(arrival_delay, deliver, packet)
         return True
-
-    def _train_fire(self) -> None:
-        """Deliver the train's event-backed front entry, then drain.
-
-        The front of the deque is always the entry this event stands
-        for (the train head, or a follower materialised by a prior
-        drain). Each follower behind it is a booked delivery
-        (DESIGN.md, "Booked deliveries"): dispatched inline when the
-        kernel allows it, materialised with its booked identity — and
-        the drain suspended behind it — otherwise, so the served total
-        order is identical either way.
-
-        Each entry tuple is dropped before its callback runs, so the
-        packet reaches ``deliver`` with exactly the reference path's
-        reference count (``_deliver_local`` proves pool reuse by it).
-        """
-        dq = self._train
-        _, _, d, p = dq.popleft()
-        self._train_bytes -= p.size
-        d(p)
-        sim = self.sim
-        while dq:
-            t, seq, d, p = dq[0]
-            if not sim.dispatch_booked(t, seq, True):
-                # The entry stays in the deque (marked ``-1``) so the
-                # continuation finds its own front entry there.
-                dq[0] = (t, -1, d, p)
-                sim.materialise(t, seq, self._train_fire)
-                return  # the continuation keeps the train live
-            dq.popleft()
-            self._train_bytes -= p.size
-            self._tally.inline += 1  # rare: most followers are re-materialised
-            d(p)
-        self._train_live = False
-
-    def _train_flush(self) -> None:
-        """Materialise every coalesced follower as a plain delivery
-        event.
-
-        Called by :meth:`reconfigure`: a live train's coalescing
-        envelope (``_train_cap``, the monotone-arrival watermark) was
-        computed under the *old* bandwidth/delay, so carrying it across
-        a parameter change leaves ``_train_bytes`` inconsistent with
-        the new configuration — and the non-monotone-arrival fallback
-        then pins every subsequent packet on the unbatched path until
-        the stale train drains. Flushing is observationally invisible
-        (each follower keeps its booked identity), and the event-backed
-        front entry stays so the already-scheduled head event finds the
-        deque it expects. After the flush a fresh train can form under
-        the new parameters as soon as the head fires.
-        """
-        dq = self._train
-        if len(dq) <= 1:
-            return
-        sim = self.sim
-        head = dq.popleft()
-        while dq:
-            t, seq, d, p = dq.popleft()
-            self._train_bytes -= p.size
-            sim.materialise(t, seq, d, p)
-        dq.append(head)
-        self._train_last_t = head[0]
 
     # ------------------------------------------------------------------
     @property
@@ -410,20 +274,12 @@ class DummynetPipe:
             if delay < 0:
                 raise FirewallError(f"pipe delay must be >= 0, got {delay}")
             self.delay = delay
-        if self.bandwidth is not None:
-            self._train_cap = max(
-                self.bandwidth * self.delay, float(TRAIN_FLOOR_BYTES)
-            )
         if plr is not None:
             if not 0.0 <= plr < 1.0:
                 raise FirewallError(f"pipe plr must be in [0,1), got {plr}")
             self.plr = plr
             if self._rng is None and plr > 0:
                 self._rng = self.sim.rng.stream(f"pipe.loss/{self.name}")
-        # A live train was coalesced under the old parameters: flush its
-        # followers back to real events (observationally invisible) so
-        # train state and batching restart cleanly under the new ones.
-        self._train_flush()
         # Fluid flows traversing this pipe need a rate epoch (or, if the
         # pipe just became lossy, the packet path).
         fluid = getattr(self.sim, "fluid", None)

@@ -57,6 +57,39 @@ DEFAULT_RULE_EVAL_COST = 50e-9
 DEFAULT_LOOPBACK_DELAY = 4.255e-6
 
 
+class _Hop:
+    """One pipe of a compiled chain and where its packets go next."""
+
+    __slots__ = ("pipe", "deliver")
+
+    def __init__(self, pipe: DummynetPipe, deliver: Callable[[Packet], None]) -> None:
+        self.pipe = pipe
+        self.deliver = deliver
+
+    def send(self, pkt: Packet) -> None:
+        if not self.pipe.transmit(pkt, self.deliver) and pkt.on_drop is not None:
+            pkt.on_drop(pkt)
+
+
+def _compile_chain(
+    pipes: Tuple[DummynetPipe, ...], final: Callable[[Packet], None]
+) -> Callable[[Packet], None]:
+    """Entry point of the walk through ``pipes`` that ends in ``final``.
+
+    Built back to front, each hop holding the next hop's bound ``send``
+    (the last one ``final``), so a packet's walk allocates nothing:
+    every pipe delivery is one kernel event whose callback already
+    exists. The stack keeps the result on the verdict it was built for
+    (``Verdict.to_switch`` / ``to_host`` / ``to_local``) — a chain is
+    compiled once per (verdict, continuation) and dies with the verdict
+    in ``Firewall._invalidate()``. With the flow cache off every
+    evaluation returns a fresh verdict and so compiles a fresh chain.
+    """
+    for pipe in reversed(pipes):
+        final = _Hop(pipe, final).send
+    return final
+
+
 class NetworkStack:
     """The network personality of one physical node."""
 
@@ -226,54 +259,31 @@ class NetworkStack:
             # is what keeps folded experiments faithful (Figure 9). The
             # loopback kernel cost also bounds callback recursion depth.
             if flight.enabled:
-                # Boundaries use the same arithmetic _run_chain's
-                # schedule uses, so hops tile exactly.
+                # Boundaries use the same arithmetic the schedule below
+                # uses, so hops tile exactly.
                 flight.loopback(
                     pkt,
                     self.name,
                     sim.now + extra,
                     sim.now + (extra + self.loopback_delay),
                 )
-            self._run_chain(
-                pkt, verdict.pipes, 0, self.receive_from_wire, extra + self.loopback_delay
-            )
-            return
-        self._run_chain(pkt, verdict.pipes, 0, self._to_switch, extra)
-
-    def _run_chain(
-        self,
-        pkt: Packet,
-        pipes: Tuple[DummynetPipe, ...],
-        index: int,
-        final: Callable[[Packet], None],
-        extra_delay: float,
-    ) -> None:
-        """Walk the packet through ``pipes[index:]`` then call ``final``.
-
-        ``extra_delay`` (firewall rule-scan latency) is folded into the
-        first hop to avoid a separate kernel event.
-        """
-        if index >= len(pipes):
-            if extra_delay > 0.0:
-                self.sim.schedule(extra_delay, final, pkt)
-            else:
-                final(pkt)
-            return
-        pipe = pipes[index]
-        if index + 1 >= len(pipes):
-            next_cb = final
+            entry = verdict.to_host
+            if entry is None:
+                entry = verdict.to_host = _compile_chain(
+                    verdict.pipes, self.receive_from_wire
+                )
+            extra += self.loopback_delay
         else:
-            def next_cb(p: Packet, _i: int = index + 1) -> None:
-                self._run_chain(p, pipes, _i, final, 0.0)
-        if extra_delay > 0.0:
-            self.sim.schedule(extra_delay, self._pipe_hop, pipe, pkt, next_cb)
+            entry = verdict.to_switch
+            if entry is None:
+                entry = verdict.to_switch = _compile_chain(
+                    verdict.pipes, self._to_switch
+                )
+        # The rule-scan latency is one event in front of the first hop.
+        if extra > 0.0:
+            sim.schedule(extra, entry, pkt)
         else:
-            self._pipe_hop(pipe, pkt, next_cb)
-
-    @staticmethod
-    def _pipe_hop(pipe: DummynetPipe, pkt: Packet, next_cb: Callable[[Packet], None]) -> None:
-        if not pipe.transmit(pkt, next_cb) and pkt.on_drop is not None:
-            pkt.on_drop(pkt)
+            entry(pkt)
 
     def _to_switch(self, pkt: Packet) -> None:
         if self.switch is None:
@@ -310,7 +320,13 @@ class NetworkStack:
                 pkt, self.name, DIR_IN, sim.now, sim.now + extra,
                 verdict.scanned, verdict.matched, self.fw.indexed,
             )
-        self._run_chain(pkt, verdict.pipes, 0, self._deliver_local, extra)
+        entry = verdict.to_local
+        if entry is None:
+            entry = verdict.to_local = _compile_chain(verdict.pipes, self._deliver_local)
+        if extra > 0.0:
+            sim.schedule(extra, entry, pkt)
+        else:
+            entry(pkt)
 
     def _deliver_local(self, pkt: Packet) -> None:
         # Hoisted attribute lookups: this is the per-packet sink for

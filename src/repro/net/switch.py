@@ -14,7 +14,7 @@ aggregate traffic on fewer 1 Gbps ports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import RoutingError
 from repro.net.addr import IPv4Address
@@ -29,12 +29,22 @@ if TYPE_CHECKING:  # pragma: no cover
 class Port:
     """One full-duplex switch port."""
 
-    __slots__ = ("stack", "tx", "rx")
+    __slots__ = ("stack", "tx", "rx", "deliver", "into_rx")
 
     def __init__(self, stack: "NetworkStack", tx: DummynetPipe, rx: DummynetPipe) -> None:
         self.stack = stack
         self.tx = tx  # node -> switch
         self.rx = rx  # switch -> node
+        # The two continuations a forwarded packet is handed, bound
+        # once per port rather than once per packet.
+        self.deliver = stack.receive_from_wire
+        self.into_rx = self._into_rx
+
+    def _into_rx(self, pkt: Packet) -> None:
+        """Second half of a forward: out of the sender's tx pipe, into
+        this (the receiver's) rx pipe."""
+        if not self.rx.transmit(pkt, self.deliver) and pkt.on_drop is not None:
+            pkt.on_drop(pkt)
 
 
 class Switch:
@@ -177,16 +187,11 @@ class Switch:
                 return False
         self.packets_forwarded += 1
 
-        deliver: Callable[[Packet], None] = dst_port.stack.receive_from_wire
         if dst_port is src_port:
             # Same physical node: hairpin through the tx pipe only, so
             # co-hosted virtual nodes still contend for the port once.
-            return src_port.tx.transmit(packet, deliver)
-
-        def into_rx(pkt: Packet) -> None:
-            dst_port.rx.transmit(pkt, deliver)
-
-        return src_port.tx.transmit(packet, into_rx)
+            return src_port.tx.transmit(packet, dst_port.deliver)
+        return src_port.tx.transmit(packet, dst_port.into_rx)
 
     # ------------------------------------------------------------------
     def port_stats(self) -> Dict[str, Dict[str, float]]:

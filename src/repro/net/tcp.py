@@ -245,7 +245,7 @@ class Connection:
             payload=seg,
             kind=kind,
         )
-        pkt.on_drop = lambda _pkt, seg=seg, kind=kind: self._on_segment_dropped(seg, kind)
+        pkt.on_drop = self._on_packet_dropped
         seg.sent_at = self.sim.now
         if self._flight.enabled:
             # Stamp the connection-level flow label so every segment
@@ -261,10 +261,12 @@ class Connection:
             self.bytes_sent += seg.size
             self.messages_sent += 1
 
-    def _on_segment_dropped(self, seg: _Segment, kind: str) -> None:
-        """A pipe dropped the segment: retransmit with backoff."""
+    def _on_packet_dropped(self, pkt: Packet) -> None:
+        """A pipe dropped the segment ``pkt`` carried: retransmit with
+        backoff."""
         if self.state is Connection.CLOSED:
             return
+        seg, kind = pkt.payload, pkt.kind
         attempt = seg.attempts + 1
         if attempt > MAX_RETRIES:
             self._fail_reset("too many retransmissions")
@@ -356,12 +358,13 @@ class Connection:
             payload=seg,
             kind=KIND_ACK,
         )
-        # A dropped ACK is re-sent after a short delay so the sender's
-        # window cannot leak shut.
-        pkt.on_drop = lambda _p, seg=seg: self.sim.schedule(
-            INITIAL_RTO, self._send_ack, seg
-        )
+        pkt.on_drop = self._on_ack_dropped
         self.tcp.stack.send_packet(pkt)
+
+    def _on_ack_dropped(self, pkt: Packet) -> None:
+        """A dropped ACK is re-sent after a short delay so the sender's
+        window cannot leak shut."""
+        self.sim.schedule(INITIAL_RTO, self._send_ack, pkt.payload)
 
     # -- teardown --------------------------------------------------------
     def close(self) -> None:

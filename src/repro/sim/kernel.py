@@ -73,9 +73,8 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed: int = 0
-        # Booked deliveries (see the section below): state of the one
-        # ledger and the one inline-dispatch predicate that pipe packet
-        # trains and the fluid flow engine share.
+        # Booked deliveries (see the section below): the ledger and the
+        # inline-dispatch predicate behind the fluid flow engine's agenda.
         #: Active ``run(until=...)`` horizon (None outside ``run``).
         self._horizon: Optional[float] = None
         #: True while booked deliveries may be dispatched inline (set
@@ -83,9 +82,6 @@ class Simulator:
         #: profiling, and outside ``run`` entirely, where every booking
         #: is materialised as a real queue event instead).
         self._inline = False
-        #: Counted inline dispatches this run; folded into
-        #: ``events_processed`` so the count matches the reference path.
-        self._inline_events = 0
         #: Bookings their consumers hold outside the queue (pending
         #: work, but not queue entries).
         self._booked = 0
@@ -191,26 +187,22 @@ class Simulator:
         self._booked += 1
         return self._queue.burn_seq()
 
-    def dispatch_booked(self, t: float, seq: int, counted: bool) -> bool:
+    def dispatch_booked(self, t: float, seq: int) -> bool:
         """May the booking ``(t, seq)`` run right now, ahead of the
         queue? On ``True`` the clock stands at ``t``, the booking is
         consumed and the caller runs it; on ``False`` nothing changed
         and the caller materialises it.
 
-        The one predicate: inside a permissive ``run()`` (no
-        ``max_events`` budget and no profiler — both are enforced at
-        the loop head, which inline dispatch bypasses), not stopped,
-        ``t`` within the horizon, and the key strictly before the
-        queue head.
-
-        ``counted`` is the one difference between the two consumers. A
-        train follower stands for one event of the per-packet path, so
-        it is tallied into ``events_processed``. A fluid agenda entry
-        has no single reference event; it is tallied nowhere, and one
-        due at the current instant is just more work inside the running
-        event, so for it only the order test applies.
+        A booking due at the current instant is just more work inside
+        the running event, so only the order test applies: its key must
+        be strictly before the queue head. One that advances the clock
+        must also be inside a permissive ``run()`` (no ``max_events``
+        budget and no profiler — both are enforced at the loop head,
+        which inline dispatch bypasses), not stopped, and within the
+        horizon. A booking has no single reference event, so it is
+        tallied nowhere in ``events_processed``.
         """
-        if counted or t > self.now:
+        if t > self.now:
             if not self._inline or self._stopped:
                 return False
             horizon = self._horizon
@@ -224,8 +216,6 @@ class Simulator:
         self._booked -= 1
         if t > self.now:
             self.now = t
-        if counted:
-            self._inline_events += 1
         return True
 
     def materialise(
@@ -379,8 +369,6 @@ class Simulator:
                     if until is not None and until > self.now:
                         self.now = until
         finally:
-            processed += self._inline_events
-            self._inline_events = 0
             self._horizon = None
             self._inline = False
             self.events_processed += processed
@@ -411,13 +399,12 @@ class Simulator:
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` when idle.
 
-        A safe lower bound on when this simulator can next act: pipe
-        packet trains always keep their head delivery materialised in
-        the queue, and the fluid flow engine keeps one event at (or
-        before) its earliest pending delivery, so deferred deliveries
-        never hide behind it. The
-        partition driver (:mod:`repro.sim.partition`) uses this between
-        barrier windows to compute the global conservative horizon.
+        A safe lower bound on when this simulator can next act: the
+        fluid flow engine keeps one event at (or before) its earliest
+        booked delivery, so deferred deliveries never hide behind it.
+        The partition driver (:mod:`repro.sim.partition`) uses this
+        between barrier windows to compute the global conservative
+        horizon.
         """
         return self._queue.peek_time()
 
@@ -435,8 +422,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live scheduled events, booked deliveries included
-        (pipe packet trains and the fluid flow engine hold theirs
-        outside the queue)."""
+        (the fluid flow engine holds its own outside the queue)."""
         return len(self._queue) + self._booked
 
     @property

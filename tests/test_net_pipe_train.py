@@ -1,20 +1,19 @@
-"""Packet-train batching: observational invisibility and bounds.
+"""Packet trains through a pipe under every kernel interaction.
 
-``DummynetPipe`` on the fast path coalesces back-to-back serialization
-events into packet-train events (``net/pipe.py``). These tests pin the
-contract down in-process: every delivery keeps the exact
-``(time, priority, seq)`` identity the per-packet reference path would
-have given it, so delivery timelines, ``events_processed``,
-``pending`` and the clock agree with ``SimConfig(fast=False)`` under
-every kernel interaction — horizons, ``stop()``, ``step()``,
+A *train* here is what the word means on a wire: a back-to-back burst
+of packets queued on one shaped pipe. ``DummynetPipe`` schedules one
+kernel event per delivery, so a burst is the case where many of its
+events are in flight at once. These tests pin what that has to look
+like from outside, on the fast (calendar queue) and the reference
+(heap) kernel alike: delivery timelines, ``events_processed``,
+``pending`` and the clock agree under horizons, ``stop()``, ``step()``,
 ``max_events`` budgets and mid-run ``reconfigure()``. The subprocess
 A/B byte-identity proof (metrics + flight + trace under two hash
 seeds) lives in ``tests/test_hotpath.py``.
 
-Trains are one of two consumers of the kernel's booked-delivery
-primitive (DESIGN.md, "Booked deliveries"); the last section drives
-the same kernel interactions through both — a train and an exact-class
-fluid flow — as one contract.
+The last section drives the same kernel interactions through the one
+consumer of the kernel's booked-delivery primitive (DESIGN.md, "Booked
+deliveries"), an exact-class fluid flow, against its per-packet twin.
 """
 
 import pytest
@@ -22,7 +21,7 @@ import pytest
 from repro.net import packet as packet_mod
 from repro.net.addr import ip
 from repro.net.packet import Packet
-from repro.net.pipe import TRAIN_MAX_PACKETS, DummynetPipe
+from repro.net.pipe import DummynetPipe
 from repro.sim import SimConfig
 from repro.sim.kernel import Simulator
 from tests.test_fluid import _build_pair
@@ -53,91 +52,12 @@ def _run_twins(scenario):
     return results
 
 
-def _trains(sim):
-    return sim.metrics.get("net.pipe.trains").value
-
-
-def _coalesced(sim):
-    return sim.metrics.get("net.pipe.train_coalesced").value
-
-
-# ----------------------------------------------------------------------
-# Formation and bounds
-# ----------------------------------------------------------------------
-def test_back_to_back_burst_forms_one_train():
-    sim = Simulator(seed=1, config=SimConfig(fast=True))
-    pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p")
-    got = []
-    _burst(pipe, 40, deliver=lambda p: got.append((sim.now, p.payload)))
-    sim.run()
-    assert [tag for _, tag in got] == list(range(40))
-    assert _trains(sim) == 1
-    assert _coalesced(sim) == 39
-    assert sim.pending == 0 and sim.booked == 0
-
-
-def test_train_bounded_by_bandwidth_delay_product():
-    """Train bytes never exceed max(BDP, floor); overflow packets fall
-    back to plain per-packet events (exact reference identity)."""
-    sim = Simulator(seed=1, config=SimConfig(fast=True))
-    # BDP = 1e6 * 0.001 = 1 KB < 64 KiB floor -> cap is the floor.
-    pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.001, name="p")
-    assert pipe._train_cap == 64 * 1024
-    got = []
-    # 16 KiB packets: head + 3 followers fill the 64 KiB cap.
-    _burst(pipe, 10, size=16 * 1024, deliver=lambda p: got.append(p.payload))
-    sim.run()
-    assert got == list(range(10))
-    assert _trains(sim) == 1
-    assert _coalesced(sim) == 3  # 4 * 16 KiB == cap; the 5th overflows
-
-
-def test_train_bounded_by_max_packets():
-    sim = Simulator(seed=1, config=SimConfig(fast=True))
-    pipe = DummynetPipe(sim, bandwidth=1e9, delay=0.0, name="p")
-    n = TRAIN_MAX_PACKETS + 50
-    got = []
-    _burst(pipe, n, size=64, deliver=lambda p: got.append(p.payload))
-    sim.run()
-    assert got == list(range(n))
-    assert _coalesced(sim) == TRAIN_MAX_PACKETS - 1  # head + 255 coalesced
-
-
-def test_unshaped_pipe_never_batches():
-    sim = Simulator(seed=1, config=SimConfig(fast=True))
-    pipe = DummynetPipe(sim, bandwidth=None, delay=0.01, name="p")
-    got = []
-    _burst(pipe, 20, deliver=lambda p: got.append(p.payload))
-    sim.run()
-    assert got == list(range(20))
-    assert _trains(sim) == 0 and _coalesced(sim) == 0
-
-
-def test_batch_false_opts_out_on_fast_sim():
-    sim = Simulator(seed=1, config=SimConfig(fast=True))
-    pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p", batch=False)
-    got = []
-    _burst(pipe, 20, deliver=lambda p: got.append(p.payload))
-    sim.run()
-    assert got == list(range(20))
-    assert _trains(sim) == 0 and _coalesced(sim) == 0
-
-
-def test_slow_sim_never_batches_by_default():
-    sim = Simulator(seed=1, config=SimConfig(fast=False))
-    pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p")
-    _burst(pipe, 20, deliver=lambda p: None)
-    sim.run()
-    assert _trains(sim) == 0 and _coalesced(sim) == 0
-
-
 # ----------------------------------------------------------------------
 # Fast/slow twin equivalence under kernel interactions
 # ----------------------------------------------------------------------
 def _two_pipe_scenario(sim, log):
     """Two shaped pipes with interleaving arrival streams plus an
-    unrelated timer — trains must re-materialise whenever another
-    event precedes a follower."""
+    unrelated timer."""
     a = DummynetPipe(sim, bandwidth=1e6, delay=0.010, name="a")
     b = DummynetPipe(sim, bandwidth=2e6, delay=0.011, name="b")
 
@@ -160,7 +80,6 @@ def test_interleaved_pipes_timeline_identical():
     assert fast_log == slow_log
     assert fast_sim.events_processed == slow_sim.events_processed
     assert fast_sim.now == slow_sim.now
-    assert _coalesced(fast_sim) > 0  # batching actually engaged
 
 
 def test_horizon_splits_train_identically():
@@ -232,8 +151,8 @@ def test_step_drains_one_delivery_at_a_time():
 
 def test_reconfigure_shrinking_delay_mid_burst_identical():
     """A reconfigure that shrinks the delay makes arrivals
-    non-monotone; the batched path must fall back to plain events and
-    still deliver in exact (time, priority, seq) order."""
+    non-monotone: deliveries come in exact (time, priority, seq) order,
+    not in send order."""
 
     def scenario(sim, log):
         pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.5, name="p")
@@ -260,46 +179,10 @@ def test_reconfigure_shrinking_delay_mid_burst_identical():
     assert tags != sorted(tags)
 
 
-def test_reconfigure_flushes_live_train_accounting():
-    """Regression: ``reconfigure()`` on a pipe with a live train must
-    flush the coalesced followers back into real queue events *before*
-    the new parameters apply — with the booked-delivery ledger
-    zeroed, the flushed entries keeping their reference identities, and
-    the train machinery re-arming for traffic sent after the change."""
-    sim = Simulator(seed=1, observe=True, config=SimConfig(fast=True))
-    pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p")
-    got = []
-    _burst(pipe, 20, deliver=lambda p: got.append((sim.now, p.payload)))
-    # The burst formed one live train: head is a queue event, the 19
-    # followers are deferred (pending work, not queue entries).
-    assert _trains(sim) == 1
-    assert sim.booked == 19
-    assert sim.pending == 20
-
-    pipe.reconfigure(2e6, 0.01)
-    # Flush: every follower is a real queue event again, nothing lost.
-    assert sim.booked == 0
-    assert sim.pending == 20
-
-    sim.run()
-    assert [tag for _, tag in got] == list(range(20))
-    assert sim.pending == 0 and sim.booked == 0
-
-    # The machinery re-arms: a post-reconfigure burst coalesces again,
-    # at the new rate.
-    before = _trains(sim)
-    _burst(pipe, 10, deliver=lambda p: got.append((sim.now, p.payload)))
-    assert sim.booked == 9
-    sim.run()
-    assert _trains(sim) == before + 1
-    assert [tag for _, tag in got[20:]] == list(range(10))
-    assert sim.booked == 0
-
-
 def test_reconfigure_mid_run_train_twin_identical():
     """Reconfigure landing while a train is mid-flight *during* run():
-    flushed deliveries and post-change waves stay byte-identical to the
-    reference path, including the backlog the new bandwidth drains."""
+    deliveries already scheduled keep their times, and post-change
+    waves see the backlog the new bandwidth drains."""
 
     def scenario(sim, log):
         pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.02, name="p")
@@ -327,10 +210,9 @@ def test_reconfigure_mid_run_train_twin_identical():
     assert fast_sim.now == slow_sim.now
     marker = next(e for e in fast_log if e[0] == "backlog")
     assert marker[1] > 0  # the reconfigure really caught a backlog
-    assert _coalesced(fast_sim) > 0
 
 
-def test_pending_counts_coalesced_deliveries():
+def test_pending_counts_in_flight_deliveries():
     sim = Simulator(seed=1, config=SimConfig(fast=True))
     slow = Simulator(seed=1, config=SimConfig(fast=False))
     for s in (sim, slow):
@@ -355,32 +237,8 @@ def test_queue_depth_gauge_matches_reference():
     assert fast_log == slow_log == [15, 0]
 
 
-def test_wave_bursts_reuse_the_train_machinery():
-    """Trains drain fully between waves and form again (the live flag
-    resets); delivery order stays exact across waves."""
-
-    def scenario(sim, log):
-        pipe = DummynetPipe(sim, bandwidth=1e7, delay=0.002, name="p")
-
-        def deliver(pkt):
-            log.append((sim.now, pkt.payload))
-
-        def wave(base):
-            for i in range(15):
-                pipe.transmit(_packet(tag=base + i), deliver)
-
-        for w in range(4):
-            sim.schedule(w * 1.0, wave, w * 100)
-        sim.run()
-
-    (fast_log, fast_sim), (slow_log, _) = _run_twins(scenario)
-    assert fast_log == slow_log
-    assert _trains(fast_sim) == 4
-    assert _coalesced(fast_sim) == 4 * 14
-
-
 # ----------------------------------------------------------------------
-# The booked-delivery contract, driven through both consumers
+# The booked-delivery contract, driven through its consumer
 # ----------------------------------------------------------------------
 class _Log(list):
     """Arrival log; tells the running case how many arrivals landed."""
@@ -407,28 +265,6 @@ class _Model:
         self.log.append(("mark", self.sim.pending, self.sim.now))
 
 
-def _train_model(m):
-    """Two shaped pipes whose streams interleave with each other and
-    with unrelated timers, so followers both dispatch inline and
-    materialise."""
-    sim, log = m.sim, m.log
-    a = DummynetPipe(sim, bandwidth=1e6, delay=0.010, name="a")
-    b = DummynetPipe(sim, bandwidth=2e6, delay=0.011, name="b")
-
-    def deliver(pkt):
-        log.append((sim.now, pkt.payload))
-
-    _burst(a, 30, deliver=deliver)
-    for i in range(30):
-        b.transmit(_packet(tag=100 + i), deliver)
-    for i in range(5):
-        sim.schedule(0.005 + i * 0.004, log.append, (f"tick{i}",))
-    m.mid = 0.03
-    m.perturb = lambda: a.reconfigure(4e6, 0.005)
-    m.idle = lambda: not (a._train or b._train or a._train_live or b._train_live)
-    m.engaged = lambda: _coalesced(sim) > 0
-
-
 def _fluid_model(m):
     """The exactness class: one bulk flow alone on its pipes."""
     sim = m.sim
@@ -446,7 +282,6 @@ def _fluid_model(m):
 
 #: consumer -> (model builder, booked config, per-packet config)
 _CONSUMERS = {
-    "train": (_train_model, dict(fast=True), dict(fast=False)),
     "fluid": (_fluid_model, dict(fluid=True), dict(fluid=False)),
 }
 
@@ -517,11 +352,6 @@ def test_booked_delivery_contract(consumer, case):
     arrivals = [e for e in m.log if e[0] != "mark"]
     assert arrivals and arrivals == [e for e in ref.log if e[0] != "mark"]
     assert m.sim.now == ref.sim.now
-    if consumer == "train":
-        # A follower is one reference event: checkpoints land between
-        # the same deliveries and see the same pending count.
-        assert m.log == ref.log
-        assert m.sim.events_processed == ref.sim.events_processed
 
     sim = m.sim
     assert sim.pending == 0 and sim.booked == 0

@@ -9,9 +9,10 @@ from repro.net.nic import Interface
 from repro.net.packet import Packet
 from repro.net.ping import ping
 from repro.net.pipe import DummynetPipe
+from repro.net.socket_api import Socket, raise_if_error
 from repro.net.stack import NetworkStack
 from repro.net.switch import Switch
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 from repro.units import gbps, ms, us
 
 
@@ -245,3 +246,55 @@ class TestPing:
         p = ping(sim, a, a.iface.primary, a.iface.primary, count=1)
         sim.run()
         assert p.result.avg == pytest.approx(2 * a.loopback_delay)
+
+
+class TestRxPortDrops:
+    """A packet lost on the receiver's switch port is a drop like any
+    other: its ``on_drop`` runs, so TCP retransmits it."""
+
+    def test_on_drop_runs_once_per_rx_port_drop(self):
+        sim = Simulator(seed=3)
+        switch, (a, b) = make_lan(sim, 2)
+        rx = switch._ports["node2"].rx
+        rx.reconfigure(plr=0.5)
+        got, dropped = [], []
+        b._deliver_local = got.append
+        for _ in range(200):
+            pkt = Packet(a.iface.primary, b.iface.primary, "udp", 100)
+            pkt.on_drop = dropped.append
+            a.send_packet(pkt)
+        sim.run()
+        assert 0 < rx.packets_dropped_loss < 200
+        assert len(dropped) == rx.packets_dropped_loss
+        assert len(got) == 200 - len(dropped)
+
+    def test_tcp_transfer_completes_over_lossy_rx_port(self):
+        sim = Simulator(seed=13)
+        switch, (a, b) = make_lan(sim, 2)
+        switch._ports["node2"].rx.reconfigure(plr=0.2)
+        server_sock = Socket(b)
+        server_sock.bind((b.iface.primary, 5000))
+        received = []
+
+        def server():
+            server_sock.listen()
+            conn = yield server_sock.accept()
+            while True:
+                msg = yield conn.recv()
+                if msg is None:
+                    break
+                received.append(msg[0])
+
+        def client():
+            sock = Socket(a)
+            sock.bind((a.iface.primary, 0))
+            raise_if_error((yield sock.connect((b.iface.primary, 5000))))
+            for i in range(30):
+                yield sock.send(i, 1000)
+            sock.close()
+
+        Process(sim, server())
+        Process(sim, client())
+        sim.run()
+        assert received == list(range(30))
+        assert sim.metrics.get("net.tcp.retransmissions").value > 0
