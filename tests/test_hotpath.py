@@ -15,6 +15,7 @@ risk, plus the headline acceptance proof:
   ``PYTHONHASHSEED`` values.
 """
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -29,6 +30,7 @@ from repro.net.ipfw import ACTION_ALLOW, ACTION_COUNT, ACTION_DENY, ACTION_PIPE,
 from repro.net.packet import PROTO_TCP, Packet, acquire, release, retag
 from repro.net.pipe import DummynetPipe
 from repro.sim import SimConfig, Simulator
+from tests.test_fluid import _run_child
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
@@ -247,6 +249,67 @@ def _run_ab_child(slow_path: str, hash_seed: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def _ab_document():
+    """The AB_SCRIPT document, in-process."""
+    from repro.analysis.export import metrics_json
+    from repro.bittorrent import Swarm, SwarmConfig
+    from repro.units import MB
+
+    swarm = Swarm(SwarmConfig(
+        leechers=4, seeders=1, file_size=1 * MB, stagger=1.0,
+        num_pnodes=2, seed=7, observe=True, flight=True,
+    ))
+    swarm.run(max_time=20000)
+    manifest = swarm.manifest(wall_time_seconds=None)
+    doc = {
+        "metrics": json.loads(metrics_json(
+            manifest, swarm.metrics_snapshot(), swarm.sim.tracer.as_list(),
+            deterministic_only=True,
+        )),
+        "trace": swarm.chrome_trace(experiment="ab"),
+    }
+    assert doc["metrics"] and doc["trace"]["traceEvents"]
+    return doc
+
+
+def _fig6_document():
+    """Reduced fig6: the same probes under the linear and the indexed
+    cost model. Every RTT carries the rules-scanned charge of the
+    verdicts it crossed, flow-cache hits included."""
+    from repro.experiments.fig6_rule_scaling import run_fig6
+
+    result = run_fig6(rule_counts=(0, 5000, 10000, 20000), pings_per_point=4, seed=0)
+    return {
+        "rule_counts": result.rule_counts,
+        "linear": result.rtts,
+        "indexed": result.indexed_rtts,
+    }
+
+
+#: BLAKE2b of each document, computed with every hot-path optimisation
+#: on and off (the heap queue, the uncached rule walk and the eager
+#: deployer the tests/reference oracles now stand for) under
+#: PYTHONHASHSEED 1 and 31337: all four runs agreed.
+GOLDEN_DIGESTS = {
+    "ab": "8ebbc6e950c34650144f3890b5fa1ad0",
+    "fig6": "6c60ae98f7f4e9668088c9ae14c30dce",
+}
+
+
+def _golden_digest(kind):
+    doc = {"ab": _ab_document, "fig6": _fig6_document}[kind]()
+    blob = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+def test_golden_digest(kind):
+    code = f"import tests.test_hotpath as t; print(t._golden_digest({kind!r}))"
+    for hash_seed in ("1", "31337"):
+        digest = _run_child(code, PYTHONHASHSEED=hash_seed).strip()
+        assert digest == GOLDEN_DIGESTS[kind], hash_seed
 
 
 def test_ab_fast_vs_slow_path_byte_identical_across_hash_seeds():

@@ -9,6 +9,7 @@ by ``REPRO_SLOW_PATH=1``, while an idle vnode never materialises any
 Dummynet state.
 """
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -24,6 +25,7 @@ from repro.topology import TopologySpec, compile_topology
 from repro.topology.presets import uniform_swarm
 from repro.units import kbps, ms
 from repro.virt import Testbed
+from tests.test_fluid import _run_child
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
@@ -68,6 +70,38 @@ def _run_fig10_child(slow_path: str, hash_seed: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+#: BLAKE2b of the reduced fig10 document, computed on the lazy and on
+#: the eager deployer under PYTHONHASHSEED 1 and 31337: all four runs
+#: agreed.
+GOLDEN_FIG10_DIGEST = "34b5933806f5cf8fc2f530ba629ad3d3"
+
+
+def _fig10_digest():
+    """The FIG10_AB_SCRIPT document, in-process, as a digest."""
+    from repro.experiments.fig10_scalability import run_fig10
+
+    result = run_fig10(scale=0.004, stagger=0.25, seed=7)
+    doc = {
+        "clients": result.clients,
+        "pnodes": result.pnodes,
+        "completion": result.completion,
+        "selected": result.selected_progress,
+        "first": result.first_completion,
+        "last": result.last_completion,
+        "median": result.median_completion,
+    }
+    assert doc["completion"] and doc["clients"] >= 10
+    blob = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+def test_fig10_golden_digest_across_hash_seeds():
+    code = "import tests.test_topo_scale as t; print(t._fig10_digest())"
+    for hash_seed in ("1", "31337"):
+        digest = _run_child(code, PYTHONHASHSEED=hash_seed).strip()
+        assert digest == GOLDEN_FIG10_DIGEST, hash_seed
 
 
 def test_fig10_lazy_eager_byte_identical_across_hash_seeds():
