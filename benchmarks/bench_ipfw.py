@@ -1,27 +1,29 @@
-"""Rule-scan microbenchmark: ipfw flow cache vs full linear scan.
+"""Rule-scan microbenchmark: ipfw flow-cache hits vs never-seen flows.
 
-Pits ``Firewall(flow_cache=True)`` against ``Firewall(flow_cache=False)``
-(the pre-optimisation reference, also selected process-wide by
-``REPRO_SLOW_PATH=1``) on the workload the cache targets: the paper's
-emulation rulesets are dominated by long runs of generic (no-port)
-pipe/count rules that every packet of a flow re-scans identically.
-P2PLab's figure-6 experiment is exactly this shape — per-pair latency
-rules scanned linearly for every packet.
+Times one :class:`~repro.net.ipfw.Firewall` the way ``perf/layers.py``'s
+ipfw drive does: flows it has seen before (a flow-cache hit replays the
+cached verdict's accounting) against flows it has never seen (a miss:
+the candidate walk, then a new cache entry). The workload is the one the
+cache targets: the paper's emulation rulesets are dominated by long runs
+of generic (no-port) pipe/count rules that every packet of a flow
+re-scans identically. P2PLab's figure-6 experiment is exactly this
+shape — per-pair latency rules scanned linearly for every packet.
 
 Workload: ``RULES`` generic COUNT rules over distinct /16 networks with
-a terminal ALLOW, evaluated over ``FLOWS`` distinct (src, dst) flows for
-``EVALS`` total packet evaluations. With the cache on, each flow pays
-one full scan and then hits; with it off, every packet pays the scan.
+a terminal ALLOW. Hits: ``EVALS`` evaluations round-robin over ``FLOWS``
+warmed flows. Misses: ``MISSES`` flows with fresh source addresses that
+match the same rule sets. ``speedup`` is the cost of a miss over the
+cost of a hit, per evaluation.
 
-The bench asserts the two firewalls agree on the accounting the
-figures depend on (``rules_scanned_total``, ``packets_evaluated``,
-per-rule hit counts) — the cache must be an optimisation, not a
-semantic change — and gates on a **2x** throughput floor (measured
-speedups are far higher; the floor is deliberately conservative so CI
-noise cannot flake the gate).
+The bench also checks that the firewall's accounting (verdicts,
+``rules_scanned_total``, per-rule hit counts) equals the uncached
+reference walk of ``tests/reference/rule_walk.py`` over hits and misses
+alike — the cache must be an optimisation, not a semantic change — and
+gates on a **2x** floor (measured ratios are far higher; the floor is
+deliberately conservative so CI noise cannot flake the gate).
 
 Scale: ``REPRO_BENCH_SCALE`` (float, default 1.0) multiplies the
-evaluation count — CI smoke runs use 0.1.
+evaluation counts — CI smoke runs use 0.1.
 """
 
 import os
@@ -30,18 +32,21 @@ import time
 from repro.net.addr import IPv4Network, ip
 from repro.net.ipfw import ACTION_ALLOW, ACTION_COUNT, Firewall
 from repro.net.packet import PROTO_TCP, Packet
+from tests.reference.rule_walk import RuleWalk
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0") or "1.0")
 
 #: Ruleset shape: long generic run + terminal allow (the paper's
 #: inter-group latency rules compile to exactly this pattern).
 RULES = 400
-#: Distinct flows — small relative to EVALS so cache hits dominate.
+#: Distinct repeated flows — small relative to EVALS so hits dominate.
 FLOWS = 64
-#: Total packet evaluations.
+#: Packet evaluations of repeated flows.
 EVALS = max(2000, int(20_000 * SCALE))
+#: Never-seen flows, one evaluation each.
+MISSES = max(200, int(2000 * SCALE))
 
-#: Gate: cached evaluation must be at least this much faster.
+#: Gate: a miss must cost at least this many hits.
 MIN_SPEEDUP = 2.0
 
 #: Each wall-clock number is the best of this many runs — a single
@@ -50,8 +55,9 @@ MIN_SPEEDUP = 2.0
 TIMING_ROUNDS = 3
 
 
-def build_firewall(flow_cache: bool) -> Firewall:
-    fw = Firewall(name="bench", flow_cache=flow_cache)
+def build_firewall(fw=None):
+    """The bench ruleset on ``fw`` (a new Firewall by default)."""
+    fw = Firewall(name="bench") if fw is None else fw
     for i in range(RULES):
         fw.add(
             ACTION_COUNT,
@@ -62,16 +68,25 @@ def build_firewall(flow_cache: bool) -> Firewall:
     return fw
 
 
+def _flow(i: int, host_block: int) -> Packet:
+    """Flow ``i`` of a block: its /16 pair (hence its matched rule
+    set) depends on ``i`` alone, its source host on the block too."""
+    src = ip(f"10.{i % 200}.{host_block + i // 250}.{1 + i % 250}")
+    dst = ip(f"172.{i % 100}.2.{1 + (i * 7) % 250}")
+    return Packet(src, dst, PROTO_TCP, 1500, sport=1000 + i % 1000, dport=6881)
+
+
 def build_flows(n: int = FLOWS):
-    flows = []
-    for i in range(n):
-        src = ip(f"10.{i % 200}.1.{1 + i % 250}")
-        dst = ip(f"172.{i % 100}.2.{1 + (i * 7) % 250}")
-        flows.append(Packet(src, dst, PROTO_TCP, 1500, sport=1000 + i, dport=6881))
-    return flows
+    return [_flow(i, host_block=1) for i in range(n)]
 
 
-def evaluate_all(fw: Firewall, flows, evals: int = EVALS) -> float:
+def cold_flows(n: int = MISSES):
+    """``n`` flows no firewall has seen: source hosts outside the
+    repeated flows' block, over the same rule sets."""
+    return [_flow(i, host_block=100) for i in range(n)]
+
+
+def evaluate_all(fw: Firewall, flows, evals: int) -> float:
     """Evaluate ``evals`` packets round-robin over ``flows``; return wall."""
     evaluate = fw.evaluate
     n = len(flows)
@@ -81,60 +96,65 @@ def evaluate_all(fw: Firewall, flows, evals: int = EVALS) -> float:
     return time.perf_counter() - t0
 
 
+def warm_firewall(flows):
+    fw = build_firewall()
+    evaluate_all(fw, flows, len(flows))
+    return fw
+
+
 def test_ipfw_flow_cache_speedup(benchmark, bench_json):
-    flows = build_flows()
+    flows, cold = build_flows(), cold_flows()
 
-    # Warm-up (interpreter caches) on small firewalls.
-    evaluate_all(build_firewall(True), flows, evals=500)
-    evaluate_all(build_firewall(False), flows, evals=500)
+    # Warm-up (interpreter caches) on a small firewall.
+    evaluate_all(warm_firewall(flows), flows, 500)
 
-    # ``wall_seconds`` (tracked by compare.py) is the min over rounds;
-    # each round gets a fresh firewall so the cache starts cold.
+    # ``wall_seconds`` (tracked by compare.py) is the hit loop; each
+    # round gets a fresh warmed firewall, so every cold flow misses.
     benchmark.pedantic(
         evaluate_all,
-        setup=lambda: ((build_firewall(True), flows), {}),
+        setup=lambda: ((warm_firewall(flows), flows, EVALS), {}),
         rounds=TIMING_ROUNDS,
         iterations=1,
     )
-    fast_wall = min(
-        evaluate_all(build_firewall(True), flows) for _ in range(TIMING_ROUNDS)
-    )
-    slow_wall = min(
-        evaluate_all(build_firewall(False), flows) for _ in range(TIMING_ROUNDS)
-    )
-    speedup = slow_wall / fast_wall
+    hit_wall = miss_wall = float("inf")
+    for _ in range(TIMING_ROUNDS):
+        fw = warm_firewall(flows)
+        hit_wall = min(hit_wall, evaluate_all(fw, flows, EVALS))
+        miss_wall = min(miss_wall, evaluate_all(fw, cold, len(cold)))
+        assert fw.flow_cache_misses == FLOWS + len(cold)
+    hit_us = 1e6 * hit_wall / EVALS
+    miss_us = 1e6 * miss_wall / len(cold)
+    speedup = miss_us / hit_us
 
-    # The cache must not change the accounting the figures read;
-    # checked on a dedicated cold pair that saw exactly EVALS packets.
-    fw_fast = build_firewall(True)
-    fw_slow = build_firewall(False)
-    evaluate_all(fw_fast, flows)
-    evaluate_all(fw_slow, flows)
-    assert fw_fast.packets_evaluated == fw_slow.packets_evaluated == EVALS
-    assert fw_fast.rules_scanned_total == fw_slow.rules_scanned_total
-    fast_hits = [r.hits for r in fw_fast.rules]
-    slow_hits = [r.hits for r in fw_slow.rules]
-    assert fast_hits == slow_hits
-    assert fw_fast.flow_cache_hits == EVALS - FLOWS
+    # The cache must not change the accounting the figures read:
+    # hits and misses against the uncached reference walk.
+    fw, walk = build_firewall(), build_firewall(RuleWalk())
+    for pkt in flows * 3 + cold[:FLOWS]:
+        v = fw.evaluate(pkt, "out")
+        assert (v.allowed, v.pipes, v.scanned, v.matched) == walk.evaluate(pkt, "out")
+    assert fw.packets_evaluated == walk.packets_evaluated
+    assert fw.rules_scanned_total == walk.rules_scanned_total
+    assert [r.hits for r in fw.rules] == walk.hits
+    assert fw.flow_cache_hits == 2 * FLOWS
 
     bench_json(
         "ipfw",
         rules=RULES,
         flows=FLOWS,
         evals=EVALS,
-        fast_wall_seconds=round(fast_wall, 6),
-        slow_wall_seconds=round(slow_wall, 6),
+        misses=len(cold),
+        hit_us=round(hit_us, 4),
+        miss_us=round(miss_us, 4),
         speedup=round(speedup, 3),
-        evals_per_second_fast=round(EVALS / fast_wall),
-        evals_per_second_slow=round(EVALS / slow_wall),
-        rules_scanned_total=fw_fast.rules_scanned_total,
+        evals_per_second_hit=round(EVALS / hit_wall),
+        evals_per_second_miss=round(len(cold) / miss_wall),
     )
     print(
-        f"\nipfw evaluate: cached={fast_wall:.3f}s scan={slow_wall:.3f}s "
-        f"-> {speedup:.1f}x over {RULES} rules / {FLOWS} flows\n"
+        f"\nipfw evaluate: hit={hit_us:.2f}us miss={miss_us:.2f}us "
+        f"-> {speedup:.1f}x over {RULES} rules\n"
     )
 
     assert speedup >= MIN_SPEEDUP, (
-        f"flow cache only {speedup:.2f}x over the linear scan "
+        f"a flow-cache hit is only {speedup:.2f}x cheaper than a miss "
         f"(need >= {MIN_SPEEDUP}x)"
     )

@@ -1,16 +1,15 @@
 """Event-dispatch microbenchmark: calendar-queue kernel vs reference.
 
-Pits ``SimConfig(fast=True)`` (calendar/near-future event queue, event
-free list, inlined dispatch loop) against ``SimConfig(fast=False)``
-(the pre-optimisation heap-only reference, also selected process-wide
-by ``REPRO_SLOW_PATH=1``) on the workload the optimisation targets:
-a burst of short-delay timers — the loopback / rule-scan /
-serialization delays that dominate TCP and pipe traffic in the
-figure-10/11 swarms.
+Pits the :class:`~repro.sim.kernel.Simulator` (calendar/near-future
+event queue, event free list, inlined dispatch loop) against the plain
+``heapq`` kernel of ``tests/reference/heap_kernel.py`` on the workload
+the optimisation targets: a burst of short-delay timers — the loopback
+/ rule-scan / serialization delays that dominate TCP and pipe traffic
+in the figure-10/11 swarms.
 
-Both paths execute the identical schedule (asserted on the processed
+Both kernels execute the identical schedule (asserted on the processed
 event counts); only wall clock differs. The hot-path gate requires the
-fast path to dispatch at least **2x** faster on the burst workload.
+simulator to dispatch at least **2x** faster on the burst workload.
 Two secondary workloads are reported separately: steady-state
 self-rescheduling timers (ungated: dominated by scheduling/callback
 work the optimisation does not claim) and a wide horizon that
@@ -31,8 +30,8 @@ counts — CI smoke runs use 0.1.
 import os
 import time
 
-from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
+from tests.reference.heap_kernel import HeapKernel
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0") or "1.0")
 
@@ -46,7 +45,7 @@ STEADY_TIMERS = 2000
 WIDE_EVENTS = max(1000, int(200_000 * SCALE))
 WIDE_SPAN = 400.0
 
-#: Gate: fast path must dispatch at least this much faster (burst).
+#: Gate: the simulator must dispatch at least this much faster (burst).
 MIN_SPEEDUP = 2.0
 #: Gate: the migration-heavy wide horizon must not lose to the heap.
 MIN_WIDE_SPEEDUP = 1.0
@@ -65,9 +64,14 @@ def best_of(fn, *args, rounds: int = TIMING_ROUNDS, **kwargs) -> float:
     return min(fn(*args, **kwargs) for _ in range(rounds))
 
 
+def _kernel(fast: bool):
+    """The simulator (``fast``) or the reference heap kernel."""
+    return Simulator(seed=1, observe=False) if fast else HeapKernel()
+
+
 def dispatch_burst(fast: bool, events: int = DRAIN_EVENTS, span: float = DRAIN_SPAN):
     """Schedule ``events`` short-delay timers, then drain them."""
-    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=fast))
+    sim = _kernel(fast)
     dt = span / events
     schedule = sim.schedule
     for i in range(events):
@@ -81,7 +85,7 @@ def dispatch_burst(fast: bool, events: int = DRAIN_EVENTS, span: float = DRAIN_S
 
 def dispatch_steady(fast: bool, events: int = STEADY_EVENTS, timers: int = STEADY_TIMERS):
     """Self-rescheduling timer wheel: push interleaved with pop."""
-    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=fast))
+    sim = _kernel(fast)
     schedule = sim.schedule
     state = [0]
 
@@ -102,7 +106,7 @@ def dispatch_steady(fast: bool, events: int = STEADY_EVENTS, timers: int = STEAD
 
 def dispatch_wide(fast: bool, events: int = WIDE_EVENTS, span: float = WIDE_SPAN):
     """Events spread over a wide horizon: stresses window migration."""
-    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=fast))
+    sim = _kernel(fast)
     dt = span / events
     schedule = sim.schedule
     for i in range(events):
@@ -115,7 +119,7 @@ def dispatch_wide(fast: bool, events: int = WIDE_EVENTS, span: float = WIDE_SPAN
 
 
 def test_kernel_dispatch_speedup(benchmark, bench_json):
-    # Warm-up both paths once (interpreter/alloc caches).
+    # Warm-up both kernels once (interpreter/alloc caches).
     dispatch_burst(True, events=2000)
     dispatch_burst(False, events=2000)
 
@@ -155,8 +159,8 @@ def test_kernel_dispatch_speedup(benchmark, bench_json):
     )
 
     assert speedup >= MIN_SPEEDUP, (
-        f"event-dispatch fast path only {speedup:.2f}x over the heap-only "
-        f"reference (need >= {MIN_SPEEDUP}x)"
+        f"event dispatch only {speedup:.2f}x over the reference heap "
+        f"kernel (need >= {MIN_SPEEDUP}x)"
     )
     # The migration-heavy horizon must not lose to the heap: the
     # adaptive window re-derives its span from the observed spread, so
@@ -165,6 +169,6 @@ def test_kernel_dispatch_speedup(benchmark, bench_json):
     if SCALE >= 1.0:
         assert wide_speedup >= MIN_WIDE_SPEEDUP, (
             f"wide-horizon dispatch only {wide_speedup:.2f}x over the "
-            f"heap-only reference (need >= {MIN_WIDE_SPEEDUP}x): the "
+            f"reference heap kernel (need >= {MIN_WIDE_SPEEDUP}x): the "
             f"adaptive calendar window has regressed"
         )

@@ -1,4 +1,4 @@
-"""Topology compilation benchmark: streaming/lazy build vs eager seed.
+"""Topology compilation benchmark: streaming/lazy build vs eager reference.
 
 The workload is the million-vnode direction of the paper's Section 5
 ("how many virtual nodes can be multiplexed"): one ``TopologySpec``
@@ -8,9 +8,8 @@ streams the spec (no intermediate address/vnode lists), registers
 contiguous address runs as O(1) blocks, keeps shaping state as
 flyweight profiles with deferred ``DummynetPipe`` construction, and
 pauses the cyclic GC for the duration of the acyclic bulk build. The
-eager path (``REPRO_SLOW_PATH`` semantics, forced via ``lazy=False``)
-is the seed behaviour: every pipe, name string and libc object built
-up front.
+eager side is ``tests/reference/eager_deploy.py``, the seed behaviour:
+every pipe, name string and libc object built up front.
 
 Two gated metrics (``compare.py --gate``, asserted here at full scale):
 
@@ -35,6 +34,7 @@ from repro.topology.compiler import TopologyCompiler
 from repro.topology.spec import TopologySpec
 from repro.units import kbps, ms
 from repro.virt.deployment import Testbed
+from tests.reference.eager_deploy import eager_deploy
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0") or "1.0")
 
@@ -47,8 +47,8 @@ N_VNODES = max(10_000, int(100_000 * SCALE))
 N_PNODES = 128
 
 #: Gates (full scale; the same floors as ``compare.py --gate``): the
-#: lazy build must beat the eager seed by 3x wall-clock and 2x retained
-#: bytes per vnode.
+#: lazy build must beat the eager reference by 3x wall-clock and 2x
+#: retained bytes per vnode.
 MIN_SPEEDUP = 3.0
 MIN_MEM_RATIO = 2.0
 
@@ -68,14 +68,22 @@ def make_spec(n: int = N_VNODES) -> TopologySpec:
     return spec
 
 
+def _deploy(lazy: bool, spec: TopologySpec, testbed: Testbed):
+    """The lazy compiler (returned) or the eager reference deployer."""
+    if not lazy:
+        return eager_deploy(spec, testbed)
+    compiler = TopologyCompiler(spec, testbed)
+    compiler.deploy()
+    return compiler
+
+
 def build(lazy: bool, n: int = N_VNODES):
-    """Deploy an n-vnode spec; returns (compile_wall, compiler)."""
+    """Deploy an n-vnode spec; returns (compile_wall, deployment)."""
     spec = make_spec(n)
     testbed = Testbed(num_pnodes=N_PNODES, observe=False)
     t0 = time.perf_counter()
-    compiler = TopologyCompiler(spec, testbed, lazy=lazy)
-    compiler.deploy()
-    return time.perf_counter() - t0, compiler
+    deployed = _deploy(lazy, spec, testbed)
+    return time.perf_counter() - t0, deployed
 
 
 def retained_bytes_per_vnode(lazy: bool, n: int = N_VNODES) -> float:
@@ -85,12 +93,11 @@ def retained_bytes_per_vnode(lazy: bool, n: int = N_VNODES) -> float:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        compiler = TopologyCompiler(spec, testbed, lazy=lazy)
-        compiler.deploy()
+        deployed = _deploy(lazy, spec, testbed)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    del compiler
+    del deployed
     return (after - before) / n
 
 
@@ -140,7 +147,7 @@ def test_topo_build_speedup(benchmark, bench_json):
 
     if SCALE >= 1.0:
         assert speedup >= MIN_SPEEDUP, (
-            f"lazy topology build only {speedup:.2f}x over the eager seed "
+            f"lazy topology build only {speedup:.2f}x over the eager reference "
             f"(need >= {MIN_SPEEDUP}x)"
         )
         assert mem_ratio >= MIN_MEM_RATIO, (

@@ -55,13 +55,17 @@ from typing import Dict, Optional
 DEFAULT_THRESHOLD = 0.25
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: Hot-path microbenches record fast/slow speedup metrics; under
-#: ``--gate`` each listed metric must stay at or above its floor (the
-#: optimisation's contract, matching the asserts inside the benches
-#: themselves). Per-metric — a healthy top-line ``speedup`` does not
-#: excuse a losing secondary horizon.
+#: Hot-path microbenches record speedup metrics; under ``--gate`` each
+#: listed metric must stay at or above its floor (the optimisation's
+#: contract, matching the asserts inside the benches themselves).
+#: Per-metric — a healthy top-line ``speedup`` does not excuse a losing
+#: secondary horizon.
 SPEEDUP_GATES: Dict[str, Dict[str, float]] = {
+    # The simulator against the plain heapq kernel of
+    # tests/reference/heap_kernel.py (full scale reads 3.5x / 1.3x / 1.7x).
     "kernel": {"speedup": 2.0, "steady_speedup": 1.0, "wide_speedup": 1.0},
+    # One firewall: a never-seen flow's evaluation over a repeated
+    # flow's, per evaluation (full scale reads ~160x; see bench_ipfw.py).
     "ipfw": {"speedup": 2.0},
     # Critical-path speedup of the partitioned kernel at 4 workers
     # (CPU-seconds based — machine-independent; see bench_dist.py).
@@ -74,12 +78,13 @@ SPEEDUP_GATES: Dict[str, Dict[str, float]] = {
     # the packet path, which is itself a quarter cheaper than when the
     # floor was 3x (smoke reads 2.7-3.2x, full scale 3.6x).
     "fluid": {"speedup": 2.0, "events_ratio": 10.0, "churn_epochs_per_s": 2000.0},
-    # Streaming/lazy topology compilation vs the eager seed path:
-    # build wall-clock and retained bytes per vnode (see bench_topo.py).
-    # Ratios against a reference that has itself been slimmed (an eager
-    # vnode's two pipes are 176 B each, not 1 008): CI's 10k-vnode smoke
-    # reads 3.9-4.1x / 2.4x, full scale 6.4-8.6x / 2.3x. The lazy side's own
-    # cost is pinned in bytes by tests/test_topo_scale.py.
+    # Streaming/lazy topology compilation vs the eager reference
+    # deployer of tests/reference/eager_deploy.py: build wall-clock and
+    # retained bytes per vnode (see bench_topo.py). Ratios against a
+    # reference whose pipes have themselves been slimmed (176 B each,
+    # not 1 008): CI's 10k-vnode smoke reads 4.1x / 2.4x, full scale
+    # 7.9x / 2.3x. The lazy side's own cost is pinned in bytes by
+    # tests/test_topo_scale.py.
     "topo": {"speedup": 3.0, "mem_ratio": 2.0},
 }
 

@@ -1,36 +1,22 @@
-"""Hot-path configuration: the ``REPRO_SLOW_PATH`` escape hatch.
+"""Index of the hot-path optimisations and the oracle each is checked against.
 
-The simulator and network layers carry three coupled wall-clock
-optimisations (see DESIGN.md, "Hot-path architecture"):
+Every layer has one implementation; the naive behaviour each
+optimisation must reproduce lives in ``tests/reference/``, importing
+nothing from the module it checks (DESIGN.md, "Hot-path architecture"):
 
-* a per-flow verdict cache in :class:`repro.net.ipfw.Firewall`,
-* an adaptive-window calendar/near-future tier + ``Event`` free list
-  in :class:`repro.sim.event.EventQueue`, and
-* packet pooling / reuse on the transport paths.
+* calendar event queue, ``Event`` free list and the inlined run loop
+  (:mod:`repro.sim.event`, :mod:`repro.sim.kernel`) —
+  ``tests/reference/heap_kernel.py``, a plain ``heapq`` queue with the
+  peek/pop run loop;
+* verdict flow cache, address-indexed candidates and compiled match
+  closures (:mod:`repro.net.ipfw`) — ``tests/reference/rule_walk.py``,
+  a linear, uncached first-match walk;
+* lazy topology deployment: deferred pipes, block address registration
+  (:mod:`repro.topology.compiler`) — ``tests/reference/eager_deploy.py``,
+  which builds every pipe up front;
+* packet pool and turnaround reuse (:mod:`repro.net.packet`,
+  :mod:`repro.net.stack`) — no oracle: a reused packet draws a fresh id,
+  so the golden digests in ``tests/test_hotpath.py`` cover it.
 
-All three are **semantics-preserving**: verdicts, emulated latencies,
-metrics snapshots and trace exports are byte-identical with the
-optimisations on or off. Setting ``REPRO_SLOW_PATH=1`` in the
-environment disables every fast path at once, restoring the
-unoptimised reference implementation — that is what the subprocess A/B
-determinism tests (and ``benchmarks/bench_kernel.py`` /
-``bench_ipfw.py``) diff against.
-
-Individual components also accept explicit constructor flags
-(``EventQueue(calendar=...)``, ``Firewall(flow_cache=...)``) so tests
-and benchmarks can pit both paths against each other inside a single
-process; the environment variable only selects the *default*.
+This module holds no code.
 """
-
-from __future__ import annotations
-
-import os
-
-
-def _env_slow_path() -> bool:
-    return os.environ.get("REPRO_SLOW_PATH", "") not in ("", "0")
-
-
-#: True when ``REPRO_SLOW_PATH`` requests the unoptimised reference
-#: path. Read once at import; spawn a subprocess to flip it for A/B.
-SLOW_PATH: bool = _env_slow_path()

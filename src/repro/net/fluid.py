@@ -61,7 +61,7 @@ is cell-local and never posts cross-cell messages). Every agenda entry
 is a kernel *booked delivery* (DESIGN.md, "Booked deliveries"): the
 kernel owns the ledger and the may-dispatch-inline predicate, this
 module — the primitive's only consumer — owns the agenda heap.
-``REPRO_SLOW_PATH=1`` or ``SimConfig(fluid=False)`` disables the engine
+``SimConfig(fluid=False)`` (the default) leaves the engine out
 entirely; the tree then behaves byte-identically to the packet-only
 build.
 """

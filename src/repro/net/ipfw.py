@@ -24,15 +24,15 @@ a given rule list; steady BitTorrent flows pay the linear scan once
 and O(1) afterwards. A cache *hit replays* the original verdict's full
 accounting (``scanned`` charge, per-rule ``hits``, registry counters),
 so emulated latency, metrics snapshots and fig6's linear-vs-indexed
-comparison are byte-identical with the cache on or off — only wall
-clock changes. The registry counters are fed from this object's plain
-slots at read time (:meth:`repro.obs.metrics.MetricsRegistry.feed`), so
-neither path calls an instrument per packet. Flows that matched the
+comparison are byte-identical to an uncached walk — only wall clock
+changes; ``tests/reference/rule_walk.py`` is that walk, and the tests
+compare against it. The registry counters are fed from this object's
+plain slots at read time (:meth:`repro.obs.metrics.MetricsRegistry.feed`),
+so no instrument is called per packet. Flows that matched the
 same rules point at one shared verdict object, so a cached flow costs
 a key and a dict slot. The cache is invalidated by every mutating
 operation (``add``/``delete``/``flush``/``add_pipe``) and by flipping
-``indexed``. ``REPRO_SLOW_PATH=1`` (see :mod:`repro.hotpath`) disables
-it by default.
+``indexed``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import FirewallError
-from repro.hotpath import SLOW_PATH
 from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
@@ -237,7 +236,6 @@ class Firewall:
         name: str = "ipfw",
         metrics=None,
         indexed: bool = False,
-        flow_cache: Optional[bool] = None,
     ) -> None:
         # Verdict flow cache: ``(src, dst, proto, direction) ->
         # (Verdict, matched Rule objects)``. Rules match on exactly
@@ -255,7 +253,6 @@ class Firewall:
         self._verdicts: Dict[
             Tuple[Tuple[Rule, ...], int, bool], Tuple[Verdict, Tuple[Rule, ...]]
         ] = {}
-        self.flow_cache_enabled = (not SLOW_PATH) if flow_cache is None else flow_cache
         #: Monotone counter bumped whenever a cached verdict could go
         #: stale (rule add/delete/flush, pipe table change, cost-model
         #: flip). The fluid flow engine (net/fluid.py) snapshots it per
@@ -351,7 +348,7 @@ class Firewall:
         resolved path) can reference a pipe that did not exist yet —
         materialisation happens *during* the very evaluation that would
         first cache it — so invalidating here would only force spurious
-        re-probes that differ from the eager reference path.
+        re-probes that an eagerly built pipe table would never see.
         """
         if pipe_id in self._pipes:
             raise FirewallError(f"pipe {pipe_id} already configured")
@@ -407,16 +404,15 @@ class Firewall:
         self,
         addr: IPv4Address,
         number: int,
-        up_pipe: Optional[DummynetPipe] = None,
-        down_pipe: Optional[DummynetPipe] = None,
-        up_factory: Optional[Callable[[Rule], DummynetPipe]] = None,
-        down_factory: Optional[Callable[[Rule], DummynetPipe]] = None,
+        up_factory: Callable[[Rule], DummynetPipe],
+        down_factory: Callable[[Rule], DummynetPipe],
     ) -> Tuple[Rule, Rule]:
         """Install the canonical per-vnode access-rule pair in one call.
 
         Semantically identical to two :meth:`add` calls — ``pipe from
-        addr out`` at ``number``, ``pipe to addr in`` at ``number + 1``
-        — but with the per-call bookkeeping (validation, cache flush,
+        addr out`` at ``number``, ``pipe to addr in`` at ``number + 1``,
+        each pipe built by its factory at the first matching packet —
+        but with the per-call bookkeeping (validation, cache flush,
         generation bump) paid once. This is the streaming topology
         compiler's hot loop: at a million vnodes the Python-level call
         overhead of rule installation is the build time, so the two
@@ -424,14 +420,10 @@ class Firewall:
         validating constructor (this method's signature already fixes the
         shapes :class:`Rule` would validate).
         """
-        if (up_pipe is None and up_factory is None) or (
-            down_pipe is None and down_factory is None
-        ):
-            raise FirewallError("access pair needs a pipe or a factory per direction")
         up = Rule.__new__(Rule)
         up.number = number
         up.action = ACTION_PIPE
-        up.pipe = up_pipe
+        up.pipe = None
         up.pipe_factory = up_factory
         up.proto = None
         up.src = addr
@@ -442,7 +434,7 @@ class Firewall:
         down = Rule.__new__(Rule)
         down.number = number + 1
         down.action = ACTION_PIPE
-        down.pipe = down_pipe
+        down.pipe = None
         down.pipe_factory = down_factory
         down.proto = None
         down.src = None
@@ -591,7 +583,7 @@ class Firewall:
         rules actually examined.
         """
         key = (packet.src.value, packet.dst.value, packet.proto, direction)
-        cached = self._flow_cache.get(key) if self.flow_cache_enabled else None
+        cached = self._flow_cache.get(key)
         if cached is not None:
             # Replay the original verdict's accounting bit-for-bit:
             # same ``scanned`` charge (hence same emulated latency),
@@ -670,8 +662,6 @@ class Firewall:
         self.rules_scanned_total += scanned
         if not allowed:
             self._m_denied.inc()
-        if not self.flow_cache_enabled:
-            return Verdict(allowed, tuple(pipes), scanned, tuple(matched))
         rules = tuple(matched_rules)
         shared = (rules, scanned, allowed)
         entry = self._verdicts.get(shared)

@@ -136,7 +136,7 @@ class Packet:
 
 
 # ----------------------------------------------------------------------
-# Packet pool (hot-path allocation cut; see repro.hotpath / DESIGN.md)
+# Packet pool (hot-path allocation cut; see DESIGN.md)
 # ----------------------------------------------------------------------
 def acquire(
     src: IPv4Address,
@@ -155,9 +155,9 @@ def acquire(
     (one id per logical packet either way, so the id stream — and hence
     flight/trace output — is byte-identical with pooling on or off) and
     every field is reset. The only difference is wall-clock allocation
-    cost. The pool is only ever *fed* when the owning simulator's
-    ``allow_packet_reuse`` flag is set (see :class:`NetworkStack`), so
-    the ``REPRO_SLOW_PATH=1`` reference run never recycles.
+    cost. The pool is only ever *fed* while the owning simulator's
+    ``allow_packet_reuse`` flag is set (see :class:`NetworkStack`): a
+    packet tap clears it for good.
     """
     if _pool:
         global packets_reused

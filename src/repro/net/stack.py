@@ -82,8 +82,7 @@ def _compile_chain(
     exists. The stack keeps the result on the verdict it was built for
     (``Verdict.to_switch`` / ``to_host`` / ``to_local``) — a chain is
     compiled once per (verdict, continuation) and dies with the verdict
-    in ``Firewall._invalidate()``. With the flow cache off every
-    evaluation returns a fresh verdict and so compiles a fresh chain.
+    in ``Firewall._invalidate()``.
     """
     for pipe in reversed(pipes):
         final = _Hop(pipe, final).send
@@ -188,12 +187,11 @@ class NetworkStack:
         # A tap may retain packet objects (sniffers hand them to user
         # code), so packet recycling is no longer safe anywhere on this
         # simulator: clear the sim-wide reuse flag permanently.
-        if getattr(self.sim, "allow_packet_reuse", False):
-            self.sim.allow_packet_reuse = False
+        self.sim.allow_packet_reuse = False
         # A tap must observe real packets: any fluid flow touching this
         # stack de-fluidizes, materializing its remaining bytes back
         # onto the packet path at the flow's current offset.
-        fluid = getattr(self.sim, "fluid", None)
+        fluid = self.sim.fluid
         if fluid is not None:
             fluid.on_tap_attached(self)
 
@@ -350,17 +348,13 @@ class NetworkStack:
         # parameter + getrefcount's argument. Any tap, flight hook or
         # experiment that kept a reference pushes the count higher and
         # the packet is simply left to the GC — always safe.
-        if (
-            pkt.pooled
-            and getattr(self.sim, "allow_packet_reuse", False)
-            and getrefcount(pkt) == 3
-        ):
+        if pkt.pooled and self.sim.allow_packet_reuse and getrefcount(pkt) == 3:
             release(pkt)
 
     # -- ICMP echo (ping) -------------------------------------------------------
     def _handle_icmp(self, pkt: Packet) -> None:
         if pkt.kind == "echo":
-            if pkt.pooled and getattr(self.sim, "allow_packet_reuse", False):
+            if pkt.pooled and self.sim.allow_packet_reuse:
                 # Turnaround reuse: the request dies in this callback,
                 # so flip it in place into the reply (fresh id — same
                 # one the constructed reply would have drawn).

@@ -1,7 +1,7 @@
 """The unified simulator configuration surface: :class:`SimConfig`.
 
 :class:`~repro.sim.kernel.Simulator` accreted one keyword argument per
-PR (``fast=``, ``flight=``, profiler enablement via a method call).
+feature (``flight=``, profiler enablement via a method call).
 ``SimConfig`` absorbs that sprawl into one frozen dataclass so a
 simulator's behaviour is named by a single hashable value that can be
 stored in manifests, threaded through
@@ -27,10 +27,6 @@ class SimConfig:
 
     Attributes
     ----------
-    fast:
-        Hot-path selection: ``True`` = calendar queue + pooling,
-        ``False`` = reference path, ``None`` (default) = follow the
-        ``REPRO_SLOW_PATH`` environment escape hatch.
     flight:
         Attach a :class:`~repro.obs.flight.FlightRecorder` (requires an
         observing simulator).
@@ -51,11 +47,9 @@ class SimConfig:
         Attach a :class:`~repro.net.fluid.FlowScheduler` to the
         simulator: eligible long-lived bulk TCP transfers are modelled
         as *flows* advanced by rate-change epochs instead of per-packet
-        events. Only effective on the fast path; ``REPRO_SLOW_PATH=1``
-        always selects the reference packet path regardless.
+        events.
     """
 
-    fast: Optional[bool] = None
     flight: bool = False
     profiler: bool = False
     partitions: int = 1

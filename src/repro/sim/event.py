@@ -5,19 +5,14 @@ number makes ordering total and deterministic: two events scheduled for
 the same instant fire in scheduling order, independent of hash seeds or
 heap internals.
 
-Two queue implementations live behind one API (DESIGN.md, "Hot-path
-architecture"):
-
-* **heap-only** (``calendar=False``, the ``REPRO_SLOW_PATH=1``
-  reference path): a binary heap of ``(time, priority, seq, event)``
-  tuples with lazy cancellation, exactly the pre-optimisation kernel;
-* **calendar fast path** (the default): a bucketed near-future window
-  in front of the heap. Events landing inside the current window go
-  straight into a fixed-width bucket (O(1) append); each bucket is
-  sorted once when the pop cursor reaches it, so the short-delay
-  timers that dominate TCP/pipe traffic skip the heap entirely.
-  Events beyond the window overflow into the heap and are migrated
-  in batches when the window advances.
+The queue is a **calendar queue** (DESIGN.md, "Hot-path
+architecture"): a bucketed near-future window in front of a binary
+heap. Events landing inside the current window go straight into a
+fixed-width bucket (O(1) append); each bucket is sorted once when the
+pop cursor reaches it, so the short-delay timers that dominate
+TCP/pipe traffic skip the heap entirely. Events beyond the window
+overflow into the heap and are migrated in batches when the window
+advances.
 
 The calendar window is **adaptive**: the bucket count is fixed
 (:data:`NEAR_BUCKETS`) but the bucket *width* — and therefore the
@@ -37,10 +32,11 @@ ascending list satisfies the heap invariant, so the far tier can be
 the mostly-sorted arrays that monotone far pushes produce) and the new
 window sliced off its front — instead of paying one Python-level
 ``heappop`` per migrated entry, which is exactly what made the fixed
-256 ms window *lose* to the reference heap on wide timer horizons.
+256 ms window *lose* to a plain heap on wide timer horizons.
 
-Both orderings are the same total order — the property tests in
-``tests/test_event_fastpath.py`` pit them against each other on
+The pop order is exactly a plain heap's ``(time, priority, seq)``
+total order: the property tests in ``tests/test_event_fastpath.py``
+pit this queue against ``tests/reference/heap_kernel.py`` on
 randomized schedules (including cancellations) and require identical
 pop sequences. An :class:`Event` free list recycles handles that the
 kernel has proven unreferenced, cutting the per-event allocation that
@@ -54,7 +50,6 @@ from bisect import bisect_left, insort
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.hotpath import SLOW_PATH
 
 #: Default priority; lower fires first among same-time events.
 PRIORITY_NORMAL = 0
@@ -178,41 +173,32 @@ class EventQueue:
     instead of calling ``Event.__lt__`` — a measurable win at the
     millions-of-events scale of the Figure 10/11 experiments.
 
-    Parameters
-    ----------
-    calendar:
-        ``True`` enables the bucketed near-future tier (the fast
-        path); ``False`` is the heap-only reference implementation.
-        ``None`` (default) follows :data:`repro.hotpath.SLOW_PATH`.
-
     Invariant of the calendar tier: every heap entry's time is
     ``>= _win_end`` and every near entry's time is ``< _win_end``, so
     the near tier always drains before the heap and the pop order is
-    exactly the heap-only ``(time, priority, seq)`` total order.
+    exactly the ``(time, priority, seq)`` total order.
 
-    On the calendar path the far tier additionally tracks whether its
-    backing list is fully sorted (``_heap_sorted``): a sorted ascending
-    list is a valid binary heap, monotone far pushes keep it sorted
-    with a plain append, and window migration then reduces to a bisect
-    plus a front slice. Out-of-order far pushes fall back to
-    ``heappush`` and clear the flag; the next re-anchor restores it
-    with one C-speed ``sort()``.
+    The far tier additionally tracks whether its backing list is fully
+    sorted (``_heap_sorted``): a sorted ascending list is a valid binary
+    heap, monotone far pushes keep it sorted with a plain append, and
+    window migration then reduces to a bisect plus a front slice.
+    Out-of-order far pushes fall back to ``heappush`` and clear the
+    flag; the next re-anchor restores it with one C-speed ``sort()``.
     """
 
     __slots__ = (
-        "_heap", "_seq", "_live", "_calendar", "_free",
+        "_heap", "_seq", "_live", "_free",
         "_buckets", "_occ", "_sorted", "_si", "_cur",
         "_win_start", "_win_end", "_near", "_inv_width", "_span",
         "_heap_sorted", "_miss_near", "_miss_span",
     )
 
-    def __init__(self, calendar: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._seq = 0
         self._live = 0
-        self._calendar = (not SLOW_PATH) if calendar is None else calendar
         self._free: list[Event] = []
-        # Near-future calendar tier (unused when ``calendar`` is off).
+        # Near-future calendar tier.
         self._span = NEAR_BUCKETS * BUCKET_WIDTH
         self._inv_width = 1.0 / BUCKET_WIDTH
         self._buckets: list[list[tuple]] = [[] for _ in range(NEAR_BUCKETS)]
@@ -249,7 +235,7 @@ class EventQueue:
         ``seq`` re-inserts a previously :meth:`burn_seq`-ed sequence
         number instead of drawing a fresh one (kernel-private: how
         ``Simulator.materialise`` gives a booked delivery the exact
-        identity the reference path's push would have given it).
+        identity a push at booking time would have given it).
         """
         if callback is None:
             raise SimulationError("cannot schedule a None callback")
@@ -268,11 +254,6 @@ class EventQueue:
         else:
             ev = Event(time, priority, seq, callback, args)
         entry = (time, priority, seq, ev)
-        if not self._calendar:
-            # Heap-only reference path, kept byte-for-byte equivalent
-            # to the pre-optimisation queue.
-            heapq.heappush(self._heap, entry)
-            return ev
         if time < self._win_end:
             self._insert_near(entry)
         else:
@@ -282,8 +263,8 @@ class EventQueue:
     def burn_seq(self) -> int:
         """Consume one sequence number without inserting an event
         (kernel-private: ``Simulator.book``). Burning keeps the global
-        sequence stream identical to the reference path's, where every
-        delivery is a real ``push``."""
+        sequence stream identical to one where every delivery is a real
+        ``push``."""
         seq = self._seq
         self._seq = seq + 1
         return seq
@@ -425,14 +406,6 @@ class EventQueue:
     def peek_entry(self) -> Optional[tuple]:
         """The next live ``(time, priority, seq, event)`` entry without
         consuming it, or ``None``. Tombstones are discarded."""
-        if not self._calendar:
-            heap = self._heap
-            while heap:
-                entry = heap[0]
-                if entry[3].callback is not None:
-                    return entry
-                heapq.heappop(heap)
-            return None
         while True:
             s = self._sorted
             si = self._si
@@ -473,13 +446,10 @@ class EventQueue:
 
     def _consume(self, entry: tuple) -> Event:
         """Remove the entry returned by :meth:`peek_entry`."""
-        if self._calendar:
-            si = self._si
-            self._sorted[si] = None  # drop the tuple's reference to the event
-            self._si = si + 1
-            self._near -= 1
-        else:
-            heapq.heappop(self._heap)
+        si = self._si
+        self._sorted[si] = None  # drop the tuple's reference to the event
+        self._si = si + 1
+        self._near -= 1
         self._live -= 1
         return entry[3]
 
@@ -494,17 +464,6 @@ class EventQueue:
         SimulationError
             If the queue holds no live events.
         """
-        if not self._calendar:
-            # Heap-only reference path, kept byte-for-byte equivalent to
-            # the pre-optimisation queue (it is also the baseline the
-            # microbenches compare against).
-            heap = self._heap
-            while heap:
-                ev = heapq.heappop(heap)[3]
-                if ev.callback is not None:
-                    self._live -= 1
-                    return ev
-            raise SimulationError("pop from empty event queue")
         entry = self.peek_entry()
         if entry is None:
             raise SimulationError("pop from empty event queue")
@@ -519,22 +478,21 @@ class EventQueue:
         twice per event). The common case — next slot of the opened
         sorted run holds a live entry — is fully inlined.
         """
-        if self._calendar:
-            s = self._sorted
-            si = self._si
-            # Invariant: the slot at ``_si`` is never a consumed/None
-            # slot (tombstone sweeps null the slot *and* advance _si),
-            # so it is either past the end or a real entry tuple.
-            if si < len(s):
-                entry = s[si]
-                if entry[3].callback is not None:
-                    if until is not None and entry[0] > until:
-                        return None
-                    s[si] = None
-                    self._si = si + 1
-                    self._near -= 1
-                    self._live -= 1
-                    return entry[3]
+        s = self._sorted
+        si = self._si
+        # Invariant: the slot at ``_si`` is never a consumed/None
+        # slot (tombstone sweeps null the slot *and* advance _si),
+        # so it is either past the end or a real entry tuple.
+        if si < len(s):
+            entry = s[si]
+            if entry[3].callback is not None:
+                if until is not None and entry[0] > until:
+                    return None
+                s[si] = None
+                self._si = si + 1
+                self._near -= 1
+                self._live -= 1
+                return entry[3]
         entry = self.peek_entry()
         if entry is None or (until is not None and entry[0] > until):
             return None
@@ -542,11 +500,6 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        if not self._calendar:
-            heap = self._heap
-            while heap and heap[0][3].callback is None:
-                heapq.heappop(heap)
-            return heap[0][0] if heap else None
         entry = self.peek_entry()
         return entry[0] if entry is not None else None
 

@@ -7,7 +7,6 @@ from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.hotpath import SLOW_PATH
 from repro.obs.flight import FlightRecorder, NULL_FLIGHT
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.profile import EventLoopProfiler, NULL_PROFILER
@@ -39,8 +38,8 @@ class Simulator:
         ``False`` swaps every instrument for its shared NULL no-op.
     config:
         A :class:`~repro.sim.config.SimConfig` naming every behaviour
-        knob (hot path, flight recording, profiler, packet reuse,
-        partitioning, fluid engine) — the only configuration surface.
+        knob (flight recording, profiler, partitioning, fluid engine)
+        — the only configuration surface.
 
     Examples
     --------
@@ -62,12 +61,11 @@ class Simulator:
         self.config: SimConfig = config if config is not None else SimConfig()
         config = self.config
         self.now: float = 0.0
-        self.fast = (not SLOW_PATH) if config.fast is None else config.fast
-        self._queue = EventQueue(calendar=self.fast)
-        #: Transports may recycle pooled packets when this is True; it
-        #: is cleared whenever a packet tap is installed (a tap may
-        #: retain packet objects) and on the slow reference path.
-        self.allow_packet_reuse = self.fast
+        self._queue = EventQueue()
+        #: Transports may recycle pooled packets while this is True; it
+        #: is cleared for good when a packet tap is installed (a tap may
+        #: retain packet objects).
+        self.allow_packet_reuse = True
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder()
         self._running = False
@@ -117,10 +115,8 @@ class Simulator:
             "sim.kernel.callback_seconds", edges=CALLBACK_SECONDS_EDGES, wall=True
         )
         #: Flow-level transfer engine (net/fluid.py), or ``None``.
-        #: Requires the fast path; ``REPRO_SLOW_PATH=1`` always selects
-        #: the reference packet path regardless of the config.
         self.fluid = None
-        if config.fluid and self.fast and not SLOW_PATH:
+        if config.fluid:
             from repro.net.fluid import FlowScheduler
 
             self.fluid = FlowScheduler(self)
@@ -265,15 +261,13 @@ class Simulator:
         profiler = self.profiler
         profile_cb = self.profile_callbacks
         profile = profile_cb or profiler.enabled
-        observe_cb = self._m_callback.observe
-        record_prof = profiler.record if profiler.enabled else None
         self._horizon = until
         self._inline = max_events is None and not profile
         try:
-            if self.fast and not profile:
-                # Hot path: the common iteration — next slot of the
-                # queue's opened sorted run holds a live entry — is
-                # fully inlined here (zero queue calls per event); the
+            if not profile:
+                # The common iteration — next slot of the queue's
+                # opened sorted run holds a live entry — is fully
+                # inlined here (zero queue calls per event); the
                 # residue (tombstones, bucket opening, window advance,
                 # horizon) falls back to the single-walk ``pop_ready``.
                 # No per-event instrument tests (hoisted into the
@@ -320,7 +314,7 @@ class Simulator:
                             continue
                     ev = pop_ready(until)
                     if ev is None:
-                        # Same clock semantics as the reference loop:
+                        # Same clock semantics as the profiling loop:
                         # a non-empty queue means the next event is
                         # past the horizon (clock lands on ``until``);
                         # an empty queue advances only forward.
@@ -336,6 +330,10 @@ class Simulator:
                     if getrefcount(ev) == 2:  # loop local + getrefcount arg
                         recycle(ev)
             else:
+                # Profiling loop: every callback is timed on the wall
+                # clock, which is all that differs from the loop above.
+                observe_cb = self._m_callback.observe if profile_cb else None
+                record_prof = profiler.record if profiler.enabled else None
                 while queue:
                     if self._stopped:
                         break
@@ -354,16 +352,13 @@ class Simulator:
                     # exception does not pin the event's payload.
                     ev.callback = None
                     ev.args = ()
-                    if profile:
-                        t0 = perf_counter()
-                        callback(*args)
-                        wall = perf_counter() - t0
-                        if profile_cb:
-                            observe_cb(wall)
-                        if record_prof is not None:
-                            record_prof(callback, wall)
-                    else:
-                        callback(*args)
+                    t0 = perf_counter()
+                    callback(*args)
+                    wall = perf_counter() - t0
+                    if observe_cb is not None:
+                        observe_cb(wall)
+                    if record_prof is not None:
+                        record_prof(callback, wall)
                     processed += 1
                 else:
                     if until is not None and until > self.now:

@@ -29,11 +29,11 @@ Scale model (the million-vnode path):
 
 Laziness is observationally invisible: a pipe materialised at its
 first matching packet is in exactly the state (idle, zero backlog,
-name-derived RNG stream) the eager pipe would be in at that moment,
-and registration bypasses the flow-cache/generation invalidation
-because nothing can have cached a path through a pipe that did not
-exist. ``REPRO_SLOW_PATH=1`` keeps the eager reference path; the
-subprocess A/B tests prove byte-identity.
+name-derived RNG stream) an eagerly built pipe would be in at that
+moment, and registration bypasses the flow-cache/generation
+invalidation because nothing can have cached a path through a pipe
+that did not exist. ``tests/reference/eager_deploy.py`` builds every
+pipe up front; the tests compare this compiler against it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import gc
 from typing import Dict, List, Optional
 
 from repro.errors import FirewallError, TopologyError
-from repro.hotpath import SLOW_PATH
 from repro.net.ipfw import ACTION_PIPE, DIR_IN, DIR_OUT, Firewall, Rule
 from repro.net.pipe import DummynetPipe, ShapingProfile
 from repro.obs.metrics import NULL_REGISTRY
@@ -149,22 +148,13 @@ class _GroupPipeFactory:
 
 
 class TopologyCompiler:
-    """Deploys a :class:`TopologySpec` onto a :class:`Testbed`.
+    """Deploys a :class:`TopologySpec` onto a :class:`Testbed`, every
+    pipe deferred to the first packet that matches its rule."""
 
-    ``lazy=None`` (default) follows the hot-path switch: pipes are
-    deferred to first use unless ``REPRO_SLOW_PATH=1`` selects the
-    eager reference path. ``lazy=False`` forces eager compilation (the
-    seed behaviour — every pipe, name and libc built up front), which
-    is what the topology benchmark measures against.
-    """
-
-    def __init__(
-        self, spec: TopologySpec, testbed: Testbed, lazy: Optional[bool] = None
-    ) -> None:
+    def __init__(self, spec: TopologySpec, testbed: Testbed) -> None:
         spec.validate()
         self.spec = spec
         self.testbed = testbed
-        self.lazy = (not SLOW_PATH) if lazy is None else lazy
         self.vnodes_by_group: Dict[str, List[VirtualNode]] = {}
         self.rules_installed = 0
         self.pipes_installed = 0
@@ -203,8 +193,8 @@ class TopologyCompiler:
         # and blocks are all acyclic and freed by refcounting), but the
         # cyclic collector's full-heap passes scale with the number of
         # live objects and dominate large builds. Pause it for the
-        # duration; the eager reference path keeps the seed behaviour.
-        pause_gc = self.lazy and gc.isenabled()
+        # duration.
+        pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
         try:
@@ -222,7 +212,7 @@ class TopologyCompiler:
                 count=self.spec.total_nodes(),
                 placement=placement,
                 name_prefix="node",
-                block_register=self.lazy,
+                block_register=True,
             ):
                 name = vnode.group
                 if name is not last_group_name:
@@ -237,8 +227,9 @@ class TopologyCompiler:
                     group_pnodes[last_pnode] = None
                 install(vnode, group)
                 created.append(vnode)
-            if self.lazy:
-                self._ledger.defer(2 * len(created))
+            # The pipe deferral is accounted in bulk here; per-vnode
+            # ledger calls would be pure loop overhead.
+            self._ledger.defer(2 * len(created))
             self._install_group_rules()
             self._metrics.fold()
         finally:
@@ -247,29 +238,12 @@ class TopologyCompiler:
         return created
 
     def _install_vnode_rules(self, vnode: VirtualNode, group: GroupSpec) -> None:
-        """Two rules (and, eagerly or lazily, two pipes) per vnode."""
+        """Two rules (and two deferred pipes) per vnode."""
         pnode = vnode.pnode
-        fw = pnode.stack.fw
-        addr = vnode.address
-        number = VNODE_RULE_BASE + 2 * pnode.folding_ratio
-        if self.lazy:
-            # The pipe deferral is accounted in bulk by deploy();
-            # per-vnode ledger calls would be pure loop overhead.
-            up_f, down_f = self._factories_for(pnode, group)
-            fw.add_access_pair(addr, number, up_factory=up_f, down_factory=down_f)
-        else:
-            sim = self.testbed.sim
-            profile = self._profiles[group.name]
-            pipe_base = 2 * addr.value  # unique, stable pipe ids per address
-            up = profile.up_pipe(sim, f"up/{addr}", pnode.name)
-            down = profile.down_pipe(sim, f"down/{addr}", pnode.name)
-            fw.add_pipe(pipe_base, up)
-            fw.add_pipe(pipe_base + 1, down)
-            fw.add_access_pair(addr, number, up_pipe=up, down_pipe=down)
-            # The eager reference keeps the seed's footprint: name
-            # string and libc built at deploy time.
-            _ = vnode.name
-            _ = vnode.libc
+        up_f, down_f = self._factories_for(pnode, group)
+        pnode.stack.fw.add_access_pair(
+            vnode.address, VNODE_RULE_BASE + 2 * pnode.folding_ratio, up_f, down_f
+        )
         self.pipes_installed += 2
         self.rules_installed += 2
 
@@ -324,38 +298,25 @@ class TopologyCompiler:
                         if src_net.contains_value(v.address.value)
                     )
             covered.append(pnodes)
-        lazy = self.lazy
         for pnode in self.testbed.pnodes:
             if not pnode.folding_ratio:
                 continue
             number = GROUP_RULE_BASE
             fw = pnode.stack.fw
-            for (src_net, dst_net, latency), pset in zip(entries, covered):
+            for (src_net, dst_net, _latency), pset in zip(entries, covered):
                 if pnode not in pset:
                     continue
-                if lazy:
-                    factory = self._group_factories.get(id(pnode))
-                    if factory is None:
-                        factory = _GroupPipeFactory(
-                            sim, pnode.name, self.spec._latencies, self._ledger
-                        )
-                        self._group_factories[id(pnode)] = factory
-                    fw.add(
-                        ACTION_PIPE, number=number, pipe_factory=factory,
-                        src=src_net, dst=dst_net, direction=DIR_OUT,
+                factory = self._group_factories.get(id(pnode))
+                if factory is None:
+                    factory = _GroupPipeFactory(
+                        sim, pnode.name, self.spec._latencies, self._ledger
                     )
-                    self._ledger.defer(1)
-                else:
-                    pipe = DummynetPipe(
-                        sim,
-                        delay=latency,
-                        name=f"grp/{pnode.name}/{src_net}->{dst_net}",
-                        owner=pnode.name,
-                    )
-                    fw.add(
-                        ACTION_PIPE, number=number, pipe=pipe,
-                        src=src_net, dst=dst_net, direction=DIR_OUT,
-                    )
+                    self._group_factories[id(pnode)] = factory
+                fw.add(
+                    ACTION_PIPE, number=number, pipe_factory=factory,
+                    src=src_net, dst=dst_net, direction=DIR_OUT,
+                )
+                self._ledger.defer(1)
                 number += 1
                 self.pipes_installed += 1
                 self.rules_installed += 1
@@ -419,10 +380,9 @@ def compile_topology(
     spec: TopologySpec,
     testbed: Testbed,
     placement: str = PLACEMENT_BLOCK,
-    lazy: Optional[bool] = None,
 ) -> TopologyCompiler:
     """One-shot helper: deploy ``spec`` onto ``testbed`` and return the
     compiler (for group lookups and stats)."""
-    compiler = TopologyCompiler(spec, testbed, lazy=lazy)
+    compiler = TopologyCompiler(spec, testbed)
     compiler.deploy(placement=placement)
     return compiler

@@ -1,13 +1,12 @@
-"""Equivalence of the calendar-queue fast path and the heap-only queue.
+"""Equivalence of the calendar queue and a plain heap.
 
-The hot-path overhaul must be *observationally invisible*: the bucketed
-calendar/near-future queue (``EventQueue(calendar=True)``) and the
-pre-optimisation binary heap (``calendar=False``, also selected
-process-wide by ``REPRO_SLOW_PATH=1``) must produce the identical
-``(time, priority, seq)`` total order and the identical cancellation
-semantics on *any* schedule. These property-style tests drive both
-queues through the same randomized push/pop/cancel sequences and
-demand byte-equal outcomes.
+The calendar queue must be *observationally invisible*: it and the
+plain ``heapq`` queue of ``tests/reference/heap_kernel.py`` must
+produce the identical ``(time, priority, seq)`` total order and the
+identical cancellation semantics on *any* schedule, and the simulator
+must run a schedule exactly as the reference run loop does. These
+property-style tests drive both through the same randomized
+push/pop/cancel sequences and demand byte-equal outcomes.
 """
 
 import random
@@ -23,8 +22,8 @@ from repro.sim.event import (
     PRIORITY_NORMAL,
     EventQueue,
 )
-from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
+from tests.reference.heap_kernel import HeapKernel, HeapQueue
 
 PRIORITIES = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW)
 
@@ -48,12 +47,21 @@ def _random_times(rng: random.Random, n: int, span: float):
     return times
 
 
-def _drain(queue: EventQueue):
+def _drain(queue):
     order = []
     while queue:
         ev = queue.pop()
         order.append((ev.time, ev.priority, ev.seq))
     return order
+
+
+def _cancel(heap_q, heap_ev, cal_q, cal_ev):
+    """Cancel the same event on the reference and the calendar queue
+    (cancelling twice is a no-op on both)."""
+    heap_q.cancel(heap_ev)
+    if not cal_ev.cancelled:
+        cal_ev.cancel()
+        cal_q.note_cancelled()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -71,8 +79,8 @@ def test_pop_order_identical_on_random_schedules(seed, span):
     times = _random_times(rng, 2000, span)
     prios = [rng.choice(PRIORITIES) for _ in times]
 
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     for t, p in zip(times, prios):
         heap_q.push(t, _noop, (), p)
         cal_q.push(t, _noop, (), p)
@@ -91,22 +99,18 @@ def test_cancellation_semantics_identical(seed):
     times = _random_times(rng, 1500, 10 * WINDOW)
     prios = [rng.choice(PRIORITIES) for _ in times]
 
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     heap_evs, cal_evs = [], []
     for t, p in zip(times, prios):
         heap_evs.append(heap_q.push(t, _noop, (), p))
         cal_evs.append(cal_q.push(t, _noop, (), p))
 
-    # Cancel the same 30% on both queues (tombstones on the calendar
-    # path, skipped-on-pop for the heap path).
+    # Cancel the same 30% on both queues (tombstones on both, dropped
+    # on the heap pop or the bucket sweep that reaches them).
     doomed = rng.sample(range(len(times)), k=len(times) * 3 // 10)
     for i in doomed:
-        for q, evs in ((heap_q, heap_evs), (cal_q, cal_evs)):
-            ev = evs[i]
-            if not ev.cancelled:
-                ev.cancel()
-                q.note_cancelled()
+        _cancel(heap_q, heap_evs[i], cal_q, cal_evs[i])
 
     assert len(heap_q) == len(cal_q) == len(times) - len(doomed)
     heap_order = _drain(heap_q)
@@ -120,8 +124,8 @@ def test_cancellation_semantics_identical(seed):
 def test_interleaved_push_pop_identical(seed):
     """Steady-state shape: pops interleaved with pushes of later times."""
     rng = random.Random(seed)
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     # Both queues see the *same* decision stream: seed both identically.
     for t in _random_times(rng, 64, WINDOW):
         heap_q.push(t, _noop, (), PRIORITY_NORMAL)
@@ -152,8 +156,8 @@ def test_dense_window_beyond_sparse_run_max():
     migration; order must still match."""
     n = 1536
     base = 50 * WINDOW  # far from t=0: guarantees a migration
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     rng = random.Random(7)
     for _ in range(n):
         t = base + rng.random() * WINDOW * 0.9
@@ -164,15 +168,16 @@ def test_dense_window_beyond_sparse_run_max():
 
 
 def test_pop_ready_until_horizon_identical():
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     for i in range(100):
         t = i * 0.01
         heap_q.push(t, _noop, (), PRIORITY_NORMAL)
         cal_q.push(t, _noop, (), PRIORITY_NORMAL)
     horizon = 0.495
     a = []
-    while (ev := heap_q.pop_ready(horizon)) is not None:
+    while (t := heap_q.peek_time()) is not None and t <= horizon:
+        ev = heap_q.pop()
         a.append((ev.time, ev.seq))
     b = []
     while (ev := cal_q.pop_ready(horizon)) is not None:
@@ -184,24 +189,25 @@ def test_pop_ready_until_horizon_identical():
 
 
 def test_pop_from_empty_raises_on_both_paths():
-    for calendar in (False, True):
-        q = EventQueue(calendar=calendar)
-        with pytest.raises(SimulationError):
-            q.pop()
-        ev = q.push(0.0, _noop, (), PRIORITY_NORMAL)
-        ev.cancel()
-        q.note_cancelled()
-        assert not q
-        with pytest.raises(SimulationError):
-            q.pop()
+    """A queue that never held anything and one holding only a
+    tombstone (the sweep path) both refuse to pop."""
+    q = EventQueue()
+    with pytest.raises(SimulationError):
+        q.pop()
+    ev = q.push(0.0, _noop, (), PRIORITY_NORMAL)
+    ev.cancel()
+    q.note_cancelled()
+    assert not q
+    with pytest.raises(SimulationError):
+        q.pop()
 
 
 def test_adaptive_window_widens_for_wide_spread():
     """A wide event spread must re-derive a wide window: the span after
     a migration is set by the observed gap to the TARGET_WINDOW_EVENTS-th
     event, not the fixed 256x1ms minimum geometry."""
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     rng = random.Random(99)
     span = 1000 * WINDOW  # ~256 s for the default geometry
     for _ in range(5000):
@@ -222,8 +228,8 @@ def test_entries_exactly_on_win_end():
     through the tier boundary."""
     import math
 
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     cal_q.push(0.0, _noop, (), PRIORITY_NORMAL)
     heap_q.push(0.0, _noop, (), PRIORITY_NORMAL)
     end = cal_q._win_end
@@ -251,8 +257,8 @@ def test_cancellation_of_events_migrated_across_a_resize(seed):
     after they have been migrated across a window resize; both queues
     must agree at every step."""
     rng = random.Random(seed)
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     heap_evs, cal_evs = [], []
     # Two regimes: a dense prefix inside the first window and a wide
     # tail that forces resized (adaptive) windows during the drain.
@@ -264,10 +270,7 @@ def test_cancellation_of_events_migrated_across_a_resize(seed):
         cal_evs.append(cal_q.push(t, _noop, (), p))
 
     def cancel(i):
-        for q, evs in ((heap_q, heap_evs), (cal_q, cal_evs)):
-            if not evs[i].cancelled:
-                evs[i].cancel()
-                q.note_cancelled()
+        _cancel(heap_q, heap_evs[i], cal_q, cal_evs[i])
 
     # Cancel some far-tier events while they still sit in the heap.
     for i in rng.sample(range(400, 1600), 200):
@@ -294,8 +297,8 @@ def test_mid_run_window_resizes_interleaved(seed):
     (1 ms gaps) and wide (seconds) regimes: the window must re-derive
     both down and up without ever reordering."""
     rng = random.Random(seed)
-    heap_q = EventQueue(calendar=False)
-    cal_q = EventQueue(calendar=True)
+    heap_q = HeapQueue()
+    cal_q = EventQueue()
     for t in _random_times(rng, 128, WINDOW):
         heap_q.push(t, _noop, (), PRIORITY_NORMAL)
         cal_q.push(t, _noop, (), PRIORITY_NORMAL)
@@ -323,11 +326,11 @@ def test_mid_run_window_resizes_interleaved(seed):
 
 @pytest.mark.parametrize("seed", [30, 31])
 def test_simulator_fast_and_slow_execute_identically(seed):
-    """Full-kernel equivalence: same callbacks, same clock, same order —
-    including runtime cancellations and self-rescheduling timers."""
+    """Full-kernel equivalence with the reference run loop: same
+    callbacks, same clock, same order — including runtime cancellations
+    and self-rescheduling timers."""
 
-    def build_and_run(fast: bool):
-        sim = Simulator(seed=seed, observe=False, config=SimConfig(fast=fast))
+    def build_and_run(sim):
         rng = random.Random(seed)
         log = []
         handles = {}
@@ -349,10 +352,9 @@ def test_simulator_fast_and_slow_execute_identically(seed):
         sim.run(until=50.0)
         return log, sim.events_processed, sim.now
 
-    fast_result = build_and_run(True)
-    slow_result = build_and_run(False)
-    assert fast_result == slow_result
-    assert fast_result[1] > 300  # the workload actually rescheduled
+    result = build_and_run(Simulator(seed=seed, observe=False))
+    assert result == build_and_run(HeapKernel())
+    assert result[1] > 300  # the workload actually rescheduled
 
 
 def test_opened_run_is_bounded_by_a_bucket_not_the_window():
@@ -360,7 +362,7 @@ def test_opened_run_is_bounded_by_a_bucket_not_the_window():
     a ticker at millisecond scale then pushes into the *opened* run
     for the whole window. The run must be restarted bucket by bucket
     (consumed slots dropped) instead of growing with the window."""
-    sim = Simulator(seed=1, observe=False, config=SimConfig(fast=True))
+    sim = Simulator(seed=1, observe=False)
     for i in range(100):
         sim.schedule(10.0 * (i + 1), _noop)
     longest = [0]

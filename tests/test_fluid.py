@@ -6,9 +6,9 @@ pipes) delivery times must equal the packet path bit-for-bit; where it
 **approximates** (contended max-min fair sharing) completion times
 must stay within the gated tolerance. Around those sit the seam
 contracts: a mid-transfer tap attach de-fluidizes onto the packet
-path, ``SimConfig(fluid=False)`` and ``REPRO_SLOW_PATH=1`` select the
-reference path outright, and under the partitioned kernel the merged
-result is byte-identical for every worker count.
+path, ``SimConfig(fluid=False)`` selects the packet path outright,
+and under the partitioned kernel the merged result is byte-identical
+for every worker count.
 """
 
 import hashlib
@@ -171,9 +171,8 @@ def _shaped_stack(sim, switch, name, admin, addrs, bw, delay, direction):
 
 def _run_child(code, **env_overrides):
     """Run ``code`` in a fresh interpreter that can import ``repro``
-    and ``tests`` (flags such as ``REPRO_SLOW_PATH`` are read at import
-    time; ``PYTHONHASHSEED`` only takes effect at start-up). Returns
-    its standard output."""
+    and ``tests`` (``PYTHONHASHSEED`` only takes effect at start-up).
+    Returns its standard output."""
     env = dict(os.environ)
     env.update(env_overrides)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + str(
@@ -431,21 +430,6 @@ def test_fluid_false_is_reference_path():
     assert ap == aoff
     assert endp == endoff
     assert evp == evoff
-
-
-def test_slow_path_env_selects_reference():
-    """``REPRO_SLOW_PATH=1`` must win over ``SimConfig(fluid=True)``:
-    the engine is never attached and the timeline is the reference
-    one."""
-    code = (
-        "import sys, tests.test_fluid as tf\n"
-        "ap, endp, evp, simp = tf._pair_sim(False, n=10)\n"
-        "af, endf, evf, simf = tf._pair_sim(True, n=10)\n"
-        "assert simf.fluid is None, 'engine attached under REPRO_SLOW_PATH'\n"
-        "assert ap == af and endp == endf\n"
-        "print('ok')\n"
-    )
-    assert "ok" in _run_child(code, REPRO_SLOW_PATH="1")
 
 
 # ----------------------------------------------------------------------

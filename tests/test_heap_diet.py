@@ -33,6 +33,7 @@ from repro.net.switch import Switch
 from repro.net.tcp import Connection, Listener, TcpLayer
 from repro.sim import Channel, Simulator
 from repro.units import ms
+from tests.reference.rule_walk import RuleWalk
 
 
 def make_lan(seed=5):
@@ -94,7 +95,7 @@ def test_cached_flow_stays_under_memory_budget_when_rule_sets_are_shared():
     Verdict and three tuples)."""
     flows, senders = 20_000, 8
     sim = Simulator(seed=0, observe=False)
-    fw = Firewall(flow_cache=True)
+    fw = Firewall()
     for i in range(senders):
         fw.add(
             ACTION_PIPE,
@@ -483,10 +484,11 @@ def _packet(src, dst="10.200.0.1", proto=PROTO_TCP):
     return Packet(IPv4Address(src), IPv4Address(dst), proto, 1500)
 
 
-def _shared_fw(sim, flow_cache=True, indexed=False):
+def _shared_fw(sim, indexed=False, fw=None):
     """Two access rules sharing the *number* 500 but not the pipe, a
-    count rule, a deny and a final allow."""
-    fw = Firewall(flow_cache=flow_cache, indexed=indexed)
+    count rule, a deny and a final allow — on ``fw`` (a new Firewall by
+    default)."""
+    fw = Firewall(indexed=indexed) if fw is None else fw
     fw.add(ACTION_COUNT, number=100, src=IPv4Network("10.1.0.0/16"))
     fw.add(
         ACTION_PIPE, number=500, src=IPv4Address("10.1.0.1"), direction=DIR_OUT,
@@ -549,8 +551,8 @@ class TestSharedVerdicts:
             lambda fw, sim: setattr(fw, "indexed", True),
             lambda fw, sim: fw.add_access_pair(
                 IPv4Address("10.1.0.9"), 800,
-                up_pipe=DummynetPipe(sim, delay=ms(1)),
-                down_pipe=DummynetPipe(sim, delay=ms(1)),
+                up_factory=lambda rule: DummynetPipe(sim, delay=ms(1)),
+                down_factory=lambda rule: DummynetPipe(sim, delay=ms(1)),
             ),
         ],
         ids=["add", "delete", "flush", "add_pipe", "indexed", "add_access_pair"],
@@ -573,7 +575,7 @@ class TestSharedVerdicts:
         """``register_lazy_pipe`` happens inside the evaluation that
         first caches the verdict, so it must not clear anything."""
         sim = Simulator(seed=0, observe=False)
-        fw = Firewall(flow_cache=True)
+        fw = Firewall()
         fw.add(ACTION_ALLOW, number=900)
         fw.evaluate(_packet("10.3.0.1"), DIR_OUT)
 
@@ -588,22 +590,22 @@ class TestSharedVerdicts:
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["linear", "indexed"])
     def test_cache_on_and_off_agree_on_verdict_fields_and_hits(self, indexed):
+        """The cached firewall against the uncached reference walk."""
         sim = Simulator(seed=0, observe=False)
-        cached = _shared_fw(sim, flow_cache=True, indexed=indexed)
-        plain = _shared_fw(sim, flow_cache=False, indexed=indexed)
+        cached = _shared_fw(sim, indexed=indexed)
+        walk = _shared_fw(sim, fw=RuleWalk(indexed=indexed))
         sources = ["10.1.0.1", "10.1.0.2", "10.1.7.7", "10.9.0.1", "10.3.0.1"]
         for round_ in range(3):
             for src in sources:
                 for direction in (DIR_OUT, DIR_IN):
-                    v1 = cached.evaluate(_packet(src, dst=f"10.200.0.{round_ + 1}"), direction)
-                    v2 = plain.evaluate(_packet(src, dst=f"10.200.0.{round_ + 1}"), direction)
-                    assert (v1.allowed, v1.scanned, v1.matched) == (
-                        v2.allowed, v2.scanned, v2.matched,
-                    )
-                    assert [p.name for p in v1.pipes] == [p.name for p in v2.pipes]
-        assert [r.hits for r in cached.rules] == [r.hits for r in plain.rules]
-        assert cached.rules_scanned_total == plain.rules_scanned_total
-        assert plain.stats()["flow_cache_verdicts"] == 0
+                    packet = _packet(src, dst=f"10.200.0.{round_ + 1}")
+                    for _miss_then_hit in range(2):
+                        v = cached.evaluate(packet, direction)
+                        allowed, pipes, scanned, matched = walk.evaluate(packet, direction)
+                        assert (v.allowed, v.scanned, v.matched) == (allowed, scanned, matched)
+                        assert [p.name for p in v.pipes] == [p.name for p in pipes]
+        assert [r.hits for r in cached.rules] == walk.hits
+        assert cached.rules_scanned_total == walk.rules_scanned_total
         assert cached.stats()["flow_cache_verdicts"] < cached.stats()["flow_cache_entries"]
 
     def test_linear_and_indexed_agree_on_everything_but_the_charge(self):

@@ -1,46 +1,43 @@
 """Hot-path optimisations must be semantically invisible.
 
-Covers the three parts of the hot-path overhaul that carry semantic
-risk, plus the headline acceptance proof:
+Covers the parts of the hot-path overhaul that carry semantic risk,
+plus the headline acceptance proof:
 
-* the ipfw **verdict flow cache** — invalidation on every mutating op
-  (``add``/``delete``/``flush``/``add_pipe``/``indexed`` flip), hit
-  accounting that replays the original scan charge bit-for-bit, and
+* the ipfw **verdict flow cache** — hit accounting that replays the
+  scan charge of the reference walk (``tests/reference/rule_walk.py``)
+  bit-for-bit, invalidation on every mutating op
+  (``add``/``delete``/``flush``/``add_pipe``/``indexed`` flip), and
   the ``delete``/``flush`` per-rule ``hits`` reset;
 * the **packet pool** — fresh ids on reuse (the id stream is part of
   the deterministic surface) and tap-induced opt-out;
-* the **subprocess A/B determinism proof** — the metrics snapshot and
-  the Chrome trace of a small swarm are byte-identical between the
-  optimised path and ``REPRO_SLOW_PATH=1``, under two different
-  ``PYTHONHASHSEED`` values.
+* the **golden digests** — the metrics document and Chrome trace of a
+  small swarm, and a reduced fig6 under both cost models, hash to the
+  values every path produced before the reference paths left the
+  product, under two different ``PYTHONHASHSEED`` values.
 """
 
 import hashlib
 import json
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.net import packet as packet_mod
 from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.ipfw import ACTION_ALLOW, ACTION_COUNT, ACTION_DENY, ACTION_PIPE, Firewall
 from repro.net.packet import PROTO_TCP, Packet, acquire, release, retag
 from repro.net.pipe import DummynetPipe
 from repro.sim import SimConfig, Simulator
+from tests.reference.rule_walk import RuleWalk
 from tests.test_fluid import _run_child
-
-SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
 
 def pkt(src="10.1.0.1", dst="10.2.0.1", proto=PROTO_TCP):
     return Packet(IPv4Address(src), IPv4Address(dst), proto, 1500)
 
 
-def make_fw(flow_cache=True):
-    fw = Firewall(flow_cache=flow_cache)
+def make_fw(fw=None):
+    """Count, deny and allow rules on ``fw`` (a new Firewall by default)."""
+    fw = Firewall() if fw is None else fw
     fw.add(ACTION_COUNT, src=IPv4Network("10.1.0.0/16"))
     fw.add(ACTION_DENY, src=IPv4Network("10.9.0.0/16"))
     fw.add(ACTION_ALLOW)
@@ -49,24 +46,18 @@ def make_fw(flow_cache=True):
 
 class TestFlowCacheAccounting:
     def test_hit_replays_identical_accounting(self):
-        cached, scan = make_fw(True), make_fw(False)
+        cached, walk = make_fw(), make_fw(RuleWalk())
         for _ in range(10):
-            v1 = cached.evaluate(pkt(), "out")
-            v2 = scan.evaluate(pkt(), "out")
-            assert (v1.allowed, v1.scanned, v1.matched) == (
-                v2.allowed,
-                v2.scanned,
-                v2.matched,
-            )
-        assert cached.packets_evaluated == scan.packets_evaluated == 10
-        assert cached.rules_scanned_total == scan.rules_scanned_total
-        assert [r.hits for r in cached.rules] == [r.hits for r in scan.rules]
+            v = cached.evaluate(pkt(), "out")
+            assert (v.allowed, v.pipes, v.scanned, v.matched) == walk.evaluate(pkt(), "out")
+        assert cached.packets_evaluated == walk.packets_evaluated == 10
+        assert cached.rules_scanned_total == walk.rules_scanned_total
+        assert [r.hits for r in cached.rules] == walk.hits
         assert cached.flow_cache_hits == 9
         assert cached.flow_cache_misses == 1
-        assert scan.flow_cache_hits == 0
 
     def test_distinct_flows_get_distinct_entries(self):
-        fw = make_fw(True)
+        fw = make_fw()
         fw.evaluate(pkt(src="10.1.0.1"), "out")
         fw.evaluate(pkt(src="10.9.0.1"), "out")  # hits the DENY rule
         fw.evaluate(pkt(), "in")  # direction is part of the key
@@ -83,7 +74,7 @@ class TestFlowCacheInvalidation:
     rule change is a correctness bug, not a performance bug."""
 
     def test_add_invalidates(self):
-        fw = make_fw(True)
+        fw = make_fw()
         before = fw.evaluate(pkt(), "out")
         fw.add(ACTION_DENY, src=IPv4Network("10.1.0.0/16"), number=50)
         after = fw.evaluate(pkt(), "out")
@@ -91,7 +82,7 @@ class TestFlowCacheInvalidation:
         assert fw.flow_cache_hits == 0  # the cached verdict was dropped
 
     def test_delete_invalidates(self):
-        fw = Firewall(flow_cache=True)
+        fw = Firewall()
         deny = fw.add(ACTION_DENY, src=IPv4Network("10.1.0.0/16"))
         fw.add(ACTION_ALLOW)
         assert not fw.evaluate(pkt(), "out").allowed
@@ -99,7 +90,7 @@ class TestFlowCacheInvalidation:
         assert fw.evaluate(pkt(), "out").allowed
 
     def test_flush_invalidates(self):
-        fw = Firewall(flow_cache=True)
+        fw = Firewall()
         fw.add(ACTION_DENY)
         assert not fw.evaluate(pkt(), "out").allowed
         fw.flush()
@@ -108,7 +99,7 @@ class TestFlowCacheInvalidation:
 
     def test_add_pipe_invalidates(self, monkeypatch):
         sim = Simulator(seed=0, observe=False)
-        fw = Firewall(flow_cache=True)
+        fw = Firewall()
         fw.add(ACTION_ALLOW)
         fw.evaluate(pkt(), "out")
         assert fw.stats()["flow_cache_entries"] == 1
@@ -116,7 +107,7 @@ class TestFlowCacheInvalidation:
         assert fw.stats()["flow_cache_entries"] == 0
 
     def test_indexed_flip_invalidates(self):
-        fw = make_fw(True)
+        fw = make_fw()
         linear = fw.evaluate(pkt(), "out")
         fw.indexed = True
         indexed = fw.evaluate(pkt(), "out")
@@ -126,7 +117,7 @@ class TestFlowCacheInvalidation:
 
     def test_pipe_rule_verdicts_replay_the_pipe(self):
         sim = Simulator(seed=0, observe=False)
-        fw = Firewall(flow_cache=True)
+        fw = Firewall()
         p = fw.add_pipe(1, DummynetPipe(sim, bandwidth=1e6, name="up"))
         fw.add(ACTION_PIPE, pipe=1)
         fw.add(ACTION_ALLOW)
@@ -138,7 +129,7 @@ class TestFlowCacheInvalidation:
 
 class TestHitsReset:
     def test_delete_resets_hits(self):
-        fw = Firewall(flow_cache=False)
+        fw = Firewall()
         count = fw.add(ACTION_COUNT)
         fw.add(ACTION_ALLOW)
         for _ in range(5):
@@ -148,7 +139,7 @@ class TestHitsReset:
         assert count.hits == 0
 
     def test_flush_resets_hits(self):
-        fw = Firewall(flow_cache=False)
+        fw = Firewall()
         rules = [fw.add(ACTION_COUNT), fw.add(ACTION_ALLOW)]
         for _ in range(3):
             fw.evaluate(pkt(), "out")
@@ -158,7 +149,7 @@ class TestHitsReset:
 
     def test_hits_reset_also_under_cache_hits(self):
         """Cache-hit bookkeeping must not resurrect counters either."""
-        fw = make_fw(True)
+        fw = make_fw()
         for _ in range(4):
             fw.evaluate(pkt(), "out")
         count_rule = fw.rules[0]
@@ -197,62 +188,27 @@ class TestPacketPool:
     def test_tap_disables_reuse_permanently(self):
         from repro.net.stack import NetworkStack
 
-        sim = Simulator(seed=0, observe=False, config=SimConfig(fast=True))
+        sim = Simulator(seed=0, observe=False)
         assert sim.allow_packet_reuse is True
         stack = NetworkStack(sim, "node1")
         stack.add_tap(lambda p: None)
         assert sim.allow_packet_reuse is False  # taps may retain packets
 
-    def test_slow_path_sim_never_reuses(self):
-        sim = Simulator(seed=0, observe=False, config=SimConfig(fast=False))
-        assert sim.allow_packet_reuse is False
+    def test_every_simulator_carries_the_attributes_the_stack_reads(self):
+        """The delivery path reads ``allow_packet_reuse`` and ``fluid``
+        as plain attributes: every simulator has both from construction."""
+        for config in (SimConfig(), SimConfig(fluid=True), SimConfig(profiler=True)):
+            sim = Simulator(seed=0, observe=False, config=config)
+            assert sim.allow_packet_reuse is True
+            assert (sim.fluid is not None) == config.fluid
 
 
-#: One child per (path, hash seed): runs a small flight-recorded swarm
-#: and prints the deterministic metrics JSON plus the full Chrome trace
-#: document. Any behavioural divergence between the optimised and
-#: reference paths shows up as a byte diff.
-AB_SCRIPT = """
-import json
-from repro.bittorrent import Swarm, SwarmConfig
-from repro.analysis.export import metrics_json
-from repro.units import MB
-
-config = SwarmConfig(leechers=4, seeders=1, file_size=1 * MB, stagger=1.0,
-                     num_pnodes=2, seed=7, observe=True, flight=True)
-swarm = Swarm(config)
-swarm.run(max_time=20000)
-manifest = swarm.manifest(wall_time_seconds=None)
-snapshot = swarm.metrics_snapshot()
-spans = swarm.sim.tracer.as_list()
-doc = {
-    "metrics": json.loads(metrics_json(manifest, snapshot, spans,
-                                       deterministic_only=True)),
-    "trace": swarm.chrome_trace(experiment="ab"),
-}
-print(json.dumps(doc, sort_keys=True))
-"""
-
-
-def _run_ab_child(slow_path: str, hash_seed: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", AB_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=600,
-        env={
-            "PYTHONHASHSEED": hash_seed,
-            "REPRO_SLOW_PATH": slow_path,
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": SRC_DIR,
-        },
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
+# ----------------------------------------------------------------------
+# Golden digests: the byte-identity proof of every optimisation above
+# ----------------------------------------------------------------------
 def _ab_document():
-    """The AB_SCRIPT document, in-process."""
+    """A small flight-recorded swarm: the deterministic metrics document
+    plus the full Chrome trace."""
     from repro.analysis.export import metrics_json
     from repro.bittorrent import Swarm, SwarmConfig
     from repro.units import MB
@@ -288,10 +244,10 @@ def _fig6_document():
     }
 
 
-#: BLAKE2b of each document, computed with every hot-path optimisation
-#: on and off (the heap queue, the uncached rule walk and the eager
-#: deployer the tests/reference oracles now stand for) under
-#: PYTHONHASHSEED 1 and 31337: all four runs agreed.
+#: BLAKE2b of each document. Computed before the reference paths left
+#: the product — with the calendar queue, flow cache, packet pool and
+#: lazy deployer on and with all of them off — under PYTHONHASHSEED 1
+#: and 31337: all four runs agreed.
 GOLDEN_DIGESTS = {
     "ab": "8ebbc6e950c34650144f3890b5fa1ad0",
     "fig6": "6c60ae98f7f4e9668088c9ae14c30dce",
@@ -306,25 +262,9 @@ def _golden_digest(kind):
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
 def test_golden_digest(kind):
+    """Acceptance proof, under two hash seeds (flushing out any
+    dict/set-order dependence the caches could introduce)."""
     code = f"import tests.test_hotpath as t; print(t._golden_digest({kind!r}))"
     for hash_seed in ("1", "31337"):
         digest = _run_child(code, PYTHONHASHSEED=hash_seed).strip()
         assert digest == GOLDEN_DIGESTS[kind], hash_seed
-
-
-def test_ab_fast_vs_slow_path_byte_identical_across_hash_seeds():
-    """Acceptance proof: trace + metrics snapshot are byte-identical
-    with all optimisations on vs. ``REPRO_SLOW_PATH=1``, under two
-    different hash seeds (flushing out any dict/set-order dependence
-    the caches could have introduced)."""
-    fast_1 = _run_ab_child(slow_path="0", hash_seed="1")
-    slow_1 = _run_ab_child(slow_path="1", hash_seed="1")
-    assert fast_1 == slow_1
-    fast_2 = _run_ab_child(slow_path="0", hash_seed="31337")
-    assert fast_2 == fast_1
-    slow_2 = _run_ab_child(slow_path="1", hash_seed="31337")
-    assert slow_2 == slow_1
-    # Sanity: the output actually contains both documents.
-    doc = json.loads(fast_1)
-    assert doc["metrics"]
-    assert doc["trace"]["traceEvents"]

@@ -4,12 +4,12 @@ A *train* here is what the word means on a wire: a back-to-back burst
 of packets queued on one shaped pipe. ``DummynetPipe`` schedules one
 kernel event per delivery, so a burst is the case where many of its
 events are in flight at once. These tests pin what that has to look
-like from outside, on the fast (calendar queue) and the reference
-(heap) kernel alike: delivery timelines, ``events_processed``,
-``pending`` and the clock agree under horizons, ``stop()``, ``step()``,
-``max_events`` budgets and mid-run ``reconfigure()``. The subprocess
-A/B byte-identity proof (metrics + flight + trace under two hash
-seeds) lives in ``tests/test_hotpath.py``.
+like from outside, on the simulator and on the reference kernel of
+``tests/reference/heap_kernel.py`` alike: delivery timelines,
+``events_processed``, ``pending`` and the clock agree under horizons,
+``stop()``, ``step()``, ``max_events`` budgets and mid-run
+``reconfigure()``. The byte-identity digests (metrics + flight + trace
+under two hash seeds) live in ``tests/test_hotpath.py``.
 
 The last section drives the same kernel interactions through the one
 consumer of the kernel's booked-delivery primitive (DESIGN.md, "Booked
@@ -24,6 +24,7 @@ from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
 from repro.sim import SimConfig
 from repro.sim.kernel import Simulator
+from tests.reference.heap_kernel import HeapKernel
 from tests.test_fluid import _build_pair
 
 SRC = ip("10.0.0.1")
@@ -40,12 +41,11 @@ def _burst(pipe, n, size=1500, deliver=None):
 
 
 def _run_twins(scenario):
-    """Run ``scenario(sim, log)`` on a fast and a slow simulator and
-    return both (log, sim) pairs. ``log`` records whatever the
-    scenario appends — typically ``(sim.now, packet.payload)``."""
+    """Run ``scenario(sim, log)`` on the simulator and on the reference
+    kernel and return both (log, sim) pairs. ``log`` records whatever
+    the scenario appends — typically ``(sim.now, packet.payload)``."""
     results = []
-    for fast in (True, False):
-        sim = Simulator(seed=1, observe=True, config=SimConfig(fast=fast))
+    for sim in (Simulator(seed=1, observe=True), HeapKernel()):
         log = []
         scenario(sim, log)
         results.append((log, sim))
@@ -53,7 +53,7 @@ def _run_twins(scenario):
 
 
 # ----------------------------------------------------------------------
-# Fast/slow twin equivalence under kernel interactions
+# Simulator/reference twin equivalence under kernel interactions
 # ----------------------------------------------------------------------
 def _two_pipe_scenario(sim, log):
     """Two shaped pipes with interleaving arrival streams plus an
@@ -76,10 +76,10 @@ def _two_pipe_scenario(sim, log):
 
 
 def test_interleaved_pipes_timeline_identical():
-    (fast_log, fast_sim), (slow_log, slow_sim) = _run_twins(_two_pipe_scenario)
-    assert fast_log == slow_log
-    assert fast_sim.events_processed == slow_sim.events_processed
-    assert fast_sim.now == slow_sim.now
+    (sim_log, sim), (ref_log, ref) = _run_twins(_two_pipe_scenario)
+    assert sim_log == ref_log
+    assert sim.events_processed == ref.events_processed
+    assert sim.now == ref.now
 
 
 def test_horizon_splits_train_identically():
@@ -94,10 +94,10 @@ def test_horizon_splits_train_identically():
         log.append(("pending", sim.pending, sim.now))
         sim.run()
 
-    (fast_log, fast_sim), (slow_log, slow_sim) = _run_twins(scenario)
-    assert fast_log == slow_log
-    assert fast_sim.events_processed == slow_sim.events_processed
-    marker = next(e for e in fast_log if e[0] == "pending")
+    (sim_log, sim), (ref_log, ref) = _run_twins(scenario)
+    assert sim_log == ref_log
+    assert sim.events_processed == ref.events_processed
+    marker = next(e for e in sim_log if e[0] == "pending")
     assert marker[1] == 30  # the horizon really split the burst
 
 
@@ -115,10 +115,10 @@ def test_stop_mid_train_identical():
         log.append(("stopped", sim.pending, sim.now))
         sim.run()
 
-    (fast_log, fast_sim), (slow_log, slow_sim) = _run_twins(scenario)
-    assert fast_log == slow_log
-    assert fast_sim.events_processed == slow_sim.events_processed
-    marker = next(e for e in fast_log if e[0] == "stopped")
+    (sim_log, sim), (ref_log, ref) = _run_twins(scenario)
+    assert sim_log == ref_log
+    assert sim.events_processed == ref.events_processed
+    marker = next(e for e in sim_log if e[0] == "stopped")
     assert marker[1] == 20  # stop() really interrupted the train
 
 
@@ -130,10 +130,10 @@ def test_max_events_budget_identical():
         log.append(("budget", sim.pending, sim.now))
         sim.run()
 
-    (fast_log, fast_sim), (slow_log, slow_sim) = _run_twins(scenario)
-    assert fast_log == slow_log
-    assert fast_sim.events_processed == slow_sim.events_processed
-    marker = next(e for e in fast_log if e[0] == "budget")
+    (sim_log, sim), (ref_log, ref) = _run_twins(scenario)
+    assert sim_log == ref_log
+    assert sim.events_processed == ref.events_processed
+    marker = next(e for e in sim_log if e[0] == "budget")
     assert marker[1] == 18
 
 
@@ -144,9 +144,9 @@ def test_step_drains_one_delivery_at_a_time():
         while sim.step():
             log.append(("after-step", sim.pending))
 
-    (fast_log, fast_sim), (slow_log, slow_sim) = _run_twins(scenario)
-    assert fast_log == slow_log
-    assert fast_sim.events_processed == slow_sim.events_processed == 10
+    (sim_log, sim), (ref_log, ref) = _run_twins(scenario)
+    assert sim_log == ref_log
+    assert sim.events_processed == ref.events_processed == 10
 
 
 def test_reconfigure_shrinking_delay_mid_burst_identical():
@@ -170,12 +170,12 @@ def test_reconfigure_shrinking_delay_mid_burst_identical():
         sim.schedule(0.00045, pipe.reconfigure, None, 0.001)
         sim.run()
 
-    (fast_log, fast_sim), (slow_log, slow_sim) = _run_twins(scenario)
-    assert fast_log == slow_log
-    assert fast_sim.events_processed == slow_sim.events_processed
+    (sim_log, sim), (ref_log, ref) = _run_twins(scenario)
+    assert sim_log == ref_log
+    assert sim.events_processed == ref.events_processed
     # The non-monotone arrivals really happened (deliveries reordered
     # relative to send order).
-    tags = [tag for _, tag in fast_log]
+    tags = [tag for _, tag in sim_log]
     assert tags != sorted(tags)
 
 
@@ -204,37 +204,41 @@ def test_reconfigure_mid_run_train_twin_identical():
         sim.schedule(0.2, _burst, pipe, 10, 1500, deliver)
         sim.run()
 
-    (fast_log, fast_sim), (slow_log, slow_sim) = _run_twins(scenario)
-    assert fast_log == slow_log
-    assert fast_sim.events_processed == slow_sim.events_processed
-    assert fast_sim.now == slow_sim.now
-    marker = next(e for e in fast_log if e[0] == "backlog")
+    (sim_log, sim), (ref_log, ref) = _run_twins(scenario)
+    assert sim_log == ref_log
+    assert sim.events_processed == ref.events_processed
+    assert sim.now == ref.now
+    marker = next(e for e in sim_log if e[0] == "backlog")
     assert marker[1] > 0  # the reconfigure really caught a backlog
 
 
 def test_pending_counts_in_flight_deliveries():
-    sim = Simulator(seed=1, config=SimConfig(fast=True))
-    slow = Simulator(seed=1, config=SimConfig(fast=False))
-    for s in (sim, slow):
+    sim = Simulator(seed=1)
+    ref = HeapKernel()
+    for s in (sim, ref):
         pipe = DummynetPipe(s, bandwidth=1e6, delay=0.05, name="p")
         _burst(pipe, 25, deliver=lambda p: None)
-    assert sim.pending == slow.pending == 25
+    assert sim.pending == ref.pending == 25
     sim.run()
-    slow.run()
-    assert sim.pending == slow.pending == 0
+    ref.run()
+    assert sim.pending == ref.pending == 0
 
 
 def test_queue_depth_gauge_matches_reference():
+    """The gauge a run leaves behind is the reference's pending count."""
+
     def scenario(sim, log):
         pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.0, name="p")
         _burst(pipe, 20, deliver=lambda p: None)
-        sim.run(max_events=5)
-        log.append(sim.metrics.gauge("sim.kernel.queue_depth").value)
-        sim.run()
-        log.append(sim.metrics.gauge("sim.kernel.queue_depth").value)
+        for budget in (5, None):
+            sim.run(max_events=budget)
+            if isinstance(sim, Simulator):
+                log.append(sim.metrics.gauge("sim.kernel.queue_depth").value)
+            else:
+                log.append(sim.pending)
 
-    (fast_log, _), (slow_log, _) = _run_twins(scenario)
-    assert fast_log == slow_log == [15, 0]
+    (sim_log, _), (ref_log, _) = _run_twins(scenario)
+    assert sim_log == ref_log == [15, 0]
 
 
 # ----------------------------------------------------------------------

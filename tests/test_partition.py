@@ -9,6 +9,7 @@ cell) and the protocol edge case (a message delivered exactly on a
 barrier-window edge).
 """
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -149,7 +150,8 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.partitions == 1 and cfg.lookahead is None
-        assert cfg.fast is None and cfg.flight is False
+        assert cfg.flight is False and cfg.profiler is False and cfg.fluid is False
+        assert len(dataclasses.fields(cfg)) == 5
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -160,7 +162,7 @@ class TestSimConfig:
             SimConfig(lookahead=-1.0)
 
     def test_round_trip(self):
-        cfg = SimConfig(fast=False, flight=True, partitions=4, lookahead=2.5)
+        cfg = SimConfig(flight=True, partitions=4, lookahead=2.5)
         assert SimConfig.from_dict(cfg.as_dict()) == cfg
         assert SimConfig.from_dict({"partitions": 2, "junk": 1}).partitions == 2
 
@@ -170,9 +172,10 @@ class TestSimConfig:
         assert SimConfig().partitions == 1  # frozen original untouched
 
     def test_simulator_takes_config(self):
-        sim = Simulator(seed=1, config=SimConfig(fast=False))
-        assert sim.fast is False
-        assert sim.config.fast is False
+        config = SimConfig(fluid=True)
+        sim = Simulator(seed=1, config=config)
+        assert sim.config is config
+        assert sim.fluid is not None
 
     def test_canonical_path_does_not_warn(self):
         with warnings.catch_warnings():

@@ -3,83 +3,40 @@ invisible and the streaming build must stay flat in memory.
 
 The contract under test (see ``repro.topology.compiler``): the lazy
 build — streaming placement, block address registration, flyweight
-shaping profiles, pipes deferred to first matching packet — produces
-byte-identical emulation output to the eager reference path selected
-by ``REPRO_SLOW_PATH=1``, while an idle vnode never materialises any
-Dummynet state.
+shaping profiles, pipes deferred to first matching packet — installs
+the rule tables and produces the emulation output of the eager
+reference deployer in ``tests/reference/eager_deploy.py``, while an
+idle vnode never materialises any Dummynet state.
 """
 
 import hashlib
 import json
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
 
-import repro
 from repro.errors import FirewallError
 from repro.net.ping import ping
 from repro.topology import TopologySpec, compile_topology
 from repro.topology.presets import uniform_swarm
 from repro.units import kbps, ms
 from repro.virt import Testbed
+from tests.reference.eager_deploy import eager_deploy
 from tests.test_fluid import _run_child
 
-SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-
 
 # ----------------------------------------------------------------------
-# Subprocess A/B: lazy vs eager reference, across hash seeds
+# Golden digest: a reduced fig10 across hash seeds
 # ----------------------------------------------------------------------
-#: Runs a reduced-scale fig10 swarm (the full stack: topology compile,
-#: BitTorrent swarm, completion curve) and prints the result document.
-#: Any divergence between the lazy and the REPRO_SLOW_PATH=1 eager
-#: reference shows up as a byte diff.
-FIG10_AB_SCRIPT = """
-import json
-from repro.experiments.fig10_scalability import run_fig10
-
-result = run_fig10(scale=0.004, stagger=0.25, seed=7)
-doc = {
-    "clients": result.clients,
-    "pnodes": result.pnodes,
-    "completion": result.completion,
-    "selected": result.selected_progress,
-    "first": result.first_completion,
-    "last": result.last_completion,
-    "median": result.median_completion,
-}
-print(json.dumps(doc, sort_keys=True))
-"""
-
-
-def _run_fig10_child(slow_path: str, hash_seed: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", FIG10_AB_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=600,
-        env={
-            "REPRO_SLOW_PATH": slow_path,
-            "PYTHONHASHSEED": hash_seed,
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": SRC_DIR,
-        },
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
-#: BLAKE2b of the reduced fig10 document, computed on the lazy and on
-#: the eager deployer under PYTHONHASHSEED 1 and 31337: all four runs
-#: agreed.
+#: BLAKE2b of the reduced fig10 document. Computed before the eager
+#: path left the product, on the lazy and on the eager deployer under
+#: PYTHONHASHSEED 1 and 31337: all four runs agreed.
 GOLDEN_FIG10_DIGEST = "34b5933806f5cf8fc2f530ba629ad3d3"
 
 
 def _fig10_digest():
-    """The FIG10_AB_SCRIPT document, in-process, as a digest."""
+    """A reduced-scale fig10 swarm (the full stack: topology compile,
+    BitTorrent swarm, completion curve) as a digest of its result."""
     from repro.experiments.fig10_scalability import run_fig10
 
     result = run_fig10(scale=0.004, stagger=0.25, seed=7)
@@ -104,21 +61,6 @@ def test_fig10_golden_digest_across_hash_seeds():
         assert digest == GOLDEN_FIG10_DIGEST, hash_seed
 
 
-def test_fig10_lazy_eager_byte_identical_across_hash_seeds():
-    """Acceptance proof: the fig10 document is byte-identical between
-    the lazy topology path and the eager REPRO_SLOW_PATH reference,
-    under two different hash seeds."""
-    lazy_a = _run_fig10_child(slow_path="0", hash_seed="1")
-    eager_a = _run_fig10_child(slow_path="1", hash_seed="1")
-    assert lazy_a == eager_a
-    lazy_b = _run_fig10_child(slow_path="0", hash_seed="31337")
-    assert lazy_b == lazy_a
-    eager_b = _run_fig10_child(slow_path="1", hash_seed="31337")
-    assert eager_b == lazy_a
-    doc = json.loads(lazy_a)
-    assert doc["completion"] and doc["clients"] >= 10
-
-
 # ----------------------------------------------------------------------
 # Flyweight/lazy shaping state
 # ----------------------------------------------------------------------
@@ -127,7 +69,7 @@ def test_idle_vnode_never_materializes_pipes():
     the other vnodes on the same physical nodes."""
     testbed = Testbed(num_pnodes=2)
     spec = uniform_swarm(4, prefix="10.0.0.0/24")
-    comp = compile_topology(spec, testbed, lazy=True)
+    comp = compile_topology(spec, testbed)
     v1, v2, v3, v4 = comp.vnodes("peers")
 
     stats = comp.stats()
@@ -157,17 +99,22 @@ def test_idle_vnode_never_materializes_pipes():
             fw.pipe(2 * idle.address.value + 1)
 
 
+def _two_group_spec():
+    spec = TopologySpec()
+    spec.add_group("a", "10.1.0.0/24", 5, up_bw=kbps(128), latency=ms(10))
+    spec.add_group("b", "10.2.0.0/24", 3, down_bw=kbps(512), plr=0.05)
+    spec.add_latency("a", "b", ms(100))
+    return spec
+
+
 def test_lazy_and_eager_install_identical_rule_tables():
     """The deterministic firewall footprint (rule numbers, pipe ids as
     configured, order) must not depend on the laziness mode."""
-    spec = TopologySpec()
-    spec.add_group("a", "10.1.0.0/24", 5, up_bw=kbps(128), latency=ms(10))
-    spec.add_group("b", "10.2.0.0/24", 3, down_bw=kbps(512))
-    spec.add_latency("a", "b", ms(100))
+    spec = _two_group_spec()
 
-    def table(lazy):
+    def table(deploy):
         testbed = Testbed(num_pnodes=2)
-        compile_topology(spec, testbed, lazy=lazy)
+        deploy(spec, testbed)
         return [
             [
                 (r.number, r.action, str(r.src), str(r.dst), r.direction)
@@ -176,14 +123,38 @@ def test_lazy_and_eager_install_identical_rule_tables():
             for pnode in testbed.pnodes
         ]
 
-    assert table(lazy=True) == table(lazy=False)
+    assert table(compile_topology) == table(eager_deploy)
+
+
+def test_lazy_and_eager_ping_every_pair_identically():
+    """Echoes between every ordered pair of vnodes, across groups and
+    pnodes, through lossy and shaped pipes: same RTTs, same losses, same
+    deterministic metrics whichever deployer built the pipes."""
+
+    def run(deploy):
+        testbed = Testbed(num_pnodes=2, seed=4)
+        deploy(spec, testbed)
+        vnodes = sorted(testbed.vnodes.values(), key=lambda v: v.address.value)
+        probes = [
+            ping(testbed.sim, a.pnode.stack, a.address, b.address,
+                 count=2, interval=0.3, timeout=5.0)
+            for a in vnodes for b in vnodes if a is not b
+        ]
+        testbed.run()
+        rtts = [(p.result.received, p.result.avg) for p in probes]
+        return rtts, testbed.sim.metrics.snapshot()
+
+    spec = _two_group_spec()
+    lazy, eager = run(compile_topology), run(eager_deploy)
+    assert lazy == eager
+    assert 0 < sum(received for received, _ in lazy[0]) < 2 * len(lazy[0])
 
 
 def test_access_pipes_materialize_on_demand():
     """The control-plane hook works before any packet has flowed."""
     testbed = Testbed(num_pnodes=1)
     spec = uniform_swarm(2, prefix="10.0.0.0/24")
-    comp = compile_topology(spec, testbed, lazy=True)
+    comp = compile_topology(spec, testbed)
     v1, _ = comp.vnodes("peers")
     up, down = comp.access_pipes(v1)
     assert up is not None and down is not None
@@ -227,7 +198,7 @@ def test_lazy_100k_deploy_stays_under_per_vnode_memory_budget():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        comp = compile_topology(spec, testbed, lazy=True)
+        comp = compile_topology(spec, testbed)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
