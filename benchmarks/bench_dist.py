@@ -10,7 +10,7 @@ speedup**:
     speedup = (total cell CPU seconds, single process)
               / (max per-worker cell CPU seconds, 4 workers)
 
-CPU seconds (``time.process_time`` around every build/window slice,
+CPU seconds (``time.process_time`` around every build and run slice,
 reported per cell in ``PartitionResult.busy_seconds``) rather than
 coordinator wall-clock, because wall-clock parallel speedup is a
 property of the *machine*: on a single free core 4 workers time-share
@@ -109,7 +109,6 @@ def test_dist_partition_speedup(benchmark, bench_json):
         "dist",
         clients=result_4.clients,
         cells=len(merged_4.cells),
-        windows=merged_4.windows,
         partitions=PARTITIONS,
         swarm_scale=SWARM_SCALE,
         serial_cpu_seconds=round(serial_cpu, 6),

@@ -10,7 +10,7 @@ Examples::
 
     python -m repro list
     python -m repro fig6
-    python -m repro run fig10 --partitions 4 scale=0.5
+    python -m repro run fig10_cells --partitions 4 scale=0.5
     python -m repro fig8 -- leechers=40 file_size=8388608
     python -m repro all
     python -m repro metrics

@@ -8,18 +8,19 @@ to paper scale.
 
 Index (see DESIGN.md for the full mapping):
 
-========  ==========================================================
-fig1      CPU-bound process scalability (avg exec time vs N)
-fig2      memory-bound processes (swap knee; FreeBSD vs Linux)
-fig3      fairness CDFs (4BSD, ULE, Linux 2.6)
-tblA      libc interception connect-cycle overhead (10.22 vs 10.79 us)
-fig6      RTT vs number of firewall rules (linear scan)
-fig7      hierarchical topology latency decomposition (853 ms)
-fig8      160-client BitTorrent download evolution
-fig9      folding ratio (1..80 clients per physical node)
-fig10     5754-client scalability (selected clients' progress)
-fig11     completion count over time for the same run
-========  ==========================================================
+============  ==========================================================
+fig1          CPU-bound process scalability (avg exec time vs N)
+fig2          memory-bound processes (swap knee; FreeBSD vs Linux)
+fig3          fairness CDFs (4BSD, ULE, Linux 2.6)
+tblA          libc interception connect-cycle overhead (10.22 vs 10.79 us)
+fig6          RTT vs number of firewall rules (linear scan)
+fig7          hierarchical topology latency decomposition (853 ms)
+fig8          160-client BitTorrent download evolution
+fig9          folding ratio (1..80 clients per physical node)
+fig10         5754-client scalability (selected clients' progress)
+fig10_cells   the same clients as independent sub-swarm cells
+fig11         completion count over time for the fig10 run
+============  ==========================================================
 """
 
 from repro.experiments.api import RunRequest, RunResult, make_execute

@@ -12,6 +12,11 @@ dimension with one ``scale`` parameter (1.0 = paper scale) while
 keeping the 32-vnodes-per-pnode folding. For scaled runs the block
 size is raised to one block per piece, trading request granularity for
 event count (documented in DESIGN.md).
+
+``fig10_cells`` (:func:`run_fig10_partitioned`) is a different
+experiment: the same client count split into independent sub-swarm
+cells that never exchange a packet, run by :mod:`repro.sim.partition`
+on worker processes. It is not the paper's single swarm.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ class Fig10Result:
     first_completion: float
     last_completion: float
     median_completion: float
-    #: N-invariant partition layout when the run was partitioned
-    #: (cells, lookahead, windows); None for the legacy path.
+    #: N-invariant partition layout (the cell names) for
+    #: ``fig10_cells``; None for the single-swarm run.
     partition: Optional[Dict[str, Any]] = None
 
     @property
@@ -81,33 +86,10 @@ def run_fig10(
     seed: int = 0,
     max_time: float = 30000.0,
     select_every: int = 50,
-    partitions: Optional[int] = None,
-    cells: Optional[int] = None,
     fluid: bool = False,
 ) -> Fig10Result:
-    """Run the scalability experiment at ``scale`` x 5754 clients.
-
-    ``partitions=N`` switches to the partitioned decomposition (the
-    swarm split into ``cells`` independent sub-swarms, each with its
-    own tracker and address block, run by the distributed kernel on up
-    to ``N`` worker processes). The partitioned result depends on the
-    cell count — part of the experiment definition — but **not** on
-    ``N``: ``partitions=1`` and ``partitions=8`` are byte-identical.
-    ``partitions=None`` is the legacy single-simulator path.
-    """
-    if partitions is not None:
-        result, _merged = run_fig10_partitioned(
-            scale=scale,
-            stagger=stagger,
-            file_size=file_size,
-            seed=seed,
-            max_time=max_time,
-            select_every=select_every,
-            partitions=partitions,
-            cells=cells,
-            fluid=fluid,
-        )
-        return result
+    """Run the scalability experiment at ``scale`` x 5754 clients as
+    one swarm on one simulator."""
     leechers = max(10, round(5754 * scale))
     pnodes = max(1, -(-(leechers + 5) // 32))  # keep 32 vnodes per pnode
     config = SwarmConfig(
@@ -141,7 +123,7 @@ def run_fig10(
     )
 
 
-# -- partitioned decomposition (repro.sim.partition) -------------------
+# -- fig10_cells: independent sub-swarms (repro.sim.partition) ---------
 
 
 def _build_fig10_cell(
@@ -158,8 +140,7 @@ def _build_fig10_cell(
 
     Each cell is a self-contained swarm (own tracker, own address
     block, leechers occupying its slice of the global stagger slots);
-    cells never exchange traffic, so the decomposition needs no
-    lookahead and the driver runs a single fully-parallel window.
+    cells never exchange traffic.
     """
     cfg = SwarmConfig(
         leechers=leechers,
@@ -222,9 +203,16 @@ def run_fig10_partitioned(
     cells: Optional[int] = None,
     fluid: bool = False,
 ) -> Tuple[Fig10Result, PartitionResult]:
-    """The partitioned scalability run; returns the figure result plus
-    the merged :class:`PartitionResult` (metrics/trace/flights — the
-    byte-identity comparison surface of the A/B tests)."""
+    """The ``fig10_cells`` run: ``scale`` x 5754 clients split into
+    ``cells`` independent sub-swarms, each with its own tracker and
+    address block, on up to ``partitions`` worker processes.
+
+    Returns the figure result plus the merged :class:`PartitionResult`
+    (metrics/trace/flights — the byte-identity comparison surface of
+    the A/B tests). The result depends on the cell count — part of the
+    experiment definition — but **not** on ``partitions``:
+    ``partitions=1`` and ``partitions=8`` are byte-identical.
+    """
     leechers = max(10, round(5754 * scale))
     num_cells = DEFAULT_CELLS if cells is None else cells
     if num_cells < 1:
@@ -298,11 +286,16 @@ def run_fig10_partitioned(
 
 
 def print_report(result: Fig10Result) -> str:
+    what = (
+        "Figures 10/11: scalability run"
+        if result.partition is None
+        else f"fig10_cells: {len(result.partition['cells'])} independent sub-swarms"
+    )
     table = Table(
         ["metric", "value"],
         title=(
-            f"Figures 10/11: scalability run, {result.clients} clients on "
-            f"{result.pnodes} pnodes (~{result.vnodes_per_pnode} vnodes/pnode)"
+            f"{what}, {result.clients} clients on {result.pnodes} pnodes "
+            f"(~{result.vnodes_per_pnode} vnodes/pnode)"
         ),
     )
     table.add_row("first completion (s)", result.first_completion)
@@ -313,7 +306,6 @@ def print_report(result: Fig10Result) -> str:
     table.add_row("selected clients plotted", len(result.selected_progress))
     if result.partition is not None:
         table.add_row("partition cells", len(result.partition["cells"]))
-        table.add_row("barrier windows", result.partition["windows"])
     return table.render()
 
 
@@ -335,34 +327,51 @@ def _artifacts(result: Fig10Result) -> dict:
     return out
 
 
-def run(request: RunRequest) -> RunResult:
-    """Whole-figure entry point under the unified protocol."""
+def run_fig10_cells(**kwargs: Any) -> Fig10Result:
+    """The figure-level result of :func:`run_fig10_partitioned`."""
+    return run_fig10_partitioned(**kwargs)[0]
+
+
+def _execute(run_fn, request: RunRequest, point: bool) -> RunResult:
     kwargs = request.kwargs
     kwargs.setdefault("seed", request.seed)
-    if request.partitions is not None:
+    if point:
+        kwargs.setdefault("scale", 0.01)
+    if run_fn is run_fig10_cells and request.partitions is not None:
         kwargs.setdefault("partitions", request.partitions)
-    result = run_fig10(**kwargs)
-    return RunResult.ok(
-        request, value=result, artifacts=_artifacts(result), report=print_report(result)
+    if request.fluid is not None:
+        kwargs.setdefault("fluid", request.fluid)
+    result = run_fn(**kwargs)
+    report = (
+        f"scale={kwargs['scale']}: {result.clients} clients on "
+        f"{result.pnodes} pnodes, last completion "
+        f"{result.last_completion:.0f}s, steepness {result.ramp_steepness:.2f}"
+        if point
+        else print_report(result)
     )
+    return RunResult.ok(request, value=result, artifacts=_artifacts(result), report=report)
+
+
+def run(request: RunRequest) -> RunResult:
+    """``fig10`` entry point under the unified protocol (one swarm;
+    ``request.partitions`` is ignored like on every unpartitioned
+    experiment)."""
+    return _execute(run_fig10, request, point=False)
 
 
 def run_point(request: RunRequest) -> RunResult:
-    """One sweep point: the scalability run at a single ``scale``
-    (fraction of the paper's 5754 clients); the aggregate shows how
-    the completion ramp evolves with swarm size."""
-    params = request.kwargs
-    params.setdefault("scale", 0.01)
-    if request.partitions is not None:
-        params.setdefault("partitions", request.partitions)
-    result = run_fig10(seed=request.seed, **params)
-    return RunResult.ok(
-        request,
-        value=result,
-        artifacts=_artifacts(result),
-        report=(
-            f"scale={params['scale']}: {result.clients} clients on "
-            f"{result.pnodes} pnodes, last completion "
-            f"{result.last_completion:.0f}s, steepness {result.ramp_steepness:.2f}"
-        ),
-    )
+    """One ``fig10`` sweep point: the scalability run at a single
+    ``scale`` (fraction of the paper's 5754 clients); the aggregate
+    shows how the completion ramp evolves with swarm size."""
+    return _execute(run_fig10, request, point=True)
+
+
+def run_cells(request: RunRequest) -> RunResult:
+    """``fig10_cells`` entry point: ``request.partitions`` caps the
+    worker processes."""
+    return _execute(run_fig10_cells, request, point=False)
+
+
+def run_cells_point(request: RunRequest) -> RunResult:
+    """One ``fig10_cells`` sweep point at a single ``scale``."""
+    return _execute(run_fig10_cells, request, point=True)

@@ -169,6 +169,15 @@ EXPERIMENTS: Dict[str, ExperimentEntry] = {
             fig10_scalability,
             sweep_grid={"scale": (0.01, 0.02, 0.05)},
         ),
+        ExperimentEntry(
+            id="fig10_cells",
+            title="5754 clients as independent sub-swarm cells",
+            run=fig10_scalability.run_fig10_cells,
+            report=fig10_scalability.print_report,
+            execute=fig10_scalability.run_cells,
+            point=fig10_scalability.run_cells_point,
+            sweep_grid=(("scale", (0.01, 0.02, 0.05)),),
+        ),
         _entry(
             "fig11",
             "5754-client scalability (completions)",

@@ -55,9 +55,9 @@ Kernel contract
 ---------------
 The scheduler keeps exactly one materialized kernel event — at the
 earliest pending delivery — whenever it holds any pending segment, so
-``Simulator.next_event_time()`` stays a safe lower bound (the
-partition driver's lookahead argument is untouched: all fluid activity
-is cell-local and never posts cross-cell messages). Every agenda entry
+the head of the kernel queue stays a safe lower bound on when the
+simulator next acts (all fluid state is also cell-local, so
+partitioned runs need nothing from it). Every agenda entry
 is a kernel *booked delivery* (DESIGN.md, "Booked deliveries"): the
 kernel owns the ledger and the may-dispatch-inline predicate, this
 module — the primitive's only consumer — owns the agenda heap.

@@ -35,7 +35,7 @@ def swap_id_stream(stream: "itertools.count") -> "itertools.count":
     The packet-id counter is the one piece of process-global state the
     network layer owns. The partition driver
     (:mod:`repro.sim.partition`) gives every cell its *own* id stream —
-    swapped in around each build/window/finish slice — so a cell's
+    swapped in around each build/run/finish slice — so a cell's
     flight and trace output is a function of the cell alone, not of
     which other cells happen to share the worker process. Single-cell
     code never needs this.

@@ -39,8 +39,6 @@ Kinds emitted by the runtime:
   probe entry per registered simulator (sim-time, events processed,
   event-queue depth). Emitted by a daemon thread, so a worker wedged
   in Python code still heartbeats — with frozen counters.
-* ``partition_window`` — barrier-window progress from the partition
-  driver (window index, horizon, live cells).
 * ``stall`` — watchdog verdict: a source whose counters stopped
   advancing before any timeout fired (see :meth:`TelemetryHub.
   check_stalls`).
@@ -411,7 +409,6 @@ class TelemetryHub:
         }
         #: source -> worker health doc (see _apply_heartbeat)
         self.workers: Dict[str, Dict[str, Any]] = {}
-        self.windows: Dict[str, Dict[str, Any]] = {}
         self._stalled_flagged: Dict[str, float] = {}
         self._watchdog_stop: Optional[threading.Event] = None
         self._watchdog_thread: Optional[threading.Thread] = None
@@ -457,11 +454,6 @@ class TelemetryHub:
             self.finished = {
                 k: v for k, v in event.items() if k not in ("kind", "source")
             }
-        elif kind == "partition_window":
-            self.windows[source] = {
-                k: v for k, v in event.items() if k not in ("kind", "source")
-            }
-            self._mark_advance(source, now)
         elif kind in ("point_started", "point_finished", "point_retried",
                       "point_crashed", "point_failed"):
             self._apply_point(kind, event, source, now)
@@ -620,7 +612,6 @@ class TelemetryHub:
                     "running": running,
                 },
                 "workers": workers,
-                "windows": {k: dict(v) for k, v in sorted(self.windows.items())},
                 "stalled": self._stalls(now),
             }
 

@@ -1,8 +1,8 @@
 """Parallel, fault-tolerant execution of an :class:`ExecutionPlan`.
 
 Everything this package runs in another process — one sweep point per
-process, or a partition worker holding its cells' simulators across
-barrier windows — goes through one seam:
+process, or a partition worker building, running and finishing its
+block of cells — goes through one seam:
 
 * **one child entry point** (:func:`_child_main`): build a handler,
   serve ``(command, payload)`` requests until ``("close", None)``,
@@ -239,7 +239,7 @@ class CommandWorker:
         """Dispatch a command without waiting (pair with :meth:`receive`).
 
         The split form lets a coordinator fan a command out to every
-        worker before collecting any reply — the barrier-window driver
+        worker before collecting any reply — the partition driver
         would otherwise serialize its workers."""
         if self._dead:
             raise WorkerCrashed(self.name, "no longer running")
@@ -330,7 +330,7 @@ def receive_all(workers: List[CommandWorker]) -> List[Any]:
 
     The sequential alternative (``[w.receive() for w in workers]``)
     blocks on worker 0's reply while workers 1..N's telemetry queues
-    unseen — a long barrier window would go dark. Replies are returned
+    unseen — a long cell run would go dark. Replies are returned
     in worker order; the first crash or shipped error is raised as
     :class:`WorkerCrashed`.
     """

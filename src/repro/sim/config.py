@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import SimulationError
 
@@ -39,10 +39,6 @@ class SimConfig:
         (:mod:`repro.sim.partition`). ``1`` = a single worker; the
         value is a *cap*, not a layout: the model's cell decomposition
         is fixed independently, so results never depend on it.
-    lookahead:
-        Conservative sync window for partitioned runs, in simulated
-        seconds; ``None`` derives it from the topology (or treats
-        cells as uncoupled when they declare no cross-traffic).
     fluid:
         Attach a :class:`~repro.net.fluid.FlowScheduler` to the
         simulator: eligible long-lived bulk TCP transfers are modelled
@@ -53,17 +49,12 @@ class SimConfig:
     flight: bool = False
     profiler: bool = False
     partitions: int = 1
-    lookahead: Optional[float] = None
     fluid: bool = False
 
     def __post_init__(self) -> None:
         if self.partitions < 1:
             raise SimulationError(
                 f"partitions must be >= 1, got {self.partitions!r}"
-            )
-        if self.lookahead is not None and self.lookahead <= 0:
-            raise SimulationError(
-                f"lookahead must be positive, got {self.lookahead!r}"
             )
 
     def replace(self, **changes: Any) -> "SimConfig":

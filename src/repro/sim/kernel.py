@@ -391,29 +391,6 @@ class Simulator:
         """Request the active :meth:`run` loop to stop after the current event."""
         self._stopped = True
 
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` when idle.
-
-        A safe lower bound on when this simulator can next act: the
-        fluid flow engine keeps one event at (or before) its earliest
-        booked delivery, so deferred deliveries never hide behind it.
-        The partition driver (:mod:`repro.sim.partition`) uses this
-        between barrier windows to compute the global conservative
-        horizon.
-        """
-        return self._queue.peek_time()
-
-    @property
-    def stopped(self) -> bool:
-        """True when the most recent :meth:`run` ended via :meth:`stop`.
-
-        Cleared on entry to the next ``run()``. The partition driver
-        reads this after each barrier window: a cell that stopped
-        itself (e.g. a sub-swarm whose leechers all completed) is done
-        and drops out of subsequent windows.
-        """
-        return self._stopped
-
     @property
     def pending(self) -> int:
         """Number of live scheduled events, booked deliveries included

@@ -1,46 +1,30 @@
-"""Distributed kernel driver: shard a model across worker processes.
+"""Distributed kernel driver: run independent cells on worker processes.
 
 The paper's platform is *decentralized* — each physical node emulates
 the network for its own vnodes — yet one :class:`~repro.sim.kernel.
 Simulator` runs everything in a single Python process. This module is
 the scale-out seam: a model is decomposed into **cells** (independent
-or message-coupled fragments, each with its own simulator, derived
-seed and packet-id stream), the cells are spread over worker processes,
-and a conservative barrier-window protocol advances them in lock-step
-windows bounded by the declared cross-cell **lookahead**.
+fragments, each with its own simulator, derived seed and packet-id
+stream), the cells are spread over worker processes in contiguous
+blocks, every cell is built, run to ``until`` and finished, and the
+per-cell outputs are merged.
+
+Cells never exchange state: each is independent by construction, so a
+partitioned model answers a different question than the same model run
+as one simulator (``fig10_cells`` is four sub-swarms, not the paper's
+single swarm). Coupling cells — one swarm split at the switch hop —
+would need its own synchronisation seam and is not provided.
 
 Determinism contract
 --------------------
 The cell decomposition is part of the *experiment definition* (chosen
 by the model/config), while ``SimConfig.partitions`` is only a cap on
 worker processes. Everything a cell computes is a function of the cell
-alone — its derived seed (BLAKE2b, ``derive_seed(seed, "cell/<name>")``),
-its own packet-id stream (:func:`repro.net.packet.swap_id_stream`), and
-the deterministic barrier schedule — so the merged result is
-**byte-identical for every worker count**, including ``partitions=1``
-(the single-process run). The subprocess A/B tests and the ``runtime-smoke``
-CI job enforce exactly this.
-
-Barrier-window protocol
------------------------
-Each round the driver:
-
-1. injects the previous window's cross-cell messages into their target
-   cells (globally sorted by ``(delivery_time, src_cell, seq)``);
-2. collects every live cell's ``next_event_time()`` and takes the
-   global minimum ``m``;
-3. advances every live cell with ``run(until=H)`` where
-   ``H = min(m + lookahead, until)`` — or ``H = until`` outright when
-   the cells declare no coupling (``lookahead=None``), which collapses
-   the run to a single fully-parallel window.
-
-Safety: a message posted at time ``t`` inside a window carries
-``delay >= lookahead`` (enforced by :meth:`CellHandle.post`), and
-``t >= m`` because ``m`` is the global minimum next-event time, so its
-delivery time is ``>= m + lookahead = H`` — never inside the window
-that produced it. A delivery landing *exactly on* ``H`` (the window
-edge) is scheduled at the barrier and processed at the top of the next
-window; the slip is deterministic and independent of worker count.
+alone — its derived seed (BLAKE2b, ``derive_seed(seed, "cell/<name>")``)
+and its own packet-id stream (:func:`repro.net.packet.swap_id_stream`)
+— so the merged result is **byte-identical for every worker count**,
+including ``partitions=1`` (the single-process run). The subprocess A/B
+tests and the ``runtime-smoke`` CI job enforce exactly this.
 """
 
 from __future__ import annotations
@@ -58,7 +42,7 @@ from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rng import derive_seed
 
-#: Metric-name prefix for the driver's own bookkeeping.
+#: Namespace of the per-cell derived seeds (``cell/<name>``).
 _SEED_NAMESPACE = "cell"
 
 
@@ -69,13 +53,14 @@ _SEED_NAMESPACE = "cell"
 class CellSpec:
     """One cell of a partitioned model.
 
-    ``build(handle)`` runs once in the owning worker before the first
-    window; it constructs the cell's model on ``handle.sim`` and
-    returns an opaque model object kept alive for the run.
-    ``finish(handle, model)`` runs after the last window and returns
-    the cell's JSON-ready artifacts. Both callables must be picklable
-    under the ``spawn`` start method (module-level functions /
-    ``functools.partial``); under ``fork`` closures also work.
+    ``build(handle)`` runs once in the owning worker before the cell
+    runs; it constructs the cell's model on ``handle.sim`` and returns
+    an opaque model object kept alive for the run.
+    ``finish(handle, model)`` runs after the cell reached ``until`` (or
+    stopped itself) and returns the cell's JSON-ready artifacts. Both
+    callables must be picklable under the ``spawn`` start method
+    (module-level functions / ``functools.partial``); under ``fork``
+    closures also work.
     """
 
     name: str
@@ -84,249 +69,121 @@ class CellSpec:
 
 
 class CellHandle:
-    """What a cell's builder sees: its simulator plus the cross-cell
-    message seam.
+    """What a cell's builder sees: its name, its index in the cell
+    list, its simulator and its derived seed.
 
-    ``post()`` is the *only* way state leaves a cell mid-run, and it
-    requires the payload to be picklable and the delay to respect the
-    declared lookahead — the two properties the conservative protocol
-    needs. Direct object sharing between cells (the style the in-process
-    network layers use across an emulated wire) is exactly what a cell
-    boundary forbids.
+    Nothing leaves a cell mid-run: direct object sharing between cells
+    (the style the in-process network layers use across an emulated
+    wire) is exactly what a cell boundary forbids.
     """
 
-    def __init__(
-        self,
-        name: str,
-        index: int,
-        sim: Simulator,
-        seed: int,
-        lookahead: Optional[float],
-        outbound: List[Tuple[float, int, int, str, str, Any]],
-    ) -> None:
+    def __init__(self, name: str, index: int, sim: Simulator, seed: int) -> None:
         self.name = name
         self.index = index
         self.sim = sim
         #: The cell's derived root seed (``derive_seed(root, "cell/<name>")``).
         self.seed = seed
-        self.lookahead = lookahead
-        self._outbound = outbound
-        self._receivers: Dict[str, Callable[[Any], None]] = {}
-        self._seq = itertools.count()
-
-    # -- cross-cell messaging ------------------------------------------
-    def post(self, dst: str, channel: str, payload: Any, delay: float) -> None:
-        """Send ``payload`` to cell ``dst``'s ``channel`` receiver,
-        arriving ``delay`` simulated seconds from now.
-
-        ``delay`` must be at least the declared lookahead — that bound
-        is what lets every other cell advance through the current
-        window without waiting for this message.
-        """
-        if self.lookahead is None:
-            raise SimulationError(
-                f"cell {self.name!r} posted a message but the partition "
-                "declares no coupling; pass lookahead= to run_partitioned()"
-            )
-        if delay < self.lookahead:
-            raise SimulationError(
-                f"cell {self.name!r}: post delay {delay!r} is below the "
-                f"declared lookahead {self.lookahead!r}"
-            )
-        self._outbound.append(
-            (self.sim.now + delay, self.index, next(self._seq), dst, channel, payload)
-        )
-
-    def on_receive(self, channel: str, callback: Callable[[Any], None]) -> None:
-        """Register the receiver for inbound messages on ``channel``."""
-        self._receivers[channel] = callback
-
-    def _deliver(self, channel: str, payload: Any) -> None:
-        try:
-            receiver = self._receivers[channel]
-        except KeyError:
-            raise SimulationError(
-                f"cell {self.name!r}: no receiver for channel {channel!r}"
-            ) from None
-        receiver(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CellHandle({self.name!r}, t={self.sim.now:.6f})"
 
 
 # ----------------------------------------------------------------------
-# Worker-side state (also the inline partitions=1 engine)
+# Worker side (also the inline partitions=1 engine)
 # ----------------------------------------------------------------------
-class _CellRuntime:
-    """One built cell inside a worker."""
-
-    __slots__ = ("spec", "handle", "model", "ids", "outbound", "done", "busy")
-
-    def __init__(self, spec: CellSpec, handle: CellHandle, outbound) -> None:
-        self.spec = spec
-        self.handle = handle
-        self.model: Any = None
-        #: The cell's private packet-id stream; swapped in around every
-        #: slice of cell code so ids are a function of the cell alone.
-        self.ids = itertools.count(1)
-        self.outbound = outbound
-        self.done = False
-        #: CPU seconds this process spent executing the cell (build +
-        #: windows). Wall-only diagnostics: reported outside the
-        #: deterministic result surface, used by ``bench_dist`` to
-        #: compute the critical-path speedup.
-        self.busy = 0.0
+def _in_cell(ids, fn: Callable[..., Any], *args: Any) -> Tuple[Any, float]:
+    """Run one slice of cell code with the cell's packet-id stream
+    swapped in; return its result and the CPU seconds it took."""
+    prev = _packet.swap_id_stream(ids)
+    t0 = time.process_time()
+    try:
+        return fn(*args), time.process_time() - t0
+    finally:
+        _packet.swap_id_stream(prev)
 
 
-class _WorkerState:
-    """Executes partition commands for the cells one worker owns.
+def _run_cells(
+    cells: Sequence[Tuple[int, CellSpec]],
+    seed: int,
+    config: SimConfig,
+    observe: bool,
+    until: float,
+) -> List[Dict[str, Any]]:
+    """Build every cell, run each to ``until``, finish each — in the
+    given order — and return one payload per cell.
 
-    The same object serves both modes: driven directly by the
-    coordinator when running inline, or inside a
-    :class:`~repro.runtime.executor.CommandWorker` process otherwise —
-    one code path, so worker count cannot change semantics.
+    The one engine of a partitioned run: called directly when running
+    inline, or inside a :class:`~repro.runtime.executor.CommandWorker`
+    process otherwise, so the worker count cannot change semantics.
     """
-
-    def __init__(
-        self,
-        cells: Sequence[Tuple[int, CellSpec]],
-        seed: int,
-        config: SimConfig,
-        observe: bool,
-    ) -> None:
-        self.cells: List[_CellRuntime] = []
-        self._probe_labels: List[str] = []
-        cell_config = config.replace(partitions=1)
-        for index, spec in cells:
-            outbound: List[Tuple[float, int, int, str, str, Any]] = []
-            cell_seed = derive_seed(seed, f"{_SEED_NAMESPACE}/{spec.name}")
-            sim = Simulator(seed=cell_seed, observe=observe, config=cell_config)
-            handle = CellHandle(
-                spec.name, index, sim, cell_seed, config.lookahead, outbound
-            )
-            self.cells.append(_CellRuntime(spec, handle, outbound))
-            if _telemetry.active():
-                # Wall-side progress probe, sampled by the owning
-                # process's heartbeat thread — never by the sim itself.
-                self._probe_labels.append(
-                    _telemetry.register_sim(sim, f"cell/{spec.name}")
-                )
-
-    # -- command handlers ----------------------------------------------
-    def handle(self, command: str, payload: Any) -> Any:
-        if command == "build":
-            return self.build()
-        if command == "window":
-            return self.window(*payload)
-        if command == "peek":
-            return self.peek(payload)
-        if command == "finish":
-            return self.finish()
-        raise SimulationError(f"unknown partition command {command!r}")
-
-    def build(self):
-        """Build every owned cell; return (outbound, next_times)."""
-        out: List[Tuple[float, int, int, str, str, Any]] = []
-        for rt in self.cells:
-            prev = _packet.swap_id_stream(rt.ids)
-            t0 = time.process_time()
-            try:
-                rt.model = rt.spec.build(rt.handle)
-            finally:
-                rt.busy += time.process_time() - t0
-                _packet.swap_id_stream(prev)
-            out.extend(rt.outbound)
-            rt.outbound.clear()
-        return out, self._next_times()
-
-    def window(self, horizon: float, inbound):
-        """Inject ``inbound``, run every live cell to ``horizon``;
-        return (outbound, next_times, done_flags)."""
-        self._inject(inbound)
-        out: List[Tuple[float, int, int, str, str, Any]] = []
-        for rt in self.cells:
-            if rt.done:
-                continue
-            prev = _packet.swap_id_stream(rt.ids)
-            t0 = time.process_time()
-            try:
-                rt.handle.sim.run(until=horizon)
-            finally:
-                rt.busy += time.process_time() - t0
-                _packet.swap_id_stream(prev)
-            if rt.handle.sim.stopped:
-                rt.done = True
-            out.extend(rt.outbound)
-            rt.outbound.clear()
-        return out, self._next_times(), [rt.done for rt in self.cells]
-
-    def peek(self, inbound):
-        """Barrier-only variant of :meth:`window`: inject then report
-        next-event times without advancing (used when the coordinator
-        needs fresh horizons after a message exchange)."""
-        self._inject(inbound)
-        return self._next_times()
-
-    def finish(self):
-        """Finalize every owned cell; return per-cell payloads."""
+    cell_config = config.replace(partitions=1)
+    specs = [spec for _index, spec in cells]
+    handles: List[CellHandle] = []
+    probe_labels: List[str] = []
+    for index, spec in cells:
+        cell_seed = derive_seed(seed, f"{_SEED_NAMESPACE}/{spec.name}")
+        sim = Simulator(seed=cell_seed, observe=observe, config=cell_config)
+        handles.append(CellHandle(spec.name, index, sim, cell_seed))
+        if _telemetry.active():
+            # Wall-side progress probe, sampled by the owning
+            # process's heartbeat thread — never by the sim itself.
+            probe_labels.append(_telemetry.register_sim(sim, f"cell/{spec.name}"))
+    # The cell's private packet-id stream, swapped in around every slice
+    # of cell code so ids are a function of the cell alone.
+    ids = [itertools.count(1) for _ in handles]
+    # CPU seconds this process spent building and running each cell:
+    # wall-only diagnostics, reported outside the deterministic result
+    # surface (``bench_dist`` computes the critical path from them).
+    busy = [0.0] * len(handles)
+    try:
+        models = []
+        for i, handle in enumerate(handles):
+            model, busy[i] = _in_cell(ids[i], specs[i].build, handle)
+            models.append(model)
+        for i, handle in enumerate(handles):
+            busy[i] += _in_cell(ids[i], handle.sim.run, until)[1]
         payloads = []
-        for rt in self.cells:
-            prev = _packet.swap_id_stream(rt.ids)
-            try:
-                sim = rt.handle.sim
-                artifacts = (
-                    rt.spec.finish(rt.handle, rt.model)
-                    if rt.spec.finish is not None
-                    else {}
-                )
-                payloads.append(
-                    {
-                        "name": rt.spec.name,
-                        "index": rt.handle.index,
-                        "now": sim.now,
-                        "events_processed": sim.events_processed,
-                        "metrics": sim.metrics.snapshot(),
-                        "trace": [
-                            [rec.time, rec.category, [list(kv) for kv in rec.fields]]
-                            for rec in sim.trace.select()
-                        ],
-                        "flights": (
-                            sim.flight.as_list() if sim.flight.enabled else []
-                        ),
-                        "artifacts": artifacts,
-                        "busy_seconds": rt.busy,
-                    }
-                )
-            finally:
-                _packet.swap_id_stream(prev)
-        for label in self._probe_labels:
-            _telemetry.unregister_probe(label)
-        self._probe_labels = []
-        return payloads
-
-    # -- internals ------------------------------------------------------
-    def _inject(self, inbound) -> None:
-        """Schedule inbound messages (already globally sorted)."""
-        by_index = {rt.handle.index: rt for rt in self.cells}
-        for time, _src, _seq, dst_index, channel, payload in inbound:
-            rt = by_index[dst_index]
-            rt.handle.sim.schedule_at(
-                time, rt.handle._deliver, channel, payload
+        for i, handle in enumerate(handles):
+            spec, sim = specs[i], handle.sim
+            artifacts = (
+                _in_cell(ids[i], spec.finish, handle, models[i])[0]
+                if spec.finish is not None
+                else {}
             )
-
-    def _next_times(self):
-        """Per-cell earliest pending event time (None = idle or done)."""
-        return [
-            None if rt.done else rt.handle.sim.next_event_time()
-            for rt in self.cells
-        ]
+            payloads.append(
+                {
+                    "name": spec.name,
+                    "index": handle.index,
+                    "now": sim.now,
+                    "events_processed": sim.events_processed,
+                    "metrics": sim.metrics.snapshot(),
+                    "trace": [
+                        [rec.time, rec.category, [list(kv) for kv in rec.fields]]
+                        for rec in sim.trace.select()
+                    ],
+                    "flights": sim.flight.as_list() if sim.flight.enabled else [],
+                    "artifacts": artifacts,
+                    "busy_seconds": busy[i],
+                }
+            )
+        return payloads
+    finally:
+        for label in probe_labels:
+            _telemetry.unregister_probe(label)
 
 
 def _worker_factory(payload):
-    """Module-level :class:`CommandWorker` factory (spawn-picklable)."""
+    """Module-level :class:`CommandWorker` factory (spawn-picklable):
+    the worker answers one ``run`` command for the cells it owns."""
     cells, seed, config_doc, observe = payload
-    state = _WorkerState(cells, seed, SimConfig.from_dict(config_doc), observe)
-    return state.handle
+    config = SimConfig.from_dict(config_doc)
+
+    def handle(command: str, until: float) -> List[Dict[str, Any]]:
+        if command != "run":
+            raise SimulationError(f"unknown partition command {command!r}")
+        return _run_cells(cells, seed, config, observe, until)
+
+    return handle
 
 
 # ----------------------------------------------------------------------
@@ -429,27 +286,27 @@ class PartitionResult:
 
     seed: int
     until: float
-    lookahead: Optional[float]
     cells: List[str]
-    windows: int
     partitions: int
     workers: int
     metrics: Dict[str, Dict[str, Any]]
     trace: List[List[Any]]  # [time, cell, category, {field: value}]
     flights: List[Dict[str, Any]]
     per_cell: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Per-cell CPU seconds (build + windows) in the owning worker.
+    #: Per-cell CPU seconds (build + run) in the owning worker.
     #: Wall-clock diagnostics — excluded from the deterministic
     #: comparison surface, consumed by ``benchmarks/bench_dist.py``.
     busy_seconds: Dict[str, float] = field(default_factory=dict)
 
+    #: Every run is one pass to ``until``. Kept only because the
+    #: ``swarm_partitioned`` benchmark's ``layout_pinned`` check
+    #: (``perf/workloads.py``) reads ``merged.windows``; delete it with
+    #: that check.
+    windows = 1
+
     def layout(self) -> Dict[str, Any]:
         """The N-invariant partition layout (for manifests)."""
-        return {
-            "cells": list(self.cells),
-            "lookahead": self.lookahead,
-            "windows": self.windows,
-        }
+        return {"cells": list(self.cells)}
 
     def as_dict(self, deterministic_only: bool = True) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -479,13 +336,13 @@ def run_partitioned(
     observe: bool = True,
     mp_context: Optional[str] = None,
 ) -> PartitionResult:
-    """Run ``cells`` to ``until`` under the barrier-window protocol.
+    """Build ``cells``, run each to ``until`` and merge their outputs.
 
     ``config.partitions`` caps the worker processes (1 = run every
-    cell inline in this process — no subprocesses at all);
-    ``config.lookahead`` is the conservative window size, or ``None``
-    when the cells are uncoupled (single window, full parallelism).
-    The result is byte-identical for every ``partitions`` value.
+    cell inline in this process — no subprocesses at all); cells are
+    assigned to workers in contiguous blocks
+    (:meth:`PartitionLayout.block`). The result is byte-identical for
+    every ``partitions`` value.
     """
     config = config if config is not None else SimConfig()
     if until is None or until <= 0:
@@ -501,56 +358,21 @@ def run_partitioned(
         # for every worker count by contract.
         partitions = 1
     layout = PartitionLayout.block(len(cells), partitions)
-    name_to_index = {spec.name: i for i, spec in enumerate(cells)}
-    index_to_worker = {
-        idx: w for w, group in enumerate(layout.assignments) for idx in group
-    }
 
-    # -- spin up the engine(s) -----------------------------------------
-    inline: Optional[_WorkerState] = None
-    workers: List[Any] = []
     if layout.workers == 1:
-        inline = _WorkerState(
-            list(enumerate(cells)), seed, config, observe
-        )
+        cell_payloads = _run_cells(list(enumerate(cells)), seed, config, observe, until)
     else:
         from repro.runtime.executor import CommandWorker, receive_all
 
-    def broadcast(command: str, payloads):
-        """One request per engine, fanned out before any reply is
-        collected; returns per-worker replies in worker order.
-        Replies are multiplexed (:func:`repro.runtime.executor.
-        receive_all`) so one slow worker's window never blinds the
-        others' telemetry streams."""
-        if inline is not None:
-            return [inline.handle(command, payloads[0])]
-        for worker, payload in zip(workers, payloads):
-            worker.send(command, payload)
-        return receive_all(workers)
-
-    def split_messages(messages):
-        """Group a globally sorted message batch by owning worker,
-        rewriting destination names to cell indices."""
-        per_worker: List[List[Any]] = [[] for _ in range(max(1, layout.workers))]
-        for time, src, seq, dst, channel, payload in messages:
-            try:
-                dst_index = name_to_index[dst]
-            except KeyError:
-                raise SimulationError(f"message posted to unknown cell {dst!r}") from None
-            per_worker[index_to_worker[dst_index]].append(
-                (time, src, seq, dst_index, channel, payload)
-            )
-        return per_worker
-
-    windows = 0
-    emitter = _telemetry.get_emitter()
-    try:
-        # Workers start inside the guarded region: when worker k fails
-        # to start, workers 0..k-1 are closed rather than left blocked.
-        # Live telemetry is inherited from the ambient emitter: they
-        # heartbeat over their command pipes and this process relays
-        # the events to whatever hub/pipe it is itself wired to.
-        if inline is None:
+        emitter = _telemetry.get_emitter()
+        workers: List[Any] = []
+        try:
+            # Workers start inside the guarded region: when worker k
+            # fails to start, workers 0..k-1 are closed rather than left
+            # blocked. Live telemetry is inherited from the ambient
+            # emitter: they heartbeat over their command pipes and this
+            # process relays the events to whatever hub/pipe it is
+            # itself wired to.
             for w, group in enumerate(layout.assignments):
                 workers.append(
                     CommandWorker(
@@ -567,60 +389,17 @@ def run_partitioned(
                         on_telemetry=emitter.forward if emitter.enabled else None,
                     )
                 )
-        # Build every cell; collect build-time messages + first horizons.
-        replies = broadcast("build", [None] * max(1, layout.workers))
-        pending = sorted(
-            (m for out, _times in replies for m in out),
-            key=lambda m: (m[0], m[1], m[2]),
-        )
-        next_times = [t for _out, times in replies for t in times]
-
-        while True:
-            inbound = split_messages(pending)
-            if pending:
-                # Injection changes the horizons; refresh them first.
-                replies = broadcast("peek", inbound)
-                next_times = [t for times in replies for t in times]
-                inbound = [[] for _ in inbound]  # already injected
-                pending = []
-            live = [t for t in next_times if t is not None]
-            if not live:
-                break
-            min_next = min(live)
-            if min_next > until:
-                break
-            horizon = (
-                until
-                if config.lookahead is None
-                else min(min_next + config.lookahead, until)
-            )
-            replies = broadcast(
-                "window", [(horizon, batch) for batch in inbound]
-            )
-            windows += 1
-            emitter.emit(
-                "partition_window",
-                window=windows,
-                horizon=horizon,
-                live_cells=len(live),
-                workers=layout.workers,
-            )
-            pending = sorted(
-                (m for out, _times, _done in replies for m in out),
-                key=lambda m: (m[0], m[1], m[2]),
-            )
-            next_times = [t for _out, times, _done in replies for t in times]
-            if horizon >= until and not pending:
-                break
-
-        replies = broadcast("finish", [None] * max(1, layout.workers))
-        cell_payloads = sorted(
-            (p for payloads in replies for p in payloads),
-            key=lambda p: p["index"],
-        )
-    finally:
-        for worker in workers:
-            worker.close()
+            # Fan the command out before collecting any reply; replies
+            # are multiplexed so one slow worker never blinds the
+            # others' telemetry streams.
+            for worker in workers:
+                worker.send("run", until)
+            # Blocks come back in worker order, so the payloads are
+            # already in cell-index order.
+            cell_payloads = [p for payloads in receive_all(workers) for p in payloads]
+        finally:
+            for worker in workers:
+                worker.close()
 
     # -- deterministic merge -------------------------------------------
     trace: List[List[Any]] = []
@@ -646,9 +425,7 @@ def run_partitioned(
     return PartitionResult(
         seed=seed,
         until=until,
-        lookahead=config.lookahead,
         cells=names,
-        windows=windows,
         partitions=config.partitions,
         workers=layout.workers,
         metrics=merge_metric_snapshots([p["metrics"] for p in cell_payloads]),

@@ -172,7 +172,7 @@ class TestRegistry:
     def test_all_expected_ids_present(self):
         expected = {
             "fig1", "fig2", "fig3", "tblA", "tblB", "fig6", "fig7",
-            "fig8", "fig9", "fig10", "fig11",
+            "fig8", "fig9", "fig10", "fig10_cells", "fig11",
             "abl-rule-lookup", "abl-uplink", "abl-choker", "abl-stagger",
             "abl-acks", "abl-ule-gen", "abl-superseed", "abl-departure",
         }

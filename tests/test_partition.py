@@ -5,8 +5,7 @@ The load-bearing property everywhere: ``partitions=N`` is a pure
 execution knob. The cell decomposition is fixed by the model, so the
 merged result must be byte-identical for every worker count — including
 the degenerate ones (one worker, more workers than cells, an idle
-cell) and the protocol edge case (a message delivered exactly on a
-barrier-window edge).
+cell).
 """
 
 import dataclasses
@@ -49,38 +48,6 @@ def _build_counter(handle, events=3, spacing=1.0):
             handle.sim.schedule(spacing, tick)
 
     handle.sim.schedule(spacing, tick)
-    return state
-
-
-def _build_pingpong(handle, peer, limit, delay):
-    """A coupled cell: bounce an incrementing token off ``peer``."""
-    state = {"received": []}
-
-    def on_msg(value):
-        state["received"].append((handle.sim.now, value))
-        if value < limit:
-            handle.post(peer, "msg", value + 1, delay)
-
-    handle.on_receive("msg", on_msg)
-    if handle.name == "A":
-        handle.sim.schedule(0.0, lambda: handle.post(peer, "msg", 1, delay))
-    return state
-
-
-def _build_edge_sender(handle, lookahead):
-    """Post at t=0 with delay == lookahead: delivery lands exactly on
-    the first window's horizon (min_next=0 → H = lookahead)."""
-    handle.sim.schedule(
-        0.0, lambda: handle.post("B", "edge", "on-the-barrier", lookahead)
-    )
-    return None
-
-
-def _build_edge_receiver(handle):
-    state = {"received": []}
-    handle.on_receive(
-        "edge", lambda p: state["received"].append((handle.sim.now, p))
-    )
     return state
 
 
@@ -136,9 +103,9 @@ def _daemonic_ab(conn):
         conn.close()
 
 
-def _ab_result(specs, partitions, **kwargs):
+def _ab_result(specs, partitions):
     merged = run_partitioned(
-        specs, until=100.0, config=SimConfig(partitions=partitions, **kwargs)
+        specs, until=100.0, config=SimConfig(partitions=partitions)
     )
     return json.dumps(merged.as_dict(), sort_keys=True)
 
@@ -149,20 +116,16 @@ def _ab_result(specs, partitions, **kwargs):
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
-        assert cfg.partitions == 1 and cfg.lookahead is None
+        assert cfg.partitions == 1
         assert cfg.flight is False and cfg.profiler is False and cfg.fluid is False
-        assert len(dataclasses.fields(cfg)) == 5
+        assert len(dataclasses.fields(cfg)) == 4
 
     def test_validation(self):
         with pytest.raises(SimulationError):
             SimConfig(partitions=0)
-        with pytest.raises(SimulationError):
-            SimConfig(lookahead=0.0)
-        with pytest.raises(SimulationError):
-            SimConfig(lookahead=-1.0)
 
     def test_round_trip(self):
-        cfg = SimConfig(flight=True, partitions=4, lookahead=2.5)
+        cfg = SimConfig(flight=True, partitions=4)
         assert SimConfig.from_dict(cfg.as_dict()) == cfg
         assert SimConfig.from_dict({"partitions": 2, "junk": 1}).partitions == 2
 
@@ -205,51 +168,9 @@ class TestPartitionLayout:
 
 
 # ----------------------------------------------------------------------
-# Protocol semantics
+# Driver semantics
 # ----------------------------------------------------------------------
 class TestPartitionProtocol:
-    def specs_pingpong(self, limit=5, delay=2.0):
-        return [
-            CellSpec("A", partial(_build_pingpong, peer="B", limit=limit,
-                                  delay=delay), _finish_state),
-            CellSpec("B", partial(_build_pingpong, peer="A", limit=limit,
-                                  delay=delay), _finish_state),
-        ]
-
-    def test_coupled_cells_exchange_messages(self):
-        merged = run_partitioned(
-            self.specs_pingpong(), until=100.0,
-            config=SimConfig(partitions=1, lookahead=2.0),
-        )
-        a = merged.per_cell["A"]["artifacts"]["state"]["received"]
-        b = merged.per_cell["B"]["artifacts"]["state"]["received"]
-        # A kicked at t=0; token bounces every `delay` seconds.
-        assert b == [(2.0, 1), (6.0, 3), (10.0, 5)]
-        assert a == [(4.0, 2), (8.0, 4)]
-        assert merged.windows > 1
-
-    def test_window_edge_delivery_is_worker_count_invariant(self):
-        """A delivery landing exactly on a window horizon slips to the
-        top of the next window — identically for every worker count."""
-        specs = [
-            CellSpec("A", partial(_build_edge_sender, lookahead=1.0)),
-            CellSpec("B", _build_edge_receiver, _finish_state),
-        ]
-        results = {
-            n: run_partitioned(
-                specs, until=10.0,
-                config=SimConfig(partitions=n, lookahead=1.0),
-            )
-            for n in (1, 2)
-        }
-        for merged in results.values():
-            received = merged.per_cell["B"]["artifacts"]["state"]["received"]
-            assert received == [(1.0, "on-the-barrier")]
-        assert (
-            json.dumps(results[1].as_dict(), sort_keys=True)
-            == json.dumps(results[2].as_dict(), sort_keys=True)
-        )
-
     def test_idle_cell_is_harmless(self):
         specs = [
             CellSpec("busy", partial(_build_counter, events=3), _finish_state),
@@ -265,9 +186,11 @@ class TestPartitionProtocol:
             ]
 
     def test_partitions_above_cell_count_degrade(self):
+        specs = [
+            CellSpec(name, _build_counter, _finish_state) for name in ("A", "B")
+        ]
         merged = run_partitioned(
-            self.specs_pingpong(), until=100.0,
-            config=SimConfig(partitions=8, lookahead=2.0),
+            specs, until=100.0, config=SimConfig(partitions=8)
         )
         assert merged.partitions == 8
         assert merged.workers == 2  # one worker per cell, never more
@@ -278,31 +201,9 @@ class TestPartitionProtocol:
             for i in range(3)
         ]
         merged = run_partitioned(specs, until=50.0, config=SimConfig())
-        assert merged.windows == 1
-        assert merged.lookahead is None
-
-    def test_post_without_lookahead_rejected(self):
-        specs = [
-            CellSpec("A", partial(_build_pingpong, peer="B", limit=3,
-                                  delay=2.0)),
-            CellSpec("B", partial(_build_pingpong, peer="A", limit=3,
-                                  delay=2.0)),
-        ]
-        with pytest.raises(SimulationError, match="no coupling"):
-            run_partitioned(specs, until=10.0, config=SimConfig(partitions=1))
-
-    def test_post_below_lookahead_rejected(self):
-        specs = [
-            CellSpec("A", partial(_build_pingpong, peer="B", limit=3,
-                                  delay=0.5)),
-            CellSpec("B", partial(_build_pingpong, peer="A", limit=3,
-                                  delay=0.5)),
-        ]
-        with pytest.raises(SimulationError, match="below the declared lookahead"):
-            run_partitioned(
-                specs, until=10.0,
-                config=SimConfig(partitions=1, lookahead=2.0),
-            )
+        assert merged.layout() == {"cells": ["c0", "c1", "c2"]}
+        for name in merged.cells:
+            assert merged.per_cell[name]["artifacts"]["end"] == 50.0
 
     def test_duplicate_cell_names_rejected(self):
         specs = [
@@ -330,18 +231,6 @@ class TestWorkerCountInvariance:
         ]
         docs = {n: _ab_result(specs, n) for n in (1, 2, 3)}
         assert docs[1] == docs[2] == docs[3]
-
-    def test_coupled_byte_identical_1_2(self):
-        specs = [
-            CellSpec("A", partial(_build_pingpong, peer="B", limit=7,
-                                  delay=1.5), _finish_state),
-            CellSpec("B", partial(_build_pingpong, peer="A", limit=7,
-                                  delay=1.5), _finish_state),
-        ]
-        assert (
-            _ab_result(specs, 1, lookahead=1.5)
-            == _ab_result(specs, 2, lookahead=1.5)
-        )
 
     def test_flight_records_byte_identical_and_cell_tagged(self):
         """Per-packet flights (hop-by-hop, the most granular stream the
@@ -545,13 +434,37 @@ class TestPartitionsCli:
     def test_run_partitions_flag(self, capsys):
         from repro.__main__ import main
 
-        assert main(["run", "fig10", "--partitions", "2", "scale=0.004"]) == 0
+        assert main(["run", "fig10_cells", "--partitions", "2", "scale=0.004"]) == 0
         out = capsys.readouterr().out
         assert "partition cells" in out
-        assert "barrier windows" in out
 
     def test_legacy_spelling_without_run_word(self, capsys):
         from repro.__main__ import main
 
-        assert main(["fig10", "--partitions", "1", "scale=0.004"]) == 0
+        assert main(["fig10_cells", "--partitions", "1", "scale=0.004"]) == 0
         assert "partition cells" in capsys.readouterr().out
+
+
+class TestFig10IgnoresPartitions:
+    """``fig10`` is one swarm: ``--partitions`` must not switch it to
+    the cell decomposition, whose checkpoint key it would share."""
+
+    @pytest.mark.parametrize("runner", ["execute", "point_runner"])
+    def test_partitions_do_not_change_fig10(self, runner):
+        from repro.experiments import RunRequest, get_experiment
+
+        execute = getattr(get_experiment("fig10"), runner)
+        plain = RunRequest.make("fig10", {"scale": 0.004}, seed=7)
+        split = RunRequest.make("fig10", {"scale": 0.004}, seed=7, partitions=1)
+        assert plain.key == split.key
+        assert execute(plain).artifacts == execute(split).artifacts
+
+    def test_cells_have_their_own_key(self):
+        from repro.experiments import RunRequest, get_experiment
+
+        request = RunRequest.make("fig10_cells", {"scale": 0.004}, seed=7, partitions=2)
+        assert request.key != RunRequest.make("fig10", {"scale": 0.004}, seed=7).key
+        result = get_experiment("fig10_cells").point_runner(request)
+        assert result.artifacts["partition"] == {
+            "cells": ["swarm0", "swarm1", "swarm2", "swarm3"],
+        }
