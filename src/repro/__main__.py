@@ -18,7 +18,6 @@ Examples::
     python -m repro metrics out=run.json deterministic=true
     python -m repro metrics format=prom out=metrics.prom
     python -m repro trace fig8 out=trace.json
-    python -m repro trace fig8 out=trace.json profile=true
     python -m repro sweep fig6 --parallel 4 --out sweep.json
     python -m repro sweep fig6 --parallel 2 rule_count=0,10000,20000
     python -m repro sweep fig10 --replications 3 --resume --checkpoint ck.jsonl
@@ -31,10 +30,11 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.experiments import EXPERIMENTS, RunRequest, get_experiment
@@ -60,6 +60,28 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, Any]:
                     value = raw
         overrides[key] = value
     return overrides
+
+
+def _swarm_config(params: Dict[str, Any]) -> Optional[Any]:
+    """``SwarmConfig(**params)`` from command-line overrides, or
+    ``None`` after a message on stderr when a key is unknown or names a
+    nested field (``profile``, ``client``), which ``key=value`` cannot
+    spell."""
+    from repro.bittorrent import SwarmConfig
+
+    nested = sorted(
+        f.name
+        for f in dataclasses.fields(SwarmConfig)
+        if f.default is dataclasses.MISSING and f.name in params
+    )
+    if nested:
+        print(f"bad override: {', '.join(nested)} is not a scalar field", file=sys.stderr)
+        return None
+    try:
+        return SwarmConfig(**params)
+    except TypeError as exc:
+        print(f"bad override: {exc}", file=sys.stderr)
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +393,7 @@ def run_metrics(overrides: Dict[str, Any]) -> int:
         write_metrics_csv,
         write_metrics_json,
     )
-    from repro.bittorrent import Swarm, SwarmConfig
+    from repro.bittorrent import Swarm
     from repro.core.report import format_metrics
     from repro.units import MB
 
@@ -389,10 +411,8 @@ def run_metrics(overrides: Dict[str, Any]) -> int:
         "seed": 42,
     }
     params.update(overrides)
-    try:
-        config = SwarmConfig(**params)
-    except TypeError as exc:
-        print(f"bad override: {exc}", file=sys.stderr)
+    config = _swarm_config(params)
+    if config is None:
         return 2
 
     start = time.perf_counter()
@@ -455,14 +475,13 @@ def run_trace(argv: List[str]) -> int:
     physical nodes are process rows (tid 0 = kernel: ipfw + pipes),
     virtual nodes are thread rows, the switch fabric and the experiment
     harness get their own rows. Deterministic: byte-identical across
-    same-seed runs unless ``profile=true`` adds wall-clock data.
+    same-seed runs.
 
     Overrides: any :class:`~repro.bittorrent.swarm.SwarmConfig` scalar,
     plus ``out`` (default ``trace.json``), ``max_time``, ``observe``
-    (``false`` = NULL-instrument run: no flights recorded),
-    ``profile`` (embed wall-clock event-loop profile — makes the
-    output non-reproducible), and ``sample_period`` (sim-seconds
-    between time-series samples; default 5).
+    (``false`` = NULL-instrument run: no flights recorded) and
+    ``sample_period`` (sim-seconds between time-series samples;
+    default 5).
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
@@ -472,7 +491,7 @@ def run_trace(argv: List[str]) -> int:
         "experiment", nargs="?", default=None,
         help=f"traceable experiment id ({', '.join(sorted(set(_TRACE_PRESETS) | {'swarm'}))})",
     )
-    _add_overrides_arg(parser, "overrides (out=, max_time=, profile=, SwarmConfig fields)")
+    _add_overrides_arg(parser, "overrides (out=, max_time=, SwarmConfig fields)")
     args = parser.parse_intermixed_args(argv)
     if args.experiment is None:
         print("usage: python -m repro trace <experiment> [out=trace.json]", file=sys.stderr)
@@ -487,7 +506,7 @@ def run_trace(argv: List[str]) -> int:
         )
         return 2
 
-    from repro.bittorrent import Swarm, SwarmConfig
+    from repro.bittorrent import Swarm
     from repro.obs.chrometrace import validate_chrome_trace, write_chrome_trace
     from repro.obs.timeseries import TimeSeriesSampler
 
@@ -495,22 +514,17 @@ def run_trace(argv: List[str]) -> int:
     out = overrides.pop("out", "trace.json")
     max_time = float(overrides.pop("max_time", 20000.0))
     observe = bool(overrides.pop("observe", True))
-    profile = bool(overrides.pop("profile", False))
     sample_period = float(overrides.pop("sample_period", 5.0))
     params: Dict[str, Any] = dict(_TRACE_PRESETS.get(experiment_id, _TRACE_PRESETS["quickstart"]))
     params["seed"] = 0
     params.update(overrides)
     params["observe"] = observe
     params["flight"] = observe
-    try:
-        config = SwarmConfig(**params)
-    except TypeError as exc:
-        print(f"bad override: {exc}", file=sys.stderr)
+    config = _swarm_config(params)
+    if config is None:
         return 2
 
     swarm = Swarm(config)
-    if profile:
-        swarm.sim.enable_profiler()
     timeseries = None
     if observe:
         timeseries = TimeSeriesSampler(swarm.sim, period=sample_period)
@@ -521,11 +535,7 @@ def run_trace(argv: List[str]) -> int:
     if timeseries is not None:
         timeseries.stop()
 
-    doc = swarm.chrome_trace(
-        timeseries=timeseries,
-        include_profile=profile,
-        experiment=experiment_id,
-    )
+    doc = swarm.chrome_trace(timeseries=timeseries, experiment=experiment_id)
     problems = validate_chrome_trace(doc)
     if problems:
         for problem in problems:
@@ -547,9 +557,6 @@ def run_trace(argv: List[str]) -> int:
         f"spans: {len(getattr(swarm.sim.tracer, 'finished', []))}; "
         f"records: {len(swarm.sim.trace)}"
     )
-    if profile:
-        print(swarm.sim.profiler.format())
-        print("(profile=true embeds wall-clock data: output is not reproducible)")
     print(f"open in https://ui.perfetto.dev  [{wall:.1f}s wall]")
     return 0
 

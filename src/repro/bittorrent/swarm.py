@@ -275,18 +275,12 @@ class Swarm:
         """Deterministic snapshot of the platform-wide metrics registry."""
         return self.sim.metrics.snapshot(include_wall=include_wall)
 
-    def chrome_trace(
-        self,
-        timeseries=None,
-        include_profile: bool = False,
-        **metadata,
-    ) -> dict:
+    def chrome_trace(self, timeseries=None, **metadata) -> dict:
         """Chrome Trace Event document of this run (Perfetto-loadable).
 
         Merges whatever was recorded: packet flights (``flight=True``),
         tracer spans, trace-recorder client logs, and an optional
-        :class:`~repro.obs.timeseries.TimeSeriesSampler`. Deterministic
-        unless ``include_profile`` pulls in wall-clock profiler data.
+        :class:`~repro.obs.timeseries.TimeSeriesSampler`. Deterministic.
         """
         from repro.obs.chrometrace import TraceLayout, chrome_trace_document
 
@@ -307,8 +301,6 @@ class Swarm:
             tracer=sim.tracer if getattr(sim.tracer, "finished", None) else None,
             recorder=sim.trace,
             timeseries=timeseries,
-            profiler=sim.profiler,
-            include_profile=include_profile,
             metadata=meta,
         )
 

@@ -17,10 +17,8 @@ per-node peaks an experimenter checks before trusting a folded run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.obs.metrics import Snapshot, diff_snapshots
-from repro.obs.timeseries import TimeSeriesSampler
 from repro.virt.deployment import Testbed
 
 
@@ -55,34 +53,10 @@ class NodeSummary:
 class ResourceMonitor:
     """Samples every physical node at a fixed period."""
 
-    def __init__(
-        self,
-        testbed: Testbed,
-        period: float = 10.0,
-        record_metrics: bool = False,
-        timeseries: bool = False,
-        timeseries_metrics: Optional[List[str]] = None,
-    ) -> None:
+    def __init__(self, testbed: Testbed, period: float = 10.0) -> None:
         self.testbed = testbed
         self.period = period
         self.samples: List[ResourceSample] = []
-        #: When ``record_metrics`` is set, one deterministic snapshot of
-        #: the platform metrics registry (see :mod:`repro.obs`) is taken
-        #: per sampling period, so experiments can diff any two instants.
-        self.record_metrics = record_metrics
-        self.metrics_snapshots: List[Tuple[float, Snapshot]] = []
-        #: When ``timeseries`` is set, a
-        #: :class:`~repro.obs.timeseries.TimeSeriesSampler` runs on the
-        #: same period and accumulates deterministic per-metric series
-        #: (the trajectory view the paper's figures need); optionally
-        #: filtered to ``timeseries_metrics``.
-        self.timeseries: Optional[TimeSeriesSampler] = (
-            TimeSeriesSampler(
-                testbed.sim, period=period, metrics=timeseries_metrics
-            )
-            if timeseries
-            else None
-        )
         self._started_at: Optional[float] = None
         self._running = False
         self._last_cpu_busy: Dict[str, float] = {}
@@ -92,14 +66,10 @@ class ResourceMonitor:
             return
         self._running = True
         self._started_at = self.testbed.sim.now
-        if self.timeseries is not None:
-            self.timeseries.start()
         self.testbed.sim.schedule(0.0, self._sample)
 
     def stop(self) -> None:
         self._running = False
-        if self.timeseries is not None:
-            self.timeseries.stop()
 
     # ------------------------------------------------------------------
     def _sample(self) -> None:
@@ -124,8 +94,6 @@ class ResourceMonitor:
                     fw_rules=len(pnode.stack.fw),
                 )
             )
-        if self.record_metrics:
-            self.metrics_snapshots.append((sim.now, sim.metrics.snapshot()))
         sim.schedule(self.period, self._sample)
 
     # ------------------------------------------------------------------
@@ -155,28 +123,6 @@ class ResourceMonitor:
                 )
             )
         return summaries
-
-    def metrics_delta(
-        self,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> Snapshot:
-        """Per-metric change between two recorded snapshots.
-
-        ``since``/``until`` select the first snapshot at or after /
-        the last snapshot at or before the given sim-time (defaults:
-        first and last recorded). Requires ``record_metrics=True``.
-        """
-        if not self.metrics_snapshots:
-            return {}
-        lo = self.metrics_snapshots[0]
-        hi = self.metrics_snapshots[-1]
-        if since is not None:
-            lo = next((s for s in self.metrics_snapshots if s[0] >= since), hi)
-        if until is not None:
-            eligible = [s for s in self.metrics_snapshots if s[0] <= until]
-            hi = eligible[-1] if eligible else lo
-        return diff_snapshots(lo[1], hi[1])
 
     def saturated_nodes(self, port_bandwidth: float, threshold: float = 0.9) -> List[str]:
         """Nodes whose peak port rate exceeded ``threshold`` of capacity —

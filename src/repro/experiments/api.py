@@ -245,9 +245,7 @@ def make_execute(
     The request's ``seed`` is injected as the ``seed=`` kwarg when the
     run function accepts one (deterministic CPU-model experiments take
     no seed); explicit ``params['seed']`` overrides win for backwards
-    compatibility. ``request.partitions`` is forwarded the same way to
-    run functions that accept a ``partitions=`` kwarg — experiments
-    that cannot shard simply never see the knob.
+    compatibility.
     """
     extract = artifacts if artifacts is not None else default_artifacts
     try:
@@ -256,19 +254,15 @@ def make_execute(
             p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
         )
         takes_seed = "seed" in sig.parameters or var_kw
-        takes_partitions = "partitions" in sig.parameters
         takes_fluid = "fluid" in sig.parameters
     except (TypeError, ValueError):  # builtins / C callables
         takes_seed = True
-        takes_partitions = False
         takes_fluid = False
 
     def execute(request: RunRequest) -> RunResult:
         kwargs = request.kwargs
         if takes_seed:
             kwargs.setdefault("seed", request.seed)
-        if takes_partitions and request.partitions is not None:
-            kwargs.setdefault("partitions", request.partitions)
         if takes_fluid and request.fluid is not None:
             kwargs.setdefault("fluid", request.fluid)
         value = run(**kwargs)

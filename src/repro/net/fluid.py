@@ -361,8 +361,8 @@ class FlowScheduler:
         self._m_demotions = registry.counter("net.fluid.demotions")
         self._m_defluidized = registry.counter("net.fluid.defluidized")
         # Wall-only: how deliveries were dispatched is a scheduling
-        # detail (profiler on/off changes it), not an emulation
-        # observable.
+        # detail (``max_events`` budgets and ``step()`` change it), not
+        # an emulation observable.
         self._m_inline = registry.counter("net.fluid.inline_deliveries", wall=True)
         self._m_dead = registry.counter("net.fluid.dead_deliveries", wall=True)
         self._m_agenda = registry.gauge("net.fluid.agenda_peak", wall=True)

@@ -57,26 +57,19 @@ DIR_OUT = "out"
 AddrMatch = Union[IPv4Address, IPv4Network, None]
 
 
-def _match_addr(matcher: AddrMatch, value: int) -> bool:
-    if matcher is None:
-        return True
-    if type(matcher) is IPv4Network:
-        return (value & matcher.mask) == matcher.address.value
-    return matcher.value == value
-
-
 def _compile_match(
     direction: Optional[str],
     proto: Optional[str],
     src: AddrMatch,
     dst: AddrMatch,
 ) -> Callable[[Packet, str], bool]:
-    """Build a per-rule match closure specialised to the fields set.
+    """Build a rule's match predicate, specialised to the fields set.
 
-    The generic :meth:`Rule.matches` walk re-tests every field (and its
-    ``None``-ness) per packet; the closure captures the constants once
-    and skips absent fields entirely — the precomputed match predicate
-    of the hot-path overhaul.
+    A rule matches a packet travelling ``pdir`` when every field it
+    sets (direction, protocol, source and destination, each an exact
+    address or a network) agrees; an unset field matches anything. The
+    closure captures the constants once and skips absent fields
+    entirely, so no per-packet test looks at a field's ``None``-ness.
     """
     src_exact = src.value if type(src) is IPv4Address else None
     dst_exact = dst.value if type(dst) is IPv4Address else None
@@ -145,25 +138,11 @@ class Rule:
         self.dst = dst
         self.direction = direction
         self.hits = 0
-        #: Precompiled match predicate (same truth table as
-        #: :meth:`matches`, with the per-field dispatch hoisted out of
-        #: the per-packet path). Compiled on first evaluation — a
-        #: million-vnode rule list mostly never evaluates most rules,
-        #: and a closure per rule is real memory. Purely wall-side:
-        #: compilation has no observable effect.
+        #: Match predicate built by :func:`_compile_match`, compiled on
+        #: first evaluation — a million-vnode rule list mostly never
+        #: evaluates most rules, and a closure per rule is real memory.
+        #: Purely wall-side: compilation has no observable effect.
         self.match = None
-
-    def matches(self, packet: Packet, direction: str) -> bool:
-        """Does this rule match ``packet`` travelling ``direction``?"""
-        if self.direction is not None and self.direction != direction:
-            return False
-        if self.proto is not None and self.proto != packet.proto:
-            return False
-        if not _match_addr(self.src, packet.src.value):
-            return False
-        if not _match_addr(self.dst, packet.dst.value):
-            return False
-        return True
 
     def __lt__(self, other: "Rule") -> bool:
         return self.number < other.number

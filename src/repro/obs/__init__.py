@@ -14,8 +14,6 @@ One deterministic measurement substrate for the whole platform:
 * :class:`FlightRecorder` — per-packet hop-by-hop lifecycle records
   (NIC → ipfw → pipes → delivery → ack) with exact latency
   decompositions;
-* :class:`EventLoopProfiler` — wall-time per handler category on the
-  sim kernel (wall data: never in deterministic snapshots);
 * :class:`TimeSeriesSampler` — periodic registry diffs as
   deterministic per-metric series;
 * :mod:`repro.obs.chrometrace` — Chrome Trace Event / Perfetto export
@@ -25,7 +23,7 @@ One deterministic measurement substrate for the whole platform:
   and the opt-in HTTP endpoint): wall-clock-only streaming of health
   out of *running* sweeps and partition cells;
 * ``NULL_REGISTRY`` / ``NULL_TRACER`` / ``NULL_FLIGHT`` /
-  ``NULL_PROFILER`` / ``NULL_EMITTER`` — shared no-op instruments for
+  ``NULL_EMITTER`` — shared no-op instruments for
   zero-overhead disabled mode (``Simulator(..., observe=False)``).
 
 The rule that makes this trustworthy: anything recorded from
@@ -62,12 +60,6 @@ from repro.obs.metrics import (
     Snapshot,
     diff_snapshots,
 )
-from repro.obs.profile import (
-    EventLoopProfiler,
-    NULL_PROFILER,
-    NullEventLoopProfiler,
-    categorize,
-)
 from repro.obs.span import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.telemetry import (
     CallbackEmitter,
@@ -85,7 +77,6 @@ __all__ = [
     "CallbackEmitter",
     "Counter",
     "DEFAULT_EDGES",
-    "EventLoopProfiler",
     "FlightRecorder",
     "Gauge",
     "Heartbeat",
@@ -94,11 +85,9 @@ __all__ = [
     "MetricsRegistry",
     "NULL_EMITTER",
     "NULL_FLIGHT",
-    "NULL_PROFILER",
     "NULL_REGISTRY",
     "NULL_TRACER",
     "NullEmitter",
-    "NullEventLoopProfiler",
     "NullFlightRecorder",
     "NullMetricsRegistry",
     "NullTracer",
@@ -110,7 +99,6 @@ __all__ = [
     "TimeSeriesSampler",
     "TraceLayout",
     "Tracer",
-    "categorize",
     "serve_http",
     "watch",
     "chrome_trace_document",

@@ -24,9 +24,8 @@ their own pids.
 Determinism: all timestamps are simulation time (µs), inputs are
 iterated in their deterministic creation order, sorting is stable and
 keyed only on event fields — so the export is byte-identical across
-same-seed runs and ``PYTHONHASHSEED`` values. Wall-clock profiler data
-(:mod:`repro.obs.profile`) is only merged when ``include_profile=True``
-and is carried in clearly-labelled metadata, never in timed events.
+same-seed runs and ``PYTHONHASHSEED`` values. No wall-clock data
+enters the document.
 """
 
 from __future__ import annotations
@@ -268,15 +267,12 @@ def chrome_trace_document(
     tracer=None,
     recorder=None,
     timeseries=None,
-    profiler=None,
-    include_profile: bool = False,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the Chrome Trace Event document.
 
     Deterministic by construction: inputs are walked in creation
-    order, the final sort is stable on ``(ts, pid, tid)``, and
-    wall-clock data only enters when ``include_profile`` is set.
+    order and the final sort is stable on ``(ts, pid, tid)``.
     """
     events: List[Dict[str, Any]] = list(layout.metadata_events())
     timed: List[Dict[str, Any]] = []
@@ -290,15 +286,11 @@ def chrome_trace_document(
         timed.extend(counter_events(timeseries, layout))
     timed.sort(key=lambda e: (e["ts"], e["pid"], e["tid"]))  # stable
     events.extend(timed)
-    doc: Dict[str, Any] = {
+    return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": dict(sorted((metadata or {}).items())),
     }
-    if include_profile and profiler is not None and profiler.enabled:
-        # Wall-clock data: explicitly labelled, never in timed events.
-        doc["otherData"]["event_loop_profile_wall"] = profiler.as_dict()
-    return doc
 
 
 def chrome_trace_json(doc: Dict[str, Any]) -> str:

@@ -13,8 +13,9 @@ Design rules:
 
 * **Determinism.** Metrics derived from simulation state (sim-time,
   event counts, byte counts) are *deterministic*: two runs with the
-  same seed must produce byte-identical snapshots. Metrics derived
-  from the host's wall clock (callback profiling) are flagged
+  same seed must produce byte-identical snapshots. Metrics that
+  describe the host's execution rather than the simulation (flow-cache
+  hits, the lazy-pipe ledger, the fluid agenda) are flagged
   ``wall=True`` and excluded from :meth:`MetricsRegistry.snapshot`
   in its default deterministic mode.
 * **Naming.** ``layer.component.metric`` with dots, e.g.

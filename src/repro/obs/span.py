@@ -8,8 +8,8 @@ aggregate, spans keep the timeline — which is what the paper's
 download-evolution figures (Fig. 8/10) are, conceptually.
 
 Because spans are stamped with the deterministic simulation clock,
-their export is byte-identical across same-seed runs, unlike
-wall-clock profilers.
+their export is byte-identical across same-seed runs, unlike anything
+read off the host's wall clock.
 """
 
 from __future__ import annotations

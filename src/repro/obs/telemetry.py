@@ -13,8 +13,8 @@ watch``, or an opt-in stdlib HTTP endpoint with Prometheus exposition).
 
 Determinism quarantine
 ----------------------
-Telemetry follows the same discipline as :mod:`repro.obs.profile`: it
-*observes* wall-side state (process RSS, wall timestamps, weakly-held
+Telemetry is the wall plane's streaming half, next to the ``wall=True``
+instruments of :mod:`repro.obs.metrics`: it *observes* wall-side state (process RSS, wall timestamps, weakly-held
 simulator progress counters) and never touches simulation state, event
 ordering, seeds or packet-id streams. Nothing it records enters a
 deterministic snapshot, BENCH document or sweep aggregate; every run
@@ -308,8 +308,7 @@ def process_gauges() -> Dict[str, float]:
     RSS via :func:`resource.getrusage` (``ru_maxrss`` is KiB on Linux,
     bytes on macOS), CPU seconds via the same call, plus the packet
     pool's current free-list occupancy. Never part of a deterministic
-    snapshot — consumed by heartbeats and by the time-series sampler's
-    opt-in wall series.
+    snapshot — consumed by heartbeats.
     """
     usage = resource.getrusage(resource.RUSAGE_SELF)
     rss = usage.ru_maxrss

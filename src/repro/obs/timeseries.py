@@ -49,14 +49,6 @@ class TimeSeriesSampler:
     metrics:
         Optional name filter — only these metrics are tracked. ``None``
         tracks everything present at each sampling instant.
-    process_gauges:
-        Also record wall-only process resource gauges at every sample
-        (RSS and CPU seconds via ``resource.getrusage``, the kernel's
-        event-queue depth, packet-pool occupancy — see
-        :func:`repro.obs.telemetry.process_gauges`). These live in
-        :attr:`wall_series`, quarantined from the deterministic export
-        exactly like the profiler: :meth:`as_dict` excludes them unless
-        ``include_wall=True``, and :meth:`to_csv` never writes them.
     """
 
     def __init__(
@@ -65,7 +57,6 @@ class TimeSeriesSampler:
         registry=None,
         period: float = 10.0,
         metrics: Optional[List[str]] = None,
-        process_gauges: bool = False,
     ) -> None:
         if period <= 0:
             raise ObservabilityError(f"sampling period must be positive, got {period}")
@@ -73,13 +64,9 @@ class TimeSeriesSampler:
         self.registry = registry if registry is not None else sim.metrics
         self.period = period
         self.filter = set(metrics) if metrics is not None else None
-        self.process_gauges = process_gauges
         #: metric name -> field -> series. Fields: counters ``delta``;
         #: gauges ``value``; histograms ``count_delta`` and ``sum_delta``.
         self.series: Dict[str, Dict[str, Series]] = {}
-        #: Wall-clock gauge series (``process.rss_bytes``, ...), keyed
-        #: like :attr:`series` but NEVER part of deterministic exports.
-        self.wall_series: Dict[str, Dict[str, Series]] = {}
         self.sample_times: List[float] = []
         self._prev: Optional[Snapshot] = None
         self._running = False
@@ -125,19 +112,6 @@ class TimeSeriesSampler:
                 self._append(name, "count_delta", now, cur["count"] - c0)  # type: ignore[operator]
                 self._append(name, "sum_delta", now, cur["sum"] - s0)  # type: ignore[operator]
         self._prev = snap
-        if self.process_gauges:
-            self._sample_process_gauges(now)
-
-    def _sample_process_gauges(self, now: float) -> None:
-        """Wall-side resource sample (into :attr:`wall_series` only)."""
-        from repro.obs import telemetry
-
-        gauges = telemetry.process_gauges()
-        gauges["event_queue_depth"] = float(self.sim.pending)
-        for name in sorted(gauges):
-            self.wall_series.setdefault(f"process.{name}", {}).setdefault(
-                "value", []
-            ).append((now, gauges[name]))
 
     def _append(self, name: str, field: str, t: float, value: float) -> None:
         self.series.setdefault(name, {}).setdefault(field, []).append((t, value))
@@ -167,28 +141,19 @@ class TimeSeriesSampler:
         return len(self.sample_times)
 
     # -- export --------------------------------------------------------
-    def as_dict(self, include_wall: bool = False) -> Dict[str, object]:
-        """JSON-ready document — deterministic by default; passing
-        ``include_wall=True`` adds the quarantined ``wall_series``
-        (process gauges), making the output host-specific."""
-
-        def render(table: Dict[str, Dict[str, Series]]) -> Dict[str, object]:
-            return {
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready, deterministic document."""
+        return {
+            "period": self.period,
+            "samples": len(self.sample_times),
+            "series": {
                 name: {
                     field: [[t, v] for t, v in points]
                     for field, points in sorted(fields.items())
                 }
-                for name, fields in sorted(table.items())
-            }
-
-        doc: Dict[str, object] = {
-            "period": self.period,
-            "samples": len(self.sample_times),
-            "series": render(self.series),
+                for name, fields in sorted(self.series.items())
+            },
         }
-        if include_wall:
-            doc["wall_series"] = render(self.wall_series)
-        return doc
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=indent)

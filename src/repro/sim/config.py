@@ -1,10 +1,9 @@
 """The unified simulator configuration surface: :class:`SimConfig`.
 
 :class:`~repro.sim.kernel.Simulator` accreted one keyword argument per
-feature (``flight=``, profiler enablement via a method call).
-``SimConfig`` absorbs that sprawl into one frozen dataclass so a
-simulator's behaviour is named by a single hashable value that can be
-stored in manifests, threaded through
+feature (``flight=``, ``fluid=``). ``SimConfig`` absorbs that sprawl
+into one frozen dataclass so a simulator's behaviour is named by a
+single hashable value that can be stored in manifests, threaded through
 :class:`~repro.experiments.api.RunRequest`, and shipped to partition
 worker processes (:mod:`repro.sim.partition`) without re-encoding each
 knob.
@@ -30,10 +29,6 @@ class SimConfig:
     flight:
         Attach a :class:`~repro.obs.flight.FlightRecorder` (requires an
         observing simulator).
-    profiler:
-        Attach the wall-clock event-loop profiler from construction
-        (equivalent to calling :meth:`Simulator.enable_profiler` before
-        the first ``run()``).
     partitions:
         Worker processes a partitioned run may use
         (:mod:`repro.sim.partition`). ``1`` = a single worker; the
@@ -47,7 +42,6 @@ class SimConfig:
     """
 
     flight: bool = False
-    profiler: bool = False
     partitions: int = 1
     fluid: bool = False
 

@@ -473,10 +473,10 @@ class EventQueue:
         """Remove and return the earliest live event, or ``None`` when
         the queue is empty or the next event fires after ``until``.
 
-        This is the kernel's single-walk fast path: one call replaces
-        the ``peek_time`` + ``pop`` pair (which traversed the heap
-        twice per event). The common case — next slot of the opened
-        sorted run holds a live entry — is fully inlined.
+        This is the kernel's single-walk fallback: one call replaces a
+        peek + ``pop`` pair (which traversed the queue twice per
+        event). The common case — next slot of the opened sorted run
+        holds a live entry — is fully inlined.
         """
         s = self._sorted
         si = self._si
@@ -497,11 +497,6 @@ class EventQueue:
         if entry is None or (until is not None and entry[0] > until):
             return None
         return self._consume(entry)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        entry = self.peek_entry()
-        return entry[0] if entry is not None else None
 
     # ------------------------------------------------------------------
     # Bookkeeping

@@ -3,22 +3,16 @@
 from __future__ import annotations
 
 from sys import getrefcount
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.flight import FlightRecorder, NULL_FLIGHT
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.profile import EventLoopProfiler, NULL_PROFILER
 from repro.obs.span import NULL_TRACER, Tracer
 from repro.sim.config import SimConfig
 from repro.sim.event import EVENT_POOL_CAP, Event, EventQueue, PRIORITY_NORMAL
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-
-#: Bucket edges for the (wall-clock) per-callback latency histogram —
-#: callbacks run in microseconds to milliseconds.
-CALLBACK_SECONDS_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 class Simulator:
@@ -38,7 +32,7 @@ class Simulator:
         ``False`` swaps every instrument for its shared NULL no-op.
     config:
         A :class:`~repro.sim.config.SimConfig` naming every behaviour
-        knob (flight recording, profiler, partitioning, fluid engine)
+        knob (flight recording, partitioning, fluid engine)
         — the only configuration surface.
 
     Examples
@@ -76,9 +70,9 @@ class Simulator:
         #: Active ``run(until=...)`` horizon (None outside ``run``).
         self._horizon: Optional[float] = None
         #: True while booked deliveries may be dispatched inline (set
-        #: by ``run()``; off under ``max_events`` budgets, while
-        #: profiling, and outside ``run`` entirely, where every booking
-        #: is materialised as a real queue event instead).
+        #: by ``run()``; off under ``max_events`` budgets and outside
+        #: ``run`` entirely, where every booking is materialised as a
+        #: real queue event instead).
         self._inline = False
         #: Bookings their consumers hold outside the queue (pending
         #: work, but not queue entries).
@@ -98,38 +92,15 @@ class Simulator:
         self.flight = (
             FlightRecorder() if (observe and config.flight) else NULL_FLIGHT
         )
-        #: Event-loop profiler (wall-clock; NULL no-op by default).
-        #: Enable with ``SimConfig(profiler=True)`` or
-        #: :meth:`enable_profiler` *before* ``run()``.
-        self.profiler = (
-            EventLoopProfiler() if config.profiler else NULL_PROFILER
-        )
-        #: When True, each callback's wall-clock duration is recorded
-        #: into the ``sim.kernel.callback_seconds`` histogram (a *wall*
-        #: metric — excluded from deterministic snapshots).
-        self.profile_callbacks = False
         self._m_events = self.metrics.counter("sim.kernel.events_processed")
         self._m_runs = self.metrics.counter("sim.kernel.runs")
         self._m_queue_depth = self.metrics.gauge("sim.kernel.queue_depth")
-        self._m_callback = self.metrics.histogram(
-            "sim.kernel.callback_seconds", edges=CALLBACK_SECONDS_EDGES, wall=True
-        )
         #: Flow-level transfer engine (net/fluid.py), or ``None``.
         self.fluid = None
         if config.fluid:
             from repro.net.fluid import FlowScheduler
 
             self.fluid = FlowScheduler(self)
-
-    def enable_profiler(self) -> EventLoopProfiler:
-        """Attach (and return) a live :class:`EventLoopProfiler`.
-
-        Idempotent: repeated calls return the same profiler. Wall-clock
-        data only — never part of deterministic snapshots.
-        """
-        if not self.profiler.enabled:
-            self.profiler = EventLoopProfiler()
-        return self.profiler
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -193,10 +164,10 @@ class Simulator:
         the running event, so only the order test applies: its key must
         be strictly before the queue head. One that advances the clock
         must also be inside a permissive ``run()`` (no ``max_events``
-        budget and no profiler — both are enforced at the loop head,
-        which inline dispatch bypasses), not stopped, and within the
-        horizon. A booking has no single reference event, so it is
-        tallied nowhere in ``events_processed``.
+        budget — it is enforced at the loop head, which inline dispatch
+        bypasses), not stopped, and within the horizon. A booking has
+        no single reference event, so it is tallied nowhere in
+        ``events_processed``.
         """
         if t > self.now:
             if not self._inline or self._stopped:
@@ -248,7 +219,9 @@ class Simulator:
         ----------
         until:
             Stop once the clock would pass this time; the clock is left
-            at ``until`` (events at exactly ``until`` are processed).
+            at ``until`` (events at exactly ``until`` are processed). A
+            horizon already behind the clock processes nothing and
+            leaves the clock where it is: time never runs backwards.
         max_events:
             Safety valve: stop after this many events.
         """
@@ -258,111 +231,70 @@ class Simulator:
         self._stopped = False
         queue = self._queue
         processed = 0
-        profiler = self.profiler
-        profile_cb = self.profile_callbacks
-        profile = profile_cb or profiler.enabled
         self._horizon = until
-        self._inline = max_events is None and not profile
+        self._inline = max_events is None
+        # The common iteration — next slot of the queue's opened sorted
+        # run holds a live entry — is fully inlined here (zero queue
+        # calls per event); the residue (tombstones, bucket opening,
+        # window advance, horizon) falls back to the single-walk
+        # ``pop_ready``. Event handles are recycled when the refcount
+        # proves no caller kept them.
+        pop_ready = queue.pop_ready
+        recycle = queue.recycle
+        free = queue._free
+        pool_cap = EVENT_POOL_CAP
         try:
-            if not profile:
-                # The common iteration — next slot of the queue's
-                # opened sorted run holds a live entry — is fully
-                # inlined here (zero queue calls per event); the
-                # residue (tombstones, bucket opening, window advance,
-                # horizon) falls back to the single-walk ``pop_ready``.
-                # No per-event instrument tests (hoisted into the
-                # branch selection), and event handles are recycled
-                # when the refcount proves no caller kept them.
-                pop_ready = queue.pop_ready
-                recycle = queue.recycle
-                free = queue._free
-                pool_cap = EVENT_POOL_CAP
-                while True:
-                    if self._stopped:
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                    s = queue._sorted
-                    si = queue._si
-                    if si < len(s):
-                        entry = s[si]
-                        ev = entry[3]
-                        callback = ev.callback
-                        if callback is not None:
-                            t = entry[0]
-                            if until is not None and t > until:
+            while True:
+                if self._stopped:
+                    break
+                if max_events is not None and processed >= max_events:
+                    break
+                s = queue._sorted
+                si = queue._si
+                if si < len(s):
+                    entry = s[si]
+                    ev = entry[3]
+                    callback = ev.callback
+                    if callback is not None:
+                        t = entry[0]
+                        if until is not None and t > until:
+                            if until > self.now:
                                 self.now = until
-                                break
-                            s[si] = None
-                            queue._si = si + 1
-                            queue._near -= 1
-                            queue._live -= 1
-                            self.now = t
-                            args = ev.args
-                            # Free references before the callback runs
-                            # so an exception cannot pin the payload.
-                            ev.callback = None
-                            ev.args = ()
-                            callback(*args)
-                            processed += 1
-                            # 3 accounted refs: the ``entry`` tuple,
-                            # the ``ev`` local, getrefcount's argument.
-                            # Any external handle pushes this higher
-                            # and the event is left to the GC.
-                            if getrefcount(ev) == 3 and len(free) < pool_cap:
-                                free.append(ev)
-                            continue
-                    ev = pop_ready(until)
-                    if ev is None:
-                        # Same clock semantics as the profiling loop:
-                        # a non-empty queue means the next event is
-                        # past the horizon (clock lands on ``until``);
-                        # an empty queue advances only forward.
-                        if until is not None and (queue or until > self.now):
-                            self.now = until
-                        break
-                    self.now = ev.time
-                    callback, args = ev.callback, ev.args
-                    ev.callback = None
-                    ev.args = ()
-                    callback(*args)
-                    processed += 1
-                    if getrefcount(ev) == 2:  # loop local + getrefcount arg
-                        recycle(ev)
-            else:
-                # Profiling loop: every callback is timed on the wall
-                # clock, which is all that differs from the loop above.
-                observe_cb = self._m_callback.observe if profile_cb else None
-                record_prof = profiler.record if profiler.enabled else None
-                while queue:
-                    if self._stopped:
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                    next_time = queue.peek_time()
-                    if next_time is None:
-                        break
-                    if until is not None and next_time > until:
-                        self.now = until
-                        break
-                    ev = queue.pop()
-                    self.now = ev.time
-                    callback, args = ev.callback, ev.args
-                    # Free references before the callback runs so that an
-                    # exception does not pin the event's payload.
-                    ev.callback = None
-                    ev.args = ()
-                    t0 = perf_counter()
-                    callback(*args)
-                    wall = perf_counter() - t0
-                    if observe_cb is not None:
-                        observe_cb(wall)
-                    if record_prof is not None:
-                        record_prof(callback, wall)
-                    processed += 1
-                else:
+                            break
+                        s[si] = None
+                        queue._si = si + 1
+                        queue._near -= 1
+                        queue._live -= 1
+                        self.now = t
+                        args = ev.args
+                        # Free references before the callback runs so
+                        # an exception cannot pin the payload.
+                        ev.callback = None
+                        ev.args = ()
+                        callback(*args)
+                        processed += 1
+                        # 3 accounted refs: the ``entry`` tuple, the
+                        # ``ev`` local, getrefcount's argument. Any
+                        # external handle pushes this higher and the
+                        # event is left to the GC.
+                        if getrefcount(ev) == 3 and len(free) < pool_cap:
+                            free.append(ev)
+                        continue
+                ev = pop_ready(until)
+                if ev is None:
+                    # Drained, or the next event is past the horizon:
+                    # the clock moves forward to ``until``, never back.
                     if until is not None and until > self.now:
                         self.now = until
+                    break
+                self.now = ev.time
+                callback, args = ev.callback, ev.args
+                ev.callback = None
+                ev.args = ()
+                callback(*args)
+                processed += 1
+                if getrefcount(ev) == 2:  # loop local + getrefcount arg
+                    recycle(ev)
         finally:
             self._horizon = None
             self._inline = False

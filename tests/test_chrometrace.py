@@ -99,23 +99,6 @@ class TestDocument:
         ts = [e["ts"] for e in doc["traceEvents"] if "ts" in e]
         assert ts == sorted(ts)
 
-    def test_profiler_only_with_include_profile(self):
-        testbed, _ = traced_run()
-        sim = testbed.sim
-        profiler = sim.enable_profiler()
-        ping(
-            sim, testbed.pnodes[0].stack,
-            "10.9.0.1", "10.9.0.2", count=1,
-        )
-        sim.run(until=sim.now + 3.0)
-        layout = TraceLayout.for_testbed(testbed)
-        plain = chrome_trace_document(layout, profiler=profiler)
-        with_profile = chrome_trace_document(
-            layout, profiler=profiler, include_profile=True
-        )
-        assert "event_loop_profile_wall" not in plain["otherData"]
-        assert with_profile["otherData"]["event_loop_profile_wall"]
-
     def test_write_and_reload(self, tmp_path):
         _, doc = traced_run()
         path = write_chrome_trace(tmp_path / "trace.json", doc)

@@ -42,6 +42,13 @@ class TestMain:
         assert main(["tblA", "cycles=50"]) == 0
         assert "libc" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["metrics"], ["trace", "quickstart"]])
+    def test_nested_field_override_rejected(self, command, capsys, tmp_path):
+        # ``profile`` is SwarmConfig's link profile, not a scalar: a
+        # clean exit 2, not a traceback.
+        assert main([*command, "profile=true", f"out={tmp_path / 'x.json'}"]) == 2
+        assert "profile is not a scalar field" in capsys.readouterr().err
+
 
 #: Small-swarm overrides so metrics CLI tests run in well under a second.
 FAST = ["leechers=2", "file_size=262144", "num_pnodes=2"]

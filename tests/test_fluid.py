@@ -505,15 +505,13 @@ def test_fig8_reduced_twin_within_tolerance():
 # Queue depth: one ledger behind every reader
 # ----------------------------------------------------------------------
 def test_step_queue_depth_counts_fluid_held_segments():
-    """Regression: ``step()``, the telemetry probe and the wall-side
-    sampler used to compute queue depth by hand and forgot the segments
-    the fluid engine holds; all three now read ``sim.pending``."""
+    """Regression: ``step()`` and the telemetry probe used to compute
+    queue depth by hand and forgot the segments the fluid engine holds;
+    both now read ``sim.pending``."""
     from repro.obs import telemetry
-    from repro.obs.timeseries import TimeSeriesSampler
 
     sim = Simulator(seed=5, observe=True, config=SimConfig(fluid=True))
     arrivals, _a, _b = _build_pair(sim)
-    sampler = TimeSeriesSampler(sim, period=1.0, process_gauges=True)
     telemetry.clear_probes()
     label = telemetry.register_sim(sim, "pair")
     try:
@@ -527,8 +525,5 @@ def test_step_queue_depth_counts_fluid_held_segments():
             s for s in telemetry.sample_probes() if s["label"] == "pair"
         )
         assert probe["queue_depth"] == sim.pending
-        sampler.sample_now()
-        series = sampler.wall_series["process.event_queue_depth"]["value"]
-        assert series[-1] == (sim.now, float(sim.pending))
     finally:
         telemetry.unregister_probe(label)

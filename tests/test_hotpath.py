@@ -197,7 +197,7 @@ class TestPacketPool:
     def test_every_simulator_carries_the_attributes_the_stack_reads(self):
         """The delivery path reads ``allow_packet_reuse`` and ``fluid``
         as plain attributes: every simulator has both from construction."""
-        for config in (SimConfig(), SimConfig(fluid=True), SimConfig(profiler=True)):
+        for config in (SimConfig(), SimConfig(fluid=True)):
             sim = Simulator(seed=0, observe=False, config=config)
             assert sim.allow_packet_reuse is True
             assert (sim.fluid is not None) == config.fluid

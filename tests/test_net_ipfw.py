@@ -13,6 +13,7 @@ from repro.net.ipfw import (
     DIR_OUT,
     Firewall,
     Rule,
+    _compile_match,
 )
 from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
@@ -33,31 +34,37 @@ def fw():
     return Firewall()
 
 
+def matches(rule, packet, direction):
+    """The predicate the firewall runs for ``rule``."""
+    match = _compile_match(rule.direction, rule.proto, rule.src, rule.dst)
+    return match(packet, direction)
+
+
 class TestRuleMatching:
     def test_wildcard_rule_matches_anything(self):
         r = Rule(100, ACTION_ALLOW)
-        assert r.matches(pkt(), DIR_OUT)
-        assert r.matches(pkt(proto="udp"), DIR_IN)
+        assert matches(r, pkt(), DIR_OUT)
+        assert matches(r, pkt(proto="udp"), DIR_IN)
 
     def test_src_network_match(self):
         r = Rule(100, ACTION_ALLOW, src=IPv4Network("10.1.0.0/16"))
-        assert r.matches(pkt(src="10.1.3.207"), DIR_OUT)
-        assert not r.matches(pkt(src="10.2.0.1"), DIR_OUT)
+        assert matches(r, pkt(src="10.1.3.207"), DIR_OUT)
+        assert not matches(r, pkt(src="10.2.0.1"), DIR_OUT)
 
     def test_dst_exact_address_match(self):
         r = Rule(100, ACTION_ALLOW, dst=IPv4Address("10.2.2.117"))
-        assert r.matches(pkt(dst="10.2.2.117"), DIR_OUT)
-        assert not r.matches(pkt(dst="10.2.2.118"), DIR_OUT)
+        assert matches(r, pkt(dst="10.2.2.117"), DIR_OUT)
+        assert not matches(r, pkt(dst="10.2.2.118"), DIR_OUT)
 
     def test_direction_match(self):
         r = Rule(100, ACTION_ALLOW, direction=DIR_OUT)
-        assert r.matches(pkt(), DIR_OUT)
-        assert not r.matches(pkt(), DIR_IN)
+        assert matches(r, pkt(), DIR_OUT)
+        assert not matches(r, pkt(), DIR_IN)
 
     def test_proto_match(self):
         r = Rule(100, ACTION_ALLOW, proto="udp")
-        assert not r.matches(pkt(proto="tcp"), DIR_OUT)
-        assert r.matches(pkt(proto="udp"), DIR_OUT)
+        assert not matches(r, pkt(proto="tcp"), DIR_OUT)
+        assert matches(r, pkt(proto="udp"), DIR_OUT)
 
     def test_pipe_action_requires_pipe(self):
         with pytest.raises(FirewallError):

@@ -329,7 +329,6 @@ _CASES = {
     "max_events": (_case_max_events, {}),
     "step": (_case_step, {}),
     "stop": (_case_stop, {}),
-    "profiler": (_case_run, dict(profiler=True)),
     "perturb": (_case_perturb, {}),
 }
 

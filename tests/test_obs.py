@@ -283,15 +283,6 @@ class TestKernelIntegration:
         assert sim.metrics is NULL_REGISTRY
         assert sim.tracer.as_list() == []
 
-    def test_callback_profiling_is_wall_only(self):
-        sim = Simulator(seed=0)
-        sim.profile_callbacks = True
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert "sim.kernel.callback_seconds" not in sim.metrics.snapshot()
-        full = sim.metrics.snapshot(include_wall=True)
-        assert full["sim.kernel.callback_seconds"]["count"] == 1
-
 
 def _launched_swarm(seed=5, observe=True):
     from repro.bittorrent import Swarm, SwarmConfig
@@ -362,12 +353,6 @@ def _slot_totals(swarm):
     }
 
 
-def _full(sim):
-    snap = sim.metrics.snapshot(include_wall=True)
-    del snap["sim.kernel.callback_seconds"]  # host wall clock
-    return snap
-
-
 class TestReadTimeFold:
     def test_mid_run_reads_see_every_packet_so_far(self):
         swarm = _launched_swarm()
@@ -390,7 +375,8 @@ class TestReadTimeFold:
     def test_two_reads_in_a_row_are_equal(self):
         swarm = _launched_swarm()
         swarm.sim.run(until=6.0)
-        assert _full(swarm.sim) == _full(swarm.sim)
+        snapshot = swarm.sim.metrics.snapshot
+        assert snapshot(include_wall=True) == snapshot(include_wall=True)
         swarm.sim.metrics.fold()
         held = swarm.sim.metrics.get("net.pipe.queue_occupancy_bytes")
         before = held.as_dict()
@@ -408,7 +394,7 @@ class TestReadTimeFold:
                     sim.metrics.snapshot(include_wall=True)
                     sim.metrics.get("net.tcp.segments_sent")
             swarm.run(max_time=20000)
-            docs.append(json.dumps(_full(sim), sort_keys=True))
+            docs.append(json.dumps(sim.metrics.snapshot(include_wall=True), sort_keys=True))
         assert docs[0] == docs[1]
 
     def test_closed_connections_and_dropped_pipes_stay_counted(self):

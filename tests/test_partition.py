@@ -117,8 +117,8 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.partitions == 1
-        assert cfg.flight is False and cfg.profiler is False and cfg.fluid is False
-        assert len(dataclasses.fields(cfg)) == 4
+        assert cfg.flight is False and cfg.fluid is False
+        assert len(dataclasses.fields(cfg)) == 3
 
     def test_validation(self):
         with pytest.raises(SimulationError):

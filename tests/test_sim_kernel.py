@@ -51,10 +51,10 @@ class TestEventQueue:
         q.push(2.0, lambda: None, ())
         ev.cancel()
         q.note_cancelled()
-        assert q.peek_time() == 2.0
+        assert q.peek_entry()[0] == 2.0
 
     def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+        assert EventQueue().peek_entry() is None
 
 
 class TestSimulator:
@@ -142,6 +142,20 @@ class TestSimulator:
         assert sim.now == 5.0
         sim.run(until=2.0)  # horizon already passed: no-op, no rewind
         assert sim.now == 5.0
+
+    def test_run_until_in_past_with_pending_events_does_not_rewind_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10.0, fired.append, 10)
+        sim.schedule(20.0, fired.append, 20)
+        sim.run(until=10.0)
+        assert (sim.now, fired, sim.pending) == (10.0, [10], 1)
+        sim.run(until=5.0)  # behind the clock: processes nothing
+        assert (sim.now, fired, sim.pending) == (10.0, [10], 1)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(7.0, lambda: None)
+        sim.run()
+        assert (sim.now, fired) == (20.0, [10, 20])
 
     def test_cancel_prevents_firing(self):
         sim = Simulator()

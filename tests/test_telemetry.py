@@ -639,51 +639,6 @@ class TestPartitionTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Time-series sampler: wall-only process gauges
-# ----------------------------------------------------------------------
-class TestProcessGaugeSeries:
-    def _run_sampled(self, process_gauges):
-        sim = Simulator(seed=2)
-        counter = sim.metrics.counter("ticks")
-
-        def tick():
-            counter.inc()
-            if sim.now < 40.0:
-                sim.schedule(5.0, tick)
-
-        sim.schedule(0.0, tick)
-        sampler = TimeSeriesSampler(sim, period=10.0,
-                                    process_gauges=process_gauges)
-        sampler.start()
-        sim.run(until=50.0)
-        return sampler
-
-    def test_wall_series_quarantined_from_deterministic_export(self, tmp_path):
-        sampler = self._run_sampled(process_gauges=True)
-        assert "process.rss_bytes" in sampler.wall_series
-        assert "process.event_queue_depth" in sampler.wall_series
-        assert all(v > 0 for _, v in
-                   sampler.wall_series["process.rss_bytes"]["value"])
-        doc = sampler.as_dict()
-        assert "wall_series" not in doc
-        assert "process.rss_bytes" not in doc["series"]
-        wall_doc = sampler.as_dict(include_wall=True)
-        assert "process.rss_bytes" in wall_doc["wall_series"]
-        csv_text = sampler.to_csv(tmp_path / "ts.csv").read_text()
-        assert "process." not in csv_text
-
-    def test_gauges_off_by_default(self):
-        sampler = self._run_sampled(process_gauges=False)
-        assert sampler.wall_series == {}
-        assert len(sampler.sample_times) >= 2
-
-    def test_deterministic_series_identical_with_and_without_gauges(self):
-        on = self._run_sampled(process_gauges=True)
-        off = self._run_sampled(process_gauges=False)
-        assert on.as_dict() == off.as_dict()
-
-
-# ----------------------------------------------------------------------
 # The acceptance proof: byte-identity on-vs-off, across shapes and
 # hash seeds, in fresh interpreters
 # ----------------------------------------------------------------------

@@ -1,14 +1,9 @@
-"""Time-series sampler determinism + event-loop profiler attribution."""
+"""Time-series sampler determinism."""
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.net.ping import ping
-from repro.obs.profile import (
-    EventLoopProfiler,
-    NULL_PROFILER,
-    categorize,
-)
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.sim import Simulator
 from repro.topology.compiler import compile_topology
@@ -95,61 +90,3 @@ class TestSampler:
         with pytest.raises(ObservabilityError):
             TimeSeriesSampler(Simulator(), period=0.0)
 
-
-class TestCategorize:
-    def test_bound_method_includes_class(self):
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim)
-        assert categorize(sampler._tick) == "obs.timeseries.TimeSeriesSampler"
-
-    def test_plain_function_is_module(self):
-        from repro.obs.profile import categorize as f
-
-        assert categorize(f) == "obs.profile"
-
-    def test_lambda_marked_local(self):
-        assert categorize(lambda: None).endswith(".<local>")
-
-
-class TestProfiler:
-    def test_record_accumulates_per_category(self):
-        prof = EventLoopProfiler()
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim)
-        prof.record(sampler._tick, 0.25)
-        prof.record(sampler._tick, 0.25)
-        assert prof.events == 2
-        assert prof.wall_seconds == 0.5
-        ((name, events, wall),) = prof.report()
-        assert name == "obs.timeseries.TimeSeriesSampler"
-        assert events == 2 and wall == 0.5
-        assert "TimeSeriesSampler" in prof.format()
-        prof.clear()
-        assert prof.events == 0 and len(prof) == 0
-
-    def test_kernel_profiler_attribution(self):
-        testbed = Testbed(num_pnodes=2)
-        spec = TopologySpec(name="prof-test")
-        spec.add_group("peers", "10.9.0.0/24", 2, latency=0.001)
-        compiler = compile_topology(spec, testbed)
-        a, b = compiler.vnodes("peers")
-        sim = testbed.sim
-        assert sim.profiler is NULL_PROFILER
-        profiler = sim.enable_profiler()
-        assert sim.enable_profiler() is profiler  # idempotent
-        probe = ping(sim, a.pnode.stack, a.address, b.address, count=2, interval=0.5)
-        sim.run()
-        assert probe.result.received == 2
-        assert profiler.events > 0
-        assert profiler.wall_seconds > 0.0
-        categories = {name for name, _, _ in profiler.report()}
-        assert any(c.startswith(("net.", "sim.")) for c in categories)
-        # Profiling never leaks into the deterministic metrics registry.
-        assert not any("profile" in name for name in sim.metrics.snapshot())
-
-    def test_null_profiler_is_inert(self):
-        NULL_PROFILER.record(lambda: None, 1.0)
-        assert NULL_PROFILER.events == 0
-        assert NULL_PROFILER.report() == []
-        assert NULL_PROFILER.as_dict() == {}
-        assert "disabled" in NULL_PROFILER.format()
