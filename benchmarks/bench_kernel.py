@@ -1,27 +1,29 @@
-"""Event-dispatch microbenchmark: calendar-queue kernel vs reference.
+"""Event-dispatch microbenchmark: the simulator vs the reference heap kernel.
 
-Pits the :class:`~repro.sim.kernel.Simulator` (calendar/near-future
-event queue, event free list, inlined dispatch loop) against the plain
-``heapq`` kernel of ``tests/reference/heap_kernel.py`` on the workload
-the optimisation targets: a burst of short-delay timers — the loopback
-/ rule-scan / serialization delays that dominate TCP and pipe traffic
-in the figure-10/11 swarms.
+Pits the :class:`~repro.sim.kernel.Simulator` (one binary heap, event
+free list, inlined dispatch loop) against the plain ``heapq`` kernel of
+``tests/reference/heap_kernel.py``, which is the same data structure
+with a peek/pop loop, on three schedules: a burst drain of 400 000
+short-delay timers, steady-state self-rescheduling timers, and 200 000
+timers over a wide horizon.
 
 Both kernels execute the identical schedule (asserted on the processed
-event counts); only wall clock differs. The hot-path gate requires the
-simulator to dispatch at least **2x** faster on the burst workload.
-Two secondary workloads are reported separately: steady-state
-self-rescheduling timers (ungated: dominated by scheduling/callback
-work the optimisation does not claim) and a wide horizon that
-exercises window migration — gated at **>= 1.0x** now that the
-adaptive window sizes itself to the observed event spread (the fixed
-256x1ms geometry used to *lose* here; see DESIGN.md).
+event counts); only wall clock differs. The gate is **>= 1.0x** on all
+three: the optimised loop must not lose to its oracle. The burst and
+the wide horizon (400k and 200k pending) are exactly where a calendar
+queue beats a heap, and the simulator used to run one for them (3.5x /
+1.6x); no workload has that shape — the heap peaks at 1 000–12 000
+entries, tombstones included — so the kernel is now a heap and these
+two cases measure its inlined loop only.
 
 Every timing is the best of ``TIMING_ROUNDS`` runs: a single-shot
 measurement is at the mercy of allocator/scheduler noise, which showed
 up as an unexplained +14% ``wall_seconds`` drift between baseline
 regenerations. The min is the standard low-noise estimator for
-CPU-bound microbenchmarks.
+CPU-bound microbenchmarks. The simulator's and the reference's rounds
+alternate, so drift on a shared host hits both sides alike: with one
+data structure on both sides the margin is ~1.2x, about the size of
+that drift.
 
 Scale: ``REPRO_BENCH_SCALE`` (float, default 1.0) multiplies the event
 counts — CI smoke runs use 0.1.
@@ -35,33 +37,36 @@ from tests.reference.heap_kernel import HeapKernel
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0") or "1.0")
 
-#: Primary gated workload: burst drain of short-delay timers.
+#: Burst drain of short-delay timers.
 DRAIN_EVENTS = max(1000, int(400_000 * SCALE))
-DRAIN_SPAN = 0.25  # seconds of sim time: everything lands in the near window
+DRAIN_SPAN = 0.25  # seconds of sim time
 
-#: Secondary (ungated) workloads.
+#: Self-rescheduling timers, and timers over a wide horizon.
 STEADY_EVENTS = max(1000, int(200_000 * SCALE))
 STEADY_TIMERS = 2000
 WIDE_EVENTS = max(1000, int(200_000 * SCALE))
 WIDE_SPAN = 400.0
 
-#: Gate: the simulator must dispatch at least this much faster (burst).
-MIN_SPEEDUP = 2.0
-#: Gate: the migration-heavy wide horizon must not lose to the heap.
-MIN_WIDE_SPEEDUP = 1.0
+#: Gate, on every workload: the simulator must not lose to the reference.
+MIN_SPEEDUP = 1.0
 
 #: Each wall-clock number is the best of this many runs (noise floor).
-TIMING_ROUNDS = 3
+TIMING_ROUNDS = 5
 
 
 def _noop() -> None:
     pass
 
 
-def best_of(fn, *args, rounds: int = TIMING_ROUNDS, **kwargs) -> float:
-    """Minimum wall-clock over ``rounds`` runs of ``fn`` (least-noise
-    estimator: every source of interference only ever adds time)."""
-    return min(fn(*args, **kwargs) for _ in range(rounds))
+def best_pair(fn, rounds: int = TIMING_ROUNDS):
+    """Minimum wall-clock of ``fn`` on the simulator and on the
+    reference over ``rounds`` alternating runs (least-noise estimator:
+    every source of interference only ever adds time)."""
+    fast, slow = [], []
+    for _ in range(rounds):
+        fast.append(fn(True))
+        slow.append(fn(False))
+    return min(fast), min(slow)
 
 
 def _kernel(fast: bool):
@@ -105,7 +110,7 @@ def dispatch_steady(fast: bool, events: int = STEADY_EVENTS, timers: int = STEAD
 
 
 def dispatch_wide(fast: bool, events: int = WIDE_EVENTS, span: float = WIDE_SPAN):
-    """Events spread over a wide horizon: stresses window migration."""
+    """Events spread over a wide horizon."""
     sim = _kernel(fast)
     dt = span / events
     schedule = sim.schedule
@@ -130,14 +135,11 @@ def test_kernel_dispatch_speedup(benchmark, bench_json):
     benchmark.pedantic(
         dispatch_burst, kwargs={"fast": True}, rounds=TIMING_ROUNDS, iterations=1
     )
-    fast_wall = best_of(dispatch_burst, True)
-    slow_wall = best_of(dispatch_burst, False)
+    fast_wall, slow_wall = best_pair(dispatch_burst)
     speedup = slow_wall / fast_wall
 
-    steady_fast = best_of(dispatch_steady, True)
-    steady_slow = best_of(dispatch_steady, False)
-    wide_fast = best_of(dispatch_wide, True)
-    wide_slow = best_of(dispatch_wide, False)
+    steady_fast, steady_slow = best_pair(dispatch_steady)
+    wide_fast, wide_slow = best_pair(dispatch_wide)
     steady_speedup = steady_slow / steady_fast
     wide_speedup = wide_slow / wide_fast
 
@@ -158,17 +160,10 @@ def test_kernel_dispatch_speedup(benchmark, bench_json):
         f"wide {wide_speedup:.2f}x\n"
     )
 
-    assert speedup >= MIN_SPEEDUP, (
-        f"event dispatch only {speedup:.2f}x over the reference heap "
-        f"kernel (need >= {MIN_SPEEDUP}x)"
-    )
-    # The migration-heavy horizon must not lose to the heap: the
-    # adaptive window re-derives its span from the observed spread, so
-    # wide timers get a wide window. Too few events per window to
-    # measure at smoke scale, so full scale only.
-    if SCALE >= 1.0:
-        assert wide_speedup >= MIN_WIDE_SPEEDUP, (
-            f"wide-horizon dispatch only {wide_speedup:.2f}x over the "
-            f"reference heap kernel (need >= {MIN_WIDE_SPEEDUP}x): the "
-            f"adaptive calendar window has regressed"
+    for name, value in (
+        ("burst", speedup), ("steady", steady_speedup), ("wide", wide_speedup)
+    ):
+        assert value >= MIN_SPEEDUP, (
+            f"{name} dispatch only {value:.2f}x over the reference heap "
+            f"kernel (need >= {MIN_SPEEDUP}x)"
         )

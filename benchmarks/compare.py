@@ -41,7 +41,7 @@ Usage::
     python benchmarks/compare.py --baseline old/      # vs checkout
     python benchmarks/compare.py --threshold 0.10     # stricter gate
     python benchmarks/compare.py --gate               # CI mode
-    python benchmarks/compare.py --gate --floor kernel:wide_speedup>=1.3
+    python benchmarks/compare.py --gate --floor kernel:steady_speedup>=1.1
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: secondary horizon.
 SPEEDUP_GATES: Dict[str, Dict[str, float]] = {
     # The simulator against the plain heapq kernel of
-    # tests/reference/heap_kernel.py (full scale reads 3.5x / 1.3x / 1.7x).
-    "kernel": {"speedup": 2.0, "steady_speedup": 1.0, "wide_speedup": 1.0},
+    # tests/reference/heap_kernel.py. Both are one binary heap, so the
+    # floors say the inlined loop must not lose to its oracle (see
+    # bench_kernel.py for why the calendar queue's 2x burst floor went).
+    "kernel": {"speedup": 1.0, "steady_speedup": 1.0, "wide_speedup": 1.0},
     # One firewall: a never-seen flow's evaluation over a repeated
     # flow's, per evaluation (full scale reads ~160x; see bench_ipfw.py).
     "ipfw": {"speedup": 2.0},

@@ -4,8 +4,8 @@ Every layer has one implementation; the naive behaviour each
 optimisation must reproduce lives in ``tests/reference/``, importing
 nothing from the module it checks (DESIGN.md, "Hot-path architecture"):
 
-* calendar event queue, ``Event`` free list and the inlined run loop
-  (:mod:`repro.sim.event`, :mod:`repro.sim.kernel`) —
+* ``Event`` free list and the run loop that reads the event heap in
+  place (:mod:`repro.sim.event`, :mod:`repro.sim.kernel`) —
   ``tests/reference/heap_kernel.py``, a plain ``heapq`` queue with the
   peek/pop run loop;
 * verdict flow cache, address-indexed candidates and compiled match

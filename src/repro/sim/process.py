@@ -198,10 +198,7 @@ class Process:
             # and preserve event ordering.
             self._pending_event = self.sim.schedule(0.0, self._resume, signal.value)
             return
-
-        def on_trigger(value: Any) -> None:
-            self._resume(value)
-
+        on_trigger = self._resume
         self._waiting_on = (signal, on_trigger)
         signal.wait_callback(on_trigger)
 
@@ -209,23 +206,9 @@ class Process:
         if signal.triggered:
             self._pending_event = self.sim.schedule(0.0, self._resume, signal.value)
             return
-        state = {"done": False}
-
-        def on_trigger(value: Any) -> None:
-            if state["done"]:
-                return
-            state["done"] = True
-            self.sim.cancel(timer)
-            self._resume(value)
-
-        def on_timeout() -> None:
-            if state["done"]:
-                return
-            state["done"] = True
-            signal.remove_callback(on_trigger)
-            self._resume(TIMEOUT)
-
-        timer = self.sim.schedule(timeout, on_timeout)
+        waiter = _TimedWait(self, signal)
+        on_trigger = waiter.on_trigger
+        waiter.timer = self.sim.schedule(timeout, waiter.on_timeout)
         self._waiting_on = (signal, on_trigger)
         signal.wait_callback(on_trigger)
 
@@ -272,3 +255,34 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else f"done result={self.result!r}"
         return f"Process({self.name!r}, {state})"
+
+
+class _TimedWait:
+    """One ``(signal, timeout)`` wait: whichever of the signal and the
+    timer comes first resumes the process, and the other is disarmed.
+    Its two bound methods are the callbacks, so a wait allocates no
+    closure, cell or dict."""
+
+    __slots__ = ("process", "signal", "timer", "done")
+
+    def __init__(self, process: Process, signal: Signal) -> None:
+        self.process = process
+        self.signal = signal
+        self.timer = None
+        self.done = False
+
+    def on_trigger(self, value: Any) -> None:
+        if self.done:
+            return
+        self.done = True
+        process = self.process
+        process.sim.cancel(self.timer)
+        process._resume(value)
+
+    def on_timeout(self) -> None:
+        if self.done:
+            return
+        self.done = True
+        self.timer = None  # the firing handle may go back to the free list
+        self.signal.remove_callback(self.on_trigger)
+        self.process._resume(TIMEOUT)

@@ -3,8 +3,8 @@
 What :mod:`repro.sim.event` and :mod:`repro.sim.kernel` must be
 indistinguishable from: events ordered by ``(time, priority, seq)`` in
 one binary heap, cancellation by tombstone, and a run loop that peeks
-the next time, pops, and calls — no calendar tier, no free list, no
-inlined fast path.
+the next time, pops, and calls — no free list, no inlined loop, no
+collector policy.
 """
 
 from __future__ import annotations

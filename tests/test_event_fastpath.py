@@ -1,12 +1,13 @@
-"""Equivalence of the calendar queue and a plain heap.
+"""Equivalence of the event queue and kernel with the reference heap.
 
-The calendar queue must be *observationally invisible*: it and the
-plain ``heapq`` queue of ``tests/reference/heap_kernel.py`` must
-produce the identical ``(time, priority, seq)`` total order and the
-identical cancellation semantics on *any* schedule, and the simulator
-must run a schedule exactly as the reference run loop does. These
-property-style tests drive both through the same randomized
-push/pop/cancel sequences and demand byte-equal outcomes.
+The queue's free list and the kernel's inlined run loop must be
+*observationally invisible*: the queue and the plain ``heapq`` queue of
+``tests/reference/heap_kernel.py`` must produce the identical
+``(time, priority, seq)`` total order and the identical cancellation
+semantics on *any* schedule, and the simulator must run a schedule
+exactly as the reference run loop does. These property-style tests
+drive both through the same randomized push/pop/cancel sequences and
+demand byte-equal outcomes.
 """
 
 import random
@@ -15,8 +16,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.event import (
-    BUCKET_WIDTH,
-    NEAR_BUCKETS,
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_NORMAL,
@@ -27,9 +26,9 @@ from tests.reference.heap_kernel import HeapKernel, HeapQueue
 
 PRIORITIES = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW)
 
-#: One near-window's span in seconds (events below this exercise the
-#: bucket tier; far beyond it, the heap tier and window migration).
-WINDOW = NEAR_BUCKETS * BUCKET_WIDTH
+#: The unit of the schedules' spans, in seconds: short-delay traffic
+#: lives within one, swarm timers thousands of them away.
+WINDOW = 256 * 1e-3
 
 
 def _noop() -> None:
@@ -55,23 +54,23 @@ def _drain(queue):
     return order
 
 
-def _cancel(heap_q, heap_ev, cal_q, cal_ev):
-    """Cancel the same event on the reference and the calendar queue
+def _cancel(heap_q, heap_ev, sim_q, sim_ev):
+    """Cancel the same event on the reference and the product queue
     (cancelling twice is a no-op on both)."""
     heap_q.cancel(heap_ev)
-    if not cal_ev.cancelled:
-        cal_ev.cancel()
-        cal_q.note_cancelled()
+    if not sim_ev.cancelled:
+        sim_ev.cancel()
+        sim_q.note_cancelled()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize(
     "span",
     [
-        0.5 * WINDOW,  # everything in the first near window (bucket tier)
-        40 * WINDOW,  # spread far: migration, sparse windows, heap tier
-        2000 * WINDOW,  # swarm-timer territory: the adaptive span engages
-        500_000 * WINDOW,  # hours-wide horizon: every window re-derived
+        0.5 * WINDOW,  # dense: loopback, rule-scan and pipe delays
+        40 * WINDOW,  # seconds apart
+        2000 * WINDOW,  # swarm-timer territory
+        500_000 * WINDOW,  # hours-wide horizon
     ],
 )
 def test_pop_order_identical_on_random_schedules(seed, span):
@@ -80,14 +79,14 @@ def test_pop_order_identical_on_random_schedules(seed, span):
     prios = [rng.choice(PRIORITIES) for _ in times]
 
     heap_q = HeapQueue()
-    cal_q = EventQueue()
+    sim_q = EventQueue()
     for t, p in zip(times, prios):
         heap_q.push(t, _noop, (), p)
-        cal_q.push(t, _noop, (), p)
+        sim_q.push(t, _noop, (), p)
 
     heap_order = _drain(heap_q)
-    cal_order = _drain(cal_q)
-    assert cal_order == heap_order
+    sim_order = _drain(sim_q)
+    assert sim_order == heap_order
     # The order really is the (time, priority, seq) total order.
     assert heap_order == sorted(heap_order)
     assert len(heap_order) == len(times)
@@ -100,22 +99,22 @@ def test_cancellation_semantics_identical(seed):
     prios = [rng.choice(PRIORITIES) for _ in times]
 
     heap_q = HeapQueue()
-    cal_q = EventQueue()
-    heap_evs, cal_evs = [], []
+    sim_q = EventQueue()
+    heap_evs, sim_evs = [], []
     for t, p in zip(times, prios):
         heap_evs.append(heap_q.push(t, _noop, (), p))
-        cal_evs.append(cal_q.push(t, _noop, (), p))
+        sim_evs.append(sim_q.push(t, _noop, (), p))
 
     # Cancel the same 30% on both queues (tombstones on both, dropped
-    # on the heap pop or the bucket sweep that reaches them).
+    # when they reach the top).
     doomed = rng.sample(range(len(times)), k=len(times) * 3 // 10)
     for i in doomed:
-        _cancel(heap_q, heap_evs[i], cal_q, cal_evs[i])
+        _cancel(heap_q, heap_evs[i], sim_q, sim_evs[i])
 
-    assert len(heap_q) == len(cal_q) == len(times) - len(doomed)
+    assert len(heap_q) == len(sim_q) == len(times) - len(doomed)
     heap_order = _drain(heap_q)
-    cal_order = _drain(cal_q)
-    assert cal_order == heap_order
+    sim_order = _drain(sim_q)
+    assert sim_order == heap_order
     cancelled_keys = {(times[i], prios[i], i) for i in doomed}
     assert not cancelled_keys & set(heap_order)
 
@@ -125,72 +124,72 @@ def test_interleaved_push_pop_identical(seed):
     """Steady-state shape: pops interleaved with pushes of later times."""
     rng = random.Random(seed)
     heap_q = HeapQueue()
-    cal_q = EventQueue()
+    sim_q = EventQueue()
     # Both queues see the *same* decision stream: seed both identically.
     for t in _random_times(rng, 64, WINDOW):
         heap_q.push(t, _noop, (), PRIORITY_NORMAL)
-        cal_q.push(t, _noop, (), PRIORITY_NORMAL)
+        sim_q.push(t, _noop, (), PRIORITY_NORMAL)
 
-    heap_order, cal_order = [], []
+    heap_order, sim_order = [], []
     now = 0.0
     for _ in range(3000):
         a = heap_q.pop()
-        b = cal_q.pop()
+        b = sim_q.pop()
         heap_order.append((a.time, a.priority, a.seq))
-        cal_order.append((b.time, b.priority, b.seq))
+        sim_order.append((b.time, b.priority, b.seq))
         now = a.time
-        # Reschedule forward (never into the past), mixed near/far.
+        # Reschedule forward (never into the past), mixed short/long.
         if len(heap_q) < 2048:
             for _k in range(rng.choice((0, 1, 1, 2))):
                 dt = rng.random() * (WINDOW if rng.random() < 0.8 else 20 * WINDOW)
                 p = rng.choice(PRIORITIES)
                 heap_q.push(now + dt, _noop, (), p)
-                cal_q.push(now + dt, _noop, (), p)
+                sim_q.push(now + dt, _noop, (), p)
         if not heap_q:
             break
-    assert cal_order == heap_order
+    assert sim_order == heap_order
 
 
 def test_dense_window_beyond_sparse_run_max():
-    """Many events in one far window, distributed over its buckets at
-    migration; order must still match."""
+    """Many events packed into one short span far from t=0; order must
+    still match."""
     n = 1536
-    base = 50 * WINDOW  # far from t=0: guarantees a migration
+    base = 50 * WINDOW  # far from t=0
     heap_q = HeapQueue()
-    cal_q = EventQueue()
+    sim_q = EventQueue()
     rng = random.Random(7)
     for _ in range(n):
         t = base + rng.random() * WINDOW * 0.9
         p = rng.choice(PRIORITIES)
         heap_q.push(t, _noop, (), p)
-        cal_q.push(t, _noop, (), p)
-    assert _drain(cal_q) == _drain(heap_q)
+        sim_q.push(t, _noop, (), p)
+    assert _drain(sim_q) == _drain(heap_q)
 
 
 def test_pop_ready_until_horizon_identical():
-    heap_q = HeapQueue()
-    cal_q = EventQueue()
-    for i in range(100):
-        t = i * 0.01
-        heap_q.push(t, _noop, (), PRIORITY_NORMAL)
-        cal_q.push(t, _noop, (), PRIORITY_NORMAL)
-    horizon = 0.495
-    a = []
-    while (t := heap_q.peek_time()) is not None and t <= horizon:
-        ev = heap_q.pop()
-        a.append((ev.time, ev.seq))
-    b = []
-    while (ev := cal_q.pop_ready(horizon)) is not None:
-        b.append((ev.time, ev.seq))
-    assert a == b
-    assert a and a[-1][0] <= horizon
-    # The rest is still there on both.
-    assert len(heap_q) == len(cal_q) == 100 - len(a)
+    """``Simulator.run(until=h)`` fires exactly what the reference run
+    loop fires before the horizon, leaves the same events pending, and
+    picks up from there on the next ``run``."""
+
+    def drive(sim):
+        fired = []
+        for i in range(100):
+            sim.schedule(i * 0.01, lambda i=i: fired.append((sim.now, i)))
+        sim.run(until=0.495)
+        head = (list(fired), sim.now, sim.pending)
+        sim.run()
+        return head, fired, sim.now
+
+    result = drive(Simulator(seed=0, observe=False))
+    assert result == drive(HeapKernel())
+    (fired, now, pending), _, _ = result
+    assert fired and fired[-1][0] <= 0.495 and now == 0.495
+    assert pending == 100 - len(fired)
 
 
 def test_pop_from_empty_raises_on_both_paths():
     """A queue that never held anything and one holding only a
-    tombstone (the sweep path) both refuse to pop."""
+    tombstone both refuse to pop."""
     q = EventQueue()
     with pytest.raises(SimulationError):
         q.pop()
@@ -202,126 +201,41 @@ def test_pop_from_empty_raises_on_both_paths():
         q.pop()
 
 
-def test_adaptive_window_widens_for_wide_spread():
-    """A wide event spread must re-derive a wide window: the span after
-    a migration is set by the observed gap to the TARGET_WINDOW_EVENTS-th
-    event, not the fixed 256x1ms minimum geometry."""
-    heap_q = HeapQueue()
-    cal_q = EventQueue()
-    rng = random.Random(99)
-    span = 1000 * WINDOW  # ~256 s for the default geometry
-    for _ in range(5000):
-        t = rng.random() * span
-        heap_q.push(t, _noop, (), PRIORITY_NORMAL)
-        cal_q.push(t, _noop, (), PRIORITY_NORMAL)
-    # Drain a quarter: forces at least one window migration.
-    a = [cal_q.pop().seq for _ in range(1250)]
-    b = [heap_q.pop().seq for _ in range(1250)]
-    assert a == b
-    assert cal_q._span > WINDOW  # adapted beyond the minimum geometry
-    assert _drain(cal_q) == _drain(heap_q)
-
-
-def test_entries_exactly_on_win_end():
-    """``_win_end`` is exclusive for the near tier: entries landing
-    exactly on it (and a float-ulp either side) must keep exact order
-    through the tier boundary."""
-    import math
-
-    heap_q = HeapQueue()
-    cal_q = EventQueue()
-    cal_q.push(0.0, _noop, (), PRIORITY_NORMAL)
-    heap_q.push(0.0, _noop, (), PRIORITY_NORMAL)
-    end = cal_q._win_end
-    times = [
-        math.nextafter(end, 0.0),  # one ulp inside the window
-        end,  # exactly on the boundary (far tier)
-        math.nextafter(end, math.inf),  # one ulp beyond
-        end,  # duplicate boundary time
-        end / 2,
-        end * 3,
-    ]
-    for t in times:
-        for p in PRIORITIES:
-            heap_q.push(t, _noop, (), p)
-            cal_q.push(t, _noop, (), p)
-    # The near-tier invariant: nothing at or past _win_end sits in a
-    # bucket or the opened run.
-    assert cal_q._near == sum(1 for t in times if t < end) * len(PRIORITIES) + 1
-    assert _drain(cal_q) == _drain(heap_q)
-
-
 @pytest.mark.parametrize("seed", [40, 41, 42])
 def test_cancellation_of_events_migrated_across_a_resize(seed):
-    """Cancel far-tier events before migration and near-tier events
-    after they have been migrated across a window resize; both queues
-    must agree at every step."""
+    """Cancel far-future events up front and pending events mid-drain;
+    both queues must agree at every step."""
     rng = random.Random(seed)
     heap_q = HeapQueue()
-    cal_q = EventQueue()
-    heap_evs, cal_evs = [], []
-    # Two regimes: a dense prefix inside the first window and a wide
-    # tail that forces resized (adaptive) windows during the drain.
+    sim_q = EventQueue()
+    heap_evs, sim_evs = [], []
+    # Two regimes: a dense prefix within one window and a wide tail.
     times = [rng.random() * WINDOW for _ in range(400)]
     times += [WINDOW * (2 + rng.random() * 2000) for _ in range(1200)]
     for t in times:
         p = rng.choice(PRIORITIES)
         heap_evs.append(heap_q.push(t, _noop, (), p))
-        cal_evs.append(cal_q.push(t, _noop, (), p))
+        sim_evs.append(sim_q.push(t, _noop, (), p))
 
     def cancel(i):
-        _cancel(heap_q, heap_evs[i], cal_q, cal_evs[i])
+        _cancel(heap_q, heap_evs[i], sim_q, sim_evs[i])
 
-    # Cancel some far-tier events while they still sit in the heap.
+    # Cancel some tail events before the drain starts.
     for i in rng.sample(range(400, 1600), 200):
         cancel(i)
     order = []
     popped = 0
-    while cal_q:
-        a = cal_q.pop()
+    while sim_q:
+        a = sim_q.pop()
         b = heap_q.pop()
         assert (a.time, a.priority, a.seq) == (b.time, b.priority, b.seq)
         order.append(a.seq)
         popped += 1
-        # Periodically cancel a pending victim mid-drain: by now many
-        # survivors have been migrated into a resized near window.
+        # Periodically cancel a pending victim mid-drain.
         if popped % 97 == 0:
             cancel(rng.randrange(len(times)))
-        assert len(cal_q) == len(heap_q)
+        assert len(sim_q) == len(heap_q)
     assert len(order) == len(set(order))
-
-
-@pytest.mark.parametrize("seed", [50, 51])
-def test_mid_run_window_resizes_interleaved(seed):
-    """Pops interleaved with pushes whose spread flips between dense
-    (1 ms gaps) and wide (seconds) regimes: the window must re-derive
-    both down and up without ever reordering."""
-    rng = random.Random(seed)
-    heap_q = HeapQueue()
-    cal_q = EventQueue()
-    for t in _random_times(rng, 128, WINDOW):
-        heap_q.push(t, _noop, (), PRIORITY_NORMAL)
-        cal_q.push(t, _noop, (), PRIORITY_NORMAL)
-    spans = []
-    for i in range(6000):
-        a = heap_q.pop()
-        b = cal_q.pop()
-        assert (a.time, a.priority, a.seq) == (b.time, b.priority, b.seq)
-        now = a.time
-        # Flip regime every ~500 pops.
-        wide = (i // 500) % 2 == 1
-        if len(heap_q) < 2048:
-            for _k in range(rng.choice((1, 1, 2))):
-                dt = rng.random() * (2000 * WINDOW if wide else WINDOW)
-                p = rng.choice(PRIORITIES)
-                heap_q.push(now + dt, _noop, (), p)
-                cal_q.push(now + dt, _noop, (), p)
-        spans.append(cal_q._span)
-        if not heap_q:
-            break
-    # The window really resized in both directions during the run.
-    assert max(spans) > 2 * WINDOW
-    assert min(spans) == pytest.approx(WINDOW)
 
 
 @pytest.mark.parametrize("seed", [30, 31])
@@ -357,24 +271,49 @@ def test_simulator_fast_and_slow_execute_identically(seed):
     assert result[1] > 300  # the workload actually rescheduled
 
 
-def test_opened_run_is_bounded_by_a_bucket_not_the_window():
-    """A few timers spread over a wide horizon make the window wide;
-    a ticker at millisecond scale then pushes into the *opened* run
-    for the whole window. The run must be restarted bucket by bucket
-    (consumed slots dropped) instead of growing with the window."""
-    sim = Simulator(seed=1, observe=False)
-    for i in range(100):
-        sim.schedule(10.0 * (i + 1), _noop)
-    longest = [0]
-    ticks = [0]
+def test_ping_shaped_tombstones_execute_identically():
+    """The ``ping_mesh`` shape: every echo arms a 10 s timeout that its
+    reply cancels about a millisecond later, among 0-5 ms traffic. The
+    heap is then mostly tombstones, and the kernel must still run the
+    schedule exactly as the reference run loop does."""
 
-    def tick() -> None:
-        ticks[0] += 1
-        longest[0] = max(longest[0], len(sim._queue._sorted))
-        if ticks[0] < 100_000:
-            sim.schedule(0.001, tick)
+    def build_and_run(sim):
+        rng = random.Random(5)
+        log = []
+        peak = [0, 0]  # (heap entries, live) at the largest heap seen
 
-    sim.schedule(0.0, tick)
-    sim.run()
-    assert ticks[0] == 100_000
-    assert longest[0] < 10_000, longest[0]
+        def reply(pinger, timer):
+            log.append((round(sim.now, 9), "reply", pinger))
+            sim.cancel(timer)
+            if pinger < 20_000:
+                sim.schedule(rng.random() * 0.005, echo, pinger + 50)
+
+        def timeout(pinger):
+            log.append((round(sim.now, 9), "timeout", pinger))
+
+        def traffic(tag):
+            log.append((round(sim.now, 9), "traffic", tag))
+            if tag % 1000 < 400:
+                sim.schedule(rng.random() * 0.005, traffic, tag + 1)
+
+        def echo(pinger):
+            log.append((round(sim.now, 9), "echo", pinger))
+            timer = sim.schedule(10.0, timeout, pinger)
+            if rng.random() < 0.99:
+                sim.schedule(0.001 + rng.random() * 1e-4, reply, pinger, timer)
+            entries = len(sim._queue._heap)
+            if entries > peak[0]:
+                peak[:] = [entries, sim.pending]
+
+        for p in range(50):
+            sim.schedule(rng.random() * 0.005, echo, p)
+            sim.schedule(rng.random() * 0.005, traffic, p * 1000)
+        sim.run(until=20.0)
+        return log, sim.events_processed, sim.now, sim.pending, peak
+
+    log, processed, now, pending, peak = build_and_run(Simulator(seed=0, observe=False))
+    ref = build_and_run(HeapKernel())
+    assert (log, processed, now, pending) == ref[:4]
+    assert sum(1 for entry in log if entry[1] == "timeout") > 0
+    # Tombstones outnumbered live entries at the heap's peak.
+    assert peak[0] > 2 * peak[1], peak

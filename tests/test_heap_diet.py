@@ -206,6 +206,48 @@ def test_a_packet_walk_creates_no_function_or_cell_objects():
     assert len(rtts) == 2 and rtts[0] == pytest.approx(rtts[1])
 
 
+def _closures_and_dicts_alive():
+    """Functions, closure cells and dicts alive, by type. A dict holding
+    only atomic values is not tracked by the collector, so those are
+    found through the tracked objects that refer to them."""
+    tracked = gc.get_objects()
+    counts = {FunctionType: 0, CellType: 0, dict: 0}
+    for obj in tracked:
+        if type(obj) in counts:
+            counts[type(obj)] += 1
+    untracked = {
+        id(obj)
+        for obj in gc.get_referents(*tracked)
+        if type(obj) is dict and not gc.is_tracked(obj)
+    }
+    counts[dict] += len(untracked)
+    return counts
+
+
+def test_a_timed_wait_creates_no_function_cell_or_dict_objects():
+    """A ping process's ``yield (signal, timeout)``: arming the timer,
+    the reply that wins the race and the sleep to the next echo leave
+    no function, closure cell or dict behind at any step — the wait is
+    one slotted object whose bound methods are the two callbacks."""
+    sim, a, b = make_lan()
+    proc = ping(sim, a, a.iface.primary, b.iface.primary, count=10, interval=1.0)
+    sim.run(until=1.5)  # two echoes answered: paths compiled, flows cached
+    gc.collect()
+    gc.disable()
+    try:
+        baseline = _closures_and_dicts_alive()
+        steps = 0
+        while sim.now < 2.5 and sim.step():
+            steps += 1
+            alive = _closures_and_dicts_alive()
+            for kind, count in alive.items():
+                assert count <= baseline[kind], (kind.__name__, steps)
+    finally:
+        gc.enable()
+    # Echo 3 went out just after 2.0 and came back; echo 4 is out.
+    assert steps >= 3 and sim.now > 3.0 and proc.alive
+
+
 def test_connection_listener_and_socket_have_no_instance_dict():
     sim, a, b = make_lan()
     listener = b.tcp.listen((b.iface.primary, 5000))

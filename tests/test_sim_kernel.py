@@ -1,10 +1,17 @@
 """Tests for the discrete-event kernel (repro.sim.kernel / event)."""
 
+import gc
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.sim import Simulator
 from repro.sim.event import EventQueue, PRIORITY_HIGH, PRIORITY_LOW
+from repro.sim.kernel import RUN_GC_THRESHOLD
 
 
 class TestEventQueue:
@@ -243,3 +250,104 @@ class TestSimulator:
         sim.schedule(3.0, lambda: sim.schedule(0.0, lambda: seen.append(sim.now)))
         sim.run()
         assert seen == [3.0]
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_live_event_at_infinity_does_not_hang(self):
+        """A live event at ``+inf`` (and a timed wait whose timeout is
+        infinite) sorts after every finite one: ``run(until=...)`` stops
+        at the horizon, and a full ``run()`` ends with the clock at
+        ``inf``. Run in a child so that a hang fails instead of stalling
+        the suite."""
+        script = """
+from repro.sim import Simulator
+from repro.sim.process import Process, Signal, TIMEOUT
+
+sim = Simulator()
+fired = []
+sim.schedule(float("inf"), fired.append, "inf")
+sim.schedule(1.0, fired.append, 1.0)
+
+def waiter():
+    fired.append((yield (Signal(sim, "never"), float("inf"))))
+
+Process(sim, waiter())
+sim.run(until=5.0)
+assert (fired, sim.now, sim.pending) == ([1.0], 5.0, 2), (fired, sim.now)
+sim.run()
+assert fired == [1.0, "inf", TIMEOUT] and sim.now == float("inf"), fired
+print("ok")
+"""
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the kernel hung on an event at +inf")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+
+class TestCollectorPolicy:
+    """``run()`` batches the cyclic collector's young passes and gives
+    the caller's thresholds back however it ends."""
+
+    @pytest.fixture(autouse=True)
+    def caller_thresholds(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        yield
+        gc.set_threshold(*saved)
+
+    def test_young_threshold_is_raised_only_inside_run(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+        sim.run()
+        assert seen == [(RUN_GC_THRESHOLD, 10, 10)]
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_thresholds_restored_when_a_callback_raises(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_thresholds_restored_around_a_nested_run(self):
+        outer, inner = Simulator(), Simulator()
+        seen = []
+        inner.schedule(1.0, lambda: seen.append(("inner", gc.get_threshold())))
+        outer.schedule(1.0, inner.run)
+        outer.schedule(2.0, lambda: seen.append(("outer", gc.get_threshold())))
+        outer.run()
+        assert seen == [
+            ("inner", (RUN_GC_THRESHOLD, 10, 10)),
+            ("outer", (RUN_GC_THRESHOLD, 10, 10)),
+        ]
+        assert gc.get_threshold() == (700, 10, 10)
+
+    def test_a_higher_or_disabled_threshold_is_kept(self):
+        for young in (RUN_GC_THRESHOLD * 2, 0):
+            gc.set_threshold(young, 10, 10)
+            sim = Simulator()
+            seen = []
+            sim.schedule(1.0, lambda: seen.append(gc.get_threshold()))
+            sim.run()
+            assert seen == [(young, 10, 10)]
+            assert gc.get_threshold() == (young, 10, 10)
