@@ -13,10 +13,7 @@ nothing from the module it checks (DESIGN.md, "Hot-path architecture"):
   a linear, uncached first-match walk;
 * lazy topology deployment: deferred pipes, block address registration
   (:mod:`repro.topology.compiler`) — ``tests/reference/eager_deploy.py``,
-  which builds every pipe up front;
-* packet pool and turnaround reuse (:mod:`repro.net.packet`,
-  :mod:`repro.net.stack`) — no oracle: a reused packet draws a fresh id,
-  so the golden digests in ``tests/test_hotpath.py`` cover it.
+  which builds every pipe up front.
 
 This module holds no code.
 """

@@ -13,7 +13,7 @@ fit in a Python event loop.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import Any
 
 from repro.net.addr import IPv4Address
 
@@ -45,14 +45,6 @@ def swap_id_stream(stream: "itertools.count") -> "itertools.count":
     _packet_ids = stream
     return prev
 
-#: Free list for :func:`acquire`/:func:`release` (bounded).
-_pool: list = []
-POOL_CAP = 2048
-
-#: Wall-clock observability: how many acquires were served from the
-#: pool instead of allocating. Never part of deterministic output.
-packets_reused = 0
-
 
 class Packet:
     """One unit of traffic.
@@ -80,16 +72,11 @@ class Packet:
         Optional flow label for the flight recorder (stamped by the
         transport or, lazily, by :class:`~repro.obs.flight.FlightRecorder`).
         ``None`` when flight recording is off — zero per-packet cost.
-    pooled:
-        True when the packet was allocated through :func:`acquire` and
-        its lifecycle is owned by the stack/transport layers, making it
-        eligible for :func:`release` back to the free list. Packets
-        built directly (tests, user code) are never recycled.
     """
 
     __slots__ = (
         "id", "src", "dst", "proto", "size", "sport", "dport", "payload", "kind", "on_drop",
-        "flow", "pooled",
+        "flow",
     )
 
     def __init__(
@@ -114,19 +101,6 @@ class Packet:
         self.kind = kind
         self.on_drop = None
         self.flow = None
-        self.pooled = False
-
-    def reply_template(self, proto: Optional[str] = None) -> "Packet":
-        """A packet headed back to this packet's source (ports swapped)."""
-        return Packet(
-            src=self.dst,
-            dst=self.src,
-            proto=proto or self.proto,
-            size=self.size,
-            sport=self.dport,
-            dport=self.sport,
-            kind=self.kind,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -134,78 +108,3 @@ class Packet:
             f"{self.src}:{self.sport} -> {self.dst}:{self.dport}, {self.size}B)"
         )
 
-
-# ----------------------------------------------------------------------
-# Packet pool (hot-path allocation cut; see DESIGN.md)
-# ----------------------------------------------------------------------
-def acquire(
-    src: IPv4Address,
-    dst: IPv4Address,
-    proto: str,
-    size: int,
-    sport: int = 0,
-    dport: int = 0,
-    payload: Any = None,
-    kind: str = "data",
-) -> Packet:
-    """Allocate a packet, reusing a released one when available.
-
-    Observationally identical to constructing :class:`Packet` directly:
-    a reused packet draws a **fresh id** from the same global counter
-    (one id per logical packet either way, so the id stream — and hence
-    flight/trace output — is byte-identical with pooling on or off) and
-    every field is reset. The only difference is wall-clock allocation
-    cost. The pool is only ever *fed* while the owning simulator's
-    ``allow_packet_reuse`` flag is set (see :class:`NetworkStack`): a
-    packet tap clears it for good.
-    """
-    if _pool:
-        global packets_reused
-        pkt = _pool.pop()
-        pkt.id = next(_packet_ids)
-        pkt.src = src
-        pkt.dst = dst
-        pkt.proto = proto
-        pkt.size = size
-        pkt.sport = sport
-        pkt.dport = dport
-        pkt.payload = payload
-        pkt.kind = kind
-        pkt.on_drop = None
-        pkt.flow = None
-        packets_reused += 1
-        return pkt
-    pkt = Packet(src, dst, proto, size, sport, dport, payload, kind)
-    pkt.pooled = True
-    return pkt
-
-
-def release(pkt: Packet) -> None:
-    """Return a dead pooled packet to the free list.
-
-    Callers must prove the packet is unreferenced (the stack's delivery
-    tail uses a refcount gate). Payload/callback references are cleared
-    so the pool never pins transport state.
-    """
-    if len(_pool) < POOL_CAP:
-        pkt.payload = None
-        pkt.on_drop = None
-        pkt.flow = None
-        _pool.append(pkt)
-
-
-def retag(pkt: Packet, src: IPv4Address, dst: IPv4Address, kind: str) -> Packet:
-    """Reuse ``pkt`` in place as a logically new packet (fresh id).
-
-    Used for turnaround replies (ICMP echo) where the request dies in
-    the same callback that builds the response: same ``proto``/``size``/
-    ``payload``, new endpoints and kind. Draws one id, exactly like the
-    reply construction it replaces.
-    """
-    pkt.id = next(_packet_ids)
-    pkt.src = src
-    pkt.dst = dst
-    pkt.kind = kind
-    pkt.on_drop = None
-    pkt.flow = None
-    return pkt

@@ -25,7 +25,6 @@ small latency calibrated against the paper's 10.22 µs connect cycle.
 
 from __future__ import annotations
 
-from sys import getrefcount
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.net.addr import IPv4Address, ip
@@ -37,9 +36,6 @@ from repro.net.packet import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    acquire,
-    release,
-    retag,
 )
 from repro.net.pipe import DummynetPipe
 from repro.net.switch import Switch
@@ -184,10 +180,6 @@ class NetworkStack:
         observes wire arrivals before the inbound verdict."""
         taps = self._egress_taps if direction == DIR_OUT else self._ingress_taps
         taps.append(tap)
-        # A tap may retain packet objects (sniffers hand them to user
-        # code), so packet recycling is no longer safe anywhere on this
-        # simulator: clear the sim-wide reuse flag permanently.
-        self.sim.allow_packet_reuse = False
         # A tap must observe real packets: any fluid flow touching this
         # stack de-fluidizes, materializing its remaining bytes back
         # onto the packet path at the flow's current offset.
@@ -342,32 +334,18 @@ class NetworkStack:
             self.udp.handle_packet(pkt)
         elif proto == PROTO_ICMP:
             self._handle_icmp(pkt)
-        # The transports above never retain the packet object (they keep
-        # payloads/segments). Recycle it if we can *prove* nothing else
-        # does: exactly 3 refs = the kernel event's args tuple + our
-        # parameter + getrefcount's argument. Any tap, flight hook or
-        # experiment that kept a reference pushes the count higher and
-        # the packet is simply left to the GC — always safe.
-        if pkt.pooled and self.sim.allow_packet_reuse and getrefcount(pkt) == 3:
-            release(pkt)
 
     # -- ICMP echo (ping) -------------------------------------------------------
     def _handle_icmp(self, pkt: Packet) -> None:
         if pkt.kind == "echo":
-            if pkt.pooled and self.sim.allow_packet_reuse:
-                # Turnaround reuse: the request dies in this callback,
-                # so flip it in place into the reply (fresh id — same
-                # one the constructed reply would have drawn).
-                reply = retag(pkt, pkt.dst, pkt.src, "echoreply")
-            else:
-                reply = Packet(
-                    src=pkt.dst,
-                    dst=pkt.src,
-                    proto=PROTO_ICMP,
-                    size=pkt.size,
-                    payload=pkt.payload,
-                    kind="echoreply",
-                )
+            reply = Packet(
+                src=pkt.dst,
+                dst=pkt.src,
+                proto=PROTO_ICMP,
+                size=pkt.size,
+                payload=pkt.payload,
+                kind="echoreply",
+            )
             self.send_packet(reply)
         elif pkt.kind == "echoreply":
             pending = self._icmp_pending.pop(pkt.payload, None)
@@ -391,7 +369,7 @@ class NetworkStack:
         ident = self._icmp_ident
         sig = Signal(self.sim, name="ping")
         self._icmp_pending[ident] = (self.sim.now, sig)
-        pkt = acquire(
+        pkt = Packet(
             src,
             dst,
             PROTO_ICMP,

@@ -38,7 +38,7 @@ from repro.errors import (
     SocketError,
 )
 from repro.net.addr import IPv4Address
-from repro.net.packet import Packet, PROTO_TCP, TCP_HEADER, acquire
+from repro.net.packet import Packet, PROTO_TCP, TCP_HEADER
 from repro.obs.flight import NULL_FLIGHT
 from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.process import Signal
@@ -235,7 +235,7 @@ class Connection:
                 self.bytes_sent += seg.size
                 self.messages_sent += 1
                 return
-        pkt = acquire(
+        pkt = Packet(
             self.local[0],
             self.remote[0],
             PROTO_TCP,
@@ -348,7 +348,7 @@ class Connection:
                 self._reorder = None
 
     def _send_ack(self, seg: _Segment) -> None:
-        pkt = acquire(
+        pkt = Packet(
             self.local[0],
             self.remote[0],
             PROTO_TCP,
@@ -398,7 +398,7 @@ class Connection:
         """Send RST and reset immediately (dropped data is lost)."""
         if self.state is Connection.CLOSED:
             return
-        pkt = acquire(
+        pkt = Packet(
             self.local[0],
             self.remote[0],
             PROTO_TCP,
@@ -544,7 +544,7 @@ class TcpLayer:
         if attempt > SYN_RETRIES:
             conn._fail_reset("connect timed out")
             return
-        pkt = acquire(
+        pkt = Packet(
             conn.local[0],
             conn.remote[0],
             PROTO_TCP,
@@ -637,7 +637,7 @@ class TcpLayer:
             return
 
     def _send_synack(self, conn: Connection) -> None:
-        pkt = acquire(
+        pkt = Packet(
             conn.local[0],
             conn.remote[0],
             PROTO_TCP,
@@ -650,7 +650,7 @@ class TcpLayer:
         self.stack.send_packet(pkt)
 
     def _send_rst(self, offending: Packet) -> None:
-        pkt = acquire(
+        pkt = Packet(
             offending.dst,
             offending.src,
             PROTO_TCP,

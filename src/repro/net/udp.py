@@ -8,7 +8,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import AddressInUse
 from repro.net.addr import IPv4Address
-from repro.net.packet import Packet, PROTO_UDP, UDP_HEADER, acquire
+from repro.net.packet import Packet, PROTO_UDP, UDP_HEADER
 from repro.sim.process import Signal
 from repro.sim.resources import Channel
 
@@ -28,7 +28,7 @@ class UdpEndpoint:
 
     def sendto(self, payload, size: int, remote: Endpoint) -> None:
         """Fire-and-forget one datagram."""
-        pkt = acquire(
+        pkt = Packet(
             self.local[0],
             remote[0],
             PROTO_UDP,

@@ -306,20 +306,16 @@ def process_gauges() -> Dict[str, float]:
     """Wall-only resource gauges for the calling process.
 
     RSS via :func:`resource.getrusage` (``ru_maxrss`` is KiB on Linux,
-    bytes on macOS), CPU seconds via the same call, plus the packet
-    pool's current free-list occupancy. Never part of a deterministic
-    snapshot — consumed by heartbeats.
+    bytes on macOS) and CPU seconds via the same call. Never part of a
+    deterministic snapshot — consumed by heartbeats.
     """
     usage = resource.getrusage(resource.RUSAGE_SELF)
     rss = usage.ru_maxrss
     if sys.platform != "darwin":
         rss *= 1024
-    from repro.net import packet as _packet
-
     return {
         "rss_bytes": float(rss),
         "cpu_seconds": float(usage.ru_utime + usage.ru_stime),
-        "packet_pool_free": float(len(_packet._pool)),
     }
 
 
@@ -489,7 +485,7 @@ class TelemetryHub:
         return self.workers.setdefault(source, {
             "first_ts": None, "last_ts": None, "last_advance_ts": None,
             "beats": 0, "rss_bytes": 0.0, "cpu_seconds": 0.0,
-            "packet_pool_free": 0.0, "events": 0, "sim_time": 0.0,
+            "events": 0, "sim_time": 0.0,
             "queue_depth": 0, "events_per_sec": 0.0, "probes": {},
             "point": None,
         })
@@ -511,7 +507,7 @@ class TelemetryHub:
         worker["beats"] += 1
         if "point" in event:
             worker["point"] = event["point"]
-        for gauge in ("rss_bytes", "cpu_seconds", "packet_pool_free"):
+        for gauge in ("rss_bytes", "cpu_seconds"):
             if gauge in event:
                 worker[gauge] = float(event[gauge])
         probes = event.get("probes") or []

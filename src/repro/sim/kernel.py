@@ -69,10 +69,6 @@ class Simulator:
         config = self.config
         self.now: float = 0.0
         self._queue = EventQueue()
-        #: Transports may recycle pooled packets while this is True; it
-        #: is cleared for good when a packet tap is installed (a tap may
-        #: retain packet objects).
-        self.allow_packet_reuse = True
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder()
         self._running = False
@@ -306,7 +302,13 @@ class Simulator:
             self._running = False
 
     def step(self) -> bool:
-        """Process a single event. Returns ``False`` if none remained."""
+        """Process a single event. Returns ``False`` if none remained.
+
+        Not callable from inside :meth:`run`: a nested step would pop
+        events past the active horizon.
+        """
+        if self._running:
+            raise SimulationError("step() inside run()")
         if not self._queue:
             return False
         ev = self._queue.pop()

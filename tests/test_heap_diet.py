@@ -519,6 +519,79 @@ class TestEchoTable:
         assert a._icmp_pending == {}
 
 
+# -- packets: plain objects, garbage once delivered ---------------------------------
+
+
+def _record_sends(stack, sent):
+    """Record the id of every packet ``stack`` sends. ``Packet`` has no
+    ``__weakref__`` slot, so liveness is read off the collector."""
+    send = stack.send_packet
+
+    def recording(pkt):
+        sent.add(pkt.id)
+        send(pkt)
+
+    stack.send_packet = recording
+
+
+def _live_packets(ids):
+    """Packet objects still alive whose id is in ``ids``."""
+    return [obj for obj in gc.get_objects() if type(obj) is Packet and obj.id in ids]
+
+
+class TestDeliveredPackets:
+    def test_echo_packets_are_garbage_once_run_returns(self):
+        sim, a, b = make_lan()
+        a.fw.add(
+            ACTION_PIPE,
+            pipe=DummynetPipe(sim, delay=ms(10), name="d"),
+            direction=DIR_OUT,
+        )
+        sent = set()
+        _record_sends(a, sent)
+        _record_sends(b, sent)
+        probe = ping(sim, a, a.iface.primary, b.iface.primary, count=3, interval=0.1)
+        sim.run()
+        assert probe.result.received == 3
+        assert len(sent) == 6
+        assert _live_packets(sent) == []
+
+    def test_tcp_exchange_packets_are_garbage_once_run_returns(self):
+        sim, a, b = make_lan()
+        a.fw.add(
+            ACTION_PIPE,
+            pipe=DummynetPipe(sim, delay=ms(5), name="d"),
+            direction=DIR_OUT,
+        )
+        sent = set()
+        _record_sends(a, sent)
+        _record_sends(b, sent)
+        clients, servers = connect_pairs(sim, a, b, 1)
+        got = []
+        servers[0].recv().wait_callback(got.append)
+        clients[0].send("hello", 1000)
+        sim.run()
+        clients[0].close()
+        servers[0].close()
+        sim.run()
+        assert got == [("hello", 1000)]
+        assert len(sent) == 5  # syn, synack, data, both fins
+        assert _live_packets(sent) == []
+
+    def test_a_tap_keeps_request_and_reply_as_distinct_packets(self):
+        sim, a, b = make_lan()
+        kept = []
+        a.add_tap(kept.append)
+        b.add_tap(kept.append)
+        probe = ping(sim, a, a.iface.primary, b.iface.primary, count=1)
+        sim.run()
+        assert probe.result.received == 1
+        request, reply = kept
+        assert request is not reply and request.id != reply.id
+        assert (request.kind, reply.kind) == ("echo", "echoreply")
+        assert (request.src, request.dst) == (reply.dst, reply.src)
+
+
 # -- ipfw: one verdict per matched-rule set -------------------------------------------
 
 

@@ -8,8 +8,6 @@ plus the headline acceptance proof:
   bit-for-bit, invalidation on every mutating op
   (``add``/``delete``/``flush``/``add_pipe``/``indexed`` flip), and
   the ``delete``/``flush`` per-rule ``hits`` reset;
-* the **packet pool** — fresh ids on reuse (the id stream is part of
-  the deterministic surface) and tap-induced opt-out;
 * the **golden digests** — the metrics document and Chrome trace of a
   small swarm, and a reduced fig6 under both cost models, hash to the
   values every path produced before the reference paths left the
@@ -21,10 +19,9 @@ import json
 
 import pytest
 
-from repro.net import packet as packet_mod
 from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.ipfw import ACTION_ALLOW, ACTION_COUNT, ACTION_DENY, ACTION_PIPE, Firewall
-from repro.net.packet import PROTO_TCP, Packet, acquire, release, retag
+from repro.net.packet import PROTO_TCP, Packet
 from repro.net.pipe import DummynetPipe
 from repro.sim import SimConfig, Simulator
 from tests.reference.rule_walk import RuleWalk
@@ -159,47 +156,11 @@ class TestHitsReset:
 
 
 class TestPacketPool:
-    def test_reused_packet_gets_fresh_id(self):
-        a = acquire(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), PROTO_TCP, 100)
-        first_id = a.id
-        release(a)
-        b = acquire(IPv4Address("10.0.0.3"), IPv4Address("10.0.0.4"), PROTO_TCP, 200)
-        assert b is a  # recycled object...
-        assert b.id > first_id  # ...with a fresh identity
-        assert b.payload is None and b.size == 200
-
-    def test_retag_swaps_endpoints_and_refreshes_id(self):
-        p = acquire(
-            IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "icmp", 64, kind="echo"
-        )
-        old_id = p.id
-        r = retag(p, p.dst, p.src, "echoreply")
-        assert r is p
-        assert (str(r.src), str(r.dst)) == ("10.0.0.2", "10.0.0.1")
-        assert r.kind == "echoreply" and r.id > old_id
-
-    def test_pool_is_bounded(self):
-        for _ in range(packet_mod.POOL_CAP + 10):
-            release(
-                acquire(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), PROTO_TCP, 1)
-            )
-        assert len(packet_mod._pool) <= packet_mod.POOL_CAP
-
-    def test_tap_disables_reuse_permanently(self):
-        from repro.net.stack import NetworkStack
-
-        sim = Simulator(seed=0, observe=False)
-        assert sim.allow_packet_reuse is True
-        stack = NetworkStack(sim, "node1")
-        stack.add_tap(lambda p: None)
-        assert sim.allow_packet_reuse is False  # taps may retain packets
-
     def test_every_simulator_carries_the_attributes_the_stack_reads(self):
-        """The delivery path reads ``allow_packet_reuse`` and ``fluid``
-        as plain attributes: every simulator has both from construction."""
+        """The delivery path reads ``fluid`` as a plain attribute: every
+        simulator has it from construction."""
         for config in (SimConfig(), SimConfig(fluid=True)):
             sim = Simulator(seed=0, observe=False, config=config)
-            assert sim.allow_packet_reuse is True
             assert (sim.fluid is not None) == config.fluid
 
 

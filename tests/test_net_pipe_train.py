@@ -18,7 +18,6 @@ deliveries"), an exact-class fluid flow, against its per-packet twin.
 
 import pytest
 
-from repro.net import packet as packet_mod
 from repro.net.addr import ip
 from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
@@ -359,9 +358,5 @@ def test_booked_delivery_contract(consumer, case):
     sim = m.sim
     assert sim.pending == 0 and sim.booked == 0
     assert m.idle()
-    # Pools pin nothing: recycled handles carry no payload.
+    # The Event free list pins nothing: recycled handles carry no payload.
     assert all(ev.callback is None and ev.args == () for ev in sim._queue._free)
-    assert all(
-        p.payload is None and p.on_drop is None and p.flow is None
-        for p in packet_mod._pool
-    )

@@ -237,6 +237,20 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_step_inside_run_rejected(self):
+        # A nested step() would pop the t=10 event past the horizon.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, sim.step)
+        sim.schedule(10.0, fired.append, 10)
+        with pytest.raises(SimulationError, match="step"):
+            sim.run(until=5.0)
+        assert fired == []
+        assert sim.now == 1.0
+        sim.run(until=5.0)
+        assert fired == []
+        assert sim.now == 5.0
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(7):

@@ -12,20 +12,6 @@ from repro.sim import Simulator
 
 
 class TestPacketHelpers:
-    def test_reply_template_swaps_endpoints(self):
-        pkt = Packet(
-            IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-            "tcp", 100, sport=1234, dport=80, kind="data",
-        )
-        reply = pkt.reply_template()
-        assert reply.src == pkt.dst and reply.dst == pkt.src
-        assert reply.sport == 80 and reply.dport == 1234
-        assert reply.proto == "tcp"
-
-    def test_reply_template_proto_override(self):
-        pkt = Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "tcp", 10)
-        assert pkt.reply_template(proto="icmp").proto == "icmp"
-
     def test_packet_ids_unique(self):
         a = Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "udp", 1)
         b = Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "udp", 1)
