@@ -115,12 +115,7 @@ class Swarm:
             seed=cfg.seed,
             tcp_explicit_acks=cfg.tcp_explicit_acks,
             observe=cfg.observe,
-            flight=cfg.flight,
-            sim_config=(
-                SimConfig(flight=cfg.flight, fluid=cfg.fluid)
-                if sim is None
-                else None
-            ),
+            sim_config=SimConfig(flight=cfg.flight, fluid=cfg.fluid),
         )
         self.sim = self.testbed.sim
         self.sim.trace.enable("bt.progress", "bt.complete", "bt.start")

@@ -16,7 +16,6 @@ guessed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
 from dataclasses import dataclass, field
@@ -30,6 +29,8 @@ def topology_fingerprint(spec: Any) -> str:
     by prefix pair) into JSON and hashes that — stable across runs,
     interpreters and ``PYTHONHASHSEED``.
     """
+    import hashlib  # on use: a run that never fingerprints maps no OpenSSL
+
     groups = []
     for name in sorted(spec.groups):
         g = spec.groups[name]

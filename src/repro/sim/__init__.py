@@ -6,6 +6,8 @@ and run loop (:mod:`repro.sim.kernel`), generator-based simulated
 processes (:mod:`repro.sim.process`), synchronisation primitives
 (:mod:`repro.sim.resources`), named seeded RNG streams
 (:mod:`repro.sim.rng`) and structured tracing (:mod:`repro.sim.trace`).
+The partition driver is imported from :mod:`repro.sim.partition`
+itself, so a plain run never loads ``multiprocessing``.
 
 The kernel is intentionally small and allocation-light: the BitTorrent
 scalability experiments (Figures 10/11 of the paper) push millions of
@@ -15,13 +17,6 @@ events through it.
 from repro.sim.config import DEFAULT_CONFIG, SimConfig
 from repro.sim.event import Event, EventQueue
 from repro.sim.kernel import Simulator
-from repro.sim.partition import (
-    CellHandle,
-    CellSpec,
-    PartitionLayout,
-    PartitionResult,
-    run_partitioned,
-)
 from repro.sim.process import Process, Signal
 from repro.sim.resources import Channel, Resource, Store
 from repro.sim.rng import RngRegistry
@@ -30,11 +25,6 @@ from repro.sim.trace import TraceRecorder
 __all__ = [
     "DEFAULT_CONFIG",
     "SimConfig",
-    "CellHandle",
-    "CellSpec",
-    "PartitionLayout",
-    "PartitionResult",
-    "run_partitioned",
     "Event",
     "EventQueue",
     "Simulator",

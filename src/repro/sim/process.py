@@ -33,7 +33,7 @@ Examples
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Tuple, Union
 
 from repro.errors import SimulationError
 
@@ -143,8 +143,7 @@ class Process:
         self.done = Signal(sim, name=f"{name}.done", idempotent=True)
         self.result: Any = None
         self.alive = True
-        self._pending_event = None
-        self._waiting_on: Optional[Tuple[Signal, Callable[[Any], None]]] = None
+        self._waiting_on: Union[Tuple[Signal, Callable], _TimedWait, None] = None
         self._pending_event = sim.schedule(start_delay, self._resume, None)
 
     # ------------------------------------------------------------------
@@ -209,7 +208,7 @@ class Process:
         waiter = _TimedWait(self, signal)
         on_trigger = waiter.on_trigger
         waiter.timer = self.sim.schedule(timeout, waiter.on_timeout)
-        self._waiting_on = (signal, on_trigger)
+        self._waiting_on = waiter
         signal.wait_callback(on_trigger)
 
     def _finish(self, result: Any) -> None:
@@ -227,30 +226,30 @@ class Process:
         """
         if not self.alive:
             return
-        if self._pending_event is not None:
-            self.sim.cancel(self._pending_event)
-            self._pending_event = None
-        if self._waiting_on is not None:
-            signal, cb = self._waiting_on
-            signal.remove_callback(cb)
-            self._waiting_on = None
+        self._disarm()
         self.sim.schedule(0.0, self._throw, Interrupt(cause))
 
     def kill(self) -> None:
         """Terminate the process without running any more of its code."""
         if not self.alive:
             return
-        if self._pending_event is not None:
-            self.sim.cancel(self._pending_event)
-            self._pending_event = None
-        if self._waiting_on is not None:
-            signal, cb = self._waiting_on
-            signal.remove_callback(cb)
-            self._waiting_on = None
+        self._disarm()
         gen = self.gen
         self._finish(None)
         if gen is not None:
             gen.close()
+
+    def _disarm(self) -> None:
+        """Cancel whatever would resume the process: its pending event,
+        its signal subscription or its timed wait (timer included)."""
+        if self._pending_event is not None:
+            self.sim.cancel(self._pending_event)
+            self._pending_event = None
+        waiting, self._waiting_on = self._waiting_on, None
+        if isinstance(waiting, _TimedWait):
+            waiting.disarm()
+        elif waiting is not None:
+            waiting[0].remove_callback(waiting[1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else f"done result={self.result!r}"
@@ -278,6 +277,11 @@ class _TimedWait:
         process = self.process
         process.sim.cancel(self.timer)
         process._resume(value)
+
+    def disarm(self) -> None:  # the process was interrupted or killed
+        self.done = True
+        self.process.sim.cancel(self.timer)
+        self.signal.remove_callback(self.on_trigger)
 
     def on_timeout(self) -> None:
         if self.done:

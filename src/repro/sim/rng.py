@@ -11,9 +11,15 @@ seeds are derived deterministically from the root seed and the name, so
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+# CPython's builtin BLAKE2 is the object ``hashlib.blake2b`` names; importing
+# ``hashlib`` would map OpenSSL's libcrypto (3.6 MB RSS) into every process.
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the builtin module
+    from hashlib import blake2b
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -22,7 +28,7 @@ def derive_seed(root_seed: int, name: str) -> int:
     Uses BLAKE2b rather than ``hash()`` so results are stable across
     interpreter runs and PYTHONHASHSEED values.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     h.update(str(root_seed).encode("ascii"))
     h.update(b"\x00")
     h.update(name.encode("utf-8"))

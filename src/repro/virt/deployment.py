@@ -53,10 +53,12 @@ class Testbed:
             sim_config = SimConfig(flight=flight)
         elif flight:
             sim_config = sim_config.replace(flight=True)
-        self.sim = (
-            sim if sim is not None
-            else Simulator(seed=seed, observe=observe, config=sim_config)
-        )
+        if sim is None:
+            sim = Simulator(seed=seed, observe=observe, config=sim_config)
+        for mode in ("flight", "fluid"):  # a supplied sim may have more, not fewer
+            if getattr(sim_config, mode) and not getattr(sim.config, mode):
+                raise VirtualizationError(f"the supplied simulator was built without {mode}")
+        self.sim = sim
         self.admin_network = network(admin_network)
         if num_pnodes >= self.admin_network.num_addresses - 1:
             raise VirtualizationError(

@@ -4,7 +4,8 @@ import pytest
 
 from repro.bittorrent import Swarm, SwarmConfig
 from repro.bittorrent.client import ClientConfig
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, VirtualizationError
+from repro.sim import SimConfig, Simulator
 from repro.units import KB, MB, kbps, mbps, ms
 from repro.topology.presets import LinkProfile
 
@@ -60,6 +61,16 @@ class TestSwarmCompletion:
     def test_needs_seeder(self):
         with pytest.raises(ExperimentError):
             small_swarm(seeders=0)
+
+    @pytest.mark.parametrize("mode", ["fluid", "flight"])
+    def test_mode_missing_from_supplied_simulator_raises(self, mode):
+        with pytest.raises(VirtualizationError, match=mode):
+            Swarm(SwarmConfig(**{mode: True}), sim=Simulator())
+
+    def test_supplied_simulator_may_have_more_modes(self):
+        sim = Simulator(config=SimConfig(fluid=True, flight=True))
+        swarm = Swarm(SwarmConfig(), sim=sim)
+        assert swarm.sim is sim and sim.fluid is not None
 
 
 class TestSwarmBehaviour:

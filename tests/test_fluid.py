@@ -25,7 +25,8 @@ from repro.net.pipe import DummynetPipe
 from repro.net.socket_api import Socket
 from repro.net.stack import NetworkStack
 from repro.net.switch import Switch
-from repro.sim import CellSpec, SimConfig, Simulator, run_partitioned
+from repro.sim import SimConfig, Simulator
+from repro.sim.partition import CellSpec, run_partitioned
 from repro.sim.process import Process
 from repro.units import kbps
 

@@ -21,14 +21,13 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.runtime.executor import CommandWorker, WorkerCrashed
-from repro.sim import (
+from repro.sim import SimConfig, Simulator
+from repro.sim.partition import (
     CellSpec,
     PartitionLayout,
-    SimConfig,
-    Simulator,
+    merge_metric_snapshots,
     run_partitioned,
 )
-from repro.sim.partition import merge_metric_snapshots
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 

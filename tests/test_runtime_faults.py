@@ -25,7 +25,8 @@ from repro.runtime import (
 )
 from repro.runtime import executor
 from repro.runtime.executor import WorkerCrashed
-from repro.sim import CellSpec, SimConfig, run_partitioned
+from repro.sim import SimConfig
+from repro.sim.partition import CellSpec, run_partitioned
 
 
 def _no_children_left():

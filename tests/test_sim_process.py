@@ -203,6 +203,37 @@ class TestProcess:
         assert marks == ["start"]
         assert not p.alive
 
+    def test_interrupt_disarms_timed_wait(self, sim):
+        sig = Signal(sim)
+        got = []
+
+        def proc():
+            try:
+                yield (sig, 5.0)
+            except Interrupt:
+                got.append(("interrupted", sim.now))
+            got.append(((yield 100.0), sim.now))
+
+        p = Process(sim, proc())
+        sim.schedule(1.0, p.interrupt)
+        sim.run()
+        # The old 5 s timer must not cut the 100 s sleep short, nor
+        # resume the process a second time.
+        assert got == [("interrupted", 1.0), (None, 101.0)]
+        assert not p.alive
+
+    def test_kill_disarms_timed_wait(self, sim):
+        sig = Signal(sim)
+
+        def proc():
+            yield (sig, 5.0)
+
+        p = Process(sim, proc())
+        sim.schedule(1.0, p.kill)
+        sim.run()
+        assert sim.now == 1.0 and sim.pending == 0
+        assert sig._waiters == []
+
     def test_done_signal_fires(self, sim):
         def proc():
             yield 1.0

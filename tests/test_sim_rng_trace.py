@@ -1,5 +1,9 @@
 """Tests for RNG streams and tracing."""
 
+import hashlib
+
+import pytest
+
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import TraceRecorder
 
@@ -28,6 +32,28 @@ class TestRng:
         assert derive_seed(0, "a") == derive_seed(0, "a")
         assert derive_seed(0, "a") != derive_seed(0, "b")
         assert 0 <= derive_seed(123, "net") < 2**64
+
+    @pytest.mark.parametrize(
+        "root, name, seed",
+        [
+            (0, "a", 15270482384145340437),
+            (42, "pipe.loss/10.0.0.7", 9420205080024145802),
+            (7, "bt.choker/10.1.2.3", 18190359636732044537),
+            (-1, "net", 14164348835873984526),
+            (2**64 - 1, "x", 9402055405068259993),
+            (123, "n\u0153ud/\u00e9", 16017452200023479388),
+            (0, "", 11401113931532778961),
+        ],
+    )
+    def test_derive_seed_golden(self, root, name, seed):
+        # Every RNG stream and every sweep point's seed hangs off these
+        # values: a change of hash source must not move them.
+        assert derive_seed(root, name) == seed
+
+    def test_builtin_blake2b_is_hashlib_blake2b(self):
+        # derive_seed takes the builtin so it need not import hashlib.
+        _blake2 = pytest.importorskip("_blake2")
+        assert _blake2.blake2b is hashlib.blake2b
 
     def test_adding_stream_does_not_perturb_existing(self):
         reg1 = RngRegistry(9)

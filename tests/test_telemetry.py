@@ -50,7 +50,8 @@ from repro.runtime import (
     load_checkpoint_events,
 )
 from repro.runtime.checkpoint import CheckpointWriter
-from repro.sim import CellSpec, SimConfig, Simulator, run_partitioned
+from repro.sim import SimConfig, Simulator
+from repro.sim.partition import CellSpec, run_partitioned
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
@@ -675,7 +676,8 @@ if shape in ("inline", "parallel"):
     )
     print(sweep_json(outcome, deterministic_only=True))
 else:
-    from repro.sim import CellSpec, SimConfig, run_partitioned
+    from repro.sim import SimConfig
+    from repro.sim.partition import CellSpec, run_partitioned
 
     def build_ticks(handle):
         ticks = handle.sim.metrics.counter("tick.count")

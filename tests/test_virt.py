@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConnectionRefused, VirtualizationError
 from repro.net.addr import IPv4Address
 from repro.net.socket_api import ANY, Socket
-from repro.sim import Simulator
+from repro.sim import SimConfig, Simulator
 from repro.sim.process import Process
 from repro.units import us
 from repro.virt import Libc, Testbed
@@ -71,6 +71,16 @@ class TestTestbed:
     def test_admin_subnet_capacity_checked(self):
         with pytest.raises(VirtualizationError):
             Testbed(num_pnodes=300, admin_network="192.168.38.0/24")
+
+    def test_flight_missing_from_supplied_simulator_raises(self):
+        with pytest.raises(VirtualizationError, match="flight"):
+            Testbed(sim=Simulator(), flight=True)
+        with pytest.raises(VirtualizationError, match="fluid"):
+            Testbed(sim=Simulator(), sim_config=SimConfig(fluid=True))
+
+    def test_supplied_simulator_with_flight_accepted(self):
+        sim = Simulator(config=SimConfig(flight=True))
+        assert Testbed(sim=sim, flight=True).sim.flight.enabled
 
 
 class TestBindipInterception:
