@@ -1,17 +1,18 @@
-"""Command-line entry point: ``python -m repro <experiment-id>``.
+"""Command-line entry point: ``python -m repro <command>``.
 
-Runs one of the paper's experiments and prints its report. ``list``
-shows all known ids; ``all`` runs everything (scaled defaults);
-``metrics`` runs a quickstart-sized swarm and dumps the run manifest
-plus the full platform metrics snapshot (JSON by default); ``sweep``
-fans an experiment's parameter grid out over the parallel runtime.
+``run <id>`` runs one of the paper's experiments and prints its
+report. ``list`` shows all known ids; ``all`` runs everything (scaled
+defaults); ``metrics`` runs a quickstart-sized swarm and dumps the run
+manifest plus the full platform metrics snapshot (JSON by default);
+``sweep`` fans an experiment's parameter grid out over the parallel
+runtime. Any other first word is an error that lists the commands.
 
 Examples::
 
     python -m repro list
-    python -m repro fig6
+    python -m repro run fig6
     python -m repro run fig10_cells --partitions 4 scale=0.5
-    python -m repro fig8 -- leechers=40 file_size=8388608
+    python -m repro run fig8 leechers=40 file_size=8388608
     python -m repro all
     python -m repro metrics
     python -m repro metrics seed=7 leechers=6 format=text
@@ -36,7 +37,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS, RunRequest, get_experiment
 
 
@@ -195,12 +196,16 @@ def run_one(
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    print(f"== {entry.id}: {entry.title} ==")
     overrides = dict(overrides)
     if "seed" in overrides:
-        seed = int(overrides.pop("seed"))
+        try:
+            seed = int(overrides.pop("seed"))
+        except ValueError as exc:
+            print(f"error: bad seed: {exc}", file=sys.stderr)
+            return 2
     elif seed is None:
         seed = 0
+    print(f"== {entry.id}: {entry.title} ==")
     request = RunRequest.make(
         entry.id, overrides, seed=seed, partitions=partitions, fluid=fluid
     )
@@ -224,7 +229,7 @@ def run_one(
                 })
             else:
                 result = entry.execute(request)
-    except SimulationError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
@@ -331,7 +336,6 @@ def run_sweep(argv: List[str]) -> int:
         outcome = execute_plan(
             plan,
             parallel=args.parallel,
-            runner=_sweep_point_runner,
             timeout=args.timeout,
             max_attempts=args.max_attempts,
             checkpoint_path=args.checkpoint,
@@ -366,12 +370,6 @@ def run_sweep(argv: List[str]) -> int:
         file=sys.stderr,
     )
     return 0 if not outcome.failed else 1
-
-
-def _sweep_point_runner(request):
-    """Module-level (spawn-picklable) runner: one sweep point through
-    the registry entry's per-point entry."""
-    return get_experiment(request.experiment_id).point_runner(request)
 
 
 def run_metrics(overrides: Dict[str, Any]) -> int:
@@ -648,8 +646,7 @@ def run_bench(argv: List[str]) -> int:
 def _cmd_run(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
-        description="Run one experiment and print its report "
-        "(the 'run' word may be omitted: 'python -m repro fig6').",
+        description="Run one experiment and print its report.",
     )
     parser.add_argument("experiment", help="experiment id (see 'list')")
     _add_overrides_arg(parser, "parameter overrides passed to the run function")
@@ -763,8 +760,7 @@ def _cmd_metrics(argv: List[str]) -> int:
 
 
 #: The one command tree: every ``python -m repro`` invocation resolves
-#: to exactly one of these handlers; a leading experiment id is sugar
-#: for ``run <id>``.
+#: to exactly one of these handlers.
 _COMMANDS = {
     "run": _cmd_run,
     "list": _cmd_list,
@@ -779,15 +775,15 @@ _COMMANDS = {
 
 def main(argv: List[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    commands = f"commands: {', '.join(sorted(_COMMANDS))}"
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__.strip())
-        print(f"\ncommands: {', '.join(sorted(_COMMANDS))}")
+        print(f"\n{commands}")
         return 0 if argv else 2
-    command = argv[0]
-    if command in _COMMANDS:
-        return _COMMANDS[command](argv[1:])
-    # Legacy spelling: ``python -m repro fig6 k=v`` == ``run fig6 k=v``.
-    return _cmd_run(argv)
+    if argv[0] not in _COMMANDS:
+        print(f"unknown command {argv[0]!r}; {commands}", file=sys.stderr)
+        return 2
+    return _COMMANDS[argv[0]](argv[1:])
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Each module exposes a ``run_*`` function returning structured results
 and a ``print_report`` helper producing the rows/series the figure
 shows. The benchmarks in ``benchmarks/`` call these with scaled-down
 default parameters; ``examples/`` and EXPERIMENTS.md record runs closer
-to paper scale.
+to paper scale. :mod:`repro.experiments.registry` names each id's
+functions and imports a module only when its entry runs, so importing
+this package loads no experiment module.
 
 Index (see DESIGN.md for the full mapping):
 
@@ -23,7 +25,7 @@ fig11         completion count over time for the fig10 run
 ============  ==========================================================
 """
 
-from repro.experiments.api import RunRequest, RunResult, make_execute
+from repro.experiments.api import RunRequest, RunResult
 from repro.experiments.registry import EXPERIMENTS, ExperimentEntry, get_experiment
 
 __all__ = [
@@ -32,5 +34,4 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "get_experiment",
-    "make_execute",
 ]

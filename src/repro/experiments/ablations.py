@@ -416,7 +416,7 @@ def run_departure_ablation(
     file_size: int = 4 * MB,
     stagger: float = 5.0,
     num_pnodes: int = 4,
-    seed: int = 2,
+    seed: int = 0,
 ) -> DepartureResult:
     """The paper's experiments keep finished clients seeding; this
     ablation removes them instead (selfish departure). With staggered
@@ -484,7 +484,7 @@ def run_superseed_ablation(
     file_size: int = 2 * MB,
     stagger: float = 1.0,
     num_pnodes: int = 2,
-    seed: int = 4,
+    seed: int = 0,
 ) -> SuperSeedResult:
     """One initial seeder, normal vs super-seeding: super-seeding's
     goal is to minimize the bytes the initial seeder must upload before

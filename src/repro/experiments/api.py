@@ -15,11 +15,9 @@ entry point now speaks:
   rendered report, status/error, and (in-process only) the rich
   result object.
 
-Experiment modules keep their legacy ``run_figN(**kwargs)`` functions
-as thin shims; the canonical entry point is now a module-level
-``run(request: RunRequest) -> RunResult``. :func:`make_execute` builds
-such an entry point from a legacy ``(run, report)`` pair for modules
-that have no bespoke artifact extraction (the ablations).
+Experiment modules keep their typed ``run_figN(**params)`` functions;
+:meth:`repro.experiments.registry.ExperimentEntry.execute` is the one
+adapter from a request to such a function.
 
 The :mod:`repro.runtime` execution engine consumes exactly this
 protocol — see DESIGN.md, "The RunRequest/RunResult contract".
@@ -28,10 +26,9 @@ protocol — see DESIGN.md, "The RunRequest/RunResult contract".
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Result statuses.
 STATUS_OK = "ok"
@@ -97,7 +94,7 @@ class RunRequest:
 
     @property
     def kwargs(self) -> Dict[str, Any]:
-        """The parameter dict to splat into a legacy run function."""
+        """The parameter dict to splat into a ``run_figN`` function."""
         return dict(self.params)
 
     @property
@@ -217,60 +214,3 @@ class RunResult:
             error=doc.get("error"),
             attempts=int(doc.get("attempts", 1)),
         )
-
-
-#: The unified entry-point signature.
-Execute = Callable[[RunRequest], RunResult]
-
-
-def default_artifacts(value: Any) -> Dict[str, Any]:
-    """Best-effort artifact extraction for legacy result objects:
-    every scalar (int/float/str/bool) dataclass field."""
-    artifacts: Dict[str, Any] = {}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for f in dataclasses.fields(value):
-            v = getattr(value, f.name)
-            if isinstance(v, (int, float, str, bool)):
-                artifacts[f.name] = v
-    return artifacts
-
-
-def make_execute(
-    run: Callable[..., Any],
-    report: Callable[[Any], str],
-    artifacts: Optional[Callable[[Any], Dict[str, Any]]] = None,
-) -> Execute:
-    """Adapt a legacy ``(run_figN, print_report)`` pair to the protocol.
-
-    The request's ``seed`` is injected as the ``seed=`` kwarg when the
-    run function accepts one (deterministic CPU-model experiments take
-    no seed); explicit ``params['seed']`` overrides win for backwards
-    compatibility.
-    """
-    extract = artifacts if artifacts is not None else default_artifacts
-    try:
-        sig = inspect.signature(run)
-        var_kw = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
-        )
-        takes_seed = "seed" in sig.parameters or var_kw
-        takes_fluid = "fluid" in sig.parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        takes_seed = True
-        takes_fluid = False
-
-    def execute(request: RunRequest) -> RunResult:
-        kwargs = request.kwargs
-        if takes_seed:
-            kwargs.setdefault("seed", request.seed)
-        if takes_fluid and request.fluid is not None:
-            kwargs.setdefault("fluid", request.fluid)
-        value = run(**kwargs)
-        return RunResult.ok(
-            request,
-            value=value,
-            artifacts=extract(value),
-            report=report(value),
-        )
-
-    return execute

@@ -309,10 +309,10 @@ def print_report(result: Fig10Result) -> str:
     return table.render()
 
 
-# -- unified entry points (RunRequest -> RunResult) --------------------
+# -- sweep artifacts and the per-point entries (RunRequest -> RunResult) --
 
 
-def _artifacts(result: Fig10Result) -> dict:
+def artifacts(result: Fig10Result) -> dict:
     out = {
         "clients": result.clients,
         "pnodes": result.pnodes,
@@ -332,46 +332,38 @@ def run_fig10_cells(**kwargs: Any) -> Fig10Result:
     return run_fig10_partitioned(**kwargs)[0]
 
 
-def _execute(run_fn, request: RunRequest, point: bool) -> RunResult:
-    kwargs = request.kwargs
-    kwargs.setdefault("seed", request.seed)
-    if point:
-        kwargs.setdefault("scale", 0.01)
-    if run_fn is run_fig10_cells and request.partitions is not None:
-        kwargs.setdefault("partitions", request.partitions)
+#: The registry checks a request's parameters against this signature.
+run_fig10_cells.__wrapped__ = run_fig10_partitioned
+
+
+def _point(run_fn, request: RunRequest, **knobs: Any) -> RunResult:
+    """One sweep point at a single ``scale`` (fraction of the paper's
+    5754 clients); the aggregate shows how the completion ramp evolves
+    with swarm size."""
     if request.fluid is not None:
-        kwargs.setdefault("fluid", request.fluid)
+        knobs["fluid"] = request.fluid
+    kwargs = {"scale": 0.01, "seed": request.seed, **knobs, **request.kwargs}
     result = run_fn(**kwargs)
-    report = (
-        f"scale={kwargs['scale']}: {result.clients} clients on "
-        f"{result.pnodes} pnodes, last completion "
-        f"{result.last_completion:.0f}s, steepness {result.ramp_steepness:.2f}"
-        if point
-        else print_report(result)
+    return RunResult.ok(
+        request,
+        value=result,
+        artifacts=artifacts(result),
+        report=(
+            f"scale={kwargs['scale']}: {result.clients} clients on "
+            f"{result.pnodes} pnodes, last completion "
+            f"{result.last_completion:.0f}s, steepness {result.ramp_steepness:.2f}"
+        ),
     )
-    return RunResult.ok(request, value=result, artifacts=_artifacts(result), report=report)
-
-
-def run(request: RunRequest) -> RunResult:
-    """``fig10`` entry point under the unified protocol (one swarm;
-    ``request.partitions`` is ignored like on every unpartitioned
-    experiment)."""
-    return _execute(run_fig10, request, point=False)
 
 
 def run_point(request: RunRequest) -> RunResult:
-    """One ``fig10`` sweep point: the scalability run at a single
-    ``scale`` (fraction of the paper's 5754 clients); the aggregate
-    shows how the completion ramp evolves with swarm size."""
-    return _execute(run_fig10, request, point=True)
-
-
-def run_cells(request: RunRequest) -> RunResult:
-    """``fig10_cells`` entry point: ``request.partitions`` caps the
-    worker processes."""
-    return _execute(run_fig10_cells, request, point=False)
+    """One ``fig10`` sweep point (one swarm; ``request.partitions`` is
+    ignored like on every unpartitioned experiment)."""
+    return _point(run_fig10, request)
 
 
 def run_cells_point(request: RunRequest) -> RunResult:
-    """One ``fig10_cells`` sweep point at a single ``scale``."""
-    return _execute(run_fig10_cells, request, point=True)
+    """One ``fig10_cells`` sweep point: ``request.partitions`` caps the
+    worker processes."""
+    knobs = {} if request.partitions is None else {"partitions": request.partitions}
+    return _point(run_fig10_cells, request, **knobs)

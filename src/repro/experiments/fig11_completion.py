@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_ascii_series
 from repro.experiments.fig10_scalability import Fig10Result, run_fig10
-from repro.experiments.api import make_execute
 
 #: Figure 11 is the completion curve of the Figure 10 run.
 run_fig11 = run_fig10
@@ -32,9 +31,3 @@ def print_report(result: Fig10Result) -> str:
         f"(steepness {result.ramp_steepness:.2f})"
     )
     return "\n".join(lines)
-
-
-# -- unified entry point (RunRequest -> RunResult) ---------------------
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_fig11, print_report)

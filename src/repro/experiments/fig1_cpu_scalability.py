@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.tables import Table
-from repro.experiments.api import make_execute
 from repro.experiments.osprofiles import PROFILES
 from repro.hostos.machine import Machine
 from repro.hostos.workloads import ackermann_task
@@ -70,9 +69,10 @@ def print_report(result: Fig1Result) -> str:
     return table.render()
 
 
-# -- unified entry point (RunRequest -> RunResult) ---------------------
+# -- sweep artifacts (named by the registry entry) ---------------------
 
-def _artifacts(result: Fig1Result) -> dict:
+
+def artifacts(result: Fig1Result) -> dict:
     flat = [v for series in result.curves.values() for v in series]
     return {
         "profiles": len(result.curves),
@@ -80,7 +80,3 @@ def _artifacts(result: Fig1Result) -> dict:
         "exec_time_min": min(flat),
         "exec_time_max": max(flat),
     }
-
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_fig1, print_report, artifacts=_artifacts)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.tables import Table
-from repro.experiments.api import make_execute
 from repro.experiments.osprofiles import PROFILES
 from repro.hostos.machine import Machine
 from repro.hostos.workloads import MATRIX_MEMORY_MB, matrix_task
@@ -70,9 +69,3 @@ def print_report(result: Fig2Result) -> str:
     for i, n in enumerate(result.counts):
         table.add_row(n, *(result.curves[label][i] for label in result.curves))
     return table.render()
-
-
-# -- unified entry point (RunRequest -> RunResult) ---------------------
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_fig2, print_report)

@@ -13,7 +13,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.cdf import empirical_cdf, spread
 from repro.analysis.tables import Table
-from repro.experiments.api import make_execute
 from repro.experiments.osprofiles import PROFILES
 from repro.hostos.machine import Machine
 from repro.hostos.workloads import fairness_task
@@ -70,14 +69,11 @@ def print_report(result: Fig3Result) -> str:
     return table.render()
 
 
-# -- unified entry point (RunRequest -> RunResult) ---------------------
+# -- sweep artifacts (named by the registry entry) ---------------------
 
-def _artifacts(result: Fig3Result) -> dict:
+
+def artifacts(result: Fig3Result) -> dict:
     return {
         "instances": result.instances,
         **{f"spread_{label}": result.spread(label) for label in sorted(result.finish_times)},
     }
-
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_fig3, print_report, artifacts=_artifacts)

@@ -134,10 +134,10 @@ def print_report(result: Fig6Result) -> str:
     return "\n".join(lines)
 
 
-# -- unified entry points (RunRequest -> RunResult) --------------------
+# -- sweep artifacts and the per-point entry (RunRequest -> RunResult) --
 
 
-def _artifacts(result: Fig6Result) -> dict:
+def artifacts(result: Fig6Result) -> dict:
     doc = {
         "slope_us_per_rule": result.slope_us_per_rule(),
         "max_rtt_avg": max(r[0] for r in result.rtts),
@@ -145,16 +145,6 @@ def _artifacts(result: Fig6Result) -> dict:
     if result.indexed_rtts is not None:
         doc["max_rtt_avg_indexed"] = max(r[0] for r in result.indexed_rtts)
     return doc
-
-
-def run(request: RunRequest) -> RunResult:
-    """Whole-figure entry point under the unified protocol."""
-    kwargs = request.kwargs
-    kwargs.setdefault("seed", request.seed)
-    result = run_fig6(**kwargs)
-    return RunResult.ok(
-        request, value=result, artifacts=_artifacts(result), report=print_report(result)
-    )
 
 
 def run_point(request: RunRequest) -> RunResult:

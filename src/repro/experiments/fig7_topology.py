@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.analysis.tables import Table
-from repro.experiments.api import make_execute
 from repro.net.ping import ping
 from repro.topology.compiler import compile_topology
 from repro.topology.presets import figure7_topology
@@ -84,9 +83,3 @@ def print_report(result: Fig7Result) -> str:
     )
     lines.append(f"  avg firewall rules per physical node: {result.rules_per_pnode:.1f}")
     return "\n".join(lines)
-
-
-# -- unified entry point (RunRequest -> RunResult) ---------------------
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_fig7, print_report)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.tables import Table
-from repro.experiments.api import make_execute
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.core.collector import progress_series
 from repro.core.report import SwarmSummary, download_phases, summarize_swarm
@@ -74,15 +73,12 @@ def print_report(result: Fig8Result) -> str:
     return "\n".join(lines)
 
 
-# -- unified entry point (RunRequest -> RunResult) ---------------------
+# -- sweep artifacts (named by the registry entry) ---------------------
 
-def _artifacts(result: Fig8Result) -> dict:
+
+def artifacts(result: Fig8Result) -> dict:
     return {
         "last_completion": result.last_completion,
         "clients_plotted": len(result.progress),
         **{f"phase_{k}": v for k, v in sorted(result.phases_first_client.items())},
     }
-
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_fig8, print_report, artifacts=_artifacts)

@@ -94,25 +94,15 @@ def print_report(result: Fig9Result) -> str:
     return "\n".join(lines)
 
 
-# -- unified entry points (RunRequest -> RunResult) --------------------
+# -- sweep artifacts and the per-point entry (RunRequest -> RunResult) --
 
 
-def _artifacts(result: Fig9Result) -> dict:
+def artifacts(result: Fig9Result) -> dict:
     return {
         "max_relative_gap": result.max_relative_gap,
         "foldings": len(result.foldings),
         "last_completion_unfolded": result.last_completions[result.foldings[0]],
     }
-
-
-def run(request: RunRequest) -> RunResult:
-    """Whole-figure entry point under the unified protocol."""
-    kwargs = request.kwargs
-    kwargs.setdefault("seed", request.seed)
-    result = run_fig9(**kwargs)
-    return RunResult.ok(
-        request, value=result, artifacts=_artifacts(result), report=print_report(result)
-    )
 
 
 def run_point(request: RunRequest) -> RunResult:

@@ -1,45 +1,56 @@
-"""Registry mapping experiment ids to their unified entry points.
+"""Registry mapping experiment ids to what they run.
 
-Every entry speaks the :class:`~repro.experiments.api.RunRequest` →
-:class:`~repro.experiments.api.RunResult` protocol through
-:meth:`ExperimentEntry.execute`; the historical ``run``/``report``
-callables remain as thin backwards-compat shims (``entry.run(**kw)``
-still works everywhere it used to).
+Entries are data: each names its callables by ``"module:attribute"``
+strings (modules of :mod:`repro.experiments`), and a name is imported
+only when the entry is executed. ``python -m repro list`` therefore
+loads no experiment module, and ``run fig8`` loads fig8 alone.
 
-Entries that support parameter sweeps additionally carry:
-
-* ``point`` — a per-sweep-point entry (one grid value per call), used
-  by ``python -m repro sweep <id>`` so a figure's x-axis fans out over
-  the :mod:`repro.runtime` worker pool;
+* ``run`` — the experiment's typed ``run_figN(**params)`` function;
+* ``report`` — renders its result as the printed report;
+* ``artifacts`` — the JSON-serializable scalars a sweep aggregates
+  (default: every scalar dataclass field of the result);
+* ``point`` — an optional ``RunRequest -> RunResult`` function for one
+  sweep point (one grid value per call), used by ``python -m repro
+  sweep <id>`` so a figure's x-axis fans out over the
+  :mod:`repro.runtime` worker pool;
 * ``sweep_grid`` / ``sweep_base`` — the default grid (the figure's
   x-axis values) and fixed parameters.
 
-Experiments without a bespoke ``point`` still sweep: each point is a
+:meth:`ExperimentEntry.execute` is the one adapter from the
+:class:`~repro.experiments.api.RunRequest` protocol to a ``run``
+function. Experiments without a ``point`` still sweep: each point is a
 whole ``execute`` call with that point's parameters, which is what a
 replication-only sweep (``--replications N``) wants anyway.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.experiments import (
-    ablations,
-    fig1_cpu_scalability,
-    fig2_memory_pressure,
-    fig3_fairness,
-    fig6_rule_scaling,
-    fig7_topology,
-    fig8_download_evolution,
-    fig9_folding,
-    fig10_scalability,
-    fig11_completion,
-    tbl_alias_overhead,
-    tbl_connect_overhead,
-)
-from repro.experiments.api import Execute, make_execute
+from repro.errors import ExperimentError
+from repro.experiments.api import RunRequest, RunResult
 from repro.units import MB
+
+
+def resolve(name: str) -> Callable[..., Any]:
+    """Import ``"module:attribute"`` from :mod:`repro.experiments`."""
+    module, _, attribute = name.partition(":")
+    return getattr(importlib.import_module(f"repro.experiments.{module}"), attribute)
+
+
+def _scalar_fields(value: Any) -> Dict[str, Any]:
+    """Every scalar (int/float/str/bool) dataclass field of a result."""
+    if not dataclasses.is_dataclass(value) or isinstance(value, type):
+        return {}
+    return {
+        f.name: getattr(value, f.name)
+        for f in dataclasses.fields(value)
+        if isinstance(getattr(value, f.name), (int, float, str, bool))
+    }
 
 
 @dataclass(frozen=True)
@@ -48,28 +59,59 @@ class ExperimentEntry:
 
     id: str
     title: str
-    #: Legacy kwargs entry point (backwards-compat shim).
-    run: Callable[..., object]
-    #: Legacy report renderer (backwards-compat shim).
-    report: Callable[[object], str]
-    #: Unified entry point: ``RunRequest -> RunResult``.
-    execute: Execute = None  # type: ignore[assignment]
-    #: Per-sweep-point entry (``None`` → sweeps reuse ``execute``).
-    point: Optional[Execute] = None
+    #: ``"module:attribute"`` of the typed ``run_figN(**params)``.
+    run: str
+    #: ``"module:attribute"`` of the report renderer.
+    report: str
+    #: ``"module:attribute"`` of the artifact extractor (``None`` →
+    #: the result's scalar dataclass fields).
+    artifacts: Optional[str] = None
+    #: ``"module:attribute"`` of a per-sweep-point ``RunRequest ->
+    #: RunResult`` function (``None`` → sweeps reuse ``execute``).
+    point: Optional[str] = None
     #: Default sweep grid: parameter name -> values (the figure's x-axis).
     sweep_grid: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     #: Fixed parameters every sweep point receives by default.
     sweep_base: Tuple[Tuple[str, Any], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.execute is None:
-            object.__setattr__(self, "execute", make_execute(self.run, self.report))
+    def execute(self, request: RunRequest) -> RunResult:
+        """Run the whole experiment for ``request``.
 
-    @property
-    def point_runner(self) -> Execute:
-        """What one sweep point runs: ``point`` if defined, else the
-        whole-experiment ``execute``."""
-        return self.point if self.point is not None else self.execute
+        The request's ``seed``, ``fluid`` and ``partitions`` are passed
+        to ``run`` when its signature takes them (a ``**kwargs``
+        function takes everything); ``fluid`` and ``partitions`` only
+        when set. An explicit parameter of the same name wins. A
+        parameter ``run`` does not take is an :class:`ExperimentError`.
+        """
+        run = resolve(self.run)
+        params = inspect.signature(run).parameters
+        var_kw = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
+        kwargs = request.kwargs
+        unknown = sorted(set(kwargs) - set(params)) if not var_kw else []
+        if unknown:
+            raise ExperimentError(
+                f"{self.id} takes no parameter {', '.join(unknown)} "
+                f"(accepted: {', '.join(params)})"
+            )
+        knobs = {"seed": request.seed, "fluid": request.fluid,
+                 "partitions": request.partitions}
+        for name, knob in knobs.items():
+            if knob is not None and (var_kw or name in params):
+                kwargs.setdefault(name, knob)
+        value = run(**kwargs)
+        artifacts = resolve(self.artifacts) if self.artifacts else _scalar_fields
+        return RunResult.ok(
+            request,
+            value=value,
+            artifacts=artifacts(value),
+            report=resolve(self.report)(value),
+        )
+
+    def point_runner(self, request: RunRequest) -> RunResult:
+        """Run one sweep point: ``point`` if defined, else ``execute``."""
+        if self.point is None:
+            return self.execute(request)
+        return resolve(self.point)(request)
 
     @property
     def sweep_grid_dict(self) -> Dict[str, Tuple[Any, ...]]:
@@ -83,25 +125,15 @@ class ExperimentEntry:
 def _entry(
     id: str,
     title: str,
-    module: Any = None,
-    run: Callable[..., object] = None,
-    report: Callable[[object], str] = None,
+    run: str,
+    report: str,
+    artifacts: Optional[str] = None,
+    point: Optional[str] = None,
     sweep_grid: Optional[Dict[str, tuple]] = None,
     sweep_base: Optional[Dict[str, Any]] = None,
 ) -> ExperimentEntry:
-    """Build an entry from a migrated module (``run``/``run_point``
-    module attributes) or an explicit legacy pair."""
-    legacy_run = run if run is not None else getattr(module, f"run_{id}", None)
-    legacy_report = report if report is not None else module.print_report
-    execute = getattr(module, "run", None) if module is not None else None
-    point = getattr(module, "run_point", None) if module is not None else None
     return ExperimentEntry(
-        id=id,
-        title=title,
-        run=legacy_run,
-        report=legacy_report,
-        execute=execute,
-        point=point,
+        id, title, run, report, artifacts, point,
         sweep_grid=tuple(sorted((k, tuple(v)) for k, v in (sweep_grid or {}).items())),
         sweep_base=tuple(sorted((sweep_base or {}).items())),
     )
@@ -110,127 +142,61 @@ def _entry(
 EXPERIMENTS: Dict[str, ExperimentEntry] = {
     e.id: e
     for e in [
-        _entry(
-            "fig1",
-            "CPU-bound process scalability",
-            fig1_cpu_scalability,
-        ),
-        _entry(
-            "fig2",
-            "Memory-intensive processes and swap",
-            fig2_memory_pressure,
-        ),
-        _entry(
-            "fig3",
-            "Scheduler fairness CDFs",
-            fig3_fairness,
-        ),
-        _entry(
-            "tblA",
-            "libc interception connect overhead",
-            tbl_connect_overhead,
-            run=tbl_connect_overhead.run_connect_overhead,
-        ),
-        _entry(
-            "tblB",
-            "interface alias overhead",
-            tbl_alias_overhead,
-            run=tbl_alias_overhead.run_alias_overhead,
-        ),
-        _entry(
-            "fig6",
-            "RTT vs firewall rule count",
-            fig6_rule_scaling,
-            sweep_grid={
-                "rule_count": (0, 10000, 20000, 30000, 40000, 50000)
-            },
-            sweep_base={"pings_per_point": 5},
-        ),
-        _entry(
-            "fig7",
-            "Hierarchical topology emulation",
-            fig7_topology,
-        ),
-        _entry(
-            "fig8",
-            "160-client BitTorrent download evolution",
-            fig8_download_evolution,
-        ),
-        _entry(
-            "fig9",
-            "Folding ratio",
-            fig9_folding,
-            sweep_grid={"num_pnodes": (160, 16, 8, 4, 2)},
-            sweep_base={"leechers": 160, "seeders": 4, "file_size": 16 * MB},
-        ),
-        _entry(
-            "fig10",
-            "5754-client scalability (progress)",
-            fig10_scalability,
-            sweep_grid={"scale": (0.01, 0.02, 0.05)},
-        ),
-        ExperimentEntry(
-            id="fig10_cells",
-            title="5754 clients as independent sub-swarm cells",
-            run=fig10_scalability.run_fig10_cells,
-            report=fig10_scalability.print_report,
-            execute=fig10_scalability.run_cells,
-            point=fig10_scalability.run_cells_point,
-            sweep_grid=(("scale", (0.01, 0.02, 0.05)),),
-        ),
-        _entry(
-            "fig11",
-            "5754-client scalability (completions)",
-            fig11_completion,
-        ),
-        _entry(
-            "abl-rule-lookup",
-            "Linear vs hash-indexed firewall",
-            run=ablations.run_rule_lookup_ablation,
-            report=ablations.print_rule_lookup_report,
-        ),
-        _entry(
-            "abl-uplink",
-            "Folding overhead from port saturation",
-            run=ablations.run_uplink_saturation_ablation,
-            report=ablations.print_uplink_report,
-        ),
-        _entry(
-            "abl-choker",
-            "Tit-for-tat on/off",
-            run=ablations.run_choker_ablation,
-            report=ablations.print_choker_report,
-        ),
-        _entry(
-            "abl-stagger",
-            "Client start stagger",
-            run=ablations.run_stagger_ablation,
-            report=ablations.print_stagger_report,
-        ),
-        _entry(
-            "abl-acks",
-            "Explicit TCP ACKs vs window-credit shortcut",
-            run=ablations.run_ack_ablation,
-            report=ablations.print_ack_report,
-        ),
-        _entry(
-            "abl-ule-gen",
-            "ULE fairness: FreeBSD 5 vs 6",
-            run=ablations.run_ule_generation_ablation,
-            report=ablations.print_ule_generation_report,
-        ),
-        _entry(
-            "abl-superseed",
-            "Super-seeding vs normal initial seeding",
-            run=ablations.run_superseed_ablation,
-            report=ablations.print_superseed_report,
-        ),
-        _entry(
-            "abl-departure",
-            "Stay-and-seed vs selfish departure",
-            run=ablations.run_departure_ablation,
-            report=ablations.print_departure_report,
-        ),
+        _entry("fig1", "CPU-bound process scalability",
+               "fig1_cpu_scalability:run_fig1", "fig1_cpu_scalability:print_report",
+               "fig1_cpu_scalability:artifacts"),
+        _entry("fig2", "Memory-intensive processes and swap",
+               "fig2_memory_pressure:run_fig2", "fig2_memory_pressure:print_report"),
+        _entry("fig3", "Scheduler fairness CDFs",
+               "fig3_fairness:run_fig3", "fig3_fairness:print_report",
+               "fig3_fairness:artifacts"),
+        _entry("tblA", "libc interception connect overhead",
+               "tbl_connect_overhead:run_connect_overhead",
+               "tbl_connect_overhead:print_report"),
+        _entry("tblB", "interface alias overhead",
+               "tbl_alias_overhead:run_alias_overhead", "tbl_alias_overhead:print_report"),
+        _entry("fig6", "RTT vs firewall rule count",
+               "fig6_rule_scaling:run_fig6", "fig6_rule_scaling:print_report",
+               "fig6_rule_scaling:artifacts", "fig6_rule_scaling:run_point",
+               sweep_grid={"rule_count": (0, 10000, 20000, 30000, 40000, 50000)},
+               sweep_base={"pings_per_point": 5}),
+        _entry("fig7", "Hierarchical topology emulation",
+               "fig7_topology:run_fig7", "fig7_topology:print_report"),
+        _entry("fig8", "160-client BitTorrent download evolution",
+               "fig8_download_evolution:run_fig8", "fig8_download_evolution:print_report",
+               "fig8_download_evolution:artifacts"),
+        _entry("fig9", "Folding ratio",
+               "fig9_folding:run_fig9", "fig9_folding:print_report",
+               "fig9_folding:artifacts", "fig9_folding:run_point",
+               sweep_grid={"num_pnodes": (160, 16, 8, 4, 2)},
+               sweep_base={"leechers": 160, "seeders": 4, "file_size": 16 * MB}),
+        _entry("fig10", "5754-client scalability (progress)",
+               "fig10_scalability:run_fig10", "fig10_scalability:print_report",
+               "fig10_scalability:artifacts", "fig10_scalability:run_point",
+               sweep_grid={"scale": (0.01, 0.02, 0.05)}),
+        _entry("fig10_cells", "5754 clients as independent sub-swarm cells",
+               "fig10_scalability:run_fig10_cells", "fig10_scalability:print_report",
+               "fig10_scalability:artifacts", "fig10_scalability:run_cells_point",
+               sweep_grid={"scale": (0.01, 0.02, 0.05)}),
+        _entry("fig11", "5754-client scalability (completions)",
+               "fig11_completion:run_fig11", "fig11_completion:print_report"),
+        _entry("abl-rule-lookup", "Linear vs hash-indexed firewall",
+               "ablations:run_rule_lookup_ablation", "ablations:print_rule_lookup_report"),
+        _entry("abl-uplink", "Folding overhead from port saturation",
+               "ablations:run_uplink_saturation_ablation", "ablations:print_uplink_report"),
+        _entry("abl-choker", "Tit-for-tat on/off",
+               "ablations:run_choker_ablation", "ablations:print_choker_report"),
+        _entry("abl-stagger", "Client start stagger",
+               "ablations:run_stagger_ablation", "ablations:print_stagger_report"),
+        _entry("abl-acks", "Explicit TCP ACKs vs window-credit shortcut",
+               "ablations:run_ack_ablation", "ablations:print_ack_report"),
+        _entry("abl-ule-gen", "ULE fairness: FreeBSD 5 vs 6",
+               "ablations:run_ule_generation_ablation",
+               "ablations:print_ule_generation_report"),
+        _entry("abl-superseed", "Super-seeding vs normal initial seeding",
+               "ablations:run_superseed_ablation", "ablations:print_superseed_report"),
+        _entry("abl-departure", "Stay-and-seed vs selfish departure",
+               "ablations:run_departure_ablation", "ablations:print_departure_report"),
     ]
 }
 

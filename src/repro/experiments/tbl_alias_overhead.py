@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.tables import Table
-from repro.experiments.api import make_execute
 from repro.net.addr import IPv4Address
 from repro.net.ping import ping
 from repro.virt.deployment import Testbed
@@ -66,9 +65,3 @@ def print_report(result: AliasOverheadResult) -> str:
         "(paper: 'no overhead')"
     )
     return "\n".join(lines)
-
-
-# -- unified entry point (RunRequest -> RunResult) ---------------------
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_alias_overhead, print_report)

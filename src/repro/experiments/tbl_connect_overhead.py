@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import Table
-from repro.experiments.api import make_execute
 from repro.errors import SocketError
 from repro.net.addr import IPv4Address
 from repro.net.socket_api import ANY
@@ -96,9 +95,3 @@ def print_report(result: ConnectOverheadResult) -> str:
     table.add_row("modified (BINDIP)", result.intercepted_us, 10.79)
     table.add_row("overhead", result.overhead_us, 0.57)
     return table.render()
-
-
-# -- unified entry point (RunRequest -> RunResult) ---------------------
-
-#: Canonical entry point: ``run(RunRequest) -> RunResult``.
-run = make_execute(run_connect_overhead, print_report)

@@ -87,11 +87,12 @@ Runner = Callable[[RunRequest], RunResult]
 
 
 def registry_runner(request: RunRequest) -> RunResult:
-    """Default runner: resolve the experiment registry entry and
-    execute it through the unified RunRequest→RunResult protocol."""
+    """Default runner: one sweep point through the registry entry's
+    :meth:`~repro.experiments.registry.ExperimentEntry.point_runner`
+    (the entry's point function, else the whole experiment)."""
     from repro.experiments import get_experiment
 
-    return get_experiment(request.experiment_id).execute(request)
+    return get_experiment(request.experiment_id).point_runner(request)
 
 
 def _cause(exc: BaseException) -> str:

@@ -24,22 +24,43 @@ class TestMain:
         assert "fig6" in out and "abl-superseed" in out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["fig99"]) == 2
+        assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_unknown_command_lists_commands(self, capsys):
+        # An experiment id is not a command: it needs the 'run' word.
+        assert main(["fig6"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown command 'fig6'" in err
+        assert "commands:" in err and "run" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "fig6", "bogus=1"], "fig6 takes no parameter bogus (accepted: "),
+            (["run", "fig3", "seed=x"], "bad seed"),
+            (["run", "fig10_cells", "cells=0", "scale=0.004"], "cells must be >= 1"),
+        ],
+    )
+    def test_bad_input_is_an_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_run_with_overrides(self, capsys):
-        assert main(["fig3", "instances=10"]) == 0
+        assert main(["run", "fig3", "instances=10"]) == 0
         out = capsys.readouterr().out
         assert "10 instances" in out
 
     def test_run_fig7(self, capsys):
-        assert main(["fig7", "scale=0.02", "num_pnodes=2"]) == 0
+        assert main(["run", "fig7", "scale=0.02", "num_pnodes=2"]) == 0
         out = capsys.readouterr().out
         assert "Figure 7" in out
         assert "wall]" in out
 
     def test_run_tbl_connect(self, capsys):
-        assert main(["tblA", "cycles=50"]) == 0
+        assert main(["run", "tblA", "cycles=50"]) == 0
         assert "libc" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [["metrics"], ["trace", "quickstart"]])

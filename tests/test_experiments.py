@@ -20,6 +20,7 @@ from repro.experiments.fig6_rule_scaling import print_report as report6, run_fig
 from repro.experiments.fig7_topology import print_report as report7, run_fig7
 from repro.experiments.fig8_download_evolution import run_fig8
 from repro.experiments.fig10_scalability import run_fig10
+from repro.experiments.registry import resolve
 from repro.experiments.tbl_connect_overhead import (
     print_report as report_tbl,
     run_connect_overhead,
@@ -180,6 +181,14 @@ class TestRegistry:
 
     def test_get_experiment(self):
         entry = get_experiment("fig6")
-        assert callable(entry.run) and callable(entry.report)
+        assert resolve(entry.run) is run_fig6 and resolve(entry.report) is report6
         with pytest.raises(KeyError):
             get_experiment("fig99")
+
+    def test_every_name_resolves(self):
+        # The registry imports a module only when its entry runs, so a
+        # misspelt name would otherwise surface only at run time.
+        for entry in EXPERIMENTS.values():
+            for name in (entry.run, entry.report, entry.artifacts, entry.point):
+                if name is not None:
+                    assert callable(resolve(name)), (entry.id, name)

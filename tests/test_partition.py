@@ -437,12 +437,6 @@ class TestPartitionsCli:
         out = capsys.readouterr().out
         assert "partition cells" in out
 
-    def test_legacy_spelling_without_run_word(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["fig10_cells", "--partitions", "1", "scale=0.004"]) == 0
-        assert "partition cells" in capsys.readouterr().out
-
 
 class TestFig10IgnoresPartitions:
     """``fig10`` is one swarm: ``--partitions`` must not switch it to

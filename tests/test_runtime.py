@@ -8,9 +8,10 @@ import time
 
 import pytest
 
-from repro.__main__ import _sweep_point_runner, main
+from repro.__main__ import main
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.core import Experiment, ScenarioSpec
+from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS, RunRequest, RunResult, get_experiment
 from repro.net import Firewall, Ipfw
 from repro.net.addr import IPv4Address, IPv4Network
@@ -21,6 +22,7 @@ from repro.runtime import (
     ExecutionPlan,
     execute_plan,
     load_checkpoint,
+    registry_runner,
 )
 from repro.topology.presets import uniform_swarm
 from repro.units import MB
@@ -115,13 +117,8 @@ class TestRegistryProtocol:
         assert result.artifacts["instances"] == 10
         assert "Figure 3" in result.report
 
-    def test_legacy_shim_still_works(self):
-        entry = get_experiment("fig3")
-        legacy = entry.run(instances=10, seed=1)
-        assert "Figure 3" in entry.report(legacy)
-
     def test_seedless_run_function(self):
-        # make_execute must not inject seed= into run functions that
+        # The adapter must not inject seed= into run functions that
         # take none (e.g. the deterministic rule-lookup ablation).
         entry = get_experiment("abl-rule-lookup")
         result = entry.execute(
@@ -130,9 +127,15 @@ class TestRegistryProtocol:
         assert result.is_ok
         assert "hash-indexed" in result.report
 
+    def test_unknown_parameter_names_accepted_ones(self):
+        with pytest.raises(ExperimentError) as info:
+            get_experiment("fig6").execute(RunRequest.make("fig6", {"bogus": 1}))
+        message = str(info.value)
+        assert "bogus" in message and "pings_per_point" in message
+
     def test_fig6_point_entry(self):
         entry = get_experiment("fig6")
-        result = entry.point(
+        result = entry.point_runner(
             RunRequest.make("fig6", {"rule_count": 500, "pings_per_point": 1})
         )
         assert result.artifacts["rule_count"] == 500
@@ -201,9 +204,21 @@ class TestParallelDeterminism:
             grid={"rule_count": [0, 400]},
             base_params={"pings_per_point": 1},
         )
-        serial = execute_plan(plan, parallel=1, runner=_sweep_point_runner)
-        parallel = execute_plan(plan, parallel=2, runner=_sweep_point_runner)
+        serial = execute_plan(plan, parallel=1, runner=registry_runner)
+        parallel = execute_plan(plan, parallel=2, runner=registry_runner)
         assert serial.json() == parallel.json()
+
+    def test_default_runner_uses_point_functions(self):
+        # README's library example: fig6's grid key is rule_count, which
+        # only the per-point function takes, so the default runner must
+        # go through it.
+        plan = ExecutionPlan.build("fig6", grid={"rule_count": (0, 10000, 20000)},
+                                   base_params={"pings_per_point": 1}, replications=2)
+        outcome = execute_plan(plan, parallel=0, runner=registry_runner)
+        assert not outcome.failed and outcome.retried == 0
+        assert sorted(r.artifacts["rule_count"] for r in outcome.results) == [
+            0, 0, 10000, 10000, 20000, 20000,
+        ]
 
     def test_nondeterministic_doc_carries_runtime_metrics(self):
         outcome = execute_plan(PLAN, parallel=2, runner=square_runner)

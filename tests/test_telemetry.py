@@ -658,9 +658,8 @@ if telemetry_on:
     hub.start_watchdog(interval=0.1)
 
 if shape in ("inline", "parallel"):
-    from repro.__main__ import _sweep_point_runner
     from repro.analysis.export import sweep_json
-    from repro.runtime import ExecutionPlan, execute_plan
+    from repro.runtime import ExecutionPlan, execute_plan, registry_runner
 
     plan = ExecutionPlan.build(
         "fig6",
@@ -670,7 +669,7 @@ if shape in ("inline", "parallel"):
     outcome = execute_plan(
         plan,
         parallel=0 if shape == "inline" else 2,
-        runner=_sweep_point_runner,
+        runner=registry_runner,
         telemetry=hub,
         heartbeat_interval=0.05,
     )
