@@ -11,7 +11,7 @@ Examples::
 
     python -m repro list
     python -m repro run fig6
-    python -m repro run fig10_cells --partitions 4 scale=0.5
+    python -m repro run fig10_cells partitions=4 scale=0.5
     python -m repro run fig8 leechers=40 file_size=8388608
     python -m repro all
     python -m repro metrics
@@ -35,7 +35,7 @@ import dataclasses
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS, RunRequest, get_experiment
@@ -87,7 +87,7 @@ def _swarm_config(params: Dict[str, Any]) -> Optional[Any]:
 
 # ----------------------------------------------------------------------
 # Shared argument builders: every subcommand's parser is assembled from
-# these, so an execution knob (--partitions, --seed, ...) is defined
+# these, so an execution knob (--seed, --fluid, ...) is defined
 # once and spelled/behaves identically wherever it appears.
 # ----------------------------------------------------------------------
 def _add_overrides_arg(parser: argparse.ArgumentParser, what: str) -> None:
@@ -101,14 +101,6 @@ def _add_seed_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_partitions_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--partitions", type=int, default=None,
-        help="worker-process cap for partition-aware experiments "
-        "(repro.sim.partition; results are byte-identical for any value)",
-    )
-
-
 def _add_fluid_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fluid", action="store_true", default=None,
@@ -116,6 +108,25 @@ def _add_fluid_arg(parser: argparse.ArgumentParser) -> None:
         "instead of per-packet events; see repro.net.fluid) for "
         "experiments that accept the knob",
     )
+
+
+def _bounded(cast: Callable[[str], Any], low: float, strict: bool = False):
+    """argparse type: ``cast(value)``, at least ``low`` (above it when
+    ``strict``) — a malformed number is a usage error at parse time."""
+
+    def parse(value: str) -> Any:
+        try:
+            number = cast(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {value!r}"
+            ) from None
+        if not (number > low if strict else number >= low):
+            bound = f"> {low:g}" if strict else f">= {low:g}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return number
+
+    return parse
 
 
 def _listen_spec(value: str) -> str:
@@ -186,7 +197,6 @@ def run_one(
     experiment_id: str,
     overrides: Dict[str, Any],
     seed: int | None = None,
-    partitions: int | None = None,
     fluid: bool | None = None,
     telemetry_log: str | None = None,
     listen: str | None = None,
@@ -206,9 +216,7 @@ def run_one(
     elif seed is None:
         seed = 0
     print(f"== {entry.id}: {entry.title} ==")
-    request = RunRequest.make(
-        entry.id, overrides, seed=seed, partitions=partitions, fluid=fluid
-    )
+    request = RunRequest.make(entry.id, overrides, seed=seed, fluid=fluid)
     start = time.perf_counter()
     try:
         with _telemetry_session(telemetry_log, listen, pulse=True) as hub:
@@ -261,23 +269,22 @@ def run_sweep(argv: List[str]) -> int:
         help="key=value point params; comma-separated values sweep that key",
     )
     parser.add_argument(
-        "--parallel", type=int, default=1,
+        "--parallel", type=_bounded(int, 0), default=1,
         help="worker processes (0 = inline; default 1)",
     )
     _add_seed_arg(parser)
-    _add_partitions_arg(parser)
     _add_fluid_arg(parser)
     _add_telemetry_args(parser)
     parser.add_argument(
-        "--replications", type=int, default=1,
+        "--replications", type=_bounded(int, 1), default=1,
         help="replications per grid point (derived child seeds)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_bounded(float, 0, strict=True), default=None,
         help="per-point wall-clock timeout in seconds",
     )
     parser.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", type=_bounded(int, 1), default=3,
         help="attempts per point before it is recorded as failed",
     )
     parser.add_argument(
@@ -324,7 +331,6 @@ def run_sweep(argv: List[str]) -> int:
         base_params=base,
         replications=args.replications,
         base_seed=args.seed if args.seed is not None else 0,
-        partitions=args.partitions,
         fluid=args.fluid,
     )
     print(
@@ -641,7 +647,7 @@ def run_bench(argv: List[str]) -> int:
 # Subcommand handlers. Each builds its parser from the shared argument
 # builders above and funnels work through :class:`RunRequest`, so every
 # entry path (single run, ``all``, ``sweep``) carries execution knobs
-# like ``--partitions`` identically.
+# like ``--fluid`` identically.
 # ----------------------------------------------------------------------
 def _cmd_run(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
@@ -651,7 +657,6 @@ def _cmd_run(argv: List[str]) -> int:
     parser.add_argument("experiment", help="experiment id (see 'list')")
     _add_overrides_arg(parser, "parameter overrides passed to the run function")
     _add_seed_arg(parser)
-    _add_partitions_arg(parser)
     _add_fluid_arg(parser)
     _add_telemetry_args(parser)
     args = parser.parse_intermixed_args(argv)
@@ -659,7 +664,6 @@ def _cmd_run(argv: List[str]) -> int:
         args.experiment,
         _parse_overrides(args.overrides),
         seed=args.seed,
-        partitions=args.partitions,
         fluid=args.fluid,
         telemetry_log=args.telemetry,
         listen=args.listen,
@@ -673,7 +677,6 @@ def _cmd_all(argv: List[str]) -> int:
     )
     _add_overrides_arg(parser, "overrides applied to every experiment")
     _add_seed_arg(parser)
-    _add_partitions_arg(parser)
     _add_fluid_arg(parser)
     args = parser.parse_intermixed_args(argv)
     overrides = _parse_overrides(args.overrides)
@@ -683,7 +686,6 @@ def _cmd_all(argv: List[str]) -> int:
             experiment_id,
             dict(overrides),
             seed=args.seed,
-            partitions=args.partitions,
             fluid=args.fluid,
         )
         print()

@@ -59,18 +59,11 @@ class RunRequest:
     params: Tuple[Tuple[str, Any], ...] = ()
     seed: int = 0
     replication: int = 0
-    #: Worker-process cap for experiments that support the partitioned
-    #: kernel (:mod:`repro.sim.partition`); ``None`` = not requested.
-    #: A pure execution knob — results are byte-identical for every
-    #: value — so, like the sweep executor's ``parallel``, it is NOT
-    #: part of :attr:`key`: a checkpoint written at ``--partitions 2``
-    #: resumes cleanly under ``--partitions 4`` (or none).
-    partitions: Optional[int] = None
     #: Fluid-flow transfer model (:mod:`repro.net.fluid`); ``None`` =
-    #: not requested (the experiment's own default applies). Unlike
-    #: ``partitions`` this is a *model* knob — fluid runs produce
-    #: different (approximated) results — so a set value IS part of
-    #: :attr:`key`; unset requests keep their legacy keys.
+    #: not requested (the experiment's own default applies). A *model*
+    #: knob — fluid runs produce different (approximated) results — so
+    #: a set value is part of :attr:`key`; unset requests keep their
+    #: legacy keys.
     fluid: Optional[bool] = None
 
     @classmethod
@@ -80,7 +73,6 @@ class RunRequest:
         params: Optional[Mapping[str, Any]] = None,
         seed: int = 0,
         replication: int = 0,
-        partitions: Optional[int] = None,
         fluid: Optional[bool] = None,
     ) -> "RunRequest":
         return cls(
@@ -88,7 +80,6 @@ class RunRequest:
             params=_freeze_params(params or {}),
             seed=seed,
             replication=replication,
-            partitions=partitions,
             fluid=fluid,
         )
 
@@ -121,22 +112,18 @@ class RunRequest:
             "seed": self.seed,
             "replication": self.replication,
         }
-        if self.partitions is not None:
-            doc["partitions"] = self.partitions
         if self.fluid is not None:
             doc["fluid"] = self.fluid
         return doc
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunRequest":
-        partitions = doc.get("partitions")
         fluid = doc.get("fluid")
         return cls.make(
             doc["experiment_id"],
             doc.get("params") or {},
             seed=int(doc.get("seed", 0)),
             replication=int(doc.get("replication", 0)),
-            partitions=None if partitions is None else int(partitions),
             fluid=None if fluid is None else bool(fluid),
         )
 

@@ -15,14 +15,17 @@ event count (documented in DESIGN.md).
 
 ``fig10_cells`` (:func:`run_fig10_partitioned`) is a different
 experiment: the same client count split into independent sub-swarm
-cells that never exchange a packet, run by :mod:`repro.sim.partition`
-on worker processes. It is not the paper's single swarm.
+cells that never exchange a packet, each run as one point of an
+:class:`~repro.runtime.plan.ExecutionPlan` and merged by
+:func:`repro.sim.partition.merge_cells`. It is not the paper's single
+swarm.
 """
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.tables import Table
@@ -31,15 +34,19 @@ from repro.core.collector import completion_curve, progress_series
 from repro.core.report import sample_progress
 from repro.errors import ExperimentError
 from repro.experiments.api import RunRequest, RunResult
+from repro.net.packet import swap_id_stream
+from repro.obs import telemetry
 from repro.sim.config import SimConfig
-from repro.sim.partition import CellHandle, CellSpec, PartitionResult, run_partitioned
+from repro.sim.kernel import Simulator
+from repro.sim.partition import PartitionResult, merge_cells
+from repro.sim.rng import derive_seed
 from repro.units import KB, MB
 
 Series = List[Tuple[float, float]]
 
 #: Default cell count of the partitioned decomposition. Fixed by the
 #: experiment definition, NOT by ``partitions`` — the worker-process
-#: cap must never change what is computed (see repro.sim.partition).
+#: cap must never change what is computed.
 DEFAULT_CELLS = 4
 
 
@@ -123,66 +130,81 @@ def run_fig10(
     )
 
 
-# -- fig10_cells: independent sub-swarms (repro.sim.partition) ---------
+# -- fig10_cells: independent sub-swarms, one sweep point per cell -----
 
 
-def _build_fig10_cell(
-    handle: CellHandle,
-    leechers: int,
-    seeders: int,
-    file_size: int,
-    stagger: float,
-    stagger_offset: int,
-    num_pnodes: int,
-    prefix: str,
-) -> Dict[str, Any]:
-    """Build one independent sub-swarm on the cell's simulator.
+def _run_cell(request: RunRequest) -> RunResult:
+    """Build, run and finish one ``fig10_cells`` sub-swarm.
 
-    Each cell is a self-contained swarm (own tracker, own address
-    block, leechers occupying its slice of the global stagger slots);
-    cells never exchange traffic.
+    The cell is a self-contained swarm (own simulator, tracker and
+    address block, leechers occupying its slice of the global stagger
+    slots) that never exchanges traffic with another cell. It runs on
+    a fresh packet-id stream, so its output is a function of
+    ``request`` alone, whichever process runs it and whatever ran
+    there before.
     """
-    cfg = SwarmConfig(
-        leechers=leechers,
-        seeders=seeders,
-        file_size=file_size,
-        piece_length=256 * KB,
-        block_size=256 * KB,
-        stagger=stagger,
-        stagger_offset=stagger_offset,
-        num_pnodes=num_pnodes,
-        seed=handle.seed,
-        prefix=prefix,
-    )
-    swarm = Swarm(cfg, sim=handle.sim)
-    state: Dict[str, Any] = {"swarm": swarm, "done_at": {}}
-    target = len(swarm.leechers)
-
-    def on_complete(rec) -> None:
-        state["done_at"][rec.get("node")] = rec.time
-        if len(state["done_at"]) >= target:
-            handle.sim.stop()
-
-    swarm.sim.trace.subscribe("bt.complete", on_complete)
-    swarm.launch()
-    return state
-
-
-def _finish_fig10_cell(handle: CellHandle, state: Dict[str, Any]) -> Dict[str, Any]:
-    swarm = state["swarm"]
-    done_at = state["done_at"]
-    target = len(swarm.leechers)
-    if len(done_at) < target:
-        raise ExperimentError(
-            f"cell {handle.name!r} did not complete: {len(done_at)}/{target} "
-            f"leechers done by t={handle.sim.now:.0f}s"
+    p = request.kwargs
+    name = p["name"]
+    sim = Simulator(seed=request.seed, config=SimConfig(fluid=p["fluid"]))
+    # Wall-side progress probe, sampled by this process's heartbeat.
+    probe = telemetry.register_sim(sim, f"cell/{name}") if telemetry.active() else None
+    previous_ids = swap_id_stream(itertools.count(1))
+    try:
+        started = time.process_time()
+        swarm = Swarm(
+            SwarmConfig(
+                leechers=p["leechers"],
+                seeders=4,
+                file_size=p["file_size"],
+                piece_length=256 * KB,
+                block_size=256 * KB,
+                stagger=p["stagger"],
+                stagger_offset=p["stagger_offset"],
+                num_pnodes=p["pnodes"],
+                seed=request.seed,
+                prefix=p["prefix"],
+            ),
+            sim=sim,
         )
-    return {
-        "completion_times": sorted(done_at.values()),
-        "progress": progress_series(swarm.sim.trace),
-        "clients": target,
-        "pnodes": swarm.config.num_pnodes,
-    }
+        done_at: Dict[str, float] = {}
+        target = len(swarm.leechers)
+
+        def on_complete(rec) -> None:
+            done_at[rec.get("node")] = rec.time
+            if len(done_at) >= target:
+                sim.stop()
+
+        sim.trace.subscribe("bt.complete", on_complete)
+        swarm.launch()
+        sim.run(p["until"])
+        busy_seconds = time.process_time() - started
+        if len(done_at) < target:
+            raise ExperimentError(
+                f"cell {name!r} did not complete: {len(done_at)}/{target} "
+                f"leechers done by t={sim.now:.0f}s"
+            )
+        payload = {
+            "name": name,
+            "now": sim.now,
+            "events_processed": sim.events_processed,
+            "metrics": sim.metrics.snapshot(),
+            "trace": [
+                [rec.time, rec.category, [list(kv) for kv in rec.fields]]
+                for rec in sim.trace.select()
+            ],
+            "artifacts": {
+                "completion_times": sorted(done_at.values()),
+                "progress": progress_series(sim.trace),
+                "clients": target,
+                "pnodes": p["pnodes"],
+            },
+            "busy_seconds": busy_seconds,
+        }
+    finally:
+        swap_id_stream(previous_ids)
+        if probe is not None:
+            telemetry.unregister_probe(probe)
+    return RunResult.ok(request, artifacts=payload)
 
 
 def _leecher_split(leechers: int, cells: int) -> List[int]:
@@ -207,46 +229,64 @@ def run_fig10_partitioned(
     ``cells`` independent sub-swarms, each with its own tracker and
     address block, on up to ``partitions`` worker processes.
 
+    Each cell is one point of an :class:`~repro.runtime.plan.
+    ExecutionPlan` run by :func:`~repro.runtime.executor.execute_plan`
+    with one attempt (a failed cell raises :class:`ExperimentError`
+    once every cell has finished); ``partitions=1`` runs them inline.
     Returns the figure result plus the merged :class:`PartitionResult`
-    (metrics/trace/flights — the byte-identity comparison surface of
-    the A/B tests). The result depends on the cell count — part of the
+    (metrics/trace — the byte-identity comparison surface of the A/B
+    tests). The result depends on the cell count — part of the
     experiment definition — but **not** on ``partitions``:
     ``partitions=1`` and ``partitions=8`` are byte-identical.
     """
+    import multiprocessing
+
+    from repro.runtime import ExecutionPlan, execute_plan
+
     leechers = max(10, round(5754 * scale))
     num_cells = DEFAULT_CELLS if cells is None else cells
     if num_cells < 1:
         raise ExperimentError(f"cells must be >= 1, got {num_cells}")
+    if not isinstance(partitions, int) or partitions < 1:
+        raise ExperimentError(f"partitions must be an integer >= 1, got {partitions!r}")
     num_cells = min(num_cells, leechers)  # every cell needs a leecher
-    splits = _leecher_split(leechers, num_cells)
-    specs: List[CellSpec] = []
+    points: List[RunRequest] = []
     offset = 0
-    pnodes_per_cell: List[int] = []
-    for i, count in enumerate(splits):
-        pnodes = max(1, -(-(count + 5) // 32))  # 32 vnodes/pnode per cell
-        pnodes_per_cell.append(pnodes)
-        specs.append(
-            CellSpec(
-                name=f"swarm{i}",
-                build=partial(
-                    _build_fig10_cell,
-                    leechers=count,
-                    seeders=4,
-                    file_size=file_size,
-                    stagger=stagger,
-                    stagger_offset=offset,
-                    num_pnodes=pnodes,
-                    prefix=f"10.{i}.0.0/16",
-                ),
-                finish=_finish_fig10_cell,
-            )
+    for i, count in enumerate(_leecher_split(leechers, num_cells)):
+        name = f"swarm{i}"
+        params = {
+            "name": name,
+            "leechers": count,
+            "stagger_offset": offset,
+            "pnodes": max(1, -(-(count + 5) // 32)),  # 32 vnodes/pnode per cell
+            "prefix": f"10.{i}.0.0/16",
+            "file_size": file_size,
+            "stagger": stagger,
+            "until": max_time,
+            "fluid": fluid,
+        }
+        points.append(
+            RunRequest.make("fig10_cells", params, seed=derive_seed(seed, f"cell/{name}"))
         )
         offset += count
-    merged = run_partitioned(
-        specs,
-        until=max_time,
+    # A daemonic process (a sweep worker running this point) cannot
+    # start workers of its own: its cells run inline.
+    workers = 1 if multiprocessing.current_process().daemon else min(partitions, num_cells)
+    outcome = execute_plan(
+        ExecutionPlan("fig10_cells", tuple(points), base_seed=seed),
+        parallel=0 if workers == 1 else workers,
+        runner=_run_cell,
+        max_attempts=1,
+    )
+    if outcome.failed:
+        failed = outcome.failed[0]
+        raise ExperimentError(f"{failed.request.kwargs['name']}: {failed.error}")
+    merged = merge_cells(
+        [result.artifacts for result in outcome.results],
         seed=seed,
-        config=SimConfig(partitions=partitions, fluid=fluid),
+        until=max_time,
+        partitions=partitions,
+        workers=workers,
     )
 
     all_times = sorted(
@@ -269,7 +309,7 @@ def run_fig10_partitioned(
         for i, (node, series) in enumerate(ordered, start=1)
         if i % every == 0
     }
-    total_pnodes = sum(pnodes_per_cell)
+    total_pnodes = sum(cell["artifacts"]["pnodes"] for cell in merged.per_cell.values())
     total_vnodes = leechers + num_cells * 5  # +4 seeders +1 tracker per cell
     result = Fig10Result(
         clients=leechers,
@@ -336,12 +376,11 @@ def run_fig10_cells(**kwargs: Any) -> Fig10Result:
 run_fig10_cells.__wrapped__ = run_fig10_partitioned
 
 
-def _point(run_fn, request: RunRequest, **knobs: Any) -> RunResult:
+def _point(run_fn, request: RunRequest) -> RunResult:
     """One sweep point at a single ``scale`` (fraction of the paper's
     5754 clients); the aggregate shows how the completion ramp evolves
     with swarm size."""
-    if request.fluid is not None:
-        knobs["fluid"] = request.fluid
+    knobs = {} if request.fluid is None else {"fluid": request.fluid}
     kwargs = {"scale": 0.01, "seed": request.seed, **knobs, **request.kwargs}
     result = run_fn(**kwargs)
     return RunResult.ok(
@@ -357,13 +396,11 @@ def _point(run_fn, request: RunRequest, **knobs: Any) -> RunResult:
 
 
 def run_point(request: RunRequest) -> RunResult:
-    """One ``fig10`` sweep point (one swarm; ``request.partitions`` is
-    ignored like on every unpartitioned experiment)."""
+    """One ``fig10`` sweep point (one swarm)."""
     return _point(run_fig10, request)
 
 
 def run_cells_point(request: RunRequest) -> RunResult:
-    """One ``fig10_cells`` sweep point: ``request.partitions`` caps the
-    worker processes."""
-    knobs = {} if request.partitions is None else {"partitions": request.partitions}
-    return _point(run_fig10_cells, request, **knobs)
+    """One ``fig10_cells`` sweep point (a ``partitions=`` parameter
+    caps the worker processes of its cells)."""
+    return _point(run_fig10_cells, request)

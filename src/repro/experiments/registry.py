@@ -77,10 +77,9 @@ class ExperimentEntry:
     def execute(self, request: RunRequest) -> RunResult:
         """Run the whole experiment for ``request``.
 
-        The request's ``seed``, ``fluid`` and ``partitions`` are passed
-        to ``run`` when its signature takes them (a ``**kwargs``
-        function takes everything); ``fluid`` and ``partitions`` only
-        when set. An explicit parameter of the same name wins. A
+        The request's ``seed`` and ``fluid`` are passed to ``run`` when
+        its signature takes them (a ``**kwargs`` function takes
+        everything); ``fluid`` only when set. An explicit parameter of the same name wins. A
         parameter ``run`` does not take is an :class:`ExperimentError`.
         """
         run = resolve(self.run)
@@ -93,8 +92,7 @@ class ExperimentEntry:
                 f"{self.id} takes no parameter {', '.join(unknown)} "
                 f"(accepted: {', '.join(params)})"
             )
-        knobs = {"seed": request.seed, "fluid": request.fluid,
-                 "partitions": request.partitions}
+        knobs = {"seed": request.seed, "fluid": request.fluid}
         for name, knob in knobs.items():
             if knob is not None and (var_kw or name in params):
                 kwargs.setdefault(name, knob)

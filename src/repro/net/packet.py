@@ -33,12 +33,12 @@ def swap_id_stream(stream: "itertools.count") -> "itertools.count":
     """Install ``stream`` as the packet-id source; return the old one.
 
     The packet-id counter is the one piece of process-global state the
-    network layer owns. The partition driver
-    (:mod:`repro.sim.partition`) gives every cell its *own* id stream —
-    swapped in around each build/run/finish slice — so a cell's
-    flight and trace output is a function of the cell alone, not of
-    which other cells happen to share the worker process. Single-cell
-    code never needs this.
+    network layer owns. A ``fig10_cells`` cell
+    (:func:`repro.experiments.fig10_scalability.run_fig10_partitioned`)
+    runs on a fresh id stream swapped in around the whole cell, so its
+    trace output is a function of the cell alone, not of which cells
+    ran in the same process before it. Single-swarm code never needs
+    this.
     """
     global _packet_ids
     prev = _packet_ids

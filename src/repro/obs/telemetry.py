@@ -4,9 +4,9 @@ Every other surface in :mod:`repro.obs` materializes after a run ends
 (metrics snapshots, flight records, Chrome traces, time series). A
 multi-minute distributed sweep is a black box while it executes. This
 module is the in-flight complement: a **wall-clock-only** event stream
-carried from :class:`~repro.runtime.executor.SweepExecutor` workers and
-:class:`~repro.runtime.executor.CommandWorker` partition cells back to
-the parent over the same duplex pipes that already carry results, where
+carried from :class:`~repro.runtime.executor.SweepExecutor` workers
+(sweep points and ``fig10_cells`` cells) back to the parent over the
+same pipes that already carry results, where
 a :class:`TelemetryHub` folds it into run-level health, appends it to a
 ``telemetry.jsonl`` flight log, and serves it live (``python -m repro
 watch``, or an opt-in stdlib HTTP endpoint with Prometheus exposition).
@@ -162,8 +162,9 @@ def pipe_emitter(conn, lock: threading.Lock, source: str,
 # -- ambient emitter ----------------------------------------------------
 # The process-wide emitter. Installed by whoever owns the transport
 # (the CLI parent, the inline executor, a CommandWorker child); read
-# by layers that cannot be reached through an argument (the partition
-# driver deep inside an experiment's run function). Telemetry is OFF
+# by layers that cannot be reached through an argument (a cell runner
+# deep inside an experiment's run function, or the executor relaying
+# its workers' events when it has no hub). Telemetry is OFF
 # unless someone installed an emitter, so the default cost is one
 # attribute read at the few seams that check.
 _ambient: Any = NULL_EMITTER
@@ -375,7 +376,8 @@ class TelemetryHub:
     """Aggregates per-worker event streams into run-level health.
 
     Thread-safe: :meth:`ingest` is called from the executor's
-    scheduling loop, the partition driver, HTTP handler threads and
+    scheduling loop (directly, or through an emitter relaying a nested
+    plan's workers), HTTP handler threads and
     the optional watchdog thread. Every ingested event is appended to
     the ``telemetry.jsonl`` flight log (when ``path`` is set) before
     it updates the health state, so the log is a complete replayable

@@ -37,7 +37,6 @@ from repro.runtime.executor import (
     CommandWorker,
     SweepExecutor,
     execute_plan,
-    receive_all,
     registry_runner,
 )
 from repro.runtime.plan import ExecutionPlan
@@ -54,6 +53,5 @@ __all__ = [
     "execute_plan",
     "load_checkpoint",
     "load_checkpoint_events",
-    "receive_all",
     "registry_runner",
 ]

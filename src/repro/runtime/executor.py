@@ -1,18 +1,16 @@
 """Parallel, fault-tolerant execution of an :class:`ExecutionPlan`.
 
-Everything this package runs in another process — one sweep point per
-process, or a partition worker building, running and finishing its
-block of cells — goes through one seam:
+Everything this package runs in another process is one call in one
+:class:`CommandWorker` — a sweep point, or a ``fig10_cells`` cell
+(which is a sweep point of its own plan) — and goes through one seam:
 
 * **one child entry point** (:func:`_child_main`): build a handler,
-  serve ``(command, payload)`` requests until ``("close", None)``,
-  ship any exception back with its traceback;
+  call it once, send the result or the exception with its traceback,
+  exit;
 * **one parent-side pump** (:func:`_pump`): multiplex any set of
   :class:`CommandWorker` pipes, fold interleaved telemetry into its
   sink, turn EOF or a shipped error into the one
-  :class:`WorkerCrashed` report, hand back replies.
-  :meth:`CommandWorker.receive`, :func:`receive_all` and the sweep
-  scheduler are all built on it;
+  :class:`WorkerCrashed` report, hand back replies;
 * **one retry ladder** (:meth:`SweepExecutor._settle`) shared by
   ``parallel=0`` (points run inline in the calling process — no
   isolation, but convenient under a debugger) and ``parallel>=1``.
@@ -40,10 +38,14 @@ the pickling path. The engine instruments itself through
 :mod:`repro.obs` metrics (``runtime.points_*``,
 ``runtime.workers_active``).
 
-Live telemetry: pass a :class:`~repro.obs.telemetry.TelemetryHub` and
-workers interleave wall-clock-only ``("telemetry", event)`` messages
-(heartbeats, per-point lifecycle) with their replies on the same
-pipes; the pump folds them into the hub as they arrive. The per-point
+Live telemetry: workers interleave wall-clock-only ``("telemetry",
+event)`` messages (heartbeats, per-point lifecycle) with their reply
+on the same pipe, and the pump hands them to a
+:class:`~repro.obs.telemetry.TelemetryHub` when one is passed — else
+to the process's ambient emitter when that is enabled, so a plan run
+inside a run that is itself streaming (``run fig10_cells partitions=2
+--telemetry``) relays its workers' heartbeats upward. Inline points
+likewise stream through the hub or the ambient emitter. The per-point
 ``started/finished/retried/crashed/failed`` records are also appended
 to the checkpoint JSONL (telemetry or not), which is how a
 ``--resume`` run reports what previously failed. None of this touches
@@ -80,7 +82,7 @@ from repro.runtime.plan import ExecutionPlan
 ATTEMPT_ENV = "REPRO_RUNTIME_ATTEMPT"
 
 #: How long the parent waits for a child that should already be gone
-#: (exit code after EOF, exit after ``close``) before killing it.
+#: (its exit code after EOF, its EOF in ``close``) before killing it.
 _REAP_SECONDS = 5.0
 
 Runner = Callable[[RunRequest], RunResult]
@@ -110,18 +112,17 @@ def _child_main(
 ) -> None:
     """Child-process entry point of every :class:`CommandWorker`.
 
-    Builds the handler once, then answers each ``(command, payload)``
-    with ``("ok", handler(command, payload))`` until ``("close",
-    None)``. Any exception — in the factory or in a handler call — is
-    shipped as ``("error", {"error", "traceback"})`` and ends the
-    child; a child that dies without a word is the parent's EOF.
+    Builds the handler, calls it once and sends ``("ok", result)``.
+    Any exception — in the factory or in the call — is sent as
+    ``("error", {"error", "traceback"})`` instead; a child that dies
+    without a word is the parent's EOF.
 
     With a ``source`` the child streams telemetry: a pipe emitter is
     installed as the process-ambient emitter *before* the factory runs
     (so the factory can register progress probes, or relabel the
     stream as :func:`_point_handler` does) and a heartbeat thread
-    starts after it. Both share ``conn`` with the replies, serialized
-    by a lock so a heartbeat can never tear a reply.
+    starts after it. Both share ``conn`` with the reply, serialized by
+    a lock so a heartbeat can never tear it.
     """
     send_lock = threading.Lock()
 
@@ -144,11 +145,7 @@ def _child_main(
             heartbeat = obs_telemetry.Heartbeat(
                 obs_telemetry.get_emitter(), interval=heartbeat_interval
             ).start()
-        while True:
-            command, payload = conn.recv()
-            if command == "close":
-                break
-            send(("ok", handler(command, payload)))
+        send(("ok", handler()))
     except BaseException as exc:  # noqa: BLE001 — must never escape silently
         try:
             send(
@@ -183,23 +180,18 @@ class WorkerCrashed(RuntimeError):
 
 
 class CommandWorker:
-    """A worker process serving ``(command, payload)`` calls.
+    """A worker process that makes one call and exits.
 
-    ``handler_factory(init_payload)`` runs once in the child and
-    returns a ``handler(command, payload)`` callable; :meth:`request`
-    round-trips one command. A partition worker
-    (:mod:`repro.sim.partition`) *retains state* (its cells'
-    simulators) between short synchronous calls; a sweep point is the
-    one-shot case (one ``run`` command, then :meth:`close`). A child
-    that raises — building its handler or serving a call — ships the
-    traceback back: the next :meth:`receive` raises
-    :class:`WorkerCrashed`, as does every later call.
+    ``handler_factory(init_payload)`` runs in the child and returns a
+    zero-argument ``handler``; the child calls it once and sends the
+    result back. The parent reads the reply with :func:`_pump`, which
+    returns a :class:`WorkerCrashed` instead when the child raised or
+    died without a word.
 
     With ``telemetry=True`` the child streams heartbeat events
     (``source`` = ``name``) on the same pipe; the pump hands each one
     to ``on_telemetry`` (a hub's ``ingest``, or the ambient emitter's
-    ``forward`` to relay cell events up to whatever hub owns this
-    process) without disturbing the request/response protocol.
+    ``forward``).
     """
 
     def __init__(
@@ -218,7 +210,7 @@ class CommandWorker:
             )
         ctx = multiprocessing.get_context(mp_context)
         self.name = name
-        self._conn, child_conn = ctx.Pipe(duplex=True)
+        self._conn, child_conn = ctx.Pipe(duplex=False)
         self._on_telemetry = on_telemetry
         self._process = ctx.Process(
             target=_child_main,
@@ -236,28 +228,6 @@ class CommandWorker:
         child_conn.close()
         self._dead = False
 
-    def send(self, command: str, payload=None) -> None:
-        """Dispatch a command without waiting (pair with :meth:`receive`).
-
-        The split form lets a coordinator fan a command out to every
-        worker before collecting any reply — the partition driver
-        would otherwise serialize its workers."""
-        if self._dead:
-            raise WorkerCrashed(self.name, "no longer running")
-        try:
-            self._conn.send((command, payload))
-        except OSError:
-            pass  # the child is gone; receive() reports why
-
-    def receive(self):
-        """Block for the reply to the oldest un-received :meth:`send`."""
-        return receive_all([self])[0]
-
-    def request(self, command: str, payload=None):
-        """Send one command and block for its reply."""
-        self.send(command, payload)
-        return self.receive()
-
     def kill(self) -> None:
         """Kill the child without asking (a point past its deadline)."""
         self._dead = True
@@ -265,21 +235,19 @@ class CommandWorker:
         self.close()
 
     def close(self) -> None:
-        """Shut the child down (idempotent)."""
-        if not self._dead:
-            try:
-                self._conn.send(("close", None))
-            except OSError:
-                pass
-            # Read on to the child's EOF so its last heartbeat (sent
-            # while it stops) still reaches the sink.
-            give_up = time.monotonic() + _REAP_SECONDS
-            while not self._dead and time.monotonic() < give_up:
-                _pump([self], give_up - time.monotonic())
-            self._dead = True
+        """Reap the child (idempotent).
+
+        Reads on to the child's EOF, so its last heartbeat (sent while
+        it stops) still reaches the sink; a child still running
+        :data:`_REAP_SECONDS` later is killed.
+        """
+        give_up = time.monotonic() + _REAP_SECONDS
+        while not self._dead and time.monotonic() < give_up:
+            _pump([self], give_up - time.monotonic())
+        self._dead = True
         self._conn.close()
         self._process.join(timeout=_REAP_SECONDS)
-        if self._process.is_alive():  # pragma: no cover - defensive
+        if self._process.is_alive():
             self._process.kill()
             self._process.join(timeout=_REAP_SECONDS)
 
@@ -325,25 +293,6 @@ def _pump(
     return replies
 
 
-def receive_all(workers: List[CommandWorker]) -> List[Any]:
-    """Collect one reply from every worker, processing messages in
-    *arrival* order across all their pipes.
-
-    The sequential alternative (``[w.receive() for w in workers]``)
-    blocks on worker 0's reply while workers 1..N's telemetry queues
-    unseen — a long cell run would go dark. Replies are returned
-    in worker order; the first crash or shipped error is raised as
-    :class:`WorkerCrashed`.
-    """
-    replies: Dict[CommandWorker, Any] = {}
-    while len(replies) < len(workers):
-        for worker, reply in _pump([w for w in workers if w not in replies]):
-            if isinstance(reply, WorkerCrashed):
-                raise reply
-            replies[worker] = reply
-    return [replies[worker] for worker in workers]
-
-
 def _run_attempt(runner: Runner, request: RunRequest, attempt: int) -> RunResult:
     """One try at one point, in whichever process runs it."""
     os.environ[ATTEMPT_ENV] = str(attempt)
@@ -352,7 +301,7 @@ def _run_attempt(runner: Runner, request: RunRequest, attempt: int) -> RunResult
 
 def _point_handler(payload):
     """:class:`CommandWorker` factory for one sweep-point attempt: the
-    handler answers the single ``run`` command with the result dict."""
+    handler runs it and returns the result dict."""
     runner, request, attempt = payload
     stream = obs_telemetry.get_emitter()
     if stream.enabled:
@@ -363,7 +312,7 @@ def _point_handler(payload):
                 stream.forward, f"sweep/pid{os.getpid()}", {"point": request.key}
             )
         )
-    return lambda _command, _payload: _run_attempt(runner, request, attempt).as_dict()
+    return lambda: _run_attempt(runner, request, attempt).as_dict()
 
 
 @dataclass
@@ -599,15 +548,15 @@ class SweepExecutor:
     # -- inline (parallel=0) -------------------------------------------
     @contextmanager
     def _inline_scope(self):
-        """Inline points run in *this* process: feed the hub directly
-        through the ambient emitter so partition drivers (and any other
-        deep layer) stream exactly as they would from a worker, and put
-        the caller's ``ATTEMPT_ENV`` back afterwards."""
+        """Inline points run in *this* process: they stream through the
+        ambient emitter — the hub's, when there is a hub, else whatever
+        this process already streams to — exactly as they would from a
+        worker; the caller's ``ATTEMPT_ENV`` is put back afterwards."""
         saved = os.environ.get(ATTEMPT_ENV)
         emitter = (
             self.telemetry.emitter("inline")
             if self.telemetry is not None
-            else obs_telemetry.NULL_EMITTER
+            else obs_telemetry.get_emitter()
         )
         try:
             with obs_telemetry.use_emitter(emitter):
@@ -626,19 +575,22 @@ class SweepExecutor:
 
     # -- process pool ---------------------------------------------------
     def _launch(self, book: _Book, item: _Attempt) -> None:
-        hub = self.telemetry
+        if self.telemetry is not None:
+            sink = self.telemetry.ingest
+        else:
+            ambient = obs_telemetry.get_emitter()
+            sink = ambient.forward if ambient.enabled else None
         worker = CommandWorker(
             _point_handler,
             (self.runner, item.request, item.number),
             mp_context=self.mp_context,
             name=f"repro-sweep-{item.request.replication}",
-            telemetry=hub is not None,
-            on_telemetry=hub.ingest if hub is not None else None,
+            telemetry=sink is not None,
+            on_telemetry=sink,
             heartbeat_interval=self.heartbeat_interval,
         )
         book.active[worker] = item
         self._m_workers.inc()
-        worker.send("run")
         if self.timeout is not None:
             item.deadline = time.monotonic() + self.timeout
 
@@ -708,7 +660,9 @@ def execute_plan(
     """Execute ``plan`` and return its :class:`SweepOutcome`.
 
     ``parallel`` is the worker-process count (``0`` = inline in this
-    process). ``telemetry`` streams live health into the given hub.
+    process). ``telemetry`` streams live health into the given hub
+    (without one, workers relay to the ambient emitter when it is
+    enabled).
     See :class:`SweepExecutor` for the remaining knobs.
     """
     return SweepExecutor(

@@ -71,16 +71,13 @@ class ExecutionPlan:
         replications: int = 1,
         base_seed: int = 0,
         seeds: Optional[Sequence[int]] = None,
-        partitions: Optional[int] = None,
         fluid: Optional[bool] = None,
     ) -> "ExecutionPlan":
         """Expand ``grid`` × ``replications`` into run requests.
 
-        ``partitions`` (a pure execution knob, excluded from point
-        keys) is stamped on every request so experiments that support
-        the partitioned kernel shard each point's run. ``fluid`` (a
-        model knob, part of each point's key when set) selects the
-        fluid-flow transfer model for experiments that accept it.
+        ``fluid`` (a model knob, part of each point's key when set)
+        selects the fluid-flow transfer model for experiments that
+        accept it.
 
         * ``grid`` maps parameter names to the values to sweep; the
           cross product is taken in sorted-key order (deterministic).
@@ -125,7 +122,6 @@ class ExecutionPlan:
                         params,
                         seed=seed,
                         replication=rep,
-                        partitions=partitions,
                         fluid=fluid,
                     )
                 )

@@ -6,8 +6,8 @@ and run loop (:mod:`repro.sim.kernel`), generator-based simulated
 processes (:mod:`repro.sim.process`), synchronisation primitives
 (:mod:`repro.sim.resources`), named seeded RNG streams
 (:mod:`repro.sim.rng`) and structured tracing (:mod:`repro.sim.trace`).
-The partition driver is imported from :mod:`repro.sim.partition`
-itself, so a plain run never loads ``multiprocessing``.
+The cell layout and merge of ``fig10_cells`` are imported from
+:mod:`repro.sim.partition` itself; a plain run never loads them.
 
 The kernel is intentionally small and allocation-light: the BitTorrent
 scalability experiments (Figures 10/11 of the paper) push millions of

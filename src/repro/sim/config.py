@@ -3,10 +3,8 @@
 :class:`~repro.sim.kernel.Simulator` accreted one keyword argument per
 feature (``flight=``, ``fluid=``). ``SimConfig`` absorbs that sprawl
 into one frozen dataclass so a simulator's behaviour is named by a
-single hashable value that can be stored in manifests, threaded through
-:class:`~repro.experiments.api.RunRequest`, and shipped to partition
-worker processes (:mod:`repro.sim.partition`) without re-encoding each
-knob.
+single hashable value that can be stored in manifests or sent to
+another process without re-encoding each knob.
 
 ``Simulator(config=SimConfig(...))`` is the only constructor surface.
 """
@@ -16,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict
-
-from repro.errors import SimulationError
 
 
 @dataclass(frozen=True)
@@ -29,11 +25,6 @@ class SimConfig:
     flight:
         Attach a :class:`~repro.obs.flight.FlightRecorder` (requires an
         observing simulator).
-    partitions:
-        Worker processes a partitioned run may use
-        (:mod:`repro.sim.partition`). ``1`` = a single worker; the
-        value is a *cap*, not a layout: the model's cell decomposition
-        is fixed independently, so results never depend on it.
     fluid:
         Attach a :class:`~repro.net.fluid.FlowScheduler` to the
         simulator: eligible long-lived bulk TCP transfers are modelled
@@ -42,14 +33,7 @@ class SimConfig:
     """
 
     flight: bool = False
-    partitions: int = 1
     fluid: bool = False
-
-    def __post_init__(self) -> None:
-        if self.partitions < 1:
-            raise SimulationError(
-                f"partitions must be >= 1, got {self.partitions!r}"
-            )
 
     def replace(self, **changes: Any) -> "SimConfig":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""

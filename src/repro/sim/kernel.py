@@ -45,7 +45,7 @@ class Simulator:
         ``False`` swaps every instrument for its shared NULL no-op.
     config:
         A :class:`~repro.sim.config.SimConfig` naming every behaviour
-        knob (flight recording, partitioning, fluid engine)
+        knob (flight recording, fluid engine)
         — the only configuration surface.
 
     Examples

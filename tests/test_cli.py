@@ -40,12 +40,38 @@ class TestMain:
             (["run", "fig6", "bogus=1"], "fig6 takes no parameter bogus (accepted: "),
             (["run", "fig3", "seed=x"], "bad seed"),
             (["run", "fig10_cells", "cells=0", "scale=0.004"], "cells must be >= 1"),
+            (["run", "fig10", "partitions=2"], "fig10 takes no parameter partitions"),
+            # A cell that misses max_time fails the run the same way
+            # whether the cells run inline or on worker processes.
+            (["run", "fig10_cells", "scale=0.004", "max_time=200"],
+             "cell 'swarm0' did not complete"),
+            (["run", "fig10_cells", "partitions=2", "scale=0.004", "max_time=200"],
+             "cell 'swarm0' did not complete"),
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, message, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--parallel", "-1", "must be >= 0"),
+            ("--max-attempts", "0", "must be >= 1"),
+            ("--replications", "0", "must be >= 1"),
+            ("--timeout", "0", "must be > 0"),
+            ("--timeout", "-1", "must be > 0"),
+        ],
+    )
+    def test_sweep_rejects_bad_numbers_at_parse_time(self, option, value, message, capsys):
+        argv = ["sweep", "fig6", f"{option}={value}", "rule_count=0", "pings_per_point=1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: {message}" in err
         assert "Traceback" not in err
 
     def test_run_with_overrides(self, capsys):

@@ -7,8 +7,8 @@ pipes) delivery times must equal the packet path bit-for-bit; where it
 must stay within the gated tolerance. Around those sit the seam
 contracts: a mid-transfer tap attach de-fluidizes onto the packet
 path, ``SimConfig(fluid=False)`` selects the packet path outright,
-and under the partitioned kernel the merged result is byte-identical
-for every worker count.
+and split into ``fig10_cells`` cells the merged result is
+byte-identical for every worker count.
 """
 
 import hashlib
@@ -26,7 +26,6 @@ from repro.net.socket_api import Socket
 from repro.net.stack import NetworkStack
 from repro.net.switch import Switch
 from repro.sim import SimConfig, Simulator
-from repro.sim.partition import CellSpec, run_partitioned
 from repro.sim.process import Process
 from repro.units import kbps
 
@@ -434,54 +433,25 @@ def test_fluid_false_is_reference_path():
 
 
 # ----------------------------------------------------------------------
-# Partitioned kernel
+# fig10_cells: cells as plan points
 # ----------------------------------------------------------------------
-def _build_fluid_swarm(handle):
-    from repro.bittorrent.swarm import Swarm, SwarmConfig
-
-    cfg = SwarmConfig(
-        leechers=1, seeders=1, file_size=256 * 1024, stagger=1.0,
-        num_pnodes=1, seed=handle.seed,
-    )
-    swarm = Swarm(cfg, sim=handle.sim)
-    swarm.launch()
-    return swarm
-
-
-def _finish_fluid_swarm(handle, swarm):
-    fluid = handle.sim.fluid
-    return {
-        "completions": swarm.completion_times(),
-        "fluid_segments": (
-            handle.sim.metrics.get("net.fluid.segments").value
-            if fluid is not None
-            else 0
-        ),
-    }
-
-
 def test_fluid_partitions_byte_identical():
     """``partitions`` stays a pure execution knob with the engine on:
     per-cell FlowSchedulers are cell-local, so the merged document is
     byte-identical across worker counts."""
-    specs = [
-        CellSpec(f"c{i}", _build_fluid_swarm, _finish_fluid_swarm)
-        for i in range(2)
-    ]
+    from repro.experiments.fig10_scalability import run_fig10_partitioned
+
     docs = []
     for partitions in (1, 2):
-        merged = run_partitioned(
-            specs,
-            until=5000.0,
-            config=SimConfig(partitions=partitions, fluid=True),
+        _result, merged = run_fig10_partitioned(
+            scale=0.004, seed=7, partitions=partitions, fluid=True
         )
-        doc = merged.as_dict()
-        # The engine must actually have engaged inside the cells.
+        # The engine must actually have engaged inside every cell.
         assert all(
-            r["artifacts"]["fluid_segments"] > 0
-            for r in merged.per_cell.values()
+            cell["metrics"]["net.fluid.segments"]["value"] > 0
+            for cell in merged.per_cell.values()
         ), merged.per_cell
-        docs.append(json.dumps(doc, sort_keys=True))
+        docs.append(json.dumps(merged.as_dict(), sort_keys=True))
     assert docs[0] == docs[1]
 
 

@@ -1,11 +1,13 @@
-"""Tests for the partitioned kernel (:mod:`repro.sim.partition`),
-the :class:`SimConfig` surface and the :class:`CommandWorker` runner.
+"""Tests for ``fig10_cells`` as a plan of cell points
+(:func:`run_fig10_partitioned`), the layout and merge left in
+:mod:`repro.sim.partition`, the :class:`SimConfig` surface and the
+one-shot :class:`CommandWorker`.
 
-The load-bearing property everywhere: ``partitions=N`` is a pure
-execution knob. The cell decomposition is fixed by the model, so the
-merged result must be byte-identical for every worker count — including
-the degenerate ones (one worker, more workers than cells, an idle
-cell).
+The load-bearing property everywhere: ``partitions=N`` only decides
+how many processes run the cells. The cell decomposition is fixed by
+the experiment, so the merged result must be byte-identical for every
+worker count — including the degenerate ones (one worker, more workers
+than cells, a daemonic parent).
 """
 
 import dataclasses
@@ -14,99 +16,51 @@ import pathlib
 import subprocess
 import sys
 import warnings
-from functools import partial
 
 import pytest
 
 import repro
-from repro.errors import SimulationError
+from repro.errors import ExperimentError, SimulationError
+from repro.experiments.fig10_scalability import run_fig10_partitioned
+from repro.runtime import executor
 from repro.runtime.executor import CommandWorker, WorkerCrashed
 from repro.sim import SimConfig, Simulator
-from repro.sim.partition import (
-    CellSpec,
-    PartitionLayout,
-    merge_metric_snapshots,
-    run_partitioned,
-)
+from repro.sim.partition import PartitionLayout, merge_metric_snapshots
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
-
-# ----------------------------------------------------------------------
-# Module-level cell builders (spawn-picklable via functools.partial)
-# ----------------------------------------------------------------------
-def _build_counter(handle, events=3, spacing=1.0):
-    """An uncoupled cell: a few self-scheduled ticks, one metric."""
-    ticks = handle.sim.metrics.counter("cell.ticks")
-    state = {"times": []}
-
-    def tick():
-        state["times"].append(handle.sim.now)
-        ticks.inc()
-        if len(state["times"]) < events:
-            handle.sim.schedule(spacing, tick)
-
-    handle.sim.schedule(spacing, tick)
-    return state
+CELLS = ["swarm0", "swarm1", "swarm2", "swarm3"]
 
 
-def _build_idle(handle):
-    """A cell with zero events — the 'partition with zero vnodes' case."""
-    return None
+def _cells(partitions, **kwargs):
+    """A reduced-scale fig10_cells run (4 cells of 5-6 leechers)."""
+    return run_fig10_partitioned(scale=0.004, seed=7, partitions=partitions, **kwargs)
 
 
-def _build_mini_swarm(handle):
-    """A one-leecher BitTorrent swarm on the cell's simulator — real
-    net-layer traffic, so flight recording has hops to capture."""
-    from repro.bittorrent.swarm import Swarm, SwarmConfig
-
-    cfg = SwarmConfig(
-        leechers=1, seeders=1, file_size=256 * 1024, stagger=1.0,
-        num_pnodes=1, seed=handle.seed,
-    )
-    swarm = Swarm(cfg, sim=handle.sim)
-    handle.sim.trace.subscribe(
-        "bt.complete", lambda rec: handle.sim.stop()
-    )
-    swarm.launch()
-    return swarm
+def _doc(merged):
+    return json.dumps(merged.as_dict(), sort_keys=True)
 
 
-def _finish_mini_swarm(handle, swarm):
-    return {"completions": swarm.completion_times()}
+@pytest.fixture(scope="module")
+def inline_run():
+    return _cells(1)
 
 
-def _finish_state(handle, state):
-    return {"state": state, "end": handle.sim.now}
-
-
-def _daemonic_ab(conn):
-    """Run a partitions=2 workload from inside a daemonic process.
+def _daemonic_run(conn):
+    """Run a partitions=2 fig10_cells from inside a daemonic process.
 
     Regression for the sweep-executor nesting bug: a daemonic parent
-    cannot spawn CommandWorker children, so run_partitioned must
-    degrade to inline execution (byte-identical by contract) instead
-    of crashing with "daemonic processes are not allowed to have
-    children".
+    cannot start worker children, so the cells must run inline
+    (byte-identical by contract) instead of crashing with "daemonic
+    processes are not allowed to have children".
     """
     try:
-        specs = [
-            CellSpec(f"c{i}", partial(_build_counter, events=3 + i),
-                     _finish_state)
-            for i in range(3)
-        ]
-        conn.send(("ok", _ab_result(specs, 2)))
+        _result, merged = _cells(2)
+        conn.send(("ok", (merged.workers, _doc(merged))))
     except BaseException as exc:  # pragma: no cover - failure reporting
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
     finally:
         conn.close()
-
-
-def _ab_result(specs, partitions):
-    merged = run_partitioned(
-        specs, until=100.0, config=SimConfig(partitions=partitions)
-    )
-    return json.dumps(merged.as_dict(), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -115,23 +69,19 @@ def _ab_result(specs, partitions):
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
-        assert cfg.partitions == 1
         assert cfg.flight is False and cfg.fluid is False
-        assert len(dataclasses.fields(cfg)) == 3
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            SimConfig(partitions=0)
+        assert len(dataclasses.fields(cfg)) == 2
 
     def test_round_trip(self):
-        cfg = SimConfig(flight=True, partitions=4)
+        cfg = SimConfig(flight=True, fluid=True)
         assert SimConfig.from_dict(cfg.as_dict()) == cfg
-        assert SimConfig.from_dict({"partitions": 2, "junk": 1}).partitions == 2
+        # A document written when SimConfig still had ``partitions``.
+        assert SimConfig.from_dict({"partitions": 2, "fluid": True}) == SimConfig(fluid=True)
 
     def test_replace(self):
-        cfg = SimConfig().replace(partitions=3)
-        assert cfg.partitions == 3
-        assert SimConfig().partitions == 1  # frozen original untouched
+        cfg = SimConfig().replace(flight=True)
+        assert cfg.flight is True
+        assert SimConfig().flight is False  # frozen original untouched
 
     def test_simulator_takes_config(self):
         config = SimConfig(fluid=True)
@@ -167,122 +117,68 @@ class TestPartitionLayout:
 
 
 # ----------------------------------------------------------------------
-# Driver semantics
+# Cells as plan points
 # ----------------------------------------------------------------------
 class TestPartitionProtocol:
-    def test_idle_cell_is_harmless(self):
-        specs = [
-            CellSpec("busy", partial(_build_counter, events=3), _finish_state),
-            CellSpec("idle", _build_idle),
-        ]
-        for n in (1, 2):
-            merged = run_partitioned(
-                specs, until=50.0, config=SimConfig(partitions=n)
-            )
-            assert merged.per_cell["idle"]["events_processed"] == 0
-            assert merged.per_cell["busy"]["artifacts"]["state"]["times"] == [
-                1.0, 2.0, 3.0,
-            ]
-
     def test_partitions_above_cell_count_degrade(self):
-        specs = [
-            CellSpec(name, _build_counter, _finish_state) for name in ("A", "B")
-        ]
-        merged = run_partitioned(
-            specs, until=100.0, config=SimConfig(partitions=8)
-        )
+        _result, merged = _cells(8, cells=2)
         assert merged.partitions == 8
         assert merged.workers == 2  # one worker per cell, never more
+        assert merged.cells == ["swarm0", "swarm1"]
 
-    def test_uncoupled_cells_run_in_one_window(self):
-        specs = [
-            CellSpec(f"c{i}", partial(_build_counter, events=2), _finish_state)
-            for i in range(3)
-        ]
-        merged = run_partitioned(specs, until=50.0, config=SimConfig())
-        assert merged.layout() == {"cells": ["c0", "c1", "c2"]}
+    def test_partitions_below_one_rejected(self):
+        with pytest.raises(ExperimentError, match="partitions must be"):
+            _cells(0)
+
+    def test_uncoupled_cells_run_in_one_window(self, inline_run):
+        result, merged = inline_run
+        assert merged.layout() == {"cells": CELLS} == result.partition
+        assert merged.windows == 1
+        # Each cell stops at its own last completion.
         for name in merged.cells:
-            assert merged.per_cell[name]["artifacts"]["end"] == 50.0
-
-    def test_duplicate_cell_names_rejected(self):
-        specs = [
-            CellSpec("A", _build_idle),
-            CellSpec("A", _build_idle),
-        ]
-        with pytest.raises(SimulationError, match="duplicate"):
-            run_partitioned(specs, until=10.0)
+            cell = merged.per_cell[name]
+            assert cell["now"] == max(cell["artifacts"]["completion_times"])
 
     def test_nonpositive_until_rejected(self):
-        with pytest.raises(SimulationError, match="positive until"):
-            run_partitioned([CellSpec("A", _build_idle)], until=0.0)
+        with pytest.raises(ExperimentError, match="swarm0: .*did not complete"):
+            _cells(1, max_time=0.0)
 
 
 # ----------------------------------------------------------------------
 # Determinism across worker counts (in-process)
 # ----------------------------------------------------------------------
 class TestWorkerCountInvariance:
-    def test_uncoupled_byte_identical_1_2_3(self):
-        specs = [
-            CellSpec(f"c{i}",
-                     partial(_build_counter, events=3 + i, spacing=0.5 + i),
-                     _finish_state)
-            for i in range(4)
-        ]
-        docs = {n: _ab_result(specs, n) for n in (1, 2, 3)}
-        assert docs[1] == docs[2] == docs[3]
+    def test_uncoupled_byte_identical_1_2_3(self, inline_run):
+        expected = _doc(inline_run[1])
+        for partitions in (2, 3):
+            _result, merged = _cells(partitions)
+            assert merged.workers == partitions
+            assert _doc(merged) == expected
 
-    def test_flight_records_byte_identical_and_cell_tagged(self):
-        """Per-packet flights (hop-by-hop, the most granular stream the
-        platform records) merge cell-tagged and worker-count invariant."""
-        specs = [
-            CellSpec("s0", _build_mini_swarm, _finish_mini_swarm),
-            CellSpec("s1", _build_mini_swarm, _finish_mini_swarm),
-        ]
-        docs = {}
-        for n in (1, 2):
-            merged = run_partitioned(
-                specs, until=5000.0,
-                config=SimConfig(partitions=n, flight=True),
-            )
-            assert merged.flights, "flight recording produced nothing"
-            assert {f["cell"] for f in merged.flights} == {"s0", "s1"}
-            for name in ("s0", "s1"):
-                assert merged.per_cell[name]["artifacts"]["completions"]
-            docs[n] = json.dumps(merged.as_dict(), sort_keys=True)
-        assert docs[1] == docs[2]
-
-    def test_daemonic_parent_degrades_to_inline(self):
+    def test_daemonic_parent_degrades_to_inline(self, inline_run):
         """partitions=2 inside a daemonic process (the sweep-executor
         nesting case) must not crash and must match the inline result."""
         import multiprocessing
 
-        specs = [
-            CellSpec(f"c{i}", partial(_build_counter, events=3 + i),
-                     _finish_state)
-            for i in range(3)
-        ]
-        expected = _ab_result(specs, 1)
         recv, send = multiprocessing.Pipe(duplex=False)
         proc = multiprocessing.Process(
-            target=_daemonic_ab, args=(send,), daemon=True
+            target=_daemonic_run, args=(send,), daemon=True
         )
         proc.start()
         send.close()
         try:
-            assert recv.poll(60), "daemonic child produced no reply"
+            assert recv.poll(120), "daemonic child produced no reply"
             status, payload = recv.recv()
         finally:
             proc.join(10)
         assert status == "ok", payload
-        assert payload == expected
+        assert payload == (1, _doc(inline_run[1]))
 
-    def test_merged_metrics_sum_counters(self):
-        specs = [
-            CellSpec(f"c{i}", partial(_build_counter, events=2 + i))
-            for i in range(3)
-        ]
-        merged = run_partitioned(specs, until=50.0, config=SimConfig())
-        assert merged.metrics["cell.ticks"]["value"] == 2 + 3 + 4
+    def test_merged_metrics_sum_counters(self, inline_run):
+        result, merged = inline_run
+        name = "bt.swarm.completions"
+        per_cell = [merged.per_cell[c]["metrics"][name]["value"] for c in CELLS]
+        assert merged.metrics[name]["value"] == sum(per_cell) == result.clients
 
 
 # ----------------------------------------------------------------------
@@ -337,29 +233,38 @@ class TestMergeMetrics:
 # CommandWorker
 # ----------------------------------------------------------------------
 def _echo_factory(payload):
-    def handle(command, arg):
-        if command == "boom":
+    def handle():
+        if payload == "boom":
             raise ValueError("worker-side failure")
-        return (payload, command, arg)
+        return ("echo", payload)
 
     return handle
 
 
+def _reply(worker):
+    """Pump the worker's pipe until its one reply arrives."""
+    while True:
+        for _worker, reply in executor._pump([worker]):
+            return reply
+
+
 class TestCommandWorker:
     def test_request_round_trip(self):
-        worker = CommandWorker(_echo_factory, init_payload="init")
+        worker = CommandWorker(_echo_factory, init_payload=42)
         try:
-            assert worker.request("cmd", 42) == ("init", "cmd", 42)
+            assert _reply(worker) == ("echo", 42)
         finally:
             worker.close()
 
     def test_worker_exception_surfaces_with_traceback(self):
-        worker = CommandWorker(_echo_factory)
+        worker = CommandWorker(_echo_factory, init_payload="boom")
         try:
-            with pytest.raises(WorkerCrashed, match="worker-side failure"):
-                worker.request("boom", None)
+            reply = _reply(worker)
         finally:
             worker.close()
+        assert isinstance(reply, WorkerCrashed)
+        assert reply.error == "ValueError: worker-side failure"
+        assert "Traceback" in str(reply)
 
     def test_close_is_idempotent(self):
         worker = CommandWorker(_echo_factory)
@@ -433,31 +338,21 @@ class TestPartitionsCli:
     def test_run_partitions_flag(self, capsys):
         from repro.__main__ import main
 
-        assert main(["run", "fig10_cells", "--partitions", "2", "scale=0.004"]) == 0
+        assert main(["run", "fig10_cells", "partitions=2", "scale=0.004"]) == 0
         out = capsys.readouterr().out
         assert "partition cells" in out
 
 
 class TestFig10IgnoresPartitions:
-    """``fig10`` is one swarm: ``--partitions`` must not switch it to
-    the cell decomposition, whose checkpoint key it would share."""
-
-    @pytest.mark.parametrize("runner", ["execute", "point_runner"])
-    def test_partitions_do_not_change_fig10(self, runner):
-        from repro.experiments import RunRequest, get_experiment
-
-        execute = getattr(get_experiment("fig10"), runner)
-        plain = RunRequest.make("fig10", {"scale": 0.004}, seed=7)
-        split = RunRequest.make("fig10", {"scale": 0.004}, seed=7, partitions=1)
-        assert plain.key == split.key
-        assert execute(plain).artifacts == execute(split).artifacts
+    """``fig10`` is one swarm: it takes no ``partitions`` parameter
+    (``run fig10 partitions=2`` is an error line, see test_cli), and
+    the cell decomposition never shares its checkpoint key."""
 
     def test_cells_have_their_own_key(self):
         from repro.experiments import RunRequest, get_experiment
 
-        request = RunRequest.make("fig10_cells", {"scale": 0.004}, seed=7, partitions=2)
+        params = {"scale": 0.004, "partitions": 2}
+        request = RunRequest.make("fig10_cells", params, seed=7)
         assert request.key != RunRequest.make("fig10", {"scale": 0.004}, seed=7).key
         result = get_experiment("fig10_cells").point_runner(request)
-        assert result.artifacts["partition"] == {
-            "cells": ["swarm0", "swarm1", "swarm2", "swarm3"],
-        }
+        assert result.artifacts["partition"] == {"cells": CELLS}

@@ -3,18 +3,19 @@
 torn checkpoints, a worker that cannot start. Every case must end in a
 named error or a correct resume — never a hang, never a stray child."""
 
+import gc
 import json
 import multiprocessing
 import os
 import pathlib
 import signal
-import stat
 import time
-from functools import partial
+from multiprocessing.connection import Connection
 
 import pytest
 
-from repro.experiments import RunRequest, RunResult
+from repro.errors import ExperimentError
+from repro.experiments import RunRequest, RunResult, fig10_scalability
 from repro.obs import telemetry
 from repro.obs.telemetry import TelemetryHub
 from repro.runtime import (
@@ -25,8 +26,6 @@ from repro.runtime import (
 )
 from repro.runtime import executor
 from repro.runtime.executor import WorkerCrashed
-from repro.sim import SimConfig
-from repro.sim.partition import CellSpec, run_partitioned
 
 
 def _no_children_left():
@@ -60,49 +59,54 @@ def word_then_exit_runner(request: RunRequest) -> RunResult:
 
 
 def _half_close_factory(_payload):
-    def handle(_command, _arg):
-        # One telemetry tuple, then the command pipe (a socketpair:
-        # the only sockets this child holds) is closed while the
-        # process stays alive.
+    def handle():
+        # One telemetry tuple, then the write end of the reply pipe
+        # (the one write-only Connection in this child) is closed while
+        # the process stays alive.
         telemetry.get_emitter().emit("last_words")
-        for fd in range(3, 256):
-            try:
-                if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                    os.close(fd)
-            except OSError:
-                pass
+        for obj in gc.get_objects():
+            if isinstance(obj, Connection) and not obj.closed and not obj.readable:
+                os.close(obj.fileno())
         time.sleep(60.0)
 
     return handle
 
 
-def _build_ticks(handle, kill_at=None):
-    def tick():
-        if kill_at is not None and handle.sim.now >= kill_at:
-            os.kill(os.getpid(), signal.SIGKILL)
-        handle.sim.schedule(1.0, tick)
+def _reply(worker):
+    """Pump the worker's pipe until its one reply arrives."""
+    while True:
+        for _worker, reply in executor._pump([worker]):
+            return reply
 
-    handle.sim.schedule(1.0, tick)
-    return None
+
+class _Unpicklable(int):
+    """A point parameter that cannot cross to a ``spawn`` worker."""
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("cannot pickle this parameter")
 
 
 # ----------------------------------------------------------------------
 # Killed workers
 # ----------------------------------------------------------------------
 class TestKilledWorkers:
-    def test_partition_worker_sigkilled_mid_window(self):
-        specs = [
-            CellSpec("A", _build_ticks),
-            CellSpec("B", partial(_build_ticks, kill_at=5.0)),
-        ]
+    def test_partition_worker_sigkilled_mid_window(self, monkeypatch):
+        # Patched before the workers fork: cell swarm1 SIGKILLs its own
+        # worker at sim time 5 s, mid-run.
+        launch = fig10_scalability.Swarm.launch
+
+        def launch_then_kill(swarm):
+            launch(swarm)
+            if swarm.config.prefix == "10.1.0.0/16":
+                swarm.sim.schedule(5.0, os.kill, os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(fig10_scalability.Swarm, "launch", launch_then_kill)
         start = time.monotonic()
-        with pytest.raises(WorkerCrashed) as caught:
-            run_partitioned(specs, until=50.0, config=SimConfig(partitions=2))
-        assert time.monotonic() - start < 10.0
-        assert "repro-partition-1" in str(caught.value)
-        assert "exitcode -9" in str(caught.value)
-        assert caught.value.error == "worker crashed (exitcode -9)"
-        assert _no_children_left()  # the sibling was closed, not orphaned
+        with pytest.raises(ExperimentError) as caught:
+            fig10_scalability.run_fig10_partitioned(scale=0.004, seed=7, partitions=2)
+        assert time.monotonic() - start < 60.0
+        assert str(caught.value) == "swarm1: worker crashed (exitcode -9)"
+        assert _no_children_left()  # the siblings finished and were reaped
 
     def test_sweep_point_sigkilled_is_retried_and_aggregate_matches(self, tmp_path):
         plan = ExecutionPlan.build(
@@ -140,12 +144,11 @@ class TestPipeClosedWithoutReply:
         )
         start = time.monotonic()
         try:
-            with pytest.raises(WorkerCrashed, match="repro-half-closed: worker crashed"):
-                worker.request("go")
-            with pytest.raises(WorkerCrashed, match="no longer running"):
-                worker.send("again")
+            reply = _reply(worker)
         finally:
             worker.close()
+        assert isinstance(reply, WorkerCrashed)
+        assert str(reply).startswith("repro-half-closed: worker crashed")
         assert time.monotonic() - start < 10.0
         assert "last_words" in [e["kind"] for e in seen]
         assert _no_children_left()  # close() killed the survivor
@@ -170,18 +173,13 @@ class TestPipeClosedWithoutReply:
 # A worker that cannot start
 # ----------------------------------------------------------------------
 def test_failed_worker_start_leaves_no_sibling_behind():
-    """Worker 1's cell group cannot be pickled under spawn, so its
-    start raises; worker 0 (already running) must be closed."""
-    specs = [
-        CellSpec("A", _build_ticks),
-        CellSpec("B", lambda handle: None),
-    ]
+    """Point 2 cannot be pickled under spawn, so its worker's start
+    raises; point 1's worker (already running) must be killed."""
+    plan = ExecutionPlan.build("toy", grid={"x": [1, _Unpicklable(2)]})
     with pytest.raises(Exception, match="[Pp]ickle") as caught:
-        run_partitioned(
-            specs, until=5.0, config=SimConfig(partitions=2), mp_context="spawn"
-        )
-    # ``caught`` keeps the traceback, hence run_partitioned's frame and
-    # its workers, alive: only an explicit close can have ended them.
+        execute_plan(plan, parallel=2, runner=square_runner, mp_context="spawn")
+    # ``caught`` keeps the traceback, hence the executor's frame and
+    # its workers, alive: only an explicit kill can have ended them.
     assert _no_children_left()
     assert caught.traceback
 

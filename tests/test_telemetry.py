@@ -3,12 +3,12 @@
 Two properties carry all the weight:
 
 * **Determinism quarantine** — telemetry is wall-clock-only; every
-  deterministic output (sweep aggregates, partitioned-run documents)
+  deterministic output (sweep aggregates, ``fig10_cells`` documents)
   is byte-identical with telemetry on or off, under two different
   ``PYTHONHASHSEED`` values, across all four execution shapes
-  (inline, ``--parallel N``, ``--partitions N``, fluid).
+  (inline, ``--parallel N``, ``fig10_cells partitions=N``, fluid).
 * **Liveness** — heartbeats and lifecycle events actually flow out of
-  running workers and partition cells mid-run, the stall watchdog
+  running workers and ``fig10_cells`` cells mid-run, the stall watchdog
   names a wedged source before any timeout fires, and the checkpoint
   carries enough lifecycle history for ``--resume`` to report prior
   failures.
@@ -22,7 +22,6 @@ import subprocess
 import sys
 import time
 import urllib.request
-from functools import partial
 
 import pytest
 
@@ -49,9 +48,10 @@ from repro.runtime import (
     load_checkpoint,
     load_checkpoint_events,
 )
+from repro.runtime import executor
 from repro.runtime.checkpoint import CheckpointWriter
-from repro.sim import SimConfig, Simulator
-from repro.sim.partition import CellSpec, run_partitioned
+from repro.experiments.fig10_scalability import run_fig10_partitioned
+from repro.sim import Simulator
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
@@ -78,25 +78,23 @@ def slow_runner(request: RunRequest) -> RunResult:
     return double_runner(request)
 
 
-def _build_counter(handle, events=3, spacing=1.0):
-    ticks = handle.sim.metrics.counter("cell.ticks")
-    state = {"count": 0}
-
-    def tick():
-        state["count"] += 1
-        ticks.inc()
-        if state["count"] < events:
-            handle.sim.schedule(spacing, tick)
-
-    handle.sim.schedule(spacing, tick)
-    return state
-
-
-def _finish_counter(handle, state):
-    return {"count": state["count"]}
+def probing_runner(request: RunRequest) -> RunResult:
+    """Registers a probe while telemetry is live and sends one
+    heartbeat through the ambient emitter, as a cell runner does."""
+    if telemetry.active():
+        label = telemetry.register_probe(
+            "cell/toy",
+            lambda: {"label": "cell/toy", "sim_time": 1.0,
+                     "events": 1, "queue_depth": 0},
+        )
+        try:
+            Heartbeat(telemetry.get_emitter()).beat()
+        finally:
+            telemetry.unregister_probe(label)
+    return double_runner(request)
 
 
-def _wedged_factory(init_payload):
+def _wedged_factory(seconds):
     """CommandWorker factory whose probe never advances — the wedged
     fixture the stall watchdog must catch (also exercised by CI's
     runtime-smoke job)."""
@@ -106,9 +104,8 @@ def _wedged_factory(init_payload):
                  "events": 1, "queue_depth": 7},
     )
 
-    def handler(command, payload):
-        if command == "wedge":
-            time.sleep(float(payload))
+    def handler():
+        time.sleep(seconds)
         return "done"
 
     return handler
@@ -314,16 +311,19 @@ class TestWatchdog:
         hub.start_watchdog(interval=0.05)
         worker = CommandWorker(
             _wedged_factory,
+            1.2,
             name="repro-wedged",
             telemetry=True,
             on_telemetry=hub.ingest,
             heartbeat_interval=0.05,
         )
         try:
-            worker.send("wedge", 1.2)
-            # receive() drains the heartbeat stream while the handler
+            # The pump drains the heartbeat stream while the handler
             # sleeps; the watchdog thread flags the stall meanwhile.
-            assert worker.receive() == "done"
+            replies = []
+            while not replies:
+                replies = executor._pump([worker])
+            assert replies == [(worker, "done")]
         finally:
             worker.close()
             hub.close()
@@ -517,6 +517,27 @@ class TestExecutorTelemetry:
         # The ambient emitter was scoped to the run and restored after.
         assert telemetry.get_emitter() is NULL_EMITTER
 
+    def test_workers_relay_to_the_ambient_emitter_without_a_hub(self):
+        plan = ExecutionPlan.build(
+            "toy", grid={"x": [1, 2]}, base_params={"sleep": 0.3}
+        )
+        with TelemetryHub() as hub:
+            with telemetry.use_emitter(hub.emitter("main")):
+                outcome = execute_plan(plan, parallel=2, runner=slow_runner,
+                                       heartbeat_interval=0.05)
+        assert not outcome.failed
+        beating = {
+            source for source, doc in hub.workers.items()
+            if source.startswith("sweep/pid") and doc["beats"] >= 1
+        }
+        assert len(beating) == 2
+
+    def test_inline_points_keep_the_ambient_emitter_without_a_hub(self):
+        with TelemetryHub() as hub:
+            with telemetry.use_emitter(hub.emitter("main")):
+                execute_plan(PLAN, parallel=0, runner=probing_runner)
+        assert "cell/toy" in hub.workers["main"]["probes"]
+
     def test_retry_lifecycle_is_streamed(self):
         with TelemetryHub() as hub:
             outcome = execute_plan(
@@ -589,54 +610,49 @@ class TestExecutorTelemetry:
 # Partition integration: cell probes and worker heartbeats
 # ----------------------------------------------------------------------
 class TestPartitionTelemetry:
-    SPECS = [
-        CellSpec("A", partial(_build_counter, events=4), _finish_counter),
-        CellSpec("B", partial(_build_counter, events=4), _finish_counter),
-    ]
-
     def test_partition_workers_relay_heartbeats(self):
         with TelemetryHub() as hub:
             with telemetry.use_emitter(hub.emitter("main")):
-                merged = run_partitioned(
-                    self.SPECS, until=20.0,
-                    config=SimConfig(partitions=2),
+                _result, merged = run_fig10_partitioned(
+                    scale=0.004, seed=7, partitions=2
                 )
         assert merged.workers == 2
-        assert hub.workers["repro-partition-0"]["beats"] >= 1
-        assert hub.workers["repro-partition-1"]["beats"] >= 1
+        cells = {
+            source: doc for source, doc in hub.workers.items()
+            if source.startswith("sweep/pid")
+        }
+        assert len(cells) >= 2
+        assert all(doc["beats"] >= 1 for doc in cells.values())
+        # Each worker's stream is labelled with the cell point it ran.
+        names = {dict(json.loads(doc["point"])[1])["name"] for doc in cells.values()}
+        assert names <= set(merged.cells)
 
     def test_inline_cells_register_progress_probes(self):
-        # partitions=1 builds cells in this process; a concurrent pulse
-        # (as the CLI runs for single experiments) samples their
+        # partitions=1 runs the cells in this process; a concurrent
+        # pulse (as the CLI runs for single experiments) samples their
         # ``cell/<name>`` probes into the hub.
         for attempt in range(3):
             with TelemetryHub() as hub:
                 pulse = Heartbeat(hub.emitter("main"), interval=0.005).start()
                 try:
                     with telemetry.use_emitter(hub.emitter("main")):
-                        specs = [
-                            CellSpec("A", partial(_build_counter,
-                                                  events=60000,
-                                                  spacing=0.001),
-                                     _finish_counter),
-                        ]
-                        run_partitioned(specs, until=100.0,
-                                        config=SimConfig(partitions=1))
+                        run_fig10_partitioned(scale=0.004, seed=7, partitions=1)
                 finally:
                     pulse.stop()
             probes = hub.workers.get("main", {}).get("probes", {})
             # events_processed commits when run() returns; the sim
             # clock is the live mid-run progress signal.
-            if probes.get("cell/A", {}).get("sim_time", 0.0) > 0:
+            if probes.get("cell/swarm0", {}).get("sim_time", 0.0) > 0:
                 break
-        assert "cell/A" in probes
-        assert probes["cell/A"]["sim_time"] > 0
+        assert "cell/swarm0" in probes
+        assert probes["cell/swarm0"]["sim_time"] > 0
 
-    def test_no_telemetry_means_no_probe_registration(self):
-        telemetry.clear_probes()
-        run_partitioned(self.SPECS, until=20.0,
-                        config=SimConfig(partitions=1))
-        assert telemetry.sample_probes() == []
+    def test_no_telemetry_means_no_probe_registration(self, monkeypatch):
+        registered = []
+        monkeypatch.setattr(telemetry, "register_probe",
+                            lambda label, fn: registered.append(label))
+        run_fig10_partitioned(scale=0.004, seed=7, partitions=1)
+        assert [label for label in registered if label.startswith("cell/")] == []
 
 
 # ----------------------------------------------------------------------
@@ -674,47 +690,17 @@ if shape in ("inline", "parallel"):
         heartbeat_interval=0.05,
     )
     print(sweep_json(outcome, deterministic_only=True))
-else:
-    from repro.sim import SimConfig
-    from repro.sim.partition import CellSpec, run_partitioned
-
-    def build_ticks(handle):
-        ticks = handle.sim.metrics.counter("tick.count")
-
-        def tick():
-            ticks.inc()
-            if handle.sim.now < 80.0:
-                handle.sim.schedule(2.0, tick)
-        handle.sim.schedule(handle.index * 0.5, tick)
-        return None
-
-    def build_fluid(handle):
-        from repro.bittorrent.swarm import Swarm, SwarmConfig
-        cfg = SwarmConfig(leechers=1, seeders=1, file_size=256 * 1024,
-                          stagger=1.0, num_pnodes=1, seed=handle.seed)
-        swarm = Swarm(cfg, sim=handle.sim)
-        swarm.launch()
-        return swarm
-
-    def finish_fluid(handle, swarm):
-        return {"completions": swarm.completion_times()}
-
-    if shape == "partitions":
-        specs = [CellSpec("A", build_ticks), CellSpec("B", build_ticks)]
-        config = SimConfig(partitions=2)
-        until = 200.0
-    elif shape == "fluid":
-        specs = [CellSpec(f"c{i}", build_fluid, finish_fluid)
-                 for i in range(2)]
-        config = SimConfig(partitions=2, fluid=True)
-        until = 3000.0
-    else:
-        raise SystemExit(f"unknown shape {shape!r}")
+elif shape in ("partitions", "fluid"):
+    from repro.experiments.fig10_scalability import run_fig10_partitioned
 
     emitter = hub.emitter("main") if hub is not None else NULL_EMITTER
     with use_emitter(emitter):
-        merged = run_partitioned(specs, until=until, config=config)
+        _result, merged = run_fig10_partitioned(
+            scale=0.004, seed=7, partitions=2, fluid=shape == "fluid"
+        )
     print(json.dumps(merged.as_dict(), sort_keys=True))
+else:
+    raise SystemExit(f"unknown shape {shape!r}")
 
 if hub is not None:
     hub.close()
