@@ -9,8 +9,8 @@
 Run:  python examples/quickstart.py
 """
 
-from repro.bittorrent import Swarm
-from repro.core import Experiment, ScenarioSpec
+from repro.bittorrent import Swarm, SwarmConfig
+from repro.core import Experiment
 from repro.net.ping import ping
 from repro.topology.presets import bittorrent_profile, uniform_swarm
 from repro.units import MB, fmt_duration
@@ -19,11 +19,9 @@ from repro.units import MB, fmt_duration
 def main() -> None:
     # ------------------------------------------------------------------
     # 1+2. Ten DSL nodes (2 Mbps down / 128 kbps up / 30 ms) on two
-    #      emulated physical machines. One ScenarioSpec holds the
-    #      cluster knobs every stage below shares.
+    #      emulated physical machines.
     # ------------------------------------------------------------------
-    scenario = ScenarioSpec(seed=42, num_pnodes=2)
-    exp = Experiment("quickstart", uniform_swarm(10), scenario=scenario)
+    exp = Experiment("quickstart", uniform_swarm(10), num_pnodes=2, seed=42)
     vnodes = exp.deploy()
     print(f"deployed {len(vnodes)} virtual nodes "
           f"on {len(exp.testbed.pnodes)} physical nodes")
@@ -40,13 +38,13 @@ def main() -> None:
     print(f"ping {a.address} -> {b.address}: {probe.result}")
 
     # ------------------------------------------------------------------
-    # 3b. A real BitTorrent swarm under the same conditions — the
-    #     scenario (seed, pnodes) carries over from the experiment, so
-    #     nothing is specified twice.
+    # 3b. A real BitTorrent swarm under the same conditions (seed,
+    #     pnodes) on a testbed of its own.
     # ------------------------------------------------------------------
-    swarm = Swarm.from_experiment(
-        exp, leechers=8, seeders=2, file_size=2 * MB, stagger=2.0,
-    )
+    swarm = Swarm(SwarmConfig(
+        leechers=8, seeders=2, file_size=2 * MB, stagger=2.0,
+        num_pnodes=2, seed=42,
+    ))
     last = swarm.run(max_time=10000)
     times = swarm.completion_times()
     print(f"\nBitTorrent: 8 clients downloaded 2 MiB each")

@@ -13,6 +13,7 @@ Examples::
     python -m repro run fig6
     python -m repro run fig10_cells partitions=4 scale=0.5
     python -m repro run fig8 leechers=40 file_size=8388608
+    python -m repro run fig8 fluid=true
     python -m repro all
     python -m repro metrics
     python -m repro metrics seed=7 leechers=6 format=text
@@ -87,8 +88,8 @@ def _swarm_config(params: Dict[str, Any]) -> Optional[Any]:
 
 # ----------------------------------------------------------------------
 # Shared argument builders: every subcommand's parser is assembled from
-# these, so an execution knob (--seed, --fluid, ...) is defined
-# once and spelled/behaves identically wherever it appears.
+# these, so an execution knob (--seed, telemetry) is defined once and
+# spelled/behaves identically wherever it appears.
 # ----------------------------------------------------------------------
 def _add_overrides_arg(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument("overrides", nargs="*", help=f"key=value {what}")
@@ -98,15 +99,6 @@ def _add_seed_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=None,
         help="root seed (a seed=N override wins for back-compat)",
-    )
-
-
-def _add_fluid_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fluid", action="store_true", default=None,
-        help="model long bulk transfers as fluid flows (rate epochs "
-        "instead of per-packet events; see repro.net.fluid) for "
-        "experiments that accept the knob",
     )
 
 
@@ -197,7 +189,6 @@ def run_one(
     experiment_id: str,
     overrides: Dict[str, Any],
     seed: int | None = None,
-    fluid: bool | None = None,
     telemetry_log: str | None = None,
     listen: str | None = None,
 ) -> int:
@@ -208,15 +199,16 @@ def run_one(
         return 2
     overrides = dict(overrides)
     if "seed" in overrides:
-        try:
-            seed = int(overrides.pop("seed"))
-        except ValueError as exc:
-            print(f"error: bad seed: {exc}", file=sys.stderr)
+        seed = overrides.pop("seed")
+        if type(seed) is float and seed.is_integer():
+            seed = int(seed)
+        if type(seed) is not int:
+            print(f"error: bad seed {seed!r}: not an integer", file=sys.stderr)
             return 2
     elif seed is None:
         seed = 0
     print(f"== {entry.id}: {entry.title} ==")
-    request = RunRequest.make(entry.id, overrides, seed=seed, fluid=fluid)
+    request = RunRequest.make(entry.id, overrides, seed=seed)
     start = time.perf_counter()
     try:
         with _telemetry_session(telemetry_log, listen, pulse=True) as hub:
@@ -273,7 +265,6 @@ def run_sweep(argv: List[str]) -> int:
         help="worker processes (0 = inline; default 1)",
     )
     _add_seed_arg(parser)
-    _add_fluid_arg(parser)
     _add_telemetry_args(parser)
     parser.add_argument(
         "--replications", type=_bounded(int, 1), default=1,
@@ -331,7 +322,6 @@ def run_sweep(argv: List[str]) -> int:
         base_params=base,
         replications=args.replications,
         base_seed=args.seed if args.seed is not None else 0,
-        fluid=args.fluid,
     )
     print(
         f"== sweep {entry.id}: {len(plan)} points "
@@ -646,8 +636,8 @@ def run_bench(argv: List[str]) -> int:
 # ----------------------------------------------------------------------
 # Subcommand handlers. Each builds its parser from the shared argument
 # builders above and funnels work through :class:`RunRequest`, so every
-# entry path (single run, ``all``, ``sweep``) carries execution knobs
-# like ``--fluid`` identically.
+# entry path (single run, ``all``, ``sweep``) carries ``--seed`` and the
+# ``key=value`` parameters identically.
 # ----------------------------------------------------------------------
 def _cmd_run(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
@@ -657,14 +647,12 @@ def _cmd_run(argv: List[str]) -> int:
     parser.add_argument("experiment", help="experiment id (see 'list')")
     _add_overrides_arg(parser, "parameter overrides passed to the run function")
     _add_seed_arg(parser)
-    _add_fluid_arg(parser)
     _add_telemetry_args(parser)
     args = parser.parse_intermixed_args(argv)
     return run_one(
         args.experiment,
         _parse_overrides(args.overrides),
         seed=args.seed,
-        fluid=args.fluid,
         telemetry_log=args.telemetry,
         listen=args.listen,
     )
@@ -677,17 +665,11 @@ def _cmd_all(argv: List[str]) -> int:
     )
     _add_overrides_arg(parser, "overrides applied to every experiment")
     _add_seed_arg(parser)
-    _add_fluid_arg(parser)
     args = parser.parse_intermixed_args(argv)
     overrides = _parse_overrides(args.overrides)
     status = 0
     for experiment_id in EXPERIMENTS:
-        status |= run_one(
-            experiment_id,
-            dict(overrides),
-            seed=args.seed,
-            fluid=args.fluid,
-        )
+        status |= run_one(experiment_id, dict(overrides), seed=args.seed)
         print()
     return status
 

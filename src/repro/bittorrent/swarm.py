@@ -17,7 +17,6 @@ from repro.bittorrent.metainfo import (
     Torrent,
 )
 from repro.bittorrent.tracker import DEFAULT_TRACKER_PORT, TrackerServer
-from repro.core.scenario import ScenarioSpec
 from repro.errors import ExperimentError
 from repro.obs import RunManifest, Snapshot, topology_fingerprint
 from repro.obs import telemetry
@@ -69,29 +68,6 @@ class SwarmConfig:
     @property
     def total_peers(self) -> int:
         return self.leechers + self.seeders
-
-    # -- shared scenario knobs (see repro.core.scenario) ---------------
-    @property
-    def scenario(self) -> ScenarioSpec:
-        """The emulated-cluster knobs this config shares with
-        :class:`repro.core.Experiment`."""
-        return ScenarioSpec(
-            seed=self.seed,
-            num_pnodes=self.num_pnodes,
-            tcp_explicit_acks=self.tcp_explicit_acks,
-        )
-
-    @classmethod
-    def from_scenario(cls, scenario: ScenarioSpec, **overrides) -> "SwarmConfig":
-        """Build a config inheriting ``seed``/``num_pnodes``/ACK model
-        from a shared scenario; swarm-specific fields via ``overrides``."""
-        params = {
-            "seed": scenario.seed,
-            "num_pnodes": scenario.num_pnodes,
-            "tcp_explicit_acks": scenario.tcp_explicit_acks,
-        }
-        params.update(overrides)
-        return cls(**params)
 
 
 class Swarm:
@@ -164,16 +140,6 @@ class Swarm:
         ]
         self._completed = 0
         self._launched = False
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_experiment(cls, experiment, **overrides) -> "Swarm":
-        """Build a swarm sharing an experiment's :class:`ScenarioSpec`
-        (seed, pnode count, ACK model) — so examples stop re-specifying
-        the same knobs twice. ``overrides`` are swarm-specific
-        :class:`SwarmConfig` fields (``leechers``, ``file_size``, ...).
-        """
-        return cls(SwarmConfig.from_scenario(experiment.scenario, **overrides))
 
     # ------------------------------------------------------------------
     @property

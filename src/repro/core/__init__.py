@@ -20,13 +20,11 @@ from repro.core.collector import (
 )
 from repro.core.control import Console, ControlDaemon
 from repro.core.experiment import Experiment
-from repro.core.scenario import ScenarioSpec
 from repro.core.launcher import staggered_launch
 from repro.core.monitor import ResourceMonitor
 
 __all__ = [
     "Experiment",
-    "ScenarioSpec",
     "staggered_launch",
     "progress_series",
     "completion_curve",

@@ -20,25 +20,18 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.core.scenario import ScenarioSpec
 from repro.errors import ExperimentError
 from repro.obs import telemetry
 from repro.sim import Simulator
 from repro.topology.compiler import TopologyCompiler
 from repro.topology.spec import TopologySpec
-from repro.virt.deployment import PLACEMENT_BLOCK
+from repro.virt.deployment import PLACEMENT_BLOCK, Testbed
 from repro.virt.vnode import AppFactory, VirtualNode
 
 
 class Experiment:
-    """One reproducible emulation experiment.
-
-    The emulated-cluster knobs (``num_pnodes``, ``seed``, placement,
-    CPU enforcement) live in one shared :class:`ScenarioSpec` — pass
-    ``scenario=`` directly, or keep using the individual kwargs, which
-    are assembled into one. ``Swarm.from_experiment(exp)`` reuses the
-    same spec, so swarm and experiment never re-specify these knobs.
-    """
+    """One reproducible emulation experiment on a :class:`Testbed`
+    built from ``num_pnodes``, ``seed`` and ``enforce_cpu``."""
 
     def __init__(
         self,
@@ -49,20 +42,11 @@ class Experiment:
         placement: str = PLACEMENT_BLOCK,
         trace_categories: tuple = (),
         enforce_cpu: bool = False,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> None:
         self.name = name
         self.spec = spec
-        if scenario is None:
-            scenario = ScenarioSpec(
-                seed=seed,
-                num_pnodes=num_pnodes,
-                placement=placement,
-                enforce_cpu=enforce_cpu,
-            )
-        self.scenario = scenario
-        self.placement = scenario.placement
-        self.testbed = scenario.make_testbed()
+        self.placement = placement
+        self.testbed = Testbed(num_pnodes=num_pnodes, seed=seed, enforce_cpu=enforce_cpu)
         self.sim: Simulator = self.testbed.sim
         if trace_categories:
             self.sim.trace.enable(*trace_categories)

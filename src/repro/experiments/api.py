@@ -59,12 +59,6 @@ class RunRequest:
     params: Tuple[Tuple[str, Any], ...] = ()
     seed: int = 0
     replication: int = 0
-    #: Fluid-flow transfer model (:mod:`repro.net.fluid`); ``None`` =
-    #: not requested (the experiment's own default applies). A *model*
-    #: knob — fluid runs produce different (approximated) results — so
-    #: a set value is part of :attr:`key`; unset requests keep their
-    #: legacy keys.
-    fluid: Optional[bool] = None
 
     @classmethod
     def make(
@@ -73,14 +67,12 @@ class RunRequest:
         params: Optional[Mapping[str, Any]] = None,
         seed: int = 0,
         replication: int = 0,
-        fluid: Optional[bool] = None,
     ) -> "RunRequest":
         return cls(
             experiment_id=experiment_id,
             params=_freeze_params(params or {}),
             seed=seed,
             replication=replication,
-            fluid=fluid,
         )
 
     @property
@@ -97,8 +89,6 @@ class RunRequest:
         """
         payload = [self.experiment_id, list(list(p) for p in self.params),
                    self.seed, self.replication]
-        if self.fluid is not None:
-            payload.append({"fluid": self.fluid})
         return json.dumps(
             payload,
             sort_keys=True,
@@ -106,25 +96,20 @@ class RunRequest:
         )
 
     def as_dict(self) -> Dict[str, Any]:
-        doc = {
+        return {
             "experiment_id": self.experiment_id,
             "params": self.kwargs,
             "seed": self.seed,
             "replication": self.replication,
         }
-        if self.fluid is not None:
-            doc["fluid"] = self.fluid
-        return doc
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunRequest":
-        fluid = doc.get("fluid")
         return cls.make(
             doc["experiment_id"],
             doc.get("params") or {},
             seed=int(doc.get("seed", 0)),
             replication=int(doc.get("replication", 0)),
-            fluid=None if fluid is None else bool(fluid),
         )
 
 

@@ -23,7 +23,6 @@ swarm.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -34,7 +33,6 @@ from repro.core.collector import completion_curve, progress_series
 from repro.core.report import sample_progress
 from repro.errors import ExperimentError
 from repro.experiments.api import RunRequest, RunResult
-from repro.net.packet import swap_id_stream
 from repro.obs import telemetry
 from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
@@ -138,17 +136,15 @@ def _run_cell(request: RunRequest) -> RunResult:
 
     The cell is a self-contained swarm (own simulator, tracker and
     address block, leechers occupying its slice of the global stagger
-    slots) that never exchanges traffic with another cell. It runs on
-    a fresh packet-id stream, so its output is a function of
-    ``request`` alone, whichever process runs it and whatever ran
-    there before.
+    slots) that never exchanges traffic with another cell. Its output
+    is a function of ``request`` alone, whichever process runs it and
+    whatever ran there before.
     """
     p = request.kwargs
     name = p["name"]
     sim = Simulator(seed=request.seed, config=SimConfig(fluid=p["fluid"]))
     # Wall-side progress probe, sampled by this process's heartbeat.
     probe = telemetry.register_sim(sim, f"cell/{name}") if telemetry.active() else None
-    previous_ids = swap_id_stream(itertools.count(1))
     try:
         started = time.process_time()
         swarm = Swarm(
@@ -201,7 +197,6 @@ def _run_cell(request: RunRequest) -> RunResult:
             "busy_seconds": busy_seconds,
         }
     finally:
-        swap_id_stream(previous_ids)
         if probe is not None:
             telemetry.unregister_probe(probe)
     return RunResult.ok(request, artifacts=payload)
@@ -380,8 +375,7 @@ def _point(run_fn, request: RunRequest) -> RunResult:
     """One sweep point at a single ``scale`` (fraction of the paper's
     5754 clients); the aggregate shows how the completion ramp evolves
     with swarm size."""
-    knobs = {} if request.fluid is None else {"fluid": request.fluid}
-    kwargs = {"scale": 0.01, "seed": request.seed, **knobs, **request.kwargs}
+    kwargs = {"scale": 0.01, "seed": request.seed, **request.kwargs}
     result = run_fn(**kwargs)
     return RunResult.ok(
         request,

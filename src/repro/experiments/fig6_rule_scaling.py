@@ -6,9 +6,10 @@ with the number of rules, because the rules are evaluated linearly by
 the firewall" — about 5 ms at 50 000 rules.
 
 This module measures **both** cost models of the standard
-:class:`~repro.net.ipfw.Ipfw` firewall: the linear scan (IPFW
-reality, the figure's subject) and the hash-indexed counterfactual
-(``Ipfw(name, indexed=True)`` — what the paper says IPFW cannot do).
+:class:`~repro.net.ipfw.Firewall`: the linear scan (IPFW reality,
+the figure's subject) and the hash-indexed counterfactual
+(``Firewall(name, indexed=True)`` — what the paper says IPFW cannot
+do).
 The report shows the two paths side by side; the indexed curve is
 flat, which is exactly why the rule count is P2PLab's scalability
 limit.

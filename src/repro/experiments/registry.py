@@ -77,10 +77,10 @@ class ExperimentEntry:
     def execute(self, request: RunRequest) -> RunResult:
         """Run the whole experiment for ``request``.
 
-        The request's ``seed`` and ``fluid`` are passed to ``run`` when
-        its signature takes them (a ``**kwargs`` function takes
-        everything); ``fluid`` only when set. An explicit parameter of the same name wins. A
-        parameter ``run`` does not take is an :class:`ExperimentError`.
+        The request's ``seed`` is passed to ``run`` when its signature
+        takes it (a ``**kwargs`` function takes everything); an explicit
+        ``seed`` parameter wins. A parameter ``run`` does not take is an
+        :class:`ExperimentError`.
         """
         run = resolve(self.run)
         params = inspect.signature(run).parameters
@@ -92,10 +92,8 @@ class ExperimentEntry:
                 f"{self.id} takes no parameter {', '.join(unknown)} "
                 f"(accepted: {', '.join(params)})"
             )
-        knobs = {"seed": request.seed, "fluid": request.fluid}
-        for name, knob in knobs.items():
-            if knob is not None and (var_kw or name in params):
-                kwargs.setdefault(name, knob)
+        if var_kw or "seed" in params:
+            kwargs.setdefault("seed", request.seed)
         value = run(**kwargs)
         artifacts = resolve(self.artifacts) if self.artifacts else _scalar_fields
         return RunResult.ok(

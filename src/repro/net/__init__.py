@@ -17,7 +17,7 @@ Models the parts of the network P2PLab controls:
 """
 
 from repro.net.addr import IPv4Address, IPv4Network, ip, network
-from repro.net.ipfw import Firewall, Ipfw, Rule
+from repro.net.ipfw import Firewall, Rule
 from repro.net.nic import Interface
 from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
@@ -34,7 +34,6 @@ __all__ = [
     "Packet",
     "DummynetPipe",
     "Firewall",
-    "Ipfw",
     "Rule",
     "Sniffer",
     "Switch",

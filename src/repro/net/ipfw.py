@@ -668,8 +668,3 @@ class Firewall:
         self._ensure_sorted()
         return iter(self._rules)
 
-
-#: Canonical alias: the firewall *is* the emulated IPFW, and
-#: ``Ipfw(name, indexed=True)`` selects the hash-indexed cost model
-#: without reaching for a parallel class.
-Ipfw = Firewall

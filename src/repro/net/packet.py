@@ -12,7 +12,6 @@ fit in a Python event loop.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 from repro.net.addr import IPv4Address
@@ -26,31 +25,14 @@ PROTO_TCP = "tcp"
 PROTO_UDP = "udp"
 PROTO_ICMP = "icmp"
 
-_packet_ids = itertools.count(1)
-
-
-def swap_id_stream(stream: "itertools.count") -> "itertools.count":
-    """Install ``stream`` as the packet-id source; return the old one.
-
-    The packet-id counter is the one piece of process-global state the
-    network layer owns. A ``fig10_cells`` cell
-    (:func:`repro.experiments.fig10_scalability.run_fig10_partitioned`)
-    runs on a fresh id stream swapped in around the whole cell, so its
-    trace output is a function of the cell alone, not of which cells
-    ran in the same process before it. Single-swarm code never needs
-    this.
-    """
-    global _packet_ids
-    prev = _packet_ids
-    _packet_ids = stream
-    return prev
-
-
 class Packet:
     """One unit of traffic.
 
     Attributes
     ----------
+    id:
+        ``0`` until a :class:`~repro.obs.flight.FlightRecorder` starts
+        tracking the packet and numbers it (1, 2, ... per recorder).
     src, dst:
         Source / destination IPv4 addresses.
     proto:
@@ -90,7 +72,7 @@ class Packet:
         payload: Any = None,
         kind: str = "data",
     ) -> None:
-        self.id = next(_packet_ids)
+        self.id = 0
         self.src = src
         self.dst = dst
         self.proto = proto

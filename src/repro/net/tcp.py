@@ -254,9 +254,12 @@ class Connection:
                 f"tcp:{self.local[0]}:{self.local[1]}->"
                 f"{self.remote[0]}:{self.remote[1]}"
             )
-            seg.last_pkt_id = pkt.id
         self._tally.segments_sent += 1
         self.tcp.stack.send_packet(pkt)
+        if self._flight.enabled:
+            # The recorder numbered the packet on send (0 past its
+            # max_flights: the ack then files under no flight).
+            seg.last_pkt_id = pkt.id
         if kind == KIND_DATA:
             self.bytes_sent += seg.size
             self.messages_sent += 1

@@ -17,6 +17,10 @@ uses* (``now + delay``), so consecutive hops tile the interval
 ``[t_send, t_deliver]`` with bit-exact contiguity and the per-hop
 latency decomposition sums to the packet's end-to-end latency.
 
+Packet ids belong to the recorder: it numbers each packet it starts
+tracking 1, 2, ... (an untracked packet keeps id 0), so two
+simulations in one process number their packets alike.
+
 Everything here is keyed to the deterministic simulation clock, so a
 flight export is byte-identical across same-seed runs. The disabled
 mode is :data:`NULL_FLIGHT`, a shared no-op recorder following the
@@ -203,17 +207,25 @@ class FlightRecorder:
 
     def __init__(self, max_flights: Optional[int] = None) -> None:
         self._flights: Dict[int, PacketFlight] = {}
+        self._last_id = 0
         self.max_flights = max_flights
         self.flights_overflowed = 0
 
     # -- lifecycle hooks (called from the network layers) ---------------
     def send(self, pkt, node: str, now: float) -> None:
-        """The packet entered ``node``'s stack (NIC enqueue)."""
-        if pkt.id in self._flights:
-            return  # already tracked (e.g. forwarded ICMP reply path)
+        """The packet entered ``node``'s stack (NIC enqueue).
+
+        A packet seen for the first time gets this recorder's next id
+        (1, 2, ...); one past ``max_flights`` keeps id 0, which no
+        flight is filed under.
+        """
+        if pkt.id:
+            return  # already tracked
         if self.max_flights is not None and len(self._flights) >= self.max_flights:
             self.flights_overflowed += 1
             return
+        self._last_id += 1
+        pkt.id = self._last_id
         flow = pkt.flow
         if flow is None:
             flow = f"{pkt.proto}:{pkt.src}:{pkt.sport}->{pkt.dst}:{pkt.dport}"
@@ -356,8 +368,8 @@ class FlightRecorder:
         return self._flights.get(packet_id)
 
     def flights(self, status: Optional[str] = None) -> List[PacketFlight]:
-        """All flights in packet-id (i.e. creation) order."""
-        out = [self._flights[k] for k in sorted(self._flights)]
+        """All flights in packet-id (i.e. first-send) order."""
+        out = list(self._flights.values())
         if status is not None:
             out = [f for f in out if f.status == status]
         return out

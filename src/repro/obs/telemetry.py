@@ -16,7 +16,7 @@ Determinism quarantine
 Telemetry is the wall plane's streaming half, next to the ``wall=True``
 instruments of :mod:`repro.obs.metrics`: it *observes* wall-side state (process RSS, wall timestamps, weakly-held
 simulator progress counters) and never touches simulation state, event
-ordering, seeds or packet-id streams. Nothing it records enters a
+ordering, seeds or packet ids. Nothing it records enters a
 deterministic snapshot, BENCH document or sweep aggregate; every run
 output is byte-identical with telemetry on or off (enforced by the
 subprocess A/B tests in ``tests/test_telemetry.py``). The bus speaks

@@ -71,13 +71,8 @@ class ExecutionPlan:
         replications: int = 1,
         base_seed: int = 0,
         seeds: Optional[Sequence[int]] = None,
-        fluid: Optional[bool] = None,
     ) -> "ExecutionPlan":
         """Expand ``grid`` × ``replications`` into run requests.
-
-        ``fluid`` (a model knob, part of each point's key when set)
-        selects the fluid-flow transfer model for experiments that
-        accept it.
 
         * ``grid`` maps parameter names to the values to sweep; the
           cross product is taken in sorted-key order (deterministic).
@@ -117,13 +112,7 @@ class ExecutionPlan:
                         base_seed, _point_name(experiment_id, params, rep)
                     )
                 points.append(
-                    RunRequest.make(
-                        experiment_id,
-                        params,
-                        seed=seed,
-                        replication=rep,
-                        fluid=fluid,
-                    )
+                    RunRequest.make(experiment_id, params, seed=seed, replication=rep)
                 )
         return cls(
             experiment_id=experiment_id,

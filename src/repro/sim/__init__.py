@@ -14,7 +14,7 @@ scalability experiments (Figures 10/11 of the paper) push millions of
 events through it.
 """
 
-from repro.sim.config import DEFAULT_CONFIG, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.event import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, Signal
@@ -23,7 +23,6 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "SimConfig",
     "Event",
     "EventQueue",

@@ -3,17 +3,16 @@
 :class:`~repro.sim.kernel.Simulator` accreted one keyword argument per
 feature (``flight=``, ``fluid=``). ``SimConfig`` absorbs that sprawl
 into one frozen dataclass so a simulator's behaviour is named by a
-single hashable value that can be stored in manifests or sent to
-another process without re-encoding each knob.
+single hashable value.
 
-``Simulator(config=SimConfig(...))`` is the only constructor surface.
+``Simulator(config=SimConfig(...))`` is the only constructor surface;
+``Testbed(sim_config=...)`` passes one through (``Swarm`` builds it
+from ``SwarmConfig.flight``/``fluid``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict
 
 
 @dataclass(frozen=True)
@@ -34,20 +33,3 @@ class SimConfig:
 
     flight: bool = False
     fluid: bool = False
-
-    def replace(self, **changes: Any) -> "SimConfig":
-        """A copy with ``changes`` applied (frozen-dataclass idiom)."""
-        return dataclasses.replace(self, **changes)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (manifests, cross-process transfer)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "SimConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in names})
-
-
-#: The all-defaults config (shared; SimConfig is immutable).
-DEFAULT_CONFIG = SimConfig()

@@ -4,8 +4,8 @@ The paper's platform is *decentralized*: each physical node emulates
 the network for its own vnodes. ``fig10_cells``
 (:func:`repro.experiments.fig10_scalability.run_fig10_partitioned`)
 splits a swarm into **cells** — independent sub-swarms, each with its
-own simulator, derived seed (``derive_seed(seed, "cell/<name>")``) and
-packet-id stream — and runs every cell as one point of an
+own simulator and derived seed (``derive_seed(seed, "cell/<name>")``)
+— and runs every cell as one point of an
 :class:`~repro.runtime.plan.ExecutionPlan`. No message ever crosses a
 cell, so running them is a sweep; this module holds the two pieces
 that are specific to cells:

@@ -44,15 +44,10 @@ class Testbed:
         enforce_cpu: bool = False,
         tcp_explicit_acks: bool = False,
         observe: bool = True,
-        flight: bool = False,
-        sim_config: Optional[SimConfig] = None,
+        sim_config: SimConfig = SimConfig(),
     ) -> None:
         if num_pnodes < 1:
             raise VirtualizationError(f"need at least one physical node, got {num_pnodes}")
-        if sim_config is None:
-            sim_config = SimConfig(flight=flight)
-        elif flight:
-            sim_config = sim_config.replace(flight=True)
         if sim is None:
             sim = Simulator(seed=seed, observe=observe, config=sim_config)
         for mode in ("flight", "fluid"):  # a supplied sim may have more, not fewer

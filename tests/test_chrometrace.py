@@ -18,6 +18,7 @@ from repro.obs.chrometrace import (
     write_chrome_trace,
 )
 from repro.obs.timeseries import TimeSeriesSampler
+from repro.sim import SimConfig
 from repro.topology.compiler import compile_topology
 from repro.topology.spec import TopologySpec
 from repro.virt.deployment import Testbed
@@ -27,7 +28,7 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 def traced_run():
     """A tiny two-pnode run with every timeline source populated."""
-    testbed = Testbed(num_pnodes=2, seed=0, flight=True)
+    testbed = Testbed(num_pnodes=2, seed=0, sim_config=SimConfig(flight=True))
     spec = TopologySpec(name="trace-test")
     spec.add_group("peers", "10.9.0.0/24", 2, latency=0.001)
     compiler = compile_topology(spec, testbed)
@@ -135,11 +136,12 @@ _BYTE_IDENTITY_SCRIPT = textwrap.dedent(
     from repro.net.ping import ping
     from repro.obs.chrometrace import TraceLayout, chrome_trace_document, chrome_trace_json
     from repro.obs.timeseries import TimeSeriesSampler
+    from repro.sim import SimConfig
     from repro.topology.compiler import compile_topology
     from repro.topology.spec import TopologySpec
     from repro.virt.deployment import Testbed
 
-    testbed = Testbed(num_pnodes=2, seed=0, flight=True)
+    testbed = Testbed(num_pnodes=2, seed=0, sim_config=SimConfig(flight=True))
     spec = TopologySpec(name="trace-test")
     spec.add_group("peers", "10.9.0.0/24", 2, latency=0.001)
     compiler = compile_topology(spec, testbed)

@@ -47,6 +47,11 @@ class TestMain:
              "cell 'swarm0' did not complete"),
             (["run", "fig10_cells", "partitions=2", "scale=0.004", "max_time=200"],
              "cell 'swarm0' did not complete"),
+            # A seed is an integer: a bool or a fraction is not truncated.
+            (["run", "tblA", "seed=1.5", "cycles=50"], "bad seed 1.5"),
+            (["run", "tblA", "seed=true", "cycles=50"], "bad seed True"),
+            # fluid is a parameter of the runs that model it.
+            (["run", "tblA", "fluid=true", "cycles=50"], "tblA takes no parameter fluid"),
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, message, capsys):
@@ -54,6 +59,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "tblA", "--fluid", "cycles=50"],
+            ["all", "--fluid"],
+            ["sweep", "tblA", "--fluid", "cycles=50"],
+        ],
+    )
+    def test_fluid_is_not_an_option(self, argv, capsys):
+        # The spelling is the parameter (run fig8 fluid=true); the old
+        # flag is a usage error, not a run that quietly ignores it.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fluid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option, value, message",

@@ -1,17 +1,20 @@
-"""Cross-interpreter determinism.
+"""Cross-interpreter and in-process determinism.
 
-In-process determinism is cheap (same RNG objects); the strong claim —
-the paper's "allowing reproduction of experiments" — is that a run is
+The paper's "allowing reproduction of experiments" means a run is
 bit-identical across *interpreter restarts*, where str-hash
 randomization would expose any accidental dependence on set/dict hash
-order. Each subprocess gets a different PYTHONHASHSEED.
+order (each subprocess gets a different PYTHONHASHSEED), and across
+runs *in one process*, where any state one simulation leaves behind
+(a module-level counter, a cache) would show in the next.
 """
 
+import json
 import pathlib
 import subprocess
 import sys
 
 import repro
+from repro.bittorrent import Swarm, SwarmConfig
 
 #: Directory containing the ``repro`` package — derived from the
 #: imported package itself so the stripped child environment can import
@@ -52,3 +55,21 @@ def test_identical_across_interpreters_and_hash_seeds():
     b = run_once("31337")
     assert a == b
     assert "|" in a and a.count(",") == 5  # 6 completion times
+
+
+def _flight_recorded_trace():
+    """A flight-recorded swarm's Chrome trace and its first packet id."""
+    swarm = Swarm(SwarmConfig(
+        leechers=2, seeders=1, file_size=262144, stagger=1.0,
+        num_pnodes=2, seed=3, flight=True,
+    ))
+    swarm.run(max_time=20000)
+    first_id = swarm.sim.flight.flights()[0].packet_id
+    return json.dumps(swarm.chrome_trace(), sort_keys=True), first_id
+
+
+def test_two_simulations_in_one_process_share_nothing():
+    first, first_id = _flight_recorded_trace()
+    second, second_id = _flight_recorded_trace()
+    assert first_id == second_id == 1
+    assert first == second

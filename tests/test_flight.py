@@ -32,7 +32,7 @@ def make_two_hop_testbed(plr: float = 0.0, flight: bool = True):
         seed=0,
         port_bandwidth=float(2**27),  # bytes/s, dyadic
         port_delay=2.0**-10,
-        flight=flight,
+        sim_config=SimConfig(flight=flight),
     )
     spec = TopologySpec(name="twohop")
     spec.add_group(
@@ -181,7 +181,7 @@ class TestRecorderBookkeeping:
         rec = FlightRecorder(max_flights=0)
 
         class FakePkt:
-            id = 7
+            id = 0
             flow = None
             src, dst = "1.2.3.4", "5.6.7.8"
             sport = dport = 0

@@ -7,6 +7,7 @@ hold something, one verdict object per matched-rule set, a per-port use
 count) behave exactly like the always-allocated ones they replaced.
 """
 
+import contextlib
 import gc
 import tracemalloc
 from types import CellType, FunctionType
@@ -523,20 +524,38 @@ class TestEchoTable:
 
 
 def _record_sends(stack, sent):
-    """Record the id of every packet ``stack`` sends. ``Packet`` has no
-    ``__weakref__`` slot, so liveness is read off the collector."""
+    """Record the kind of every packet ``stack`` sends (not the packet:
+    that would keep it alive)."""
     send = stack.send_packet
 
     def recording(pkt):
-        sent.add(pkt.id)
+        sent.append(pkt.kind)
         send(pkt)
 
     stack.send_packet = recording
 
 
-def _live_packets(ids):
-    """Packet objects still alive whose id is in ``ids``."""
-    return [obj for obj in gc.get_objects() if type(obj) is Packet and obj.id in ids]
+def _live_packets():
+    """How many ``Packet`` objects are alive. ``Packet`` has no
+    ``__weakref__`` slot, but it is GC-tracked, so the collector's
+    object list sees every live one."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
+
+
+@contextlib.contextmanager
+def _packets_freed_by_refcount():
+    """Assert the block leaves no more live packets than it found, with
+    the cycle collector off so only reference counting can free them."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_packets()
+        yield
+        assert _live_packets() == before
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestDeliveredPackets:
@@ -547,14 +566,14 @@ class TestDeliveredPackets:
             pipe=DummynetPipe(sim, delay=ms(10), name="d"),
             direction=DIR_OUT,
         )
-        sent = set()
+        sent = []
         _record_sends(a, sent)
         _record_sends(b, sent)
-        probe = ping(sim, a, a.iface.primary, b.iface.primary, count=3, interval=0.1)
-        sim.run()
+        with _packets_freed_by_refcount():
+            probe = ping(sim, a, a.iface.primary, b.iface.primary, count=3, interval=0.1)
+            sim.run()
         assert probe.result.received == 3
         assert len(sent) == 6
-        assert _live_packets(sent) == []
 
     def test_tcp_exchange_packets_are_garbage_once_run_returns(self):
         sim, a, b = make_lan()
@@ -563,20 +582,20 @@ class TestDeliveredPackets:
             pipe=DummynetPipe(sim, delay=ms(5), name="d"),
             direction=DIR_OUT,
         )
-        sent = set()
+        sent = []
         _record_sends(a, sent)
         _record_sends(b, sent)
-        clients, servers = connect_pairs(sim, a, b, 1)
-        got = []
-        servers[0].recv().wait_callback(got.append)
-        clients[0].send("hello", 1000)
-        sim.run()
-        clients[0].close()
-        servers[0].close()
-        sim.run()
+        with _packets_freed_by_refcount():
+            clients, servers = connect_pairs(sim, a, b, 1)
+            got = []
+            servers[0].recv().wait_callback(got.append)
+            clients[0].send("hello", 1000)
+            sim.run()
+            clients[0].close()
+            servers[0].close()
+            sim.run()
         assert got == [("hello", 1000)]
         assert len(sent) == 5  # syn, synack, data, both fins
-        assert _live_packets(sent) == []
 
     def test_a_tap_keeps_request_and_reply_as_distinct_packets(self):
         sim, a, b = make_lan()
@@ -587,7 +606,7 @@ class TestDeliveredPackets:
         sim.run()
         assert probe.result.received == 1
         request, reply = kept
-        assert request is not reply and request.id != reply.id
+        assert request is not reply
         assert (request.kind, reply.kind) == ("echo", "echoreply")
         assert (request.src, request.dst) == (reply.dst, reply.src)
 

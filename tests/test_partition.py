@@ -72,17 +72,6 @@ class TestSimConfig:
         assert cfg.flight is False and cfg.fluid is False
         assert len(dataclasses.fields(cfg)) == 2
 
-    def test_round_trip(self):
-        cfg = SimConfig(flight=True, fluid=True)
-        assert SimConfig.from_dict(cfg.as_dict()) == cfg
-        # A document written when SimConfig still had ``partitions``.
-        assert SimConfig.from_dict({"partitions": 2, "fluid": True}) == SimConfig(fluid=True)
-
-    def test_replace(self):
-        cfg = SimConfig().replace(flight=True)
-        assert cfg.flight is True
-        assert SimConfig().flight is False  # frozen original untouched
-
     def test_simulator_takes_config(self):
         config = SimConfig(fluid=True)
         sim = Simulator(seed=1, config=config)

@@ -127,11 +127,11 @@ def test_pipe_conserves_packets_and_preserves_order(sizes, bandwidth, delay):
     src, dst = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
     sent, received = [], []
     for i, size in enumerate(sizes):
-        pkt = Packet(src, dst, "udp", size)
-        sent.append(pkt.id)
-        pipe.transmit(pkt, lambda p: received.append((sim.now, p.id)))
+        pkt = Packet(src, dst, "udp", size, payload=i)
+        sent.append(i)
+        pipe.transmit(pkt, lambda p: received.append((sim.now, p.payload)))
     sim.run()
-    assert [pid for _t, pid in received] == sent  # FIFO
+    assert [i for _t, i in received] == sent  # FIFO
     times = [t for t, _ in received]
     assert times == sorted(times)
     assert pipe.packets_out == len(sizes)

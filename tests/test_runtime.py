@@ -9,11 +9,10 @@ import time
 import pytest
 
 from repro.__main__ import main
-from repro.bittorrent.swarm import Swarm, SwarmConfig
-from repro.core import Experiment, ScenarioSpec
+from repro.bittorrent.swarm import SwarmConfig
 from repro.errors import ExperimentError
 from repro.experiments import EXPERIMENTS, RunRequest, RunResult, get_experiment
-from repro.net import Firewall, Ipfw
+from repro.net import Firewall
 from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.ipfw import ACTION_COUNT, ACTION_PIPE
 from repro.net.packet import Packet
@@ -24,8 +23,6 @@ from repro.runtime import (
     load_checkpoint,
     registry_runner,
 )
-from repro.topology.presets import uniform_swarm
-from repro.units import MB
 
 
 # ----------------------------------------------------------------------
@@ -446,39 +443,7 @@ class TestSweepCli:
 
 
 # ----------------------------------------------------------------------
-# ScenarioSpec (shared Experiment/Swarm knobs)
-# ----------------------------------------------------------------------
-
-
-class TestScenarioSpec:
-    def test_experiment_accepts_scenario(self):
-        scenario = ScenarioSpec(seed=9, num_pnodes=3)
-        exp = Experiment("t", uniform_swarm(4), scenario=scenario)
-        assert exp.scenario == scenario
-        assert len(exp.testbed.pnodes) == 3
-        assert exp.sim.rng.root_seed == 9
-
-    def test_legacy_kwargs_build_scenario(self):
-        exp = Experiment("t", uniform_swarm(4), num_pnodes=2, seed=5)
-        assert exp.scenario == ScenarioSpec(seed=5, num_pnodes=2)
-
-    def test_swarm_from_experiment_shares_knobs(self):
-        exp = Experiment("t", uniform_swarm(4), num_pnodes=2, seed=31)
-        swarm = Swarm.from_experiment(
-            exp, leechers=2, seeders=1, file_size=1 * MB
-        )
-        assert swarm.config.seed == 31
-        assert swarm.config.num_pnodes == 2
-        assert swarm.config.scenario.seed == exp.scenario.seed
-
-    def test_config_scenario_round_trip(self):
-        cfg = SwarmConfig(leechers=2, seeders=1, seed=4, num_pnodes=8)
-        again = SwarmConfig.from_scenario(cfg.scenario, leechers=2, seeders=1)
-        assert again.seed == 4 and again.num_pnodes == 8
-
-
-# ----------------------------------------------------------------------
-# Ipfw(indexed=True)
+# Firewall(indexed=True)
 # ----------------------------------------------------------------------
 
 
@@ -489,12 +454,9 @@ def _count_packet() -> Packet:
 
 
 class TestIndexedIpfw:
-    def test_alias_is_firewall(self):
-        assert Ipfw is Firewall
-
     def test_indexed_flag_changes_accounting_not_verdict(self):
-        linear = Ipfw("lin")
-        indexed = Ipfw("idx", indexed=True)
+        linear = Firewall("lin")
+        indexed = Firewall("idx", indexed=True)
         for fw in (linear, indexed):
             for _ in range(100):
                 fw.add(ACTION_COUNT, src=IPv4Network("172.16.0.0/16"))
@@ -511,7 +473,7 @@ class TestIndexedIpfw:
         assert fw.indexed is True
 
     def test_runtime_flip(self):
-        fw = Ipfw("flip")
+        fw = Firewall("flip")
         for _ in range(50):
             fw.add(ACTION_COUNT, src=IPv4Network("172.16.0.0/16"))
         assert fw.evaluate(_count_packet(), "out").scanned == 50

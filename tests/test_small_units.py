@@ -8,14 +8,26 @@ from repro.net.addr import IPv4Address
 from repro.net.packet import Packet
 from repro.net.stack import NetworkStack
 from repro.net.switch import Switch
+from repro.obs.flight import FlightRecorder
 from repro.sim import Simulator
 
 
 class TestPacketHelpers:
     def test_packet_ids_unique(self):
-        a = Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "udp", 1)
-        b = Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "udp", 1)
-        assert a.id != b.id
+        """Ids are the flight recorder's: the packets it tracks are
+        numbered 1..n in send order; the rest keep 0."""
+        packets = [
+            Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), "udp", 1)
+            for _ in range(4)
+        ]
+        assert [p.id for p in packets] == [0, 0, 0, 0]
+        recorder = FlightRecorder(max_flights=3)
+        for pkt in packets:
+            recorder.send(pkt, "n", 0.0)
+        recorder.send(packets[0], "n", 1.0)  # already tracked: not renumbered
+        assert [p.id for p in packets] == [1, 2, 3, 0]
+        assert [f.packet_id for f in recorder.flights()] == [1, 2, 3]
+        assert recorder.flights_overflowed == 1
 
 
 class TestStackAddressLifecycle:

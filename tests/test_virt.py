@@ -74,13 +74,13 @@ class TestTestbed:
 
     def test_flight_missing_from_supplied_simulator_raises(self):
         with pytest.raises(VirtualizationError, match="flight"):
-            Testbed(sim=Simulator(), flight=True)
+            Testbed(sim=Simulator(), sim_config=SimConfig(flight=True))
         with pytest.raises(VirtualizationError, match="fluid"):
             Testbed(sim=Simulator(), sim_config=SimConfig(fluid=True))
 
     def test_supplied_simulator_with_flight_accepted(self):
         sim = Simulator(config=SimConfig(flight=True))
-        assert Testbed(sim=sim, flight=True).sim.flight.enabled
+        assert Testbed(sim=sim, sim_config=SimConfig(flight=True)).sim.flight.enabled
 
 
 class TestBindipInterception:
