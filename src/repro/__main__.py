@@ -64,6 +64,16 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, Any]:
     return overrides
 
 
+def _pop_flag(overrides: Dict[str, Any], key: str, default: bool) -> Optional[bool]:
+    """Pop a ``true``/``false`` override, or ``None`` after a message on
+    stderr when the value is anything else."""
+    value = overrides.pop(key, default)
+    if type(value) is not bool:
+        print(f"error: {key} must be true or false, got {value!r}", file=sys.stderr)
+        return None
+    return value
+
+
 def _swarm_config(params: Dict[str, Any]) -> Optional[Any]:
     """``SwarmConfig(**params)`` from command-line overrides, or
     ``None`` after a message on stderr when a key is unknown or names a
@@ -315,6 +325,13 @@ def run_sweep(argv: List[str]) -> int:
         else:
             base[key] = _parse_overrides([pair])[key]
             grid.pop(key, None)
+    # Every point takes the same parameter names: check them once,
+    # before any point runs (a retry could not fix a misspelt one).
+    try:
+        entry.check_params([*grid, *base], point=True)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     plan = ExecutionPlan.build(
         entry.id,
@@ -395,7 +412,9 @@ def run_metrics(overrides: Dict[str, Any]) -> int:
     fmt = overrides.pop("format", "json")
     out = overrides.pop("out", None)
     max_time = float(overrides.pop("max_time", 20000.0))
-    deterministic = bool(overrides.pop("deterministic", False))
+    deterministic = _pop_flag(overrides, "deterministic", False)
+    if deterministic is None:
+        return 2
     params: Dict[str, Any] = {
         "leechers": 4,
         "seeders": 1,
@@ -507,7 +526,9 @@ def run_trace(argv: List[str]) -> int:
     overrides = _parse_overrides(pairs)
     out = overrides.pop("out", "trace.json")
     max_time = float(overrides.pop("max_time", 20000.0))
-    observe = bool(overrides.pop("observe", True))
+    observe = _pop_flag(overrides, "observe", True)
+    if observe is None:
+        return 2
     sample_period = float(overrides.pop("sample_period", 5.0))
     params: Dict[str, Any] = dict(_TRACE_PRESETS.get(experiment_id, _TRACE_PRESETS["quickstart"]))
     params["seed"] = 0

@@ -71,6 +71,10 @@ class TrackerServer:
         self.interval = interval
         # infohash -> (ip value, port) -> (addr, port, left)
         self._swarms: Dict[int, Dict[Tuple[int, int], Tuple[IPv4Address, int, int]]] = {}
+        # infohash -> (ip value, port) -> (addr, port): one tuple per
+        # registered peer, handed out in every peer list (clients keep
+        # those lists, so a fresh tuple per announce would add up).
+        self._peers: Dict[int, Dict[Tuple[int, int], Tuple[IPv4Address, int]]] = {}
         self.announces = 0
         self.stopped = False
         self._rng = vnode.sim.rng.stream(f"tracker/{vnode.name}")
@@ -118,16 +122,18 @@ class TrackerServer:
         """Update swarm state and build the peer sample."""
         self.announces += 1
         swarm = self._swarms.setdefault(request.infohash, {})
+        peers = self._peers.setdefault(request.infohash, {})
         key = (request.peer_ip.value, request.peer_port)
         if request.event == "stopped":
             swarm.pop(key, None)
+            peers.pop(key, None)
         else:
             swarm[key] = (request.peer_ip, request.peer_port, request.left)
-        others = [
-            (addr, port)
-            for k, (addr, port, _left) in swarm.items()
-            if k != key
-        ]
+            if key not in peers:
+                peers[key] = (request.peer_ip, request.peer_port)
+        # Both dicts gain and lose keys together, so ``peers`` lists
+        # the swarm in its order.
+        others = [peer for k, peer in peers.items() if k != key]
         count = min(request.numwant, len(others))
         sample = self._rng.sample(others, count) if count else []
         complete = sum(1 for (_a, _p, left) in swarm.values() if left == 0)

@@ -398,3 +398,8 @@ def run_cells_point(request: RunRequest) -> RunResult:
     """One ``fig10_cells`` sweep point (a ``partitions=`` parameter
     caps the worker processes of its cells)."""
     return _point(run_fig10_cells, request)
+
+
+#: The registry checks a sweep point's parameters against these signatures.
+run_point.__wrapped__ = run_fig10
+run_cells_point.__wrapped__ = run_fig10_cells

@@ -105,38 +105,54 @@ def artifacts(result: Fig9Result) -> dict:
     }
 
 
-def run_point(request: RunRequest) -> RunResult:
-    """One sweep point: the Figure 8 swarm at a single folding
-    (``num_pnodes``); the sweep aggregate then compares final bytes
-    and completion times across foldings."""
-    params = request.kwargs
-    pnodes = int(params.get("num_pnodes", 16))
-    leechers = int(params.get("leechers", 160))
-    seeders = int(params.get("seeders", 4))
+def point_artifacts(
+    num_pnodes: int = 16,
+    leechers: int = 160,
+    seeders: int = 4,
+    file_size: int = 16 * MB,
+    stagger: float = 10.0,
+    port_bandwidth: float = gbps(1),
+    max_time: float = 20000.0,
+    seed: int = 0,
+) -> dict:
+    """One sweep point's artifacts: the Figure 8 swarm at a single
+    folding (``num_pnodes``); the sweep aggregate then compares final
+    bytes and completion times across foldings."""
+    pnodes = int(num_pnodes)
+    leechers = int(leechers)
+    seeders = int(seeders)
     config = SwarmConfig(
         leechers=leechers,
         seeders=seeders,
-        file_size=int(params.get("file_size", 16 * MB)),
-        stagger=float(params.get("stagger", 10.0)),
+        file_size=int(file_size),
+        stagger=float(stagger),
         num_pnodes=pnodes,
-        seed=request.seed,
+        seed=seed,
     )
     swarm = Swarm(config)
-    swarm.testbed.switch.port_bandwidth = float(
-        params.get("port_bandwidth", gbps(1))
-    )
-    last = swarm.run(max_time=float(params.get("max_time", 20000.0)))
+    swarm.testbed.switch.port_bandwidth = float(port_bandwidth)
+    last = swarm.run(max_time=float(max_time))
     curve = total_payload_curve(swarm.sim.trace, bucket=20.0)
+    return {
+        "num_pnodes": pnodes,
+        "clients_per_pnode": -(-(leechers + seeders) // pnodes),
+        "last_completion": last,
+        "final_bytes": curve[-1][1] if curve else 0.0,
+    }
+
+
+def run_point(request: RunRequest) -> RunResult:
+    """One sweep point (the parameters of :func:`point_artifacts`)."""
+    doc = point_artifacts(**{"seed": request.seed, **request.kwargs})
     return RunResult.ok(
         request,
-        artifacts={
-            "num_pnodes": pnodes,
-            "clients_per_pnode": -(-(leechers + seeders) // pnodes),
-            "last_completion": last,
-            "final_bytes": curve[-1][1] if curve else 0.0,
-        },
+        artifacts=doc,
         report=(
-            f"folding {pnodes} pnodes: last completion {last:.0f}s, "
-            f"final bytes {curve[-1][1] if curve else 0.0:.0f}"
+            f"folding {doc['num_pnodes']} pnodes: last completion "
+            f"{doc['last_completion']:.0f}s, final bytes {doc['final_bytes']:.0f}"
         ),
     )
+
+
+#: The registry checks a sweep point's parameters against this signature.
+run_point.__wrapped__ = point_artifacts

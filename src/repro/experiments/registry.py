@@ -12,7 +12,9 @@ loads no experiment module, and ``run fig8`` loads fig8 alone.
 * ``point`` — an optional ``RunRequest -> RunResult`` function for one
   sweep point (one grid value per call), used by ``python -m repro
   sweep <id>`` so a figure's x-axis fans out over the
-  :mod:`repro.runtime` worker pool;
+  :mod:`repro.runtime` worker pool; its ``__wrapped__`` is a typed
+  function whose signature names the parameters a point takes, which
+  :meth:`ExperimentEntry.check_params` checks before a sweep starts;
 * ``sweep_grid`` / ``sweep_base`` — the default grid (the figure's
   x-axis values) and fixed parameters.
 
@@ -29,7 +31,7 @@ import dataclasses
 import importlib
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.api import RunRequest, RunResult
@@ -40,6 +42,16 @@ def resolve(name: str) -> Callable[..., Any]:
     """Import ``"module:attribute"`` from :mod:`repro.experiments`."""
     module, _, attribute = name.partition(":")
     return getattr(importlib.import_module(f"repro.experiments.{module}"), attribute)
+
+
+def _accepted(fn: Callable[..., Any]) -> Optional[Tuple[str, ...]]:
+    """The parameter names ``fn`` takes; ``None`` when it takes
+    ``**kwargs``. Follows ``__wrapped__``, which is how a ``RunRequest``
+    point runner names the parameters it reads."""
+    params = inspect.signature(fn).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return None
+    return tuple(params)
 
 
 def _scalar_fields(value: Any) -> Dict[str, Any]:
@@ -74,6 +86,22 @@ class ExperimentEntry:
     #: Fixed parameters every sweep point receives by default.
     sweep_base: Tuple[Tuple[str, Any], ...] = ()
 
+    def check_params(
+        self, names: Iterable[str], point: bool = False
+    ) -> Optional[Tuple[str, ...]]:
+        """Raise :class:`ExperimentError` for any of ``names`` that
+        ``run`` — or, with ``point``, the sweep point runner — does not
+        take; return what it takes (``None``: anything)."""
+        fn = resolve(self.point if point and self.point else self.run)
+        accepted = _accepted(fn)
+        unknown = sorted(set(names) - set(accepted)) if accepted is not None else []
+        if unknown:
+            raise ExperimentError(
+                f"{self.id} takes no parameter {', '.join(unknown)} "
+                f"(accepted: {', '.join(accepted)})"
+            )
+        return accepted
+
     def execute(self, request: RunRequest) -> RunResult:
         """Run the whole experiment for ``request``.
 
@@ -82,19 +110,11 @@ class ExperimentEntry:
         ``seed`` parameter wins. A parameter ``run`` does not take is an
         :class:`ExperimentError`.
         """
-        run = resolve(self.run)
-        params = inspect.signature(run).parameters
-        var_kw = any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
         kwargs = request.kwargs
-        unknown = sorted(set(kwargs) - set(params)) if not var_kw else []
-        if unknown:
-            raise ExperimentError(
-                f"{self.id} takes no parameter {', '.join(unknown)} "
-                f"(accepted: {', '.join(params)})"
-            )
-        if var_kw or "seed" in params:
+        accepted = self.check_params(kwargs)
+        if accepted is None or "seed" in accepted:
             kwargs.setdefault("seed", request.seed)
-        value = run(**kwargs)
+        value = resolve(self.run)(**kwargs)
         artifacts = resolve(self.artifacts) if self.artifacts else _scalar_fields
         return RunResult.ok(
             request,

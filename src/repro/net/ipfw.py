@@ -31,12 +31,23 @@ plain slots at read time (:meth:`repro.obs.metrics.MetricsRegistry.feed`),
 so no instrument is called per packet. Flows that matched the
 same rules point at one shared verdict object, so a cached flow costs
 a key and a dict slot. The cache is invalidated by every mutating
-operation (``add``/``delete``/``flush``/``add_pipe``) and by flipping
-``indexed``.
+operation (``add``/``add_access_pair``/``delete``/``flush``/``add_pipe``)
+and by flipping ``indexed``.
+
+Per-vnode access pairs (:meth:`Firewall.add_access_pair`) are recorded
+as one table entry, ``addr.value -> up-rule number``; their two
+:class:`Rule` objects are built the first time something needs them —
+an evaluation that meets the pair as a candidate, or a reader of the
+full list — and are the same objects from then on. Like the lazy pipes
+below them, the deferral is observationally invisible: verdicts, hit
+counts, scan charges, ``len`` and the ``rules`` listing are those of a
+firewall that built every rule up front.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import FirewallError
@@ -103,7 +114,7 @@ class Rule:
 
     __slots__ = (
         "number", "action", "pipe", "proto", "src", "dst", "direction", "hits",
-        "match", "pipe_factory",
+        "match", "pipe_factory", "order",
     )
 
     def __init__(
@@ -143,6 +154,12 @@ class Rule:
         #: evaluates most rules, and a closure per rule is real memory.
         #: Purely wall-side: compilation has no observable effect.
         self.match = None
+        #: List-order key, set when a firewall installs the rule: the
+        #: rule number, or, for a rule installed after others with the
+        #: same number, a float just above theirs. Rules sort by
+        #: number, then insertion order, and the common key is the
+        #: number's own small int.
+        self.order = number
 
     def __lt__(self, other: "Rule") -> bool:
         return self.number < other.number
@@ -158,6 +175,12 @@ class Rule:
         if self.direction:
             parts.append(self.direction)
         return "Rule(" + " ".join(parts) + ")"
+
+
+_ORDER = attrgetter("order")
+#: Gap between the order keys of rules that share a number: exact in a
+#: float for numbers below 2**32 and up to 2**20 rules per number.
+_TIE_STEP = 2.0 ** -20
 
 
 class Verdict:
@@ -208,6 +231,12 @@ class Firewall:
     list is thousands of per-vnode rules of which a given packet can
     match at most a handful. The shortcut is observationally
     equivalent: non-matching rules only ever contribute scan count.
+
+    Access pairs not yet built live in a compact table instead of the
+    indexes (see :meth:`add_access_pair`). No unbuilt rule shares its
+    number with any other rule, so a terminal rule's linear position is
+    its index among the built rules plus a bisect over the unbuilt
+    numbers.
     """
 
     def __init__(
@@ -253,9 +282,12 @@ class Firewall:
         #: flipping it flushes the flow cache (``scanned`` differs).
         self._indexed = indexed
         self.name = name
+        #: Built rules, in insertion order until :meth:`_ensure_sorted`.
         self._rules: List[Rule] = []
         self._pipes: dict[int, DummynetPipe] = {}
         self._next_number = 100
+        #: Highest rule number installed since the last flush.
+        self._top: Optional[int] = None
         self.packets_evaluated = 0
         self.rules_scanned_total = 0
         # Shared observability instruments (aggregated across every
@@ -275,13 +307,20 @@ class Firewall:
         # Bucket values are a bare Rule (the overwhelmingly common
         # case: one up rule per source address, one down rule per
         # destination address) or a list once a second rule lands on
-        # the same address — a million-vnode table would otherwise
-        # spend a 56-byte list per bucket to hold one element.
+        # the same address — a table of built access pairs would
+        # otherwise spend a 56-byte list per bucket to hold one element.
         self._by_src: dict[int, Union[Rule, List[Rule]]] = {}
         self._by_dst: dict[int, Union[Rule, List[Rule]]] = {}
+        #: Rules with no exact address, kept in list order.
         self._generic: List[Rule] = []
-        self._positions: Dict[Rule, int] = {}  # rule (by identity) -> linear index
-        self._dirty = False
+        #: Unbuilt access pairs: ``addr.value -> up-rule number`` (the
+        #: down rule is ``number + 1``), those numbers sorted, and the
+        #: factory pair of each run of consecutive numbers — run ``i``
+        #: covers ``[_run_starts[i], _run_starts[i + 1])``.
+        self._lazy: Dict[int, int] = {}
+        self._lazy_numbers: List[int] = []
+        self._run_starts: List[int] = []
+        self._run_factories: List[Tuple[Callable, Callable]] = []
         #: Rules are appended, not insorted: topology compilation emits
         #: them in increasing number order, so the list is almost
         #: always already sorted and a deferred ``list.sort`` (timsort,
@@ -365,14 +404,14 @@ class Firewall:
             number, action, pipe=pipe, proto=proto, src=src, dst=dst,
             direction=direction, pipe_factory=pipe_factory,
         )
-        self._append_rule(rule)
-        if type(rule.src) is IPv4Address:
-            self._bucket_insert(self._by_src, rule.src.value, rule)
-        elif type(rule.dst) is IPv4Address:
-            self._bucket_insert(self._by_dst, rule.dst.value, rule)
+        if self._top is None or number > self._top:
+            self._top = number
+            self._install(rule, number)
         else:
-            self._generic.append(rule)
-        self._dirty = True
+            # An unbuilt rule with this number was installed first:
+            # build its pair now, so that it keeps its place ahead.
+            self._build_lazy_at(number)
+            self._install(rule, self._order_after(number))
         self._invalidate()
         self._m_rules.inc()
         if number >= self._next_number:
@@ -385,20 +424,57 @@ class Firewall:
         number: int,
         up_factory: Callable[[Rule], DummynetPipe],
         down_factory: Callable[[Rule], DummynetPipe],
-    ) -> Tuple[Rule, Rule]:
+    ) -> None:
         """Install the canonical per-vnode access-rule pair in one call.
 
         Semantically identical to two :meth:`add` calls — ``pipe from
         addr out`` at ``number``, ``pipe to addr in`` at ``number + 1``,
         each pipe built by its factory at the first matching packet —
-        but with the per-call bookkeeping (validation, cache flush,
-        generation bump) paid once. This is the streaming topology
-        compiler's hot loop: at a million vnodes the Python-level call
-        overhead of rule installation is the build time, so the two
-        rules are built with direct slot stores instead of the
-        validating constructor (this method's signature already fixes the
-        shapes :class:`Rule` would validate).
+        but the pair costs one table entry until something needs its
+        rules: an evaluation meeting it as a candidate, or a reader of
+        the full list (``rules``, iteration, ``delete``, ``rules_for``).
+        This is the streaming topology compiler's hot loop, and most
+        vnodes of a large topology never see a packet on their host.
+
+        A pair that would share a number with an installed rule, or an
+        address with another unbuilt pair, is built at once instead.
         """
+        value = addr.value
+        top = self._top
+        if (top is not None and number <= top) or value in self._lazy:
+            # Unbuilt rules it would tie were installed first: build
+            # them first, so that they keep their place ahead.
+            self._build_lazy_at(number)
+            self._build_lazy_at(number + 1)
+            self._build_pair(addr, number, up_factory, down_factory, tied=True)
+        else:
+            self._lazy[value] = number
+            # ``number`` is above every installed number: the list
+            # stays sorted.
+            self._lazy_numbers.append(number)
+            runs = self._run_factories
+            if not runs or runs[-1][0] is not up_factory or runs[-1][1] is not down_factory:
+                self._run_starts.append(number)
+                runs.append((up_factory, down_factory))
+        if top is None or number + 1 > top:
+            self._top = number + 1
+        self._invalidate()
+        self._m_rules.inc(2)
+        if number + 1 >= self._next_number:
+            self._next_number = number + 101
+
+    def _build_pair(
+        self,
+        addr: IPv4Address,
+        number: int,
+        up_factory: Callable[[Rule], DummynetPipe],
+        down_factory: Callable[[Rule], DummynetPipe],
+        tied: bool = False,
+    ) -> None:
+        """Build and index an access pair's two rules, with direct slot
+        stores instead of the validating constructor (the pair's shapes
+        are fixed). ``tied``: other rules may share their numbers (an
+        unbuilt pair's never do)."""
         up = Rule.__new__(Rule)
         up.number = number
         up.action = ACTION_PIPE
@@ -421,25 +497,76 @@ class Firewall:
         down.direction = DIR_IN
         down.hits = 0
         down.match = None
-        rules = self._rules
-        if rules and number < rules[-1].number:
-            self._needs_sort = True
-        rules.append(up)
-        rules.append(down)
-        self._bucket_insert(self._by_src, addr.value, up)
-        self._bucket_insert(self._by_dst, addr.value, down)
-        self._dirty = True
-        self._invalidate()
-        self._m_rules.inc(2)
-        if number + 1 >= self._next_number:
-            self._next_number = number + 101
-        return up, down
+        if tied:
+            self._install(up, self._order_after(number))
+            self._install(down, self._order_after(number + 1))
+        else:
+            self._install(up, number)
+            self._install(down, number + 1)
 
-    def _append_rule(self, rule: Rule) -> None:
+    def _build_lazy(self, value: int) -> None:
+        """Build the unbuilt pair of address ``value``. Not an
+        invalidation: no cached verdict can hold a rule that did not
+        exist (compare :meth:`register_lazy_pipe`)."""
+        number = self._lazy.pop(value)
+        numbers = self._lazy_numbers
+        del numbers[bisect_left(numbers, number)]
+        up_f, down_f = self._run_factories[bisect_right(self._run_starts, number) - 1]
+        self._build_pair(IPv4Address.from_value(value), number, up_f, down_f)
+
+    def _build_lazy_at(self, number: int) -> None:
+        """Build the unbuilt pair with a rule numbered ``number``, if any."""
+        numbers = self._lazy_numbers
+        i = bisect_left(numbers, number - 1)
+        if i < len(numbers) and numbers[i] <= number:
+            up = numbers[i]
+            self._build_lazy(next(v for v, n in self._lazy.items() if n == up))
+
+    def _build_all(self) -> None:
+        """Build every unbuilt pair (a reader of the full list)."""
+        lazy = self._lazy
+        if not lazy:
+            return
+        starts, runs = self._run_starts, self._run_factories
+        for value, number in lazy.items():
+            up_f, down_f = runs[bisect_right(starts, number) - 1]
+            self._build_pair(IPv4Address.from_value(value), number, up_f, down_f)
+        lazy.clear()
+        self._lazy_numbers.clear()
+        starts.clear()
+        runs.clear()
+
+    def _order_after(self, number: int) -> Union[int, float]:
+        """The order key of a new rule numbered ``number``: the number,
+        or just above the last built rule with that number."""
+        self._ensure_sorted()
         rules = self._rules
-        if rules and rule.number < rules[-1].number:
+        i = bisect_left(rules, number + 1, key=_ORDER)
+        if not i or rules[i - 1].number != number:
+            return number
+        last = rules[i - 1].order
+        order = last + _TIE_STEP
+        if not last < order < number + 1:
+            raise FirewallError(f"too many rules numbered {number}")
+        return order
+
+    def _install(self, rule: Rule, order: Union[int, float]) -> None:
+        """Append a built rule to the list and file it in an index."""
+        rule.order = order
+        rules = self._rules
+        if rules and order < rules[-1].order:
             self._needs_sort = True
         rules.append(rule)
+        if type(rule.src) is IPv4Address:
+            self._bucket_insert(self._by_src, rule.src.value, rule)
+        elif type(rule.dst) is IPv4Address:
+            self._bucket_insert(self._by_dst, rule.dst.value, rule)
+        else:
+            generic = self._generic
+            if generic and order < generic[-1].order:
+                insort(generic, rule, key=_ORDER)
+            else:
+                generic.append(rule)
 
     @staticmethod
     def _bucket_insert(table: dict, value: int, rule: Rule) -> None:
@@ -453,9 +580,8 @@ class Firewall:
 
     def _ensure_sorted(self) -> None:
         if self._needs_sort:
-            self._rules.sort()
+            self._rules.sort(key=_ORDER)
             self._needs_sort = False
-            self._dirty = True
 
     def delete(self, number: int) -> None:
         """Delete all rules with the given number.
@@ -465,7 +591,7 @@ class Firewall:
         :class:`Rule` handle) must not carry stale accounting, matching
         ``ipfw delete`` which discards the kernel counter with the rule.
         """
-        self._ensure_sorted()
+        self._build_all()
         removed = [r for r in self._rules if r.number == number]
         if not removed:
             raise FirewallError(f"no rule numbered {number}")
@@ -488,25 +614,28 @@ class Firewall:
                 else:
                     table[key] = kept
         self._generic = [r for r in self._generic if r.number != number]
-        self._dirty = True
         self._invalidate()
 
     def flush(self) -> None:
-        self._m_rules.dec(len(self._rules))
+        self._m_rules.dec(len(self))
         for rule in self._rules:
             rule.hits = 0
         self._rules.clear()
         self._by_src.clear()
         self._by_dst.clear()
         self._generic.clear()
-        self._positions.clear()
+        self._lazy.clear()
+        self._lazy_numbers.clear()
+        self._run_starts.clear()
+        self._run_factories.clear()
         self._next_number = 100
-        self._dirty = False
+        self._top = None
         self._needs_sort = False
         self._invalidate()
 
     @property
     def rules(self) -> List[Rule]:
+        self._build_all()
         self._ensure_sorted()
         return list(self._rules)
 
@@ -517,11 +646,16 @@ class Firewall:
         (the evaluation shortcut buckets) — the control plane's lookup
         for per-vnode rules without a full-list scan."""
         if src is not None:
-            bucket = self._by_src.get(src.value)
+            value = src.value
+            table = self._by_src
         elif dst is not None:
-            bucket = self._by_dst.get(dst.value)
+            value = dst.value
+            table = self._by_dst
         else:
             return list(self._generic)
+        if value in self._lazy:
+            self._build_lazy(value)
+        bucket = table.get(value)
         if bucket is None:
             return []
         return list(bucket) if type(bucket) is list else [bucket]
@@ -542,13 +676,21 @@ class Firewall:
         return pipe
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self._rules) + 2 * len(self._lazy)
 
     # -- evaluation ----------------------------------------------------
-    def _refresh_positions(self) -> None:
+    def _position(self, rule: Rule) -> int:
+        """``rule``'s index in the full list, unbuilt pairs included."""
         self._ensure_sorted()
-        self._positions = {rule: i for i, rule in enumerate(self._rules)}
-        self._dirty = False
+        # Unbuilt rules before ``number``: up rules below it, and down
+        # rules (``up + 1``) below it. None has ``number`` itself.
+        number = rule.number
+        numbers = self._lazy_numbers
+        return (
+            bisect_left(self._rules, rule.order, key=_ORDER)
+            + bisect_left(numbers, number)
+            + bisect_left(numbers, number - 1)
+        )
 
     def evaluate(self, packet: Packet, direction: str) -> Verdict:
         """Evaluate ``packet`` with linear-scan semantics.
@@ -577,26 +719,34 @@ class Firewall:
                 self._m_denied.inc()
             self.flow_cache_hits += 1
             return verdict
-        if self._dirty:
-            self._refresh_positions()
+        src, dst = key[0], key[1]
+        lazy = self._lazy
+        if lazy:
+            # The packet's own pairs are candidates: build them.
+            if src in lazy:
+                self._build_lazy(src)
+            if dst in lazy:
+                self._build_lazy(dst)
         candidates: List[Rule] = []
-        bucket = self._by_src.get(packet.src.value)
+        bucket = self._by_src.get(src)
         if bucket is not None:
             if type(bucket) is list:
                 candidates.extend(bucket)
             else:
                 candidates.append(bucket)
-        bucket = self._by_dst.get(packet.dst.value)
+        bucket = self._by_dst.get(dst)
         if bucket is not None:
             if type(bucket) is list:
                 candidates.extend(bucket)
             else:
                 candidates.append(bucket)
-        if self._generic:
-            candidates.extend(self._generic)
-        if len(candidates) > 1:
-            # Rules hash by identity, so the key is one C-level lookup.
-            candidates.sort(key=self._positions.__getitem__)
+        if not candidates:
+            candidates = self._generic
+        else:
+            if self._generic:
+                candidates.extend(self._generic)
+            if len(candidates) > 1:
+                candidates.sort(key=_ORDER)
 
         indexed = self.indexed
         pipes: List[DummynetPipe] = []
@@ -604,7 +754,7 @@ class Firewall:
         matched_rules: List[Rule] = []
         allowed = True
         examined = 0
-        scanned = 0 if indexed else len(self._rules)
+        scanned = 0 if indexed else len(self._rules) + 2 * len(lazy)
         for rule in candidates:
             examined += 1
             match = rule.match
@@ -625,12 +775,12 @@ class Firewall:
                 pipes.append(pipe)
             elif action == ACTION_ALLOW:
                 if not indexed:
-                    scanned = self._positions[rule] + 1
+                    scanned = self._position(rule) + 1
                 break
             elif action == ACTION_DENY:
                 allowed = False
                 if not indexed:
-                    scanned = self._positions[rule] + 1
+                    scanned = self._position(rule) + 1
                 break
             # ACTION_COUNT falls through.
         if indexed:
@@ -654,7 +804,7 @@ class Firewall:
 
     def stats(self) -> dict:
         return {
-            "rules": len(self._rules),
+            "rules": len(self),
             "pipes": len(self._pipes),
             "packets_evaluated": self.packets_evaluated,
             "rules_scanned_total": self.rules_scanned_total,
@@ -665,6 +815,6 @@ class Firewall:
         }
 
     def __iter__(self) -> Iterable[Rule]:
+        self._build_all()
         self._ensure_sorted()
         return iter(self._rules)
-

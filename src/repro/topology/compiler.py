@@ -24,15 +24,20 @@ Scale model (the million-vnode path):
   constants live in one interned :class:`ShapingProfile`, and the
   per-vnode :class:`DummynetPipe` pair is only built when (if ever) a
   packet first matches the vnode's rule, via the firewall's
-  ``pipe_factory`` seam. An idle vnode costs two slim rules and an
-  address — no pipes, no name string, no libc.
+  ``pipe_factory`` seam;
+* the vnode's two rules are one entry of its host firewall's access
+  table until a packet (or a control-plane reader) first needs them
+  (:meth:`~repro.net.ipfw.Firewall.add_access_pair`). An idle vnode
+  costs that entry and an address — no rules, no pipes, no name
+  string, no libc.
 
-Laziness is observationally invisible: a pipe materialised at its
-first matching packet is in exactly the state (idle, zero backlog,
-name-derived RNG stream) an eagerly built pipe would be in at that
-moment, and registration bypasses the flow-cache/generation
-invalidation because nothing can have cached a path through a pipe
-that did not exist. ``tests/reference/eager_deploy.py`` builds every
+Laziness is observationally invisible: rules built at first use are
+listed, counted and charged exactly as rules built at deploy time; a
+pipe materialised at its first matching packet is in exactly the state
+(idle, zero backlog, name-derived RNG stream) an eagerly built pipe
+would be in at that moment, and registration bypasses the
+flow-cache/generation invalidation because nothing can have cached a
+path through a pipe that did not exist. ``tests/reference/eager_deploy.py`` builds every
 pipe up front; the tests compare this compiler against it.
 """
 

@@ -89,20 +89,29 @@ class VirtualNode:
 
     @property
     def processes(self) -> List[Process]:
+        """The node's live processes, in spawn order."""
         procs = self._processes
         if procs is None:
             procs = self._processes = []
         return procs
 
     def spawn(self, app: AppFactory, start_delay: float = 0.0, name: Optional[str] = None) -> Process:
-        """Start an application process on this virtual node."""
+        """Start an application process on this virtual node.
+
+        The node holds the process until it finishes: a process parked
+        on a signal nothing else references must not be left to the
+        cyclic collector, which would close it (running its ``finally``)
+        at a moment no simulation event decides.
+        """
         proc = Process(
             self.sim,
             app(self),
             name=name or f"{self.name}/{getattr(app, '__name__', 'app')}",
             start_delay=start_delay,
         )
-        self.processes.append(proc)
+        procs = self.processes
+        procs.append(proc)
+        proc.done.wait_callback(lambda _result: procs.remove(proc))
         return proc
 
     def log(self, category: str, **fields: Any) -> None:

@@ -70,6 +70,10 @@ class RuleWalk:
         self.rules.insert(at, _Rule(number, action, pipe, proto, src, dst, direction))
         return number
 
+    def delete(self, number: int) -> None:
+        """Remove every rule numbered ``number``."""
+        self.rules = [r for r in self.rules if r.number != number]
+
     @property
     def hits(self) -> List[int]:
         """Per-rule hit counts, in rule order."""

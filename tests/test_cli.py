@@ -52,6 +52,17 @@ class TestMain:
             (["run", "tblA", "seed=true", "cycles=50"], "bad seed True"),
             # fluid is a parameter of the runs that model it.
             (["run", "tblA", "fluid=true", "cycles=50"], "tblA takes no parameter fluid"),
+            # A flag is true or false; "no" is not read as a truthy string.
+            (["metrics", "leechers=2", "deterministic=no"],
+             "deterministic must be true or false, got 'no'"),
+            (["trace", "swarm", "observe=no"], "observe must be true or false, got 'no'"),
+            # A sweep checks its parameter names once, before any point runs.
+            (["sweep", "fig6", "--parallel", "0", "bogus=1", "rule_count=0",
+              "pings_per_point=1"], "fig6 takes no parameter bogus (accepted: "),
+            (["sweep", "fig10", "--parallel", "0", "bogus=1", "scale=0.002"],
+             "fig10 takes no parameter bogus (accepted: "),
+            (["sweep", "tblA", "--parallel", "0", "fluid=true", "cycles=50"],
+             "tblA takes no parameter fluid"),
         ],
     )
     def test_bad_input_is_an_error_line(self, argv, message, capsys):

@@ -33,7 +33,9 @@ from repro.net.stack import NetworkStack
 from repro.net.switch import Switch
 from repro.net.tcp import Connection, Listener, TcpLayer
 from repro.sim import Channel, Simulator
-from repro.units import ms
+from repro.topology import TopologySpec, compile_topology
+from repro.units import kbps, ms
+from repro.virt import Testbed
 from tests.reference.rule_walk import RuleWalk
 
 
@@ -155,6 +157,34 @@ def test_dummynet_pipe_stays_under_byte_budget():
     assert not hasattr(pipes[0], "__dict__")
     per_pipe = (after - before) / count
     assert per_pipe <= 250, f"a pipe retains {per_pipe:.0f} B"
+
+
+def test_idle_vnode_stays_under_byte_budget():
+    """A compiled topology whose vnodes never see a packet: each costs
+    its vnode, its address and one entry of its host's access table —
+    at most 400 B (about 620 B when the two access rules and their
+    index entries were built at deploy time)."""
+    count = 20_000
+    spec = TopologySpec("idle")
+    spec.add_group(
+        "peers", "10.0.0.0/8", count,
+        down_bw=kbps(1024), up_bw=kbps(512), latency=ms(20),
+    )
+    spec.add_latency("peers", "172.16.0.0/12", ms(100))
+    testbed = Testbed(num_pnodes=32, observe=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        compiler = compile_topology(spec, testbed)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stats = compiler.stats()
+    assert stats["vnodes"] == count and stats["pipes_materialized"] == 0
+    per_vnode = (after - before) / count
+    assert per_vnode <= 400, f"an idle vnode retains {per_vnode:.0f} B"
 
 
 def _closures_alive():

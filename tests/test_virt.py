@@ -6,7 +6,7 @@ from repro.errors import ConnectionRefused, VirtualizationError
 from repro.net.addr import IPv4Address
 from repro.net.socket_api import ANY, Socket
 from repro.sim import SimConfig, Simulator
-from repro.sim.process import Process
+from repro.sim.process import Process, Signal
 from repro.units import us
 from repro.virt import Libc, Testbed
 from repro.virt.libc import DEFAULT_SYSCALL_COST
@@ -49,6 +49,25 @@ class TestTestbed:
         assert v.address == "10.0.0.1"
         with pytest.raises(VirtualizationError):
             testbed.vnode_at("10.0.0.99")
+
+    def test_vnode_holds_only_its_live_processes(self, testbed):
+        v = testbed.pnodes[0].add_vnode("x", "10.0.1.1")
+        forever = Signal(testbed.sim, "forever")
+
+        def short(vnode):
+            yield 1.0
+
+        def parked(vnode):
+            yield forever
+
+        first = v.spawn(short)
+        waiting = v.spawn(parked)
+        killed = v.spawn(parked)
+        assert v.processes == [first, waiting, killed]
+        testbed.sim.run(until=2.0)
+        killed.kill()
+        assert v.processes == [waiting]
+        assert not first.alive and not killed.alive and waiting.alive
 
     def test_duplicate_vnode_name_rejected(self, testbed):
         p = testbed.pnodes[0]
