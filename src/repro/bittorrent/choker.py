@@ -132,10 +132,11 @@ class Choker:
     def _rate_key(self, peer: "PeerConnection", now: float) -> float:
         """Sort key for unchoke slots: as a seeder, favour the peers we
         push to fastest; as a leecher, reciprocate the best uploaders.
-        Subclasses override this to study alternative policies."""
-        if self.client.complete:
-            return peer.upload_meter.rate(now)
-        return peer.download_meter.rate(now)
+        Subclasses override this to study alternative policies. A
+        peer without a meter has never moved a byte that way: rate 0.0,
+        what an unused meter reports."""
+        meter = peer.upload_meter if self.client.complete else peer.download_meter
+        return 0.0 if meter is None else meter.rate(now)
 
     def _valid_optimistic(self, interested: List["PeerConnection"]) -> bool:
         return (

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bittorrent import messages as msg
 from repro.bittorrent.bitfield import Bitfield
-from repro.bittorrent.choker import Choker
+from repro.bittorrent.choker import Choker, RateMeter
 from repro.bittorrent.metainfo import Torrent
 from repro.bittorrent.peer import PeerConnection
 from repro.bittorrent.piece_picker import PiecePicker
@@ -279,14 +279,21 @@ class BitTorrentClient:
         if self.complete or conn.peer_choking or conn.closed:
             return
         now = self.vnode.sim.now
-        while len(conn.inflight) < self.config.pipeline:
-            req = self.picker.next_request(conn.peer_bitfield, exclude=conn.inflight)
+        pipeline = self.config.pipeline
+        while True:
+            # Re-read each round: a failed send closes the connection,
+            # and the close drops the set.
+            inflight = conn._inflight
+            if inflight is not None and len(inflight) >= pipeline:
+                break
+            req = self.picker.next_request(conn.peer_bitfield, exclude=inflight)
             if req is None:
                 break
-            index, block = req
-            conn.inflight.add((index, block))
+            if inflight is None:
+                inflight = conn._inflight = set()
+            inflight.add(req)
             conn.note_request_sent(now)
-            conn.send(msg.Request(index, block))
+            conn.send(msg.Request(*req))
 
     # -- uploads ------------------------------------------------------------------
     def on_request(self, conn: PeerConnection, request: msg.Request) -> None:
@@ -295,8 +302,10 @@ class BitTorrentClient:
         if request.index not in self.have:
             return
         length = self.torrent.block_size_of(request.index, request.block)
-        now = self.vnode.sim.now
-        conn.upload_meter.record(now, length)
+        meter = conn.upload_meter
+        if meter is None:
+            meter = conn.upload_meter = RateMeter()
+        meter.record(self.vnode.sim.now, length)
         self.bytes_uploaded += length
         conn.send(msg.Piece(request.index, request.block, length))
 
@@ -377,12 +386,15 @@ class BitTorrentClient:
     def _cancel_endgame_duplicates(self, index: int) -> None:
         """CANCEL outstanding duplicate requests for a finished piece."""
         for peer in self._peers.values():
-            if peer.closed:
+            inflight = peer._inflight
+            if peer.closed or not inflight:
                 continue
-            stale = [(i, b) for (i, b) in peer.inflight if i == index]
+            stale = [(i, b) for (i, b) in inflight if i == index]
             for i, b in stale:
-                peer.inflight.discard((i, b))
+                inflight.discard((i, b))
                 peer.send(msg.Cancel(i, b))
+            if not inflight:
+                peer._inflight = None
 
     # -- tracker/candidates -----------------------------------------------------------
     def add_candidates(self, peers: List[Tuple[IPv4Address, int]]) -> None:

@@ -3,7 +3,10 @@
 Each :class:`PeerConnection` mirrors one TCP connection to a remote
 peer: the four classic flags (am_choking / am_interested /
 peer_choking / peer_interested), the peer's bitfield, the in-flight
-request set and two rate meters. Message handling is callback-driven
+request set and two rate meters. The request set exists only while a
+request is outstanding and each meter from its first byte on: most
+sides of a large swarm never request from or trade with their peer, so
+neither is built for them. Message handling is callback-driven
 (the socket's receive channel is subscribed, not polled by a process)
 so the 5754-client scalability run does not pay one blocked generator
 per connection.
@@ -37,7 +40,7 @@ class PeerConnection:
         "peer_choking",
         "peer_interested",
         "peer_bitfield",
-        "inflight",
+        "_inflight",
         "download_meter",
         "upload_meter",
         "closed",
@@ -59,14 +62,28 @@ class PeerConnection:
         self.peer_choking = True
         self.peer_interested = False
         self.peer_bitfield = Bitfield(client.torrent.num_pieces)
-        self.inflight: Set[Tuple[int, int]] = set()
-        self.download_meter = RateMeter()
-        self.upload_meter = RateMeter()
+        #: Outstanding ``(piece, block)`` requests; ``None`` while
+        #: there are none (see :attr:`inflight`).
+        self._inflight: Optional[Set[Tuple[int, int]]] = None
+        #: Built at the first byte received from / sent to this peer;
+        #: the choker reads a missing meter as rate 0.0, which is what
+        #: an unused one reports.
+        self.download_meter: Optional[RateMeter] = None
+        self.upload_meter: Optional[RateMeter] = None
         self.closed = False
         self.messages_in = 0
         self.cancels_received = 0
         self.last_piece_at: float = -1.0
         self.first_request_at: float = -1.0
+
+    @property
+    def inflight(self) -> Set[Tuple[int, int]]:
+        """The outstanding requests, as a set the caller may change
+        (built empty if none is outstanding)."""
+        inflight = self._inflight
+        if inflight is None:
+            inflight = self._inflight = set()
+        return inflight
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -132,12 +149,18 @@ class PeerConnection:
             return
         kind = type(message)
         if kind is msg.Piece:
-            self.inflight.discard((message.index, message.block))
+            inflight = self._inflight
+            if inflight is not None:
+                inflight.discard((message.index, message.block))
             now = self.client.vnode.sim.now
             self.last_piece_at = now
-            if not self.inflight:
+            if not inflight:
+                self._inflight = None
                 self.first_request_at = -1.0
-            self.download_meter.record(now, message.length)
+            meter = self.download_meter
+            if meter is None:
+                meter = self.download_meter = RateMeter()
+            meter.record(now, message.length)
             self.client.on_piece(self, message)
         elif kind is msg.Request:
             self.client.on_request(self, message)
@@ -186,7 +209,7 @@ class PeerConnection:
         """Mainline anti-snubbing: the peer owes us requested data and
         has not delivered anything for ``timeout`` seconds. Snubbed
         peers lose their regular unchoke slot (optimistic only)."""
-        if not self.inflight:
+        if not self._inflight:
             return False
         reference = self.last_piece_at
         if reference < 0:
@@ -198,9 +221,11 @@ class PeerConnection:
             self.first_request_at = now
 
     def _refund_inflight(self) -> None:
-        for index, block in self.inflight:
-            self.client.picker.on_request_failed(index, block)
-        self.inflight.clear()
+        inflight = self._inflight
+        if inflight is not None:
+            for index, block in inflight:
+                self.client.picker.on_request_failed(index, block)
+            self._inflight = None
         self.first_request_at = -1.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -213,4 +238,4 @@ class PeerConnection:
                 ("i", self.peer_interested),
             ]
         )
-        return f"PeerConnection({self.remote_ip}, {flags}, inflight={len(self.inflight)})"
+        return f"PeerConnection({self.remote_ip}, {flags}, inflight={len(self._inflight or ())})"

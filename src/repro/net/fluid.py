@@ -928,7 +928,7 @@ class FlowScheduler:
                 # Receiver is gone (teardown race): the bytes are lost,
                 # but the sender's window must not wedge shut.
                 self._m_dead.inc()
-                fseg.seg.ack_hook(fseg.seg)
+                fseg.seg.conn._on_delivered(fseg.seg)
         finally:
             flow.delivering = False
         if not flow.queue:

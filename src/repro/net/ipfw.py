@@ -431,8 +431,9 @@ class Firewall:
         addr out`` at ``number``, ``pipe to addr in`` at ``number + 1``,
         each pipe built by its factory at the first matching packet —
         but the pair costs one table entry until something needs its
-        rules: an evaluation meeting it as a candidate, or a reader of
-        the full list (``rules``, iteration, ``delete``, ``rules_for``).
+        rules: an evaluation meeting it as a candidate, a reader of the
+        full list (``rules``, iteration), or a call that names the pair
+        (``rules_for`` its address, ``delete`` one of its numbers).
         This is the streaming topology compiler's hot loop, and most
         vnodes of a large topology never see a packet on their host.
 
@@ -591,30 +592,46 @@ class Firewall:
         :class:`Rule` handle) must not carry stale accounting, matching
         ``ipfw delete`` which discards the kernel counter with the rule.
         """
-        self._build_all()
+        # Only the unbuilt pair holding ``number`` (at most one: pairs
+        # never share numbers) has to become rules; the others stay
+        # table entries.
+        self._build_lazy_at(number)
         removed = [r for r in self._rules if r.number == number]
         if not removed:
             raise FirewallError(f"no rule numbered {number}")
         self._rules = [r for r in self._rules if r.number != number]
         self._m_rules.dec(len(removed))
+        generic = False
         for rule in removed:
             rule.hits = 0
-        for table in (self._by_src, self._by_dst):
-            for key in list(table):
-                bucket = table[key]
-                kept = [
-                    r
-                    for r in (bucket if type(bucket) is list else (bucket,))
-                    if r.number != number
-                ]
-                if not kept:
-                    del table[key]
-                elif len(kept) == 1:
-                    table[key] = kept[0]
-                else:
-                    table[key] = kept
-        self._generic = [r for r in self._generic if r.number != number]
+            # Re-file the bucket the rule was filed in (see _install).
+            if type(rule.src) is IPv4Address:
+                self._bucket_remove(self._by_src, rule.src.value, number)
+            elif type(rule.dst) is IPv4Address:
+                self._bucket_remove(self._by_dst, rule.dst.value, number)
+            else:
+                generic = True
+        if generic:
+            self._generic = [r for r in self._generic if r.number != number]
         self._invalidate()
+
+    @staticmethod
+    def _bucket_remove(table: dict, value: int, number: int) -> None:
+        """Drop the rules numbered ``number`` from one index bucket."""
+        bucket = table.get(value)
+        if bucket is None:
+            return  # already re-filed for an earlier removed rule
+        kept = [
+            r
+            for r in (bucket if type(bucket) is list else (bucket,))
+            if r.number != number
+        ]
+        if not kept:
+            del table[value]
+        elif len(kept) == 1:
+            table[value] = kept[0]
+        else:
+            table[value] = kept
 
     def flush(self) -> None:
         self._m_rules.dec(len(self))

@@ -28,7 +28,7 @@ dominates).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.errors import (
     AddressInUse,
@@ -65,17 +65,23 @@ Endpoint = Tuple[IPv4Address, int]
 
 
 class _Segment:
-    """Payload envelope carried inside a data/fin packet."""
+    """Payload envelope carried inside a data/fin packet.
+
+    It names its sending connection rather than a bound callback: the
+    delivery credit and the packet's drop handler reach the sender
+    through ``conn``, so a segment in flight owns no method object.
+    """
 
     __slots__ = (
-        "seq", "payload", "size", "ack_hook", "acked", "attempts", "sent_at", "last_pkt_id",
+        "seq", "payload", "size", "conn", "acked", "attempts", "sent_at", "last_pkt_id",
     )
 
-    def __init__(self, seq: int, payload: Any, size: int, ack_hook: Callable[["_Segment"], None]) -> None:
+    def __init__(self, seq: int, payload: Any, size: int, conn: "Connection") -> None:
         self.seq = seq
         self.payload = payload
         self.size = size
-        self.ack_hook = ack_hook
+        #: The sending endpoint; a FIN is the one segment of size 0.
+        self.conn = conn
         self.acked = False
         #: Retransmissions so far (a pipe dropped that many copies).
         self.attempts = 0
@@ -85,6 +91,13 @@ class _Segment:
         #: Packet id of the most recent (re)transmission, for the
         #: flight recorder's ack hop (None when flights are off).
         self.last_pkt_id: Optional[int] = None
+
+
+def _segment_dropped(pkt: Packet) -> None:
+    """``on_drop`` of every data and FIN packet: the sending connection
+    retransmits the segment it carried."""
+    seg = pkt.payload
+    seg.conn._on_packet_dropped(seg, pkt.kind)
 
 
 class _TcpTally:
@@ -182,7 +195,7 @@ class Connection:
         if size <= 0:
             raise InvalidSocketState(f"message size must be positive, got {size}")
         admitted = Signal(self.sim, name="tcp.send.admitted")
-        seg = _Segment(self._next_seq, payload, size, self._on_segment_delivered)
+        seg = _Segment(self._next_seq, payload, size, self)
         self._next_seq += 1
         self._submit(seg, admitted, KIND_DATA)
         return admitted
@@ -245,7 +258,7 @@ class Connection:
             payload=seg,
             kind=kind,
         )
-        pkt.on_drop = self._on_packet_dropped
+        pkt.on_drop = _segment_dropped
         seg.sent_at = self.sim.now
         if self._flight.enabled:
             # Stamp the connection-level flow label so every segment
@@ -264,12 +277,11 @@ class Connection:
             self.bytes_sent += seg.size
             self.messages_sent += 1
 
-    def _on_packet_dropped(self, pkt: Packet) -> None:
-        """A pipe dropped the segment ``pkt`` carried: retransmit with
+    def _on_packet_dropped(self, seg: _Segment, kind: str) -> None:
+        """A pipe dropped ``seg`` (a ``kind`` packet): retransmit with
         backoff."""
         if self.state is Connection.CLOSED:
             return
-        seg, kind = pkt.payload, pkt.kind
         attempt = seg.attempts + 1
         if attempt > MAX_RETRIES:
             self._fail_reset("too many retransmissions")
@@ -285,11 +297,16 @@ class Connection:
             return
         self._transmit(seg, kind)
 
-    def _on_segment_delivered(self, seg: _Segment) -> None:
+    def _on_delivered(self, seg: _Segment) -> None:
         """Emulation-level ACK: the segment reached the peer."""
         if seg.acked:
             return  # duplicate arrival of a retransmitted segment
         seg.acked = True
+        if not seg.size:
+            # The FIN: the sending direction is closed end to end.
+            self._fin_acked = True
+            self._maybe_teardown()
+            return
         if seg.sent_at is not None:
             # Sim-time round-trip sample: with explicit ACKs this is a
             # true RTT; in the default window-credit shortcut it is the
@@ -323,7 +340,7 @@ class Connection:
             self._send_ack(seg)
         else:
             # Default emulation shortcut: credit the window at delivery.
-            seg.ack_hook(seg)
+            seg.conn._on_delivered(seg)
         if seg.seq != self._expected_seq:
             # Ahead of a dropped predecessor: park it until the gap
             # closes. Behind, or already parked: a duplicate from a
@@ -381,16 +398,9 @@ class Connection:
                 sig.trigger(ConnectionReset("closed while connecting"))
             self._teardown()
             return
-        seg = _Segment(self._next_seq, None, 0, self._on_fin_delivered)
+        seg = _Segment(self._next_seq, None, 0, self)
         self._next_seq += 1
         self._submit(seg, None, KIND_FIN)
-
-    def _on_fin_delivered(self, seg: _Segment) -> None:
-        if seg.acked:
-            return
-        seg.acked = True
-        self._fin_acked = True
-        self._maybe_teardown()
 
     def _maybe_teardown(self) -> None:
         """Fully closed in both directions: release the 4-tuple."""
@@ -636,7 +646,7 @@ class TcpLayer:
 
         if kind == KIND_ACK:
             seg = pkt.payload
-            seg.ack_hook(seg)
+            seg.conn._on_delivered(seg)
             return
 
     def _send_synack(self, conn: Connection) -> None:

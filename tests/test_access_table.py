@@ -160,3 +160,40 @@ def test_flush_drops_unbuilt_pairs():
     assert len(fw) == 0 and fw.rules == []
     fw.add_access_pair(LOCAL[0], 1000, factory, factory)
     assert [r.number for r in fw] == [1000, 1001]
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["linear", "indexed"])
+def test_deleting_from_unbuilt_pairs_matches_the_reference_walk(indexed):
+    """``delete`` before any packet: the pair holding the number is
+    built (one half deleted, one kept), the other pairs stay table
+    entries, and verdicts, scan charges and the listing are the walk's."""
+    both = _Pair(indexed)
+    for i, addr in enumerate(LOCAL[:8]):
+        both.access(addr, 1000 + 2 * i)
+    both.add(ACTION_DENY, 1007, dst=REMOTE[0])
+    both.delete(1002)  # the up half of LOCAL[1]'s pair
+    both.delete(1007)  # the down half of LOCAL[3]'s, and the deny tied to it
+    assert sorted(both.fw._lazy) == sorted(
+        a.value for i, a in enumerate(LOCAL[:8]) if i not in (1, 3)
+    )
+    both.check_counts()
+    both.traffic()
+    both.check_listing()
+
+
+def test_delete_builds_only_the_pair_that_holds_the_number():
+    fw = Firewall()
+    factory = lambda rule: None  # noqa: E731 - never called
+    pairs = 10_000
+    for i in range(pairs):
+        fw.add_access_pair(IPv4Address((10 << 24) + i), 1000 + 2 * i, factory, factory)
+    assert len(fw) == 2 * pairs and not fw._rules
+    fw.delete(1000 + 2 * 4321)
+    assert len(fw._lazy) == pairs - 1
+    assert IPv4Address((10 << 24) + 4321).value not in fw._lazy
+    assert len(fw) == 2 * pairs - 1
+    # The kept half is built and filed; no other pair is.
+    assert [(r.number, r.dst) for r in fw._rules] == [
+        (1000 + 2 * 4321 + 1, IPv4Address((10 << 24) + 4321))
+    ]
+    assert not fw._by_src and list(fw._by_dst) == [(10 << 24) + 4321]

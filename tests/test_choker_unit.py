@@ -4,7 +4,7 @@ exercise statistically."""
 
 import pytest
 
-from repro.bittorrent.choker import Choker
+from repro.bittorrent.choker import Choker, RateMeter
 from repro.sim import Simulator
 
 
@@ -145,3 +145,44 @@ class TestChokerPolicy:
         choker = Choker(client, upload_slots=4)
         choker.rechoke()
         assert unchoked(peers) == set()
+
+
+class TestMissingMeters:
+    """A connection builds a rate meter at its first byte; until then
+    the choker must read it exactly as an unused meter (rate 0.0)."""
+
+    # (name, bytes received from the peer at t=1, bytes sent to it)
+    TRAFFIC = [
+        ("a", 0, 0), ("b", 50_000, 0), ("c", 0, 0), ("d", 0, 80_000),
+        ("e", 20_000, 20_000), ("f", 0, 0), ("g", 0, 0), ("h", 90_000, 0),
+        ("i", 0, 0), ("j", 0, 5_000),
+    ]
+
+    def _run(self, complete, build_unused):
+        peers = []
+        for name, down, up in self.TRAFFIC:
+            peer = StubPeer(name)
+            for attr, nbytes in (("download_meter", down), ("upload_meter", up)):
+                meter = RateMeter() if nbytes or build_unused else None
+                if nbytes:
+                    meter.record(1.0, nbytes)
+                setattr(peer, attr, meter)
+            peers.append(peer)
+        client = StubClient(peers, complete=complete)
+        choker = Choker(client, upload_slots=4, optimistic_rounds=2)
+        rounds = []
+        for _ in range(6):
+            choker.rechoke()
+            rounds.append((unchoked(peers), choker.optimistic.name))
+            client.vnode.sim.run(until=client.vnode.sim.now + 10.0)
+        return rounds, peers
+
+    @pytest.mark.parametrize("complete", [False, True], ids=["leecher", "seeder"])
+    def test_missing_meter_ranks_like_an_unused_one(self, complete):
+        every, _ = self._run(complete, build_unused=True)
+        mixed, peers = self._run(complete, build_unused=False)
+        assert mixed == every
+        # The mixed run really had both kinds, and reading built none.
+        assert any(p.download_meter is None for p in peers)
+        assert any(p.upload_meter is None for p in peers)
+        assert sum(p.download_meter is not None for p in peers) == 3

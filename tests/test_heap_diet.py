@@ -10,11 +10,16 @@ count) behave exactly like the always-allocated ones they replaced.
 import contextlib
 import gc
 import tracemalloc
-from types import CellType, FunctionType
+from types import CellType, FunctionType, MethodType
 
 import pytest
 
+from repro.bittorrent import messages as msg
+from repro.bittorrent.client import BitTorrentClient
+from repro.bittorrent.metainfo import Torrent
+from repro.bittorrent.peer import PeerConnection
 from repro.errors import SimulationError
+from repro.net import tcp
 from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.ipfw import (
     ACTION_ALLOW,
@@ -34,7 +39,8 @@ from repro.net.switch import Switch
 from repro.net.tcp import Connection, Listener, TcpLayer
 from repro.sim import Channel, Simulator
 from repro.topology import TopologySpec, compile_topology
-from repro.units import kbps, ms
+from repro.topology.presets import uniform_swarm
+from repro.units import KB, MB, kbps, ms
 from repro.virt import Testbed
 from tests.reference.rule_walk import RuleWalk
 
@@ -185,6 +191,101 @@ def test_idle_vnode_stays_under_byte_budget():
     assert stats["vnodes"] == count and stats["pipes_materialized"] == 0
     per_vnode = (after - before) / count
     assert per_vnode <= 400, f"an idle vnode retains {per_vnode:.0f} B"
+
+
+def test_idle_peer_connection_side_stays_under_byte_budget():
+    """2 000 handshaked peer-connection sides that never requested or
+    moved a byte hold no request set and no rate meter, and the bytes
+    each owns — itself and its peer's bitfield — stay under 300 B
+    (232 B on CPython 3.11; 768 B when every side was built with a
+    request set and two meters). Reading a side's rate, as the choker
+    does, builds none."""
+    count = 2000
+    testbed = Testbed(num_pnodes=1, seed=3, observe=False)
+    compiler = compile_topology(uniform_swarm(1, prefix="10.0.0.0/24"), testbed)
+    (vnode,) = compiler.all_vnodes()
+    torrent = Torrent("t", total_size=64 * MB, piece_length=256 * KB,
+                      block_size=256 * KB, tracker_addr=None)
+    client = BitTorrentClient(vnode, torrent)  # a leecher: nothing to advertise
+    socks = [Socket(vnode.pnode.stack) for _ in range(count)]
+    handshake = (msg.Handshake(torrent.infohash, "RP-remote"), 68)
+    sides = [None] * count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, sock in enumerate(socks):
+            side = PeerConnection(client, sock, initiated=True)
+            side._on_message(handshake)
+            sides[i] = side
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_side = (after - before) / count
+    assert per_side <= 300, f"an idle peer-connection side owns {per_side:.0f} B"
+    for side in sides:
+        assert side.handshaked and not side.closed
+        assert client.choker._rate_key(side, 100.0) == 0.0
+        assert side._inflight is None
+        assert side.download_meter is None and side.upload_meter is None
+
+
+def test_peer_state_is_built_on_use_and_the_request_set_released_when_drained():
+    """A leecher fetching from a seeder: mid-transfer its side holds
+    requests and a download meter and the seeder's an upload meter;
+    once complete, no side holds a request set."""
+    testbed = Testbed(num_pnodes=2, seed=6)
+    compiler = compile_topology(uniform_swarm(2, prefix="10.0.0.0/24"), testbed)
+    va, vb = compiler.all_vnodes()
+    torrent = Torrent("t", total_size=512 * KB, piece_length=64 * KB,
+                      block_size=16 * KB, tracker_addr=None)
+    leecher = BitTorrentClient(va, torrent)
+    seeder = BitTorrentClient(vb, torrent, seeder=True)
+    leecher.start()
+    seeder.start()
+    leecher.add_candidates([(vb.address, seeder.config.listen_port)])
+    testbed.sim.run(until=25.0)
+    (down,), (up,) = leecher.peers(), seeder.peers()
+    assert down._inflight and down.download_meter is not None
+    assert up.upload_meter is not None and up._inflight is None
+    assert down.upload_meter is None and up.download_meter is None
+    testbed.sim.run(until=2000.0)
+    assert leecher.complete
+    assert down._inflight is None and up._inflight is None
+    assert down.download_meter.total == 512 * KB == up.upload_meter.total
+
+
+def test_a_segment_in_flight_owns_no_bound_method():
+    """A segment names its sending connection; its packet's drop
+    handler is one module-level function. Neither owns a bound method
+    (two fewer 64-byte objects per segment in flight)."""
+    assert tcp._Segment.__slots__ == (
+        "seq", "payload", "size", "conn", "acked", "attempts", "sent_at", "last_pkt_id",
+    )
+    sim, a, b = make_lan()
+    (client,), (server,) = connect_pairs(sim, a, b, 1)
+    sent = []
+    send = a.send_packet
+
+    def keep(pkt):
+        sent.append(pkt)
+        send(pkt)
+
+    a.send_packet = keep
+    client.send("hello", 1000)
+    client.close()
+    for pkt in sent:
+        seg = pkt.payload
+        assert pkt.on_drop is tcp._segment_dropped
+        assert not isinstance(pkt.on_drop, MethodType)
+        assert seg.conn is client
+        for name in tcp._Segment.__slots__:
+            assert not callable(getattr(seg, name)), name
+    assert [p.kind for p in sent] == [tcp.KIND_DATA, tcp.KIND_FIN]
+    sim.run()
+    # Both deliveries credited the sender through ``seg.conn``.
+    assert client.in_flight == 0 and client._fin_acked
 
 
 def _closures_alive():
