@@ -280,9 +280,10 @@ class BitTorrentClient:
             return
         now = self.vnode.sim.now
         pipeline = self.config.pipeline
-        while True:
-            # Re-read each round: a failed send closes the connection,
-            # and the close drops the set.
+        while not conn.closed:
+            # A failed send closes the connection, and the close refunds
+            # the set: stop there, or the next requests would be marked
+            # in the picker on a side that nothing refunds again.
             inflight = conn._inflight
             if inflight is not None and len(inflight) >= pipeline:
                 break

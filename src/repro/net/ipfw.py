@@ -16,21 +16,24 @@ link, then inter-group delay). With a single linear scan that collects
 every matching pipe, the number of rules scanned equals the index where
 evaluation terminates — identical to the re-injection accounting.
 
-Hot path: a **verdict flow cache** memoises
-``(src, dst, proto, direction) -> Verdict`` — the discrete-event
-analogue of ipfw's dynamic/``check-state`` rules. Rules match on
-exactly those four fields, so the key fully determines the verdict for
-a given rule list; steady BitTorrent flows pay the linear scan once
-and O(1) afterwards. A cache *hit replays* the original verdict's full
-accounting (``scanned`` charge, per-rule ``hits``, registry counters),
-so emulated latency, metrics snapshots and fig6's linear-vs-indexed
-comparison are byte-identical to an uncached walk — only wall clock
-changes; ``tests/reference/rule_walk.py`` is that walk, and the tests
-compare against it. The registry counters are fed from this object's
-plain slots at read time (:meth:`repro.obs.metrics.MetricsRegistry.feed`),
-so no instrument is called per packet. Flows that matched the
-same rules point at one shared verdict object, so a cached flow costs
-a key and a dict slot. The cache is invalidated by every mutating
+Hot path: a **verdict flow cache** memoises a packet's verdict per
+``(src, dst, proto, direction)`` — the discrete-event analogue of
+ipfw's dynamic/``check-state`` rules. Rules match on exactly those four
+fields, so they fully determine the verdict for a given rule list;
+steady BitTorrent flows pay the linear scan once and O(1) afterwards.
+The key is one int, ``src * _FLOW_STRIDE ^ dst``, in a table per
+direction and protocol string. A cache *hit replays* the original verdict's full
+accounting (``scanned`` charge, per-rule ``hits`` from the rules the
+verdict holds, registry counters), so emulated latency, metrics
+snapshots and fig6's linear-vs-indexed comparison are byte-identical
+to an uncached walk — only wall clock changes;
+``tests/reference/rule_walk.py`` is that walk, and the tests compare
+against it. The registry counters are fed from this object's plain
+slots at read time (:meth:`repro.obs.metrics.MetricsRegistry.feed`),
+so no instrument is called per packet. Flows that matched the same
+rules point at one shared verdict object, so a cached flow costs its
+int key and a dict slot, plus a verdict of its own only when no other
+flow matched the same rules. The cache is invalidated by every mutating
 operation (``add``/``add_access_pair``/``delete``/``flush``/``add_pipe``)
 and by flipping ``indexed``.
 
@@ -68,53 +71,12 @@ DIR_OUT = "out"
 AddrMatch = Union[IPv4Address, IPv4Network, None]
 
 
-def _compile_match(
-    direction: Optional[str],
-    proto: Optional[str],
-    src: AddrMatch,
-    dst: AddrMatch,
-) -> Callable[[Packet, str], bool]:
-    """Build a rule's match predicate, specialised to the fields set.
-
-    A rule matches a packet travelling ``pdir`` when every field it
-    sets (direction, protocol, source and destination, each an exact
-    address or a network) agrees; an unset field matches anything. The
-    closure captures the constants once and skips absent fields
-    entirely, so no per-packet test looks at a field's ``None``-ness.
-    """
-    src_exact = src.value if type(src) is IPv4Address else None
-    dst_exact = dst.value if type(dst) is IPv4Address else None
-    src_net = (src.mask, src.address.value) if type(src) is IPv4Network else None
-    dst_net = (dst.mask, dst.address.value) if type(dst) is IPv4Network else None
-
-    def match(packet: Packet, pdir: str) -> bool:
-        if direction is not None and direction != pdir:
-            return False
-        if proto is not None and proto != packet.proto:
-            return False
-        if src_exact is not None:
-            if packet.src.value != src_exact:
-                return False
-        elif src_net is not None:
-            if (packet.src.value & src_net[0]) != src_net[1]:
-                return False
-        if dst_exact is not None:
-            if packet.dst.value != dst_exact:
-                return False
-        elif dst_net is not None:
-            if (packet.dst.value & dst_net[0]) != dst_net[1]:
-                return False
-        return True
-
-    return match
-
-
 class Rule:
     """One firewall rule, ordered by its rule number."""
 
     __slots__ = (
         "number", "action", "pipe", "proto", "src", "dst", "direction", "hits",
-        "match", "pipe_factory", "order",
+        "pipe_factory", "order",
     )
 
     def __init__(
@@ -149,11 +111,6 @@ class Rule:
         self.dst = dst
         self.direction = direction
         self.hits = 0
-        #: Match predicate built by :func:`_compile_match`, compiled on
-        #: first evaluation — a million-vnode rule list mostly never
-        #: evaluates most rules, and a closure per rule is real memory.
-        #: Purely wall-side: compilation has no observable effect.
-        self.match = None
         #: List-order key, set when a firewall installs the rule: the
         #: rule number, or, for a rule installed after others with the
         #: same number, a float just above theirs. Rules sort by
@@ -163,6 +120,39 @@ class Rule:
 
     def __lt__(self, other: "Rule") -> bool:
         return self.number < other.number
+
+    def matches(self, packet: Packet, direction: str) -> bool:
+        """Whether this rule matches ``packet`` travelling ``direction``.
+
+        Every field the rule sets (direction, protocol, source and
+        destination, each an exact address or a network) must agree; an
+        unset field matches anything. One predicate serves every rule
+        and reads only the rule's own slots, so a rule carries no
+        compiled matcher of its own.
+        """
+        rdir = self.direction
+        if rdir is not None and rdir != direction:
+            return False
+        proto = self.proto
+        if proto is not None and proto != packet.proto:
+            return False
+        src = self.src
+        if src is not None:
+            if type(src) is IPv4Address:
+                if packet.src.value != src.value:
+                    return False
+            elif type(src) is IPv4Network:
+                if (packet.src.value & src.mask) != src.address.value:
+                    return False
+        dst = self.dst
+        if dst is not None:
+            if type(dst) is IPv4Address:
+                if packet.dst.value != dst.value:
+                    return False
+            elif type(dst) is IPv4Network:
+                if (packet.dst.value & dst.mask) != dst.address.value:
+                    return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"{self.number:05d}", self.action]
@@ -178,6 +168,15 @@ class Rule:
 
 
 _ORDER = attrgetter("order")
+#: A flow's cache key is ``src * _FLOW_STRIDE ^ dst``. The stride is
+#: above 2**32, so each source owns its own 2**32-aligned block of keys
+#: and the XOR with a 32-bit ``dst`` stays in it: the key is one-to-one.
+#: The odd part above 2**32 spreads the flows that share a destination
+#: over the table's low bits, which ``src << 32 | dst`` would leave
+#: equal (a dict probes by the low bits of an int's hash, the int
+#: itself). A 10/8 source makes a key below 2**60, which the XOR keeps
+#: a 32-byte int (an add would allocate a third digit).
+_FLOW_STRIDE = (1 << 32) + 0x61C88647
 #: Gap between the order keys of rules that share a number: exact in a
 #: float for numbers below 2**32 and up to 2**20 rules per number.
 _TIE_STEP = 2.0 ** -20
@@ -186,9 +185,14 @@ _TIE_STEP = 2.0 ** -20
 class Verdict:
     """Result of evaluating one packet against the rule list.
 
-    ``matched`` carries the numbers of the rules that matched, in
-    evaluation order — what ``ipfw show`` hit counters would attribute
-    this packet to, and what the flight recorder reports per hop.
+    ``rules`` holds the :class:`Rule` objects that matched, in
+    evaluation order: a cache hit replays their ``hits`` from it, and
+    everything else a verdict reports follows from it. ``matched`` is
+    their numbers — what ``ipfw show`` hit counters would attribute this
+    packet to, and what the flight recorder reports per hop — and
+    ``pipes`` the pipes of the ``pipe`` rules among them; both are
+    derived on read (chain compilation, the flight recorder and the
+    fluid engine read them, not the per-packet path).
 
     ``to_switch`` / ``to_host`` / ``to_local`` belong to the owning
     :class:`~repro.net.stack.NetworkStack`: the entry point of the hop
@@ -197,22 +201,23 @@ class Verdict:
     the verdict so that whatever drops a verdict drops its chains.
     """
 
-    __slots__ = (
-        "allowed", "pipes", "scanned", "matched", "to_switch", "to_host", "to_local",
-    )
+    __slots__ = ("allowed", "scanned", "rules", "to_switch", "to_host", "to_local")
 
-    def __init__(
-        self,
-        allowed: bool,
-        pipes: Tuple[DummynetPipe, ...],
-        scanned: int,
-        matched: Tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, allowed: bool, scanned: int, rules: Tuple[Rule, ...]) -> None:
         self.allowed = allowed
-        self.pipes = pipes
         self.scanned = scanned
-        self.matched = matched
+        self.rules = rules
         self.to_switch = self.to_host = self.to_local = None
+
+    @property
+    def pipes(self) -> Tuple[DummynetPipe, ...]:
+        # A matched pipe rule's pipe was materialised by the evaluation
+        # that matched it, and is never replaced.
+        return tuple(rule.pipe for rule in self.rules if rule.action == ACTION_PIPE)
+
+    @property
+    def matched(self) -> Tuple[int, ...]:
+        return tuple(rule.number for rule in self.rules)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -245,22 +250,23 @@ class Firewall:
         metrics=None,
         indexed: bool = False,
     ) -> None:
-        # Verdict flow cache: ``(src, dst, proto, direction) ->
-        # (Verdict, matched Rule objects)``. Rules match on exactly
-        # those four packet fields, so the key fully determines the
-        # verdict for a fixed rule list; a hit replays the original
-        # accounting bit-for-bit (see module docstring). Initialised
-        # first because the ``indexed`` property setter flushes it.
-        self._flow_cache: Dict[Tuple[int, int, str, str], Tuple[Verdict, Tuple[Rule, ...]]] = {}
-        # Flows that matched the same rules share one such pair: keyed
-        # by ``(matched Rule objects, scanned, allowed)`` — rules hash
-        # by identity, and everything else in a verdict follows from
-        # them. Thousands of flows on a pnode reduce to a handful of
-        # rule sets, so a flow costs its key and a dict slot. Emptied
-        # together with the flow cache (:meth:`_invalidate`).
-        self._verdicts: Dict[
-            Tuple[Tuple[Rule, ...], int, bool], Tuple[Verdict, Tuple[Rule, ...]]
-        ] = {}
+        # Verdict flow cache: ``direction -> proto -> {src *
+        # _FLOW_STRIDE ^ dst: Verdict}``, one int-keyed table per
+        # direction and protocol string seen. Rules match on exactly those four packet fields,
+        # so they fully determine the verdict for a fixed rule list; a
+        # hit replays the original accounting bit-for-bit (see module
+        # docstring). Initialised first because the ``indexed``
+        # property setter flushes it.
+        self._flows: Dict[str, Dict[str, Dict[int, Verdict]]] = {}
+        # Flows that matched the same rules share one verdict: keyed by
+        # ``(matched Rule objects, scanned)`` — rules hash by identity
+        # and fix ``allowed``; ``scanned`` stays in the key because
+        # under ``indexed=True`` it counts the candidates examined, not
+        # only the rules that matched. Thousands of flows on a pnode
+        # reduce to a handful of rule sets, so a flow costs its key and
+        # a dict slot. Emptied together with the flow cache
+        # (:meth:`_invalidate`).
+        self._verdicts: Dict[Tuple[Tuple[Rule, ...], int], Verdict] = {}
         #: Monotone counter bumped whenever a cached verdict could go
         #: stale (rule add/delete/flush, pipe table change, cost-model
         #: flip). The fluid flow engine (net/fluid.py) snapshots it per
@@ -343,8 +349,8 @@ class Firewall:
     def _invalidate(self) -> None:
         """Every cached verdict may be stale: drop them all (and with
         them the hop chains the stack compiled over their pipes)."""
-        if self._flow_cache:
-            self._flow_cache.clear()
+        if self._flows:
+            self._flows.clear()
             self._verdicts.clear()
         self.generation += 1
 
@@ -486,7 +492,6 @@ class Firewall:
         up.dst = None
         up.direction = DIR_OUT
         up.hits = 0
-        up.match = None
         down = Rule.__new__(Rule)
         down.number = number + 1
         down.action = ACTION_PIPE
@@ -497,7 +502,6 @@ class Firewall:
         down.dst = addr
         down.direction = DIR_IN
         down.hits = 0
-        down.match = None
         if tied:
             self._install(up, self._order_after(number))
             self._install(down, self._order_after(number + 1))
@@ -720,15 +724,18 @@ class Firewall:
         or, with ``indexed=True``, two hash probes plus the candidate
         rules actually examined.
         """
-        key = (packet.src.value, packet.dst.value, packet.proto, direction)
-        cached = self._flow_cache.get(key)
-        if cached is not None:
+        src = packet.src.value
+        dst = packet.dst.value
+        try:
+            verdict = self._flows[direction][packet.proto][src * _FLOW_STRIDE ^ dst]
+        except KeyError:
+            pass  # a miss: walk the candidates below
+        else:
             # Replay the original verdict's accounting bit-for-bit:
             # same ``scanned`` charge (hence same emulated latency),
             # same per-rule ``hits``, same counters. Only the
             # wall-clock linear walk is skipped.
-            verdict, matched_rules = cached
-            for rule in matched_rules:
+            for rule in verdict.rules:
                 rule.hits += 1
             self.packets_evaluated += 1
             self.rules_scanned_total += verdict.scanned
@@ -736,7 +743,6 @@ class Firewall:
                 self._m_denied.inc()
             self.flow_cache_hits += 1
             return verdict
-        src, dst = key[0], key[1]
         lazy = self._lazy
         if lazy:
             # The packet's own pairs are candidates: build them.
@@ -766,30 +772,20 @@ class Firewall:
                 candidates.sort(key=_ORDER)
 
         indexed = self.indexed
-        pipes: List[DummynetPipe] = []
-        matched: List[int] = []
-        matched_rules: List[Rule] = []
+        matched: List[Rule] = []
         allowed = True
         examined = 0
         scanned = 0 if indexed else len(self._rules) + 2 * len(lazy)
         for rule in candidates:
             examined += 1
-            match = rule.match
-            if match is None:
-                match = rule.match = _compile_match(
-                    rule.direction, rule.proto, rule.src, rule.dst
-                )
-            if not match(packet, direction):
+            if not rule.matches(packet, direction):
                 continue
             rule.hits += 1
-            matched.append(rule.number)
-            matched_rules.append(rule)
+            matched.append(rule)
             action = rule.action
             if action == ACTION_PIPE:
-                pipe = rule.pipe
-                if pipe is None:
-                    pipe = rule.pipe = rule.pipe_factory(rule)  # type: ignore[misc]
-                pipes.append(pipe)
+                if rule.pipe is None:
+                    rule.pipe = rule.pipe_factory(rule)  # type: ignore[misc]
             elif action == ACTION_ALLOW:
                 if not indexed:
                     scanned = self._position(rule) + 1
@@ -808,16 +804,15 @@ class Firewall:
         self.rules_scanned_total += scanned
         if not allowed:
             self._m_denied.inc()
-        rules = tuple(matched_rules)
-        shared = (rules, scanned, allowed)
-        entry = self._verdicts.get(shared)
-        if entry is None:
-            entry = self._verdicts[shared] = (
-                Verdict(allowed, tuple(pipes), scanned, tuple(matched)), rules
-            )
-        self._flow_cache[key] = entry
+        rules = tuple(matched)
+        shared = (rules, scanned)
+        verdict = self._verdicts.get(shared)
+        if verdict is None:
+            verdict = self._verdicts[shared] = Verdict(allowed, scanned, rules)
+        flows = self._flows.setdefault(direction, {}).setdefault(packet.proto, {})
+        flows[src * _FLOW_STRIDE ^ dst] = verdict
         self.flow_cache_misses += 1
-        return entry[0]
+        return verdict
 
     def stats(self) -> dict:
         return {
@@ -825,7 +820,9 @@ class Firewall:
             "pipes": len(self._pipes),
             "packets_evaluated": self.packets_evaluated,
             "rules_scanned_total": self.rules_scanned_total,
-            "flow_cache_entries": len(self._flow_cache),
+            "flow_cache_entries": sum(
+                len(flows) for by_proto in self._flows.values() for flows in by_proto.values()
+            ),
             "flow_cache_verdicts": len(self._verdicts),
             "flow_cache_hits": self.flow_cache_hits,
             "flow_cache_misses": self.flow_cache_misses,

@@ -7,6 +7,7 @@ from repro.bittorrent import messages as msg
 from repro.bittorrent.client import BitTorrentClient, ClientConfig
 from repro.bittorrent.metainfo import Torrent
 from repro.bittorrent.swarm import Swarm, SwarmConfig
+from repro.errors import SocketError
 from repro.net.addr import IPv4Address
 from repro.units import KB, MB, kbps
 from repro.virt import Testbed
@@ -125,6 +126,38 @@ class TestChokeAndRequests:
         assert not pa.inflight
         for index, block in inflight_before:
             assert ca.picker.outstanding_for(index, block) == 0
+
+    def test_failed_request_send_stops_the_pipeline_and_leaves_nothing_requested(self):
+        """A REQUEST whose send fails closes the side, and the close
+        refunds its requests: no later request of the same fill may be
+        filed on the closed side, where nothing would refund it."""
+
+        class FailingSocket:
+            def __init__(self, sock):
+                self.sock = sock
+                self.sends = 0
+
+            def send(self, payload, size):
+                self.sends += 1
+                raise SocketError("connection reset")
+
+            def close(self):
+                self.sock.close()
+
+        testbed, ca, cb = make_pair()
+        testbed.sim.run(until=25.0)
+        pa = peer_of(ca, cb)
+        assert not pa.peer_choking and pa.inflight
+        pa._refund_inflight()  # the pipeline is free to fill again
+        pa.sock = failing = FailingSocket(pa.sock)
+        ca.fill_requests(pa)
+        assert pa.closed
+        assert failing.sends == 1
+        assert pa._inflight is None
+        torrent = ca.torrent
+        for index in range(torrent.num_pieces):
+            for block in range(torrent.blocks_in_piece(index)):
+                assert ca.picker.outstanding_for(index, block) == 0
 
     def test_request_while_choking_ignored(self):
         testbed, ca, cb = make_pair()

@@ -13,7 +13,6 @@ from repro.net.ipfw import (
     DIR_OUT,
     Firewall,
     Rule,
-    _compile_match,
 )
 from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
@@ -36,8 +35,7 @@ def fw():
 
 def matches(rule, packet, direction):
     """The predicate the firewall runs for ``rule``."""
-    match = _compile_match(rule.direction, rule.proto, rule.src, rule.dst)
-    return match(packet, direction)
+    return rule.matches(packet, direction)
 
 
 class TestRuleMatching:
