@@ -6,10 +6,12 @@ peer_choking / peer_interested), the peer's bitfield, the in-flight
 request set and two rate meters. The request set exists only while a
 request is outstanding and each meter from its first byte on: most
 sides of a large swarm never request from or trade with their peer, so
-neither is built for them. Message handling is callback-driven
-(the socket's receive channel is subscribed, not polled by a process)
-so the 5754-client scalability run does not pay one blocked generator
-per connection.
+neither is built for them. Message handling is callback-driven (the
+side is its connection's receiver, not a process polling a socket) so
+the 5754-client scalability run does not pay one blocked generator per
+connection. A side holds its :class:`~repro.net.tcp.Connection`, not
+the socket it was handed: the socket dies with the application frame
+that built it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.bittorrent import messages as msg
 from repro.bittorrent.bitfield import Bitfield
 from repro.bittorrent.choker import RateMeter
 from repro.errors import SocketError
+from repro.net.tcp import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bittorrent.client import BitTorrentClient
@@ -52,11 +55,14 @@ class PeerConnection:
 
     def __init__(self, client: "BitTorrentClient", sock, initiated: bool) -> None:
         self.client = client
-        self.sock = sock
+        conn = sock.connection
+        #: The connection once connected; a socket that never connected
+        #: is kept as it is (a send on it fails, and that closes the side).
+        self.sock = sock if conn is None else conn
         self.initiated = initiated
         self.handshaked = False
         self.peer_id: Optional[str] = None
-        self.remote_ip = sock.peer[0] if sock.peer else None
+        self.remote_ip = conn.remote[0] if conn is not None else None
         self.am_choking = True
         self.am_interested = False
         self.peer_choking = True
@@ -87,13 +93,13 @@ class PeerConnection:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin the protocol: subscribe to incoming messages and, as
-        the initiator, send our handshake immediately."""
-        conn = self.sock.connection
-        if conn is None:
+        """Begin the protocol: receive the connection's messages and,
+        as the initiator, send our handshake immediately."""
+        conn = self.sock
+        if not isinstance(conn, Connection):
             self.close()
             return
-        conn.recv_channel.subscribe(self._on_message)
+        conn.subscribe(self)
         if self.initiated:
             self.send(msg.Handshake(self.client.torrent.infohash, self.client.peer_id))
 
@@ -134,7 +140,8 @@ class PeerConnection:
         self.send(msg.Interested() if interested else msg.NotInterested())
 
     # ------------------------------------------------------------------
-    def _on_message(self, item) -> None:
+    def on_message(self, item) -> None:
+        """One ``(message, size)`` from the connection, ``None`` at EOF."""
         if item is None:
             self.close()
             return
@@ -187,6 +194,9 @@ class PeerConnection:
             self.cancels_received += 1
             # Queued uploads are already in the transport; nothing to do.
         # KeepAlive: ignored.
+
+    #: The name this handler had when it was the channel's subscriber.
+    _on_message = on_message
 
     def _on_handshake(self, hs: msg.Handshake) -> None:
         if hs.infohash != self.client.torrent.infohash:

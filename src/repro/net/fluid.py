@@ -74,7 +74,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.ipfw import DIR_IN, DIR_OUT
 from repro.net.packet import Packet, PROTO_TCP, TCP_HEADER
-from repro.net.tcp import Connection
+from repro.net.tcp import Connection, conn_key
 from repro.obs.metrics import NULL_REGISTRY
 
 #: Hop tags in a resolved path: a fixed delay or a Dummynet pipe.
@@ -191,7 +191,7 @@ class FluidFlow:
         conn: Any,
         src_stack: Any,
         dst_stack: Any,
-        remote_key: Tuple[int, int, int, int],
+        remote_key: int,
         hops: Tuple[Tuple[int, Any], ...],
         fixed_base: float,
         fw_gens: Tuple[int, int],
@@ -544,7 +544,7 @@ class FlowScheduler:
             conn=conn,
             src_stack=src_stack,
             dst_stack=dst_stack,
-            remote_key=(dst.value, dport, src.value, sport),
+            remote_key=conn_key(dst.value, dport, src.value, sport),
             hops=tuple(hops),
             fixed_base=fixed_base,
             fw_gens=(src_stack.fw.generation, dst_stack.fw.generation),

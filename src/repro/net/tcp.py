@@ -35,9 +35,11 @@ from repro.errors import (
     ConnectionRefused,
     ConnectionReset,
     InvalidSocketState,
+    SimulationError,
     SocketError,
 )
 from repro.net.addr import IPv4Address
+from repro.net.ipfw import _FLOW_STRIDE
 from repro.net.packet import Packet, PROTO_TCP, TCP_HEADER
 from repro.obs.flight import NULL_FLIGHT
 from repro.obs.metrics import NULL_REGISTRY
@@ -62,6 +64,16 @@ SYN_RTO = 1.0
 SYN_RETRIES = 5
 
 Endpoint = Tuple[IPv4Address, int]
+
+
+def conn_key(local_ip: int, local_port: int, remote_ip: int, remote_port: int) -> int:
+    """The demux key of a connection: one int, one-to-one on the
+    4-tuple. It is the flow cache's strided key (see
+    :data:`repro.net.ipfw._FLOW_STRIDE`) over the address pair, XORed
+    with the 32-bit port pair: the stride keeps each address pair in its
+    own 2**32-aligned block, and its odd part spreads the connections
+    that share a local address and port over the table's low bits."""
+    return (local_ip << 32 | remote_ip) * _FLOW_STRIDE ^ (local_port << 16 | remote_port)
 
 
 class _Segment:
@@ -118,7 +130,14 @@ class _TcpTally:
 
 
 class Connection:
-    """One established (or establishing) TCP connection endpoint."""
+    """One established (or establishing) TCP connection endpoint.
+
+    Received messages go, in order and followed by one ``None`` at EOF,
+    to the receiver given to :meth:`subscribe` (an object with an
+    ``on_message(item)`` method), or else to :attr:`recv_channel`, the
+    queue that the process-style :meth:`recv` reads. The channel is
+    built on first use: a subscribed endpoint never builds one.
+    """
 
     # States
     CONNECTING = "connecting"
@@ -128,7 +147,7 @@ class Connection:
     __slots__ = (
         "tcp", "sim", "local", "remote", "window", "state", "connect_signal",
         "_next_seq", "_in_flight", "_send_queue", "local_closed", "_fin_acked",
-        "_expected_seq", "_reorder", "recv_channel", "remote_closed",
+        "_expected_seq", "_reorder", "_receiver", "_channel", "remote_closed",
         "bytes_sent", "bytes_received", "messages_sent", "messages_received",
         "retransmissions", "_tally", "_flight",
     )
@@ -163,7 +182,9 @@ class Connection:
         #: Segments that arrived ahead of a dropped predecessor, by
         #: sequence number; ``None`` whenever nothing is parked.
         self._reorder: Optional[Dict[int, Tuple[str, _Segment]]] = None
-        self.recv_channel = Channel(self.sim, name="tcp.recv")
+        self._receiver = None
+        self._channel: Optional[Channel] = None
+        #: Set when EOF is delivered (the FIN, or a teardown before it).
         self.remote_closed = False
 
         # Stats.
@@ -325,9 +346,47 @@ class Connection:
         return self._in_flight
 
     # -- receiving -------------------------------------------------------
+    def subscribe(self, receiver) -> None:
+        """Push mode: deliver every message, those already queued first,
+        to ``receiver.on_message`` synchronously, and ``None`` at EOF."""
+        channel = self._channel
+        if self._receiver is not None or (channel is not None and channel._subscriber is not None):
+            raise SimulationError("channel 'tcp.recv' already subscribed")
+        if channel is not None and channel._getters is not None:
+            raise SimulationError("channel 'tcp.recv' has blocked getters; cannot subscribe")
+        eof = self.remote_closed
+        self._receiver = receiver
+        if channel is not None:
+            # A teardown from inside ``on_message`` delivers its own EOF
+            # (``remote_closed`` turns true): nothing may follow it.
+            while len(channel) and (eof or not self.remote_closed):
+                receiver.on_message(channel.try_get())
+        if eof:
+            receiver.on_message(None)
+
+    @property
+    def recv_channel(self) -> Channel:
+        """The receive queue of the process-style path, built on first
+        read (closed already if EOF came before)."""
+        channel = self._channel
+        if channel is None:
+            channel = self._channel = Channel(self.sim, name="tcp.recv")
+            if self.remote_closed:
+                channel.close()
+        return channel
+
     def recv(self) -> Signal:
         """Signal that fires with the next message, or ``None`` at EOF."""
         return self.recv_channel.get()
+
+    def _end_of_stream(self) -> None:
+        """Deliver EOF; the caller has set ``remote_closed``."""
+        receiver = self._receiver
+        if receiver is not None:
+            receiver.on_message(None)
+        channel = self._channel
+        if channel is not None:
+            channel.close()
 
     def handle_data(self, kind: str, seg: _Segment) -> None:
         """Called by the layer when a data/fin segment arrives."""
@@ -354,14 +413,22 @@ class Connection:
             self._expected_seq += 1
             if kind == KIND_FIN:
                 self.remote_closed = True
-                self.recv_channel.close()
+                self._end_of_stream()
                 self._maybe_teardown()
             else:
                 self.messages_received += 1
                 self.bytes_received += seg.size
-                self.recv_channel.put((seg.payload, seg.size))
+                receiver = self._receiver
+                if receiver is not None:
+                    receiver.on_message((seg.payload, seg.size))
+                else:
+                    self.recv_channel.put((seg.payload, seg.size))
             parked = self._reorder
             if parked is None or self._expected_seq not in parked:
+                return
+            if self.state is Connection.CLOSED:
+                # The receiver tore the connection down (and so got its
+                # EOF): what is still parked is never delivered.
                 return
             kind, seg = parked.pop(self._expected_seq)
             if not parked:
@@ -445,9 +512,9 @@ class Connection:
             return
         self.state = Connection.CLOSED
         self._send_queue = None
-        self.remote_closed = True
-        if not self.recv_channel.closed:
-            self.recv_channel.close()
+        if not self.remote_closed:
+            self.remote_closed = True
+            self._end_of_stream()
         self.tcp.forget(self)
         fluid = getattr(self.sim, "fluid", None)
         if fluid is not None:
@@ -496,7 +563,8 @@ class TcpLayer:
         #: window credit (see the module docstring's trade-off note).
         self.explicit_acks = explicit_acks
         self._listeners: Dict[Tuple[int, int], Listener] = {}
-        self._conns: Dict[Tuple[int, int, int, int], Connection] = {}
+        #: :func:`conn_key` of a connection's 4-tuple -> the connection.
+        self._conns: Dict[int, Connection] = {}
         self._next_ephemeral: Dict[int, int] = {}
         #: local ip value -> local port -> connections using it (kept in
         #: step with ``_conns``), so the ephemeral-port search is a dict
@@ -541,9 +609,9 @@ class TcpLayer:
         The signal triggers with the connection on success or with a
         :class:`SocketError` instance on failure (refused / timeout).
         """
-        key = (local[0].value, local[1], remote[0].value, remote[1])
+        key = conn_key(local[0].value, local[1], remote[0].value, remote[1])
         if key in self._conns:
-            raise AddressInUse(f"4-tuple {key} in use")
+            raise AddressInUse(f"{local[0]}:{local[1]} -> {remote[0]}:{remote[1]} in use")
         conn = Connection(self, local, remote, window=window)
         sig = Signal(self.stack.sim, name="tcp.connect")
         conn.connect_signal = sig
@@ -574,16 +642,18 @@ class TcpLayer:
         if conn.state is Connection.CONNECTING:
             self._send_syn(conn, attempt + 1)
 
-    def _register(self, key: Tuple[int, int, int, int], conn: Connection) -> None:
+    def _register(self, key: int, conn: Connection) -> None:
         self._conns[key] = conn
-        uses = self._port_uses.get(key[0])
+        ip_value, port = conn.local[0].value, conn.local[1]
+        uses = self._port_uses.get(ip_value)
         if uses is None:
-            uses = self._port_uses[key[0]] = {}
-        uses[key[1]] = uses.get(key[1], 0) + 1
+            uses = self._port_uses[ip_value] = {}
+        uses[port] = uses.get(port, 0) + 1
 
     def forget(self, conn: Connection) -> None:
         ip_value, port = conn.local[0].value, conn.local[1]
-        if self._conns.pop((ip_value, port, conn.remote[0].value, conn.remote[1]), None) is None:
+        key = conn_key(ip_value, port, conn.remote[0].value, conn.remote[1])
+        if self._conns.pop(key, None) is None:
             return
         uses = self._port_uses[ip_value]
         if uses[port] > 1:
@@ -593,61 +663,58 @@ class TcpLayer:
 
     @property
     def connections(self) -> Dict[Tuple[int, int, int, int], Connection]:
-        return dict(self._conns)
+        """Live connections by ``(local ip, local port, remote ip,
+        remote port)``, ip as its int value."""
+        return {
+            (c.local[0].value, c.local[1], c.remote[0].value, c.remote[1]): c
+            for c in self._conns.values()
+        }
 
     # -- packet ingress -----------------------------------------------------
     def handle_packet(self, pkt: Packet) -> None:
-        key = (pkt.dst.value, pkt.dport, pkt.src.value, pkt.sport)
-        conn = self._conns.get(key)
+        # conn_key, inlined: this runs once per segment.
+        conn = self._conns.get(
+            (pkt.dst.value << 32 | pkt.src.value) * _FLOW_STRIDE ^ (pkt.dport << 16 | pkt.sport)
+        )
         kind = pkt.kind
-
-        if kind == KIND_SYN:
-            if conn is not None:
+        if conn is not None:
+            if kind == KIND_DATA or kind == KIND_FIN:
+                conn.handle_data(kind, pkt.payload)
+            elif kind == KIND_SYN:
                 # Duplicate SYN: our SYNACK was lost; resend it.
                 self._send_synack(conn)
-                return
-            listener = self._find_listener(pkt.dst, pkt.dport)
-            if listener is None or listener.closed:
-                self._send_rst(pkt)
-                return
-            if len(listener.accept_channel) >= listener.backlog:
-                self._send_rst(pkt)
-                return
-            server_conn = Connection(
-                self, local=(pkt.dst, pkt.dport), remote=(pkt.src, pkt.sport)
-            )
-            server_conn.state = Connection.ESTABLISHED
-            self._register(key, server_conn)
-            self._send_synack(server_conn)
-            listener.accept_channel.put(server_conn)
-            return
+            elif kind == KIND_SYNACK:
+                if conn.state is Connection.CONNECTING:
+                    conn.state = Connection.ESTABLISHED
+                    if conn.connect_signal is not None:
+                        sig, conn.connect_signal = conn.connect_signal, None
+                        sig.trigger(conn)
+                    conn._pump()
+            elif kind == KIND_RST:
+                conn.handle_rst()
+            elif kind == KIND_ACK:
+                seg = pkt.payload
+                seg.conn._on_delivered(seg)
+        elif kind == KIND_SYN:
+            self._accept(pkt)
+        elif kind != KIND_RST and kind != KIND_ACK:
+            self._send_rst(pkt)
 
-        if conn is None:
-            if kind not in (KIND_RST, KIND_ACK):
-                self._send_rst(pkt)
+    def _accept(self, syn: Packet) -> None:
+        """A SYN for no connection: establish one if a listener with
+        backlog room takes it, refuse it with RST otherwise."""
+        listener = self._find_listener(syn.dst, syn.dport)
+        if listener is None or listener.closed or len(listener.accept_channel) >= listener.backlog:
+            self._send_rst(syn)
             return
-
-        if kind == KIND_SYNACK:
-            if conn.state is Connection.CONNECTING:
-                conn.state = Connection.ESTABLISHED
-                if conn.connect_signal is not None:
-                    sig, conn.connect_signal = conn.connect_signal, None
-                    sig.trigger(conn)
-                conn._pump()
-            return
-
-        if kind == KIND_RST:
-            conn.handle_rst()
-            return
-
-        if kind in (KIND_DATA, KIND_FIN):
-            conn.handle_data(kind, pkt.payload)
-            return
-
-        if kind == KIND_ACK:
-            seg = pkt.payload
-            seg.conn._on_delivered(seg)
-            return
+        local = listener.local
+        if local[0].value != syn.dst.value:  # bound to INADDR_ANY
+            local = (syn.dst, syn.dport)
+        conn = Connection(self, local=local, remote=(syn.src, syn.sport))
+        conn.state = Connection.ESTABLISHED
+        self._register(conn_key(syn.dst.value, syn.dport, syn.src.value, syn.sport), conn)
+        self._send_synack(conn)
+        listener.accept_channel.put(conn)
 
     def _send_synack(self, conn: Connection) -> None:
         pkt = Packet(

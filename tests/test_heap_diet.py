@@ -9,6 +9,7 @@ count) behave exactly like the always-allocated ones they replaced.
 
 import contextlib
 import gc
+import random
 import tracemalloc
 from types import CellType, FunctionType, MethodType
 
@@ -38,6 +39,7 @@ from repro.net.stack import NetworkStack
 from repro.net.switch import Switch
 from repro.net.tcp import Connection, Listener, TcpLayer
 from repro.sim import Channel, Simulator
+from repro.sim.process import Process
 from repro.topology import TopologySpec, compile_topology
 from repro.topology.presets import uniform_swarm
 from repro.units import KB, MB, kbps, ms
@@ -96,6 +98,65 @@ def test_idle_connection_pair_stays_under_memory_budget():
     for conn in clients + servers:
         assert conn._send_queue is None and conn._reorder is None
         assert len(conn.recv_channel) == 0
+
+
+def test_established_connection_pair_stays_under_byte_budget():
+    """2 000 established pairs, each end handed to its owner as a bare
+    :class:`Connection`: an end owns no receive channel until something
+    reads one, its demux key is one int and an accepted end shares its
+    listener's address tuple. At most 1 250 B per pair (1 128 B on
+    CPython 3.11; 1 392 B with a channel per end, a 4-tuple key and a
+    fresh local tuple per accepted end)."""
+    pairs = 2000
+    sim, a, b = make_lan()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clients, servers = connect_pairs(sim, a, b, pairs)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_pair = (after - before) / pairs
+    assert per_pair <= 1250, f"an established connection pair retains {per_pair:.0f} B"
+    listener = b.tcp._listeners[(b.iface.primary.value, 5000)]
+    for conn in clients + servers:
+        assert conn._channel is None and conn._receiver is None
+    assert all(conn.local is listener.local for conn in servers)
+
+
+def test_a_peer_side_holds_its_connection_and_no_socket():
+    """Both sides of a leecher/seeder pair, mid-transfer: each holds its
+    :class:`Connection`, whose receiver is the side itself (no bound
+    method, no channel), and no :class:`Socket` is reachable from it.
+    The leecher's connect socket died with its connector's frame; the
+    seeder's accepted one is held only by its accept loop, until the
+    next accept."""
+    testbed = Testbed(num_pnodes=2, seed=6)
+    compiler = compile_topology(uniform_swarm(2, prefix="10.0.0.0/24"), testbed)
+    va, vb = compiler.all_vnodes()
+    torrent = Torrent("t", total_size=512 * KB, piece_length=64 * KB,
+                      block_size=16 * KB, tracker_addr=None)
+    leecher = BitTorrentClient(va, torrent)
+    seeder = BitTorrentClient(vb, torrent, seeder=True)
+    leecher.start()
+    seeder.start()
+    leecher.add_candidates([(vb.address, seeder.config.listen_port)])
+    testbed.sim.run(until=25.0)
+    (down,), (up,) = leecher.peers(), seeder.peers()
+    assert down._inflight  # mid-transfer
+    for side in (down, up):
+        conn = side.sock
+        assert type(conn) is Connection and conn.state is Connection.ESTABLISHED
+        assert conn._receiver is side and conn._channel is None
+        for obj in gc.get_referents(side) + gc.get_referents(conn):
+            assert not isinstance(obj, (Socket, Channel, MethodType)), obj
+    gc.collect()
+    alive = [obj for obj in gc.get_objects() if type(obj) is Socket]
+    assert [sock for sock in alive if sock.stack is va.pnode.stack] == [leecher._listen_sock]
+    accepted = [sock for sock in alive if sock.stack is vb.pnode.stack and sock._listener is None]
+    assert [sock.connection for sock in accepted] == [up.sock]
 
 
 def test_cached_flow_stays_under_memory_budget_when_rule_sets_are_shared():
@@ -598,6 +659,224 @@ class TestSendQueueOnFirstUse:
         assert received == [(0, 100), (1, 100), (2, 100)]
         assert server._reorder is None
         assert client.retransmissions == 1
+
+    @pytest.mark.parametrize("path", ["receiver", "channel"])
+    def test_a_receiver_that_aborts_mid_drain_gets_eof_and_nothing_after(self, path):
+        """Seq 1 and 2 are parked behind a dropped seq 0; the receiver
+        aborts on seq 0. EOF is the last thing it sees, once, and the
+        parked segments are never delivered (on the channel path they
+        were put on the closed channel, which raised out of ``run``)."""
+        sim, a, b = make_lan()
+        (client,), (server,) = connect_pairs(sim, a, b, 1)
+        received = []
+
+        def on_message(item):
+            received.append(item)
+            if item is not None:
+                server.abort()
+
+        if path == "receiver":
+            server.subscribe(_Receiver(on_message))
+        else:
+            server.recv_channel.subscribe(on_message)
+        deny = a.fw.add(ACTION_DENY, proto=PROTO_TCP, direction=DIR_OUT)
+        client.send(0, 100)
+        a.fw.delete(deny.number)
+        client.send(1, 100)
+        client.send(2, 100)
+        sim.run(until=sim.now + 0.1)
+        assert received == [] and sorted(server._reorder) == [1, 2]
+        sim.run()
+        assert received == [(0, 100), None]
+        assert server.state is Connection.CLOSED and client.state is Connection.CLOSED
+
+
+class _Receiver:
+    """A connection receiver that hands each item to ``callback``."""
+
+    __slots__ = ("on_message",)
+
+    def __init__(self, callback):
+        self.on_message = callback
+
+
+def _attach(path, sim, conn, got, on_eof=None):
+    """Read ``conn`` into ``got``: as a subscribed receiver, or as a
+    process looping on ``recv()`` that reads once more after EOF.
+    ``on_eof`` runs when ``None`` arrives."""
+    if path == "receiver":
+
+        def on_message(item):
+            got.append(item)
+            if item is None and on_eof is not None:
+                on_eof()
+
+        conn.subscribe(_Receiver(on_message))
+        return
+
+    def reader():
+        while True:
+            item = yield conn.recv()
+            got.append(item)
+            if item is None:
+                break
+        if on_eof is not None:
+            on_eof()
+        got.append((yield conn.recv()))  # after EOF: None at once
+
+    Process(sim, reader())
+
+
+class TestReceivePaths:
+    """A subscribed receiver and a process reading through ``recv()``
+    see the same sequence: queued items first, in order, then exactly
+    one ``None`` (the ``recv()`` reader also reads a second ``None``
+    after EOF)."""
+
+    def _run(self, path, script):
+        sim, a, b = make_lan()
+        (client,), (server,) = connect_pairs(sim, a, b, 1)
+        got = []
+        script(sim, client, server, lambda **kw: _attach(path, sim, server, got, **kw))
+        sim.run()
+        if path == "recv":
+            assert got[-1] is None
+            got = got[:-1]
+        assert got.count(None) == 1 and got[-1] is None
+        return got, server
+
+    @pytest.fixture(params=["receiver", "recv"])
+    def path(self, request):
+        return request.param
+
+    def test_items_queued_before_subscribe(self, path):
+        def script(sim, client, server, attach):
+            for i in range(3):
+                client.send(i, 100)
+            sim.run()
+            assert len(server.recv_channel) == 3
+            attach()
+            for i in range(3, 5):
+                client.send(i, 100)
+            client.close()
+
+        got, server = self._run(path, script)
+        assert got == [(i, 100) for i in range(5)] + [None]
+        assert server.remote_closed and server.state is Connection.ESTABLISHED
+
+    def test_fin_before_subscribe(self, path):
+        def script(sim, client, server, attach):
+            client.send("a", 100)
+            client.send("b", 200)
+            client.close()
+            sim.run()
+            assert server.remote_closed and server._channel is not None
+            attach()
+
+        got, _server = self._run(path, script)
+        assert got == [("a", 100), ("b", 200), None]
+
+    def test_fin_before_anything_read_builds_no_channel(self, path):
+        def script(sim, client, server, attach):
+            client.close()
+            sim.run()
+            assert server.remote_closed and server._channel is None
+            attach()
+
+        got, _server = self._run(path, script)
+        assert got == [None]
+
+    def test_fin_then_teardown_delivers_one_eof(self, path):
+        def script(sim, client, server, attach):
+            attach(on_eof=server.close)
+            client.send("x", 100)
+            client.close()
+
+        got, server = self._run(path, script)
+        assert got == [("x", 100), None]
+        assert server.state is Connection.CLOSED
+
+    def test_reset_delivers_one_eof(self, path):
+        def script(sim, client, server, attach):
+            attach()
+            client.send("x", 100)
+            sim.run()
+            client.abort()
+
+        got, server = self._run(path, script)
+        assert got == [("x", 100), None]
+        assert server.state is Connection.CLOSED
+
+    def test_second_subscribe_raises_like_a_channel(self):
+        sim, a, b = make_lan()
+        (client,), (server,) = connect_pairs(sim, a, b, 1)
+        server.subscribe(_Receiver(lambda item: None))
+        with pytest.raises(SimulationError, match="'tcp.recv' already subscribed"):
+            server.subscribe(_Receiver(lambda item: None))
+        client.recv_channel.subscribe(lambda item: None)
+        with pytest.raises(SimulationError, match="'tcp.recv' already subscribed"):
+            client.subscribe(_Receiver(lambda item: None))
+        other = connect_pairs(sim, a, b, 1, port=5001)[0][0]
+        other.recv()
+        with pytest.raises(SimulationError, match="'tcp.recv' has blocked getters"):
+            other.subscribe(_Receiver(lambda item: None))
+
+
+# -- demux: one int key per connection ------------------------------------------
+
+
+def _plain_shift_key(lip, lport, rip, rport):
+    return (lip << 32 | rip) << 32 | (lport << 16 | rport)
+
+
+class TestDemuxKey:
+    def test_keys_are_distinct_over_a_grid_of_four_tuples(self):
+        ips = [0, 1, 0x0A000001, 0x0A000002, 0xC0A82601, 0xFFFFFFFF]
+        # (1, 3) and (2, 0) have the same XOR, as do (6881, 0) and (0, 6881).
+        ports = [0, 1, 2, 3, 6881, 49152, 65535]
+        tuples = [
+            (lip, lport, rip, rport)
+            for lip in ips for rip in ips for lport in ports for rport in ports
+        ]
+        keys = {tcp.conn_key(*t) for t in tuples}
+        assert len(keys) == len(tuples)
+        swapped = (0x0A000001, 49152, 0x0A000002, 6881)
+        assert tcp.conn_key(*swapped) != tcp.conn_key(0x0A000002, 6881, 0x0A000001, 49152)
+
+    def test_connections_are_keyed_by_their_four_tuples(self):
+        sim, a, b = make_lan()
+        clients, servers = connect_pairs(sim, a, b, 3)
+        for stack, conns in ((a, clients), (b, servers)):
+            assert stack.tcp.connections == {
+                (c.local[0].value, c.local[1], c.remote[0].value, c.remote[1]): c
+                for c in conns
+            }
+            assert set(stack.tcp._conns) == {
+                tcp.conn_key(c.local[0].value, c.local[1], c.remote[0].value, c.remote[1])
+                for c in conns
+            }
+
+    def test_one_pnodes_keys_spread_over_the_table(self):
+        """One 32-vnode pnode of a swarm of 5 754 (10.0.0.1 onwards, in
+        blocks), 36 connections per vnode: 18 out to port 6881, 18 in on
+        it. Of a 2 048-slot table's low bits, the keys' hashes fill at
+        least 800; a plain shift fills under 300."""
+        rng = random.Random(0)
+        base = 10 << 24
+        four_tuples = []
+        for lip in range(base + 1, base + 33):
+            for i in range(18):
+                four_tuples.append((lip, 49152 + i, base + 1 + rng.randrange(5754), 6881))
+            for _ in range(18):
+                rport = 49152 + rng.randrange(40)
+                four_tuples.append((lip, 6881, base + 1 + rng.randrange(5754), rport))
+        assert len(set(four_tuples)) == 1152
+
+        def spread(key):
+            return len({hash(key(*t)) & 2047 for t in four_tuples})
+
+        assert spread(tcp.conn_key) >= 800
+        assert spread(_plain_shift_key) < 300
 
 
 # -- ephemeral ports: the use count hands out what the walk handed out ---------
