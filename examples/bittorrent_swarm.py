@@ -14,8 +14,8 @@ import argparse
 
 from repro.analysis.tables import render_ascii_series
 from repro.bittorrent import Swarm, SwarmConfig
-from repro.core.collector import completion_curve, progress_series
-from repro.core.report import download_phases, summarize_swarm
+from repro.core.collector import Completions, ProgressSeries
+from repro.core.report import phases_of, swarm_summary
 from repro.units import MB
 
 
@@ -37,17 +37,20 @@ def main() -> None:
         num_pnodes=args.pnodes,
         seed=args.seed,
     ))
+    # Reducers read the client log as it is written; nothing is retained.
+    first_client = swarm.leechers[0].vnode.name
+    progress = ProgressSeries(node=first_client).attach(swarm.sim.trace)
+    completions = Completions().attach(swarm.sim.trace)
     print(f"running: {args.leechers} clients, {args.file_mb} MiB, "
           f"stagger {args.stagger}s, {args.pnodes} pnodes ...")
     last = swarm.run(max_time=50000)
-    trace = swarm.sim.trace
 
-    summary = summarize_swarm(trace)
+    summary = swarm_summary(completions)
     for name, value in summary.as_rows():
         print(f"  {name:<26} {value:.1f}" if isinstance(value, float) else f"  {name:<26} {value}")
 
-    first_client = swarm.leechers[0].vnode.name
-    phases = download_phases(trace, first_client)
+    series = progress.series[first_client]
+    phases = phases_of(series)
     print(f"\nfirst client's three phases (paper Figure 8 narrative):")
     print(f"  seeders-only start : first piece after {phases['first_piece'] - 0.1:.0f}s")
     print(f"  reciprocation      : to 50% in {phases['to_half']:.0f}s")
@@ -55,12 +58,12 @@ def main() -> None:
 
     print()
     print(render_ascii_series(
-        progress_series(trace, first_client)[first_client],
+        series,
         title=f"progress of {first_client} (% vs seconds)",
     ))
     print()
     print(render_ascii_series(
-        completion_curve(trace),
+        completions.curve(),
         title="clients having completed (Figure 11 shape)",
     ))
     print(f"\nsimulated {swarm.sim.events_processed} events "

@@ -40,6 +40,8 @@ def main() -> None:
     sniffer = Sniffer(tracker_stack, port=swarm.tracker.port, max_packets=40)
     monitor = ResourceMonitor(swarm.testbed, period=30.0)
     monitor.start()
+    # Keep the completion log for the population statistics below.
+    swarm.sim.trace.enable("bt.complete")
 
     last = swarm.run(max_time=20000)
     monitor.stop()

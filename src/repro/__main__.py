@@ -520,6 +520,7 @@ def run_trace(argv: List[str]) -> int:
         return 2
 
     from repro.bittorrent import Swarm
+    from repro.bittorrent.swarm import CLIENT_LOG
     from repro.obs.chrometrace import validate_chrome_trace, write_chrome_trace
     from repro.obs.timeseries import TimeSeriesSampler
 
@@ -540,6 +541,8 @@ def run_trace(argv: List[str]) -> int:
         return 2
 
     swarm = Swarm(config)
+    # The document ships the raw client log, NULL instruments or not.
+    swarm.sim.trace.enable(*CLIENT_LOG)
     timeseries = None
     if observe:
         timeseries = TimeSeriesSampler(swarm.sim, period=sample_period)

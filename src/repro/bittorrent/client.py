@@ -448,6 +448,9 @@ def _listener_app(client: BitTorrentClient):
             if incoming is None:
                 break
             client.on_incoming(incoming)
+            # The peer holds what it needs; an accepted Socket kept here
+            # would live until the next accept.
+            del incoming
 
     return app
 

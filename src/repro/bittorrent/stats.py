@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.bittorrent.client import BitTorrentClient
+from repro.core.collector import completion_times
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def seeder_leecher_evolution(
     """(time, seeders, leechers) series from completion events — the
     swarm-population plot of the measurement studies. ``total_clients``
     counts downloading clients; initial seeders are excluded."""
-    completions = sorted(rec.time for rec in trace.select("bt.complete"))
+    completions = completion_times(trace)
     if not completions:
         return []
     out: List[Tuple[float, int, int]] = []

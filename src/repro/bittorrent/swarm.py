@@ -28,6 +28,10 @@ from repro.units import MB, ms
 from repro.virt.deployment import Testbed
 
 
+#: The client log's categories (``BitTorrentClient`` emits them).
+CLIENT_LOG = ("bt.progress", "bt.complete", "bt.start")
+
+
 @dataclass
 class SwarmConfig:
     """Parameters of one swarm experiment (paper defaults)."""
@@ -57,8 +61,9 @@ class SwarmConfig:
     tcp_explicit_acks: bool = False
     #: ``False`` runs the whole platform on NULL instruments.
     observe: bool = True
-    #: Record per-packet hop-by-hop flights (requires ``observe``).
-    #: Off by default: memory grows with traffic volume.
+    #: Record per-packet hop-by-hop flights (requires ``observe``) and
+    #: retain the client log for :meth:`Swarm.chrome_trace`. Off by
+    #: default: memory grows with traffic volume.
     flight: bool = False
     #: Model long bulk transfers as fluid flows (rate epochs instead of
     #: per-packet events) — see :mod:`repro.net.fluid`. Off by default;
@@ -94,7 +99,10 @@ class Swarm:
             sim_config=SimConfig(flight=cfg.flight, fluid=cfg.fluid),
         )
         self.sim = self.testbed.sim
-        self.sim.trace.enable("bt.progress", "bt.complete", "bt.start")
+        if cfg.flight:
+            # The Chrome export is the one reader of the raw client
+            # log; reports attach reducers (repro.core.collector).
+            self.sim.trace.enable(*CLIENT_LOG)
 
         # Topology: one unshaped infrastructure node for the tracker,
         # then every peer (seeders included) on the DSL profile.
@@ -177,11 +185,14 @@ class Swarm:
                 self.sim.stop()
 
         self.sim.trace.subscribe("bt.complete", on_complete)
-        with self.sim.tracer.span(
-            "bt.swarm.run", leechers=target, seeders=len(self.seeders)
-        ) as span:
-            self.sim.run(until=max_time)
-            span.annotate(completions=len(done_at))
+        try:
+            with self.sim.tracer.span(
+                "bt.swarm.run", leechers=target, seeders=len(self.seeders)
+            ) as span:
+                self.sim.run(until=max_time)
+                span.annotate(completions=len(done_at))
+        finally:
+            self.sim.trace.unsubscribe("bt.complete", on_complete)
         if len(done_at) < target:
             raise ExperimentError(
                 f"swarm did not complete: {len(done_at)}/{target} leechers "
@@ -240,8 +251,10 @@ class Swarm:
         """Chrome Trace Event document of this run (Perfetto-loadable).
 
         Merges whatever was recorded: packet flights (``flight=True``),
-        tracer spans, trace-recorder client logs, and an optional
-        :class:`~repro.obs.timeseries.TimeSeriesSampler`. Deterministic.
+        tracer spans, the retained client log (``flight=True``, or
+        ``sim.trace.enable(*CLIENT_LOG)`` before the run), and an
+        optional :class:`~repro.obs.timeseries.TimeSeriesSampler`.
+        Deterministic.
         """
         from repro.obs.chrometrace import TraceLayout, chrome_trace_document
 

@@ -8,12 +8,15 @@ same pieces.
 
 * :mod:`repro.core.experiment` — experiment definition and run loop;
 * :mod:`repro.core.launcher` — staggered application launches;
-* :mod:`repro.core.collector` — extraction of per-node time series
-  from the trace (the paper's time-stamped client logs);
+* :mod:`repro.core.collector` — reducers that turn the client log
+  (the paper's time-stamped client output) into per-node time series;
 * :mod:`repro.core.report` — figure-shaped summaries.
 """
 
 from repro.core.collector import (
+    Completions,
+    PayloadCurve,
+    ProgressSeries,
     completion_curve,
     progress_series,
     total_payload_curve,
@@ -26,6 +29,9 @@ from repro.core.monitor import ResourceMonitor
 __all__ = [
     "Experiment",
     "staggered_launch",
+    "ProgressSeries",
+    "Completions",
+    "PayloadCurve",
     "progress_series",
     "completion_curve",
     "total_payload_curve",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.collector import completion_times, progress_series
+from repro.core.collector import Completions, ProgressSeries, Series
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import Snapshot
 from repro.sim.trace import TraceRecorder
@@ -33,10 +33,15 @@ class SwarmSummary:
 
 def summarize_swarm(trace: TraceRecorder) -> SwarmSummary:
     """Build the summary from bt.complete records."""
-    times = completion_times(trace)
+    return swarm_summary(Completions().replay(trace))
+
+
+def swarm_summary(completions: Completions) -> SwarmSummary:
+    """The summary of what a :class:`Completions` reducer saw."""
+    times = completions.sorted_times()
     if not times:
         raise ValueError("no completions recorded")
-    durations = [rec.get("duration") for rec in trace.select("bt.complete")]
+    durations = completions.durations
     return SwarmSummary(
         clients=len(times),
         first_completion=times[0],
@@ -110,7 +115,11 @@ def download_phases(trace: TraceRecorder, node: str) -> Dict[str, float]:
     here: time to first piece, time from first piece to 50%, and time
     from 50% to completion.
     """
-    series = progress_series(trace, node).get(node, [])
+    return phases_of(ProgressSeries(node).replay(trace).series.get(node, []))
+
+
+def phases_of(series: Series) -> Dict[str, float]:
+    """:func:`download_phases` of one client's progress series."""
     if not series:
         return {}
     t_first = series[0][0]
@@ -128,14 +137,4 @@ def sample_progress(
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Progress curves of every ``every``-th client, by start order —
     how Figure 10 plots "nodes 50, 100, 150, ... 5750"."""
-    all_series = progress_series(trace)
-
-    def start_key(item: Tuple[str, List[Tuple[float, float]]]) -> float:
-        return item[1][0][0]
-
-    ordered = sorted(all_series.items(), key=start_key)
-    return {
-        name: series
-        for i, (name, series) in enumerate(ordered, start=1)
-        if i % every == 0
-    }
+    return ProgressSeries(every=every).replay(trace).series

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.tables import Table
-from repro.bittorrent.swarm import Swarm, SwarmConfig
-from repro.core.collector import completion_curve, progress_series
-from repro.core.report import sample_progress
+from repro.bittorrent.swarm import CLIENT_LOG, Swarm, SwarmConfig
+from repro.core.collector import Completions, ProgressSeries, progress_series
 from repro.errors import ExperimentError
 from repro.experiments.api import RunRequest, RunResult
 from repro.obs import telemetry
@@ -111,16 +110,17 @@ def run_fig10(
         fluid=fluid,
     )
     swarm = Swarm(config)
+    every = max(1, min(select_every, leechers // 10))
+    selected = ProgressSeries(every=every).attach(swarm.sim.trace)
+    completions = Completions().attach(swarm.sim.trace)
     last = swarm.run(max_time=max_time)
-    trace = swarm.sim.trace
-    completion = completion_curve(trace)
+    completion = completions.curve()
     times = [t for t, _ in completion]
-    selected = sample_progress(trace, every=max(1, min(select_every, leechers // 10)))
     return Fig10Result(
         clients=leechers,
         pnodes=pnodes,
         vnodes_per_pnode=-(-(leechers + 5) // pnodes),
-        selected_progress=selected,
+        selected_progress=selected.series,
         completion=completion,
         first_completion=times[0],
         last_completion=last,
@@ -162,6 +162,8 @@ def _run_cell(request: RunRequest) -> RunResult:
             ),
             sim=sim,
         )
+        # The cell ships its whole client log to the merge.
+        sim.trace.enable(*CLIENT_LOG)
         done_at: Dict[str, float] = {}
         target = len(swarm.leechers)
 
@@ -292,7 +294,7 @@ def run_fig10_partitioned(
     completion = [(t, float(i + 1)) for i, t in enumerate(all_times)]
     # Figure 10 sampling over the union of cells: qualify node names by
     # cell (vnode names repeat per cell), order by start time, keep
-    # every k-th — the same rule sample_progress applies to one trace.
+    # every k-th — the same rule ProgressSeries(every=) applies online.
     all_progress: Dict[str, Series] = {}
     for name in merged.cells:
         for node, series in merged.per_cell[name]["artifacts"]["progress"].items():

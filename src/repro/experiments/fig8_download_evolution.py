@@ -14,8 +14,8 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.tables import Table
 from repro.bittorrent.swarm import Swarm, SwarmConfig
-from repro.core.collector import progress_series
-from repro.core.report import SwarmSummary, download_phases, summarize_swarm
+from repro.core.collector import Completions, ProgressSeries
+from repro.core.report import SwarmSummary, phases_of, swarm_summary
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,14 @@ def run_fig8(
         fluid=fluid,
     )
     swarm = Swarm(config)
+    progress = ProgressSeries().attach(swarm.sim.trace)
+    completions = Completions().attach(swarm.sim.trace)
     last = swarm.run(max_time=max_time)
-    trace = swarm.sim.trace
     first_client = swarm.leechers[0].vnode.name
     return Fig8Result(
-        summary=summarize_swarm(trace),
-        phases_first_client=download_phases(trace, first_client),
-        progress=progress_series(trace),
+        summary=swarm_summary(completions),
+        phases_first_client=phases_of(progress.series.get(first_client, [])),
+        progress=progress.series,
         last_completion=last,
     )
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.analysis.series import relative_gap
 from repro.analysis.tables import Table
 from repro.bittorrent.swarm import Swarm, SwarmConfig
-from repro.core.collector import total_payload_curve
+from repro.core.collector import PayloadCurve
 from repro.experiments.api import RunRequest, RunResult
 from repro.units import MB, gbps
 
@@ -54,8 +54,9 @@ def run_fig9(
         )
         swarm = Swarm(config)
         swarm.testbed.switch.port_bandwidth = port_bandwidth
+        payload = PayloadCurve(bucket=20.0).attach(swarm.sim.trace)
         last[pnodes] = swarm.run(max_time=max_time)
-        curves[pnodes] = total_payload_curve(swarm.sim.trace, bucket=20.0)
+        curves[pnodes] = payload.curve()
 
     reference = curves[pnode_counts[0]]
     horizon = max(t for c in curves.values() for t, _ in c)
@@ -131,8 +132,9 @@ def point_artifacts(
     )
     swarm = Swarm(config)
     swarm.testbed.switch.port_bandwidth = float(port_bandwidth)
+    payload = PayloadCurve(bucket=20.0).attach(swarm.sim.trace)
     last = swarm.run(max_time=float(max_time))
-    curve = total_payload_curve(swarm.sim.trace, bucket=20.0)
+    curve = payload.curve()
     return {
         "num_pnodes": pnodes,
         "clients_per_pnode": -(-(leechers + seeders) // pnodes),

@@ -76,10 +76,15 @@ class Channel:
                 f"channel {self.name!r} has blocked getters; cannot subscribe"
             )
         self._subscriber = callback
-        while self._items is not None:
-            callback(self._pop_item())
         if self.closed:
+            while self._items is not None:
+                callback(self._pop_item())
             callback(None)
+            return
+        # A callback that closes the channel has had its ``None`` from
+        # close(): nothing may follow it.
+        while self._items is not None and not self.closed:
+            callback(self._pop_item())
 
     def get(self) -> Signal:
         """Return a signal that fires with the next item (or ``None`` at close)."""

@@ -3,8 +3,16 @@
 The paper's experiments work from time-stamped client logs (the
 BitTorrent client was "slightly modified to allow data collection: a
 time-stamp was added to the default output"). :class:`TraceRecorder`
-plays that role: components append ``(time, category, fields)`` records
-and experiments filter them afterwards.
+plays that role: components emit ``(time, category, fields)`` records.
+
+Retaining a record and listening to it are separate requests. A
+category is *retained* only after :meth:`TraceRecorder.enable`: its
+records are kept for the whole run and :meth:`TraceRecorder.select`
+reads them back (the ``trace`` CLI and the Chrome export ask for
+this). :meth:`TraceRecorder.subscribe` hands each record of a category
+to a listener as it is emitted and keeps nothing; the figure reducers
+of :mod:`repro.core.collector` work this way. A category with neither
+costs one dict lookup per record, and no :class:`TraceRecord` is built.
 """
 
 from __future__ import annotations
@@ -32,11 +40,11 @@ class TraceRecord:
 
 
 class TraceRecorder:
-    """Append-only store of trace records with category filters.
+    """Record fan-out to listeners, plus a store of retained categories.
 
-    Recording is off by default per category; experiments enable only
-    the categories they consume, keeping the hot path cheap for the
-    large-scale runs.
+    Both are off by default per category: a record nobody retains or
+    listens to is dropped at once, which keeps the hot path and the
+    heap of large-scale runs cheap.
     """
 
     def __init__(self) -> None:
@@ -45,7 +53,7 @@ class TraceRecorder:
         self._listeners: Dict[str, List[Callable[[TraceRecord], None]]] = {}
 
     def enable(self, *categories: str) -> None:
-        """Start recording the given categories."""
+        """Start retaining the given categories' records."""
         self._enabled.update(categories)
 
     def disable(self, *categories: str) -> None:
@@ -55,12 +63,15 @@ class TraceRecorder:
         return category in self._enabled
 
     def categories(self) -> "set[str]":
-        """The categories currently being recorded (a copy)."""
+        """The categories currently being retained (a copy)."""
         return set(self._enabled)
 
     def subscribe(self, category: str, listener: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``listener`` for every record of ``category`` (implies enable)."""
-        self.enable(category)
+        """Invoke ``listener`` for every record of ``category``.
+
+        Listening does not retain: call :meth:`enable` as well to keep
+        the records for :meth:`select`.
+        """
         self._listeners.setdefault(category, []).append(listener)
 
     def unsubscribe(
@@ -68,9 +79,8 @@ class TraceRecorder:
     ) -> None:
         """Detach one listener mid-run.
 
-        The category stays enabled (recording was requested via
-        :meth:`enable`, possibly implicitly) — call :meth:`disable`
-        to silence it entirely. Unknown listeners are a no-op so
+        Retention is untouched: an enabled category keeps its records
+        until :meth:`disable`. Unknown listeners are a no-op so
         teardown code can unsubscribe unconditionally.
         """
         listeners = self._listeners.get(category)
@@ -84,13 +94,18 @@ class TraceRecorder:
             del self._listeners[category]
 
     def record(self, time: float, category: str, **fields: Any) -> None:
-        """Append a record if its category is enabled."""
-        if category not in self._enabled:
+        """Hand a record to its category's listeners, and keep it if the
+        category is retained; do nothing if it is neither."""
+        listeners = self._listeners.get(category)
+        retained = category in self._enabled
+        if listeners is None and not retained:
             return
         rec = TraceRecord(time, category, tuple(fields.items()))
-        self._records.append(rec)
-        for listener in self._listeners.get(category, ()):
-            listener(rec)
+        if retained:
+            self._records.append(rec)
+        if listeners is not None:
+            for listener in listeners:
+                listener(rec)
 
     def select(
         self, category: Optional[str] = None, **field_filters: Any
@@ -106,6 +121,7 @@ class TraceRecorder:
             yield rec
 
     def __len__(self) -> int:
+        """The number of retained records."""
         return len(self._records)
 
     def clear(self) -> None:
@@ -114,7 +130,7 @@ class TraceRecorder:
         self._records.clear()
 
     def reset(self) -> None:
-        """Full reset: records, enabled categories *and* listeners —
+        """Full reset: records, retained categories *and* listeners —
         back to the freshly-constructed state."""
         self._records.clear()
         self._enabled.clear()

@@ -132,10 +132,13 @@ class TestSwarmBehaviour:
 
     def test_progress_is_monotonic_per_client(self):
         swarm = small_swarm()
+        swarm.sim.trace.enable("bt.progress")
         swarm.run(max_time=5000)
         from repro.core.collector import progress_series
 
-        for node, series in progress_series(swarm.sim.trace).items():
+        all_series = progress_series(swarm.sim.trace)
+        assert set(all_series) == {c.vnode.name for c in swarm.leechers}
+        for node, series in all_series.items():
             pcts = [p for _t, p in series]
             assert pcts == sorted(pcts)
             assert pcts[-1] == pytest.approx(100.0)

@@ -45,6 +45,7 @@ from repro.topology.presets import uniform_swarm
 from repro.units import KB, MB, kbps, ms
 from repro.virt import Testbed
 from tests.reference.rule_walk import RuleWalk
+from tests.test_bt_peer import make_pair
 
 
 def make_lan(seed=5):
@@ -130,9 +131,9 @@ def test_a_peer_side_holds_its_connection_and_no_socket():
     """Both sides of a leecher/seeder pair, mid-transfer: each holds its
     :class:`Connection`, whose receiver is the side itself (no bound
     method, no channel), and no :class:`Socket` is reachable from it.
-    The leecher's connect socket died with its connector's frame; the
-    seeder's accepted one is held only by its accept loop, until the
-    next accept."""
+    The leecher's connect socket died with its connector's frame, and
+    the seeder's accepted one once the accept loop handed it over: only
+    the listening sockets are left."""
     testbed = Testbed(num_pnodes=2, seed=6)
     compiler = compile_topology(uniform_swarm(2, prefix="10.0.0.0/24"), testbed)
     va, vb = compiler.all_vnodes()
@@ -155,8 +156,21 @@ def test_a_peer_side_holds_its_connection_and_no_socket():
     gc.collect()
     alive = [obj for obj in gc.get_objects() if type(obj) is Socket]
     assert [sock for sock in alive if sock.stack is va.pnode.stack] == [leecher._listen_sock]
-    accepted = [sock for sock in alive if sock.stack is vb.pnode.stack and sock._listener is None]
-    assert [sock.connection for sock in accepted] == [up.sock]
+    assert [sock for sock in alive if sock.stack is vb.pnode.stack] == [seeder._listen_sock]
+
+
+def test_the_accept_loop_keeps_no_accepted_socket():
+    """A client's listener process, parked on the next accept, holds
+    its listening socket and no accepted one."""
+    testbed, leecher, seeder = make_pair()
+    testbed.sim.run(until=10.0)
+    (up,) = seeder.peers()
+    assert up.handshaked
+    (listener,) = [p for p in seeder.vnode.processes if p.name.endswith("/listen")]
+    frame = listener.gen.gi_frame
+    assert frame is not None  # parked in accept, not finished
+    sockets = [v for v in frame.f_locals.values() if isinstance(v, Socket)]
+    assert sockets == [seeder._listen_sock]
 
 
 def test_cached_flow_stays_under_memory_budget_when_rule_sets_are_shared():
@@ -1262,3 +1276,51 @@ def test_one_address_pair_is_one_flow_per_protocol_and_direction(indexed):
     assert [r.hits for r in cached.rules] == walk.hits
     assert cached.rules_scanned_total == walk.rules_scanned_total
     assert cached.packets_evaluated == walk.packets_evaluated == 2 * flows
+
+
+# ----------------------------------------------------------------------
+# The client log: retained only on request
+# ----------------------------------------------------------------------
+def _small_swarm(**overrides):
+    from repro.bittorrent import Swarm, SwarmConfig
+
+    config = dict(leechers=3, seeders=1, file_size=1 * MB, stagger=1.0,
+                  num_pnodes=2, seed=3)
+    config.update(overrides)
+    return Swarm(SwarmConfig(**config))
+
+
+def test_a_plain_swarm_retains_no_record_and_leaves_no_listener():
+    swarm = _small_swarm()
+    swarm.run(max_time=20000)
+    assert len(swarm.sim.trace) == 0
+    assert swarm.sim.trace.categories() == set()
+    assert swarm.sim.trace._listeners == {}
+
+
+def test_a_flight_recorded_swarm_retains_its_whole_client_log():
+    """The Chrome export's input: every record of the three client-log
+    categories, as many as before retention became a request."""
+    from repro.bittorrent.swarm import CLIENT_LOG
+
+    swarm = _small_swarm(flight=True)
+    heard = []
+    for category in CLIENT_LOG:
+        swarm.sim.trace.subscribe(category, heard.append)
+    swarm.run(max_time=20000)
+    kept = list(swarm.sim.trace.select())
+    counts = {c: sum(1 for r in kept if r.category == c) for c in CLIENT_LOG}
+    assert counts == {"bt.progress": 12, "bt.complete": 3, "bt.start": 4}
+    assert kept == heard
+
+
+def test_listening_does_not_retain_and_enabling_does():
+    sim = Simulator(seed=0, observe=False)
+    heard = []
+    sim.trace.subscribe("only.heard", heard.append)
+    sim.trace.enable("kept")
+    sim.trace.record(1.0, "only.heard", n=1)
+    sim.trace.record(2.0, "kept", n=2)
+    sim.trace.record(3.0, "neither", n=3)
+    assert [r.get("n") for r in heard] == [1]
+    assert [r.get("n") for r in sim.trace.select()] == [2]

@@ -20,6 +20,7 @@ def run_small_swarm(monitor=False, **cfg_overrides):
     )
     defaults.update(cfg_overrides)
     swarm = Swarm(SwarmConfig(**defaults))
+    swarm.sim.trace.enable("bt.complete")
     mon = None
     if monitor:
         mon = ResourceMonitor(swarm.testbed, period=20.0)

@@ -627,8 +627,17 @@ class TestTraceRecorderControl:
         sim.trace.unsubscribe("cat.b", listener)
         sim.trace.record(1.0, "cat.b")
         assert len(seen) == 1
-        # Category stays enabled: records keep accumulating.
-        assert len(list(sim.trace.select("cat.b"))) == 2
+        # Subscribing does not retain: nothing accumulated.
+        assert len(list(sim.trace.select("cat.b"))) == 0
+        # An enabled, subscribed category keeps retaining after
+        # unsubscribe.
+        sim.trace.enable("cat.b")
+        sim.trace.subscribe("cat.b", listener)
+        sim.trace.record(2.0, "cat.b")
+        sim.trace.unsubscribe("cat.b", listener)
+        sim.trace.record(3.0, "cat.b")
+        assert len(seen) == 2
+        assert [r.time for r in sim.trace.select("cat.b")] == [2.0, 3.0]
         # Unknown unsubscribes are no-ops.
         sim.trace.unsubscribe("cat.b", listener)
         sim.trace.unsubscribe("never-enabled", listener)

@@ -337,6 +337,20 @@ class TestChannel:
         with pytest.raises(SimulationError):
             ch.put(1)
 
+    def test_subscriber_that_closes_mid_backlog_gets_none_once_and_nothing_after(self, sim):
+        ch = Channel(sim)
+        ch.put(1)
+        ch.put(2)
+        got = []
+
+        def on_item(item):
+            got.append(item)
+            if item == 1:
+                ch.close()
+
+        ch.subscribe(on_item)
+        assert got == [1, None]
+
 
 class TestResource:
     def test_capacity_enforced(self, sim):
