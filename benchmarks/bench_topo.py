@@ -4,10 +4,11 @@ The workload is the million-vnode direction of the paper's Section 5
 ("how many virtual nodes can be multiplexed"): one ``TopologySpec``
 group of ``N`` peers with a shaped access link plus one inter-group
 latency entry, compiled onto a 128-pnode testbed. The lazy path
-streams the spec (no intermediate address/vnode lists), registers
-contiguous address runs as O(1) blocks, keeps shaping state as
-flyweight profiles with deferred ``DummynetPipe`` construction, and
-pauses the cyclic GC for the duration of the acyclic bulk build. The
+streams the spec into placement runs (no address list, and no
+``VirtualNode`` until one is read), registers contiguous address runs
+as O(1) blocks, keeps shaping state as flyweight profiles with
+deferred ``DummynetPipe`` construction, and pauses the cyclic GC for
+the duration of the acyclic bulk build. The
 eager side is ``tests/reference/eager_deploy.py``, the seed behaviour:
 every pipe, name string and libc object built up front.
 
@@ -17,9 +18,11 @@ Two gated metrics (``compare.py --gate``, asserted here at full scale):
   ``TIMING_ROUNDS`` each (>= 3x);
 * ``mem_ratio`` — eager retained bytes per vnode over lazy retained
   bytes per vnode, measured by ``tracemalloc`` on dedicated untimed
-  builds (>= 2x: what an eager vnode still pays for is its two
-  176-byte pipes, its name and its libc; the lazy side's absolute
-  bytes are pinned by ``tests/test_topo_scale.py``).
+  builds (>= 2x: an eager vnode pays for its two 176-byte pipes, its
+  two rules, its ``VirtualNode``, name and libc; a lazy vnode is a
+  position of a placement run plus one access-table entry, and its
+  absolute bytes are pinned by ``tests/test_topo_scale.py`` and
+  ``tests/test_heap_diet.py``).
 
 Scale: ``REPRO_BENCH_SCALE`` multiplies the vnode count — CI smoke
 runs (0.1) still build 10 000 vnodes, where both floors hold with

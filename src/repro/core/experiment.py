@@ -60,12 +60,12 @@ class Experiment:
             raise ExperimentError(f"experiment {self.name!r} already deployed")
         self._deployed = True
         self.compiler = TopologyCompiler(self.spec, self.testbed)
-        created = self.compiler.deploy(placement=self.placement)
+        self.compiler.deploy(placement=self.placement)
         # Surface the topology footprint (defined vs. materialised
         # pipes) on live telemetry /health; weakly held, so the probe
         # dies with the compiler.
         telemetry.register_topology(self.compiler, f"topo/{self.name}")
-        return created
+        return self.compiler.all_vnodes()
 
     def vnodes(self, group: Optional[str] = None) -> List[VirtualNode]:
         if self.compiler is None:

@@ -18,8 +18,8 @@ example rule list in the paper.
 Scale model (the million-vnode path):
 
 * the spec is consumed as a *stream* — ``TopologySpec.iter_placements``
-  feeds ``Testbed.place`` and rules are installed per vnode as it is
-  created, so no intermediate address or vnode list is materialised;
+  feeds ``Testbed.place_runs``, which records placement as arithmetic
+  runs: no address list, vnode list or idle ``VirtualNode`` exists;
 * shaping state is *flyweight* — each group's bandwidth/delay/loss
   constants live in one interned :class:`ShapingProfile`, and the
   per-vnode :class:`DummynetPipe` pair is only built when (if ever) a
@@ -28,8 +28,8 @@ Scale model (the million-vnode path):
 * the vnode's two rules are one entry of its host firewall's access
   table until a packet (or a control-plane reader) first needs them
   (:meth:`~repro.net.ipfw.Firewall.add_access_pair`). An idle vnode
-  costs that entry and an address — no rules, no pipes, no name
-  string, no libc.
+  costs that entry and one position of a run — no vnode object, no
+  address object, no rules, no pipes, no name string, no libc.
 
 Laziness is observationally invisible: rules built at first use are
 listed, counted and charged exactly as rules built at deploy time; a
@@ -44,15 +44,16 @@ pipe up front; the tests compare this compiler against it.
 from __future__ import annotations
 
 import gc
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FirewallError, TopologyError
+from repro.net.addr import IPv4Address
 from repro.net.ipfw import ACTION_PIPE, DIR_IN, DIR_OUT, Firewall, Rule
 from repro.net.pipe import DummynetPipe, ShapingProfile
 from repro.obs.metrics import NULL_REGISTRY
 from repro.topology.spec import GroupSpec, TopologySpec
 from repro.virt.deployment import PLACEMENT_BLOCK, Testbed
-from repro.virt.vnode import VirtualNode
+from repro.virt.vnode import VirtualNode, VnodeRun
 
 #: Rule number bases.
 VNODE_RULE_BASE = 1000
@@ -160,7 +161,8 @@ class TopologyCompiler:
         spec.validate()
         self.spec = spec
         self.testbed = testbed
-        self.vnodes_by_group: Dict[str, List[VirtualNode]] = {}
+        #: The testbed ordinals ``[lo, hi)`` this compiler placed.
+        self._ordinals: Optional[Tuple[int, int]] = None
         self.rules_installed = 0
         self.pipes_installed = 0
         self._metrics = getattr(testbed.sim, "metrics", None) or NULL_REGISTRY
@@ -170,92 +172,61 @@ class TopologyCompiler:
             name: ShapingProfile(g.down_bw, g.up_bw, g.latency, g.plr)
             for name, g in spec.groups.items()
         }
-        #: group name -> hosting pnodes in first-hosting order (the
-        #: prefix coverage index for group-rule installation).
-        self._group_pnodes: Dict[str, Dict] = {}
-        #: (id(pnode), group) -> shared (up, down) access factories,
-        #: with a last-hit memo for the block-contiguous common case.
+        #: (id(pnode), group) -> shared (up, down) access factories.
         self._access_factories: Dict[tuple, tuple] = {}
-        self._fact_key: Optional[tuple] = None
-        self._fact: Optional[tuple] = None
         #: id(pnode) -> shared group-delay factory.
         self._group_factories: Dict[int, _GroupPipeFactory] = {}
 
     # ------------------------------------------------------------------
-    def deploy(self, placement: str = PLACEMENT_BLOCK) -> List[VirtualNode]:
-        """Create all virtual nodes and install all emulation rules.
+    def deploy(self, placement: str = PLACEMENT_BLOCK) -> None:
+        """Place all virtual nodes and install all emulation rules.
 
         All groups are deployed in a single placement pass so block
         placement keeps each group on contiguous physical nodes (the
-        paper's "32 virtual nodes per physical node" style). Placement
-        streams: each vnode's rules are installed as it is created.
+        paper's "32 virtual nodes per physical node" style); then each
+        pnode's new runs are walked in hosting order, one access-table
+        entry per vnode (``VNODE_RULE_BASE + 2 * hosting index``).
         """
-        self.vnodes_by_group = {name: [] for name in self.spec.groups}
-        self._group_pnodes = {name: {} for name in self.spec.groups}
-        groups = self.spec.groups
-        created: List[VirtualNode] = []
-        # The bulk build allocates no reference cycles (vnodes, rules
-        # and blocks are all acyclic and freed by refcounting), but the
-        # cyclic collector's full-heap passes scale with the number of
-        # live objects and dominate large builds. Pause it for the
-        # duration.
+        testbed = self.testbed
+        marks = [(len(p.runs), p.folding_ratio) for p in testbed.pnodes]
+        lo = testbed.placed + 1
+        from_value = IPv4Address.from_value
+        # The bulk build allocates no reference cycles, but the cyclic
+        # collector's full-heap passes scale with the number of live
+        # objects and dominate large builds. Pause it for the duration.
         pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
         try:
-            # Stream in placement order. Consecutive vnodes almost
-            # always share a group and physical node (block placement),
-            # so the per-vnode group/pnode bookkeeping is memoised on
-            # change.
-            group = None
-            group_list = group_pnodes = None
-            last_group_name = None
-            last_pnode = None
-            install = self._install_vnode_rules
-            for vnode in self.testbed.place(
-                self.spec.iter_placements(),
-                count=self.spec.total_nodes(),
-                placement=placement,
-                name_prefix="node",
-                block_register=True,
+            for _ in testbed.place_runs(
+                self.spec.iter_placements(), self.spec.total_nodes(),
+                placement, "node", block_register=True,
             ):
-                name = vnode.group
-                if name is not last_group_name:
-                    last_group_name = name
-                    group = groups[name]
-                    group_list = self.vnodes_by_group[name]
-                    group_pnodes = self._group_pnodes[name]
-                    last_pnode = None
-                group_list.append(vnode)
-                if vnode.pnode is not last_pnode:
-                    last_pnode = vnode.pnode
-                    group_pnodes[last_pnode] = None
-                install(vnode, group)
-                created.append(vnode)
+                pass
+            self._ordinals = (lo, testbed.placed + 1)
+            for pnode, (mark, hosted) in zip(testbed.pnodes, marks):
+                add = pnode.stack.fw.add_access_pair
+                number = VNODE_RULE_BASE + 2 * hosted
+                for run in pnode.runs[mark:]:
+                    up_f, down_f = self._factories_for(pnode, self.spec.groups[run.group])
+                    step = run.step
+                    for value in range(run.start, run.start + step * run.count, step):
+                        number += 2
+                        add(from_value(value), number, up_f, down_f)
+            placed = testbed.placed + 1 - lo
+            self.pipes_installed += 2 * placed
+            self.rules_installed += 2 * placed
             # The pipe deferral is accounted in bulk here; per-vnode
             # ledger calls would be pure loop overhead.
-            self._ledger.defer(2 * len(created))
+            self._ledger.defer(2 * placed)
             self._install_group_rules()
             self._metrics.fold()
         finally:
             if pause_gc:
                 gc.enable()
-        return created
-
-    def _install_vnode_rules(self, vnode: VirtualNode, group: GroupSpec) -> None:
-        """Two rules (and two deferred pipes) per vnode."""
-        pnode = vnode.pnode
-        up_f, down_f = self._factories_for(pnode, group)
-        pnode.stack.fw.add_access_pair(
-            vnode.address, VNODE_RULE_BASE + 2 * pnode.folding_ratio, up_f, down_f
-        )
-        self.pipes_installed += 2
-        self.rules_installed += 2
 
     def _factories_for(self, pnode, group: GroupSpec):
         key = (id(pnode), group.name)
-        if key == self._fact_key:
-            return self._fact
         factories = self._access_factories.get(key)
         if factories is None:
             profile = self._profiles[group.name]
@@ -266,8 +237,6 @@ class TopologyCompiler:
                 _AccessPipeFactory(sim, fw, profile, DIR_IN, pnode.name, self._ledger),
             )
             self._access_factories[key] = factories
-        self._fact_key = key
-        self._fact = factories
         return factories
 
     def _install_group_rules(self) -> None:
@@ -280,27 +249,27 @@ class TopologyCompiler:
         (entry, group) once: CIDR prefixes either nest or are disjoint,
         so a source prefix that contains a group's prefix covers every
         hosting pnode of that group, a prefix strictly inside it needs
-        a per-vnode check for just that group, and anything else is
+        a per-run check for just that group, and anything else is
         disjoint.
         """
         sim = self.testbed.sim
         entries = list(self.spec.iter_latency_entries())
         if not entries:
             return
+        hosting: Dict[str, set] = {name: set() for name in self.spec.groups}
+        for run in self._runs():
+            hosting[run.group].add(run.pnode)
         covered: List[set] = []
         for src_net, _dst_net, _latency in entries:
             pnodes: set = set()
             for gname, group in self.spec.groups.items():
-                hosting = self._group_pnodes.get(gname)
-                if not hosting:
-                    continue
                 if src_net.contains_network(group.prefix):
-                    pnodes.update(hosting)
+                    pnodes.update(hosting[gname])
                 elif group.prefix.contains_network(src_net):
                     pnodes.update(
-                        v.pnode
-                        for v in self.vnodes_by_group[gname]
-                        if src_net.contains_value(v.address.value)
+                        run.pnode for run in self._runs(gname)
+                        if any(src_net.contains_value(run.start + k * run.step)
+                               for k in range(run.count))
                     )
             covered.append(pnodes)
         for pnode in self.testbed.pnodes:
@@ -352,17 +321,25 @@ class TopologyCompiler:
                 out.append(fw.materialize(rule))
         return out[0], out[1]
 
+    def _runs(self, group: Optional[str] = None) -> Iterator[VnodeRun]:
+        """This compiler's runs (of ``group``), pnode by pnode."""
+        lo, hi = self._ordinals or (0, 0)
+        return (
+            run for pnode in self.testbed.pnodes for run in pnode.runs
+            if run.first is not None and lo <= run.first < hi and group in (None, run.group)
+        )
+
     def vnodes(self, group: str) -> List[VirtualNode]:
-        try:
-            return list(self.vnodes_by_group[group])
-        except KeyError:
-            raise TopologyError(f"no deployed group {group!r}") from None
+        """The group's vnodes in placement order (built on this read)."""
+        if self._ordinals is None or group not in self.spec.groups:
+            raise TopologyError(f"no deployed group {group!r}")
+        # Round-robin runs interleave; ordinals are unique, so no run is compared.
+        order = sorted((run.first + k * run.step, k, run)
+                       for run in self._runs(group) for k in range(run.count))
+        return [run.vnode(k) for _, k, run in order]
 
     def all_vnodes(self) -> List[VirtualNode]:
-        out: List[VirtualNode] = []
-        for vnodes in self.vnodes_by_group.values():
-            out.extend(vnodes)
-        return out
+        return [vnode for group in self.spec.groups for vnode in self.vnodes(group)]
 
     def stats(self) -> Dict[str, int]:
         """Deterministic footprint (vnodes/rules/pipes as *defined*)
@@ -373,7 +350,7 @@ class TopologyCompiler:
         never enter deterministic output comparisons.
         """
         return {
-            "vnodes": sum(len(v) for v in self.vnodes_by_group.values()),
+            "vnodes": sum(run.count for run in self._runs()),
             "rules": self.rules_installed,
             "pipes": self.pipes_installed,
             "pipes_materialized": self.pipes_installed - self._ledger.pending,

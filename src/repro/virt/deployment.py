@@ -6,21 +6,22 @@ virtual nodes on M physical nodes — the paper deploys the same 160
 clients "successively on 160 physical nodes, 16 physical nodes (10
 virtual nodes per physical node), 8, 4 and 2 physical nodes" and checks
 that results do not change (Figure 9).
+
+Placement records each pnode's share as :class:`~repro.virt.vnode.VnodeRun`
+runs, one per (pnode, group) under either placement.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import VirtualizationError
 from repro.net.addr import IPv4Address, IPv4Network, network
 from repro.net.switch import Switch
 from repro.sim import SimConfig, Simulator
 from repro.units import gbps, us
-from repro.virt.pnode import PhysicalNode
-from repro.virt.vnode import VirtualNode
+from repro.virt.pnode import PhysicalNode, VnodeView
+from repro.virt.vnode import VirtualNode, VnodeRun
 
 #: Placement strategies.
 PLACEMENT_BLOCK = "block"
@@ -72,26 +73,20 @@ class Testbed:
             )
             for i in range(num_pnodes)
         ]
-        self._vnodes: List[VirtualNode] = []
-        self._vnode_map: Optional[Dict[str, VirtualNode]] = {}
-        self._by_address: Optional[Dict[int, VirtualNode]] = {}
+        #: Name ordinals handed out so far (never reused).
+        self.placed = 0
 
     # ------------------------------------------------------------------
     @property
-    def vnodes(self) -> Dict[str, VirtualNode]:
-        """Name-keyed view of every deployed vnode (built lazily —
-        touching it forces any deferred names)."""
-        vnode_map = self._vnode_map
-        if vnode_map is None:
-            vnode_map = self._vnode_map = {v.name: v for v in self._vnodes}
-        return vnode_map
+    def vnodes(self) -> VnodeView:
+        """Name-keyed view of every hosted vnode, pnode by pnode."""
+        return VnodeView(self.pnodes)
 
     def deploy(
         self,
         addresses: Sequence[IPv4Address],
         placement: str = PLACEMENT_BLOCK,
         name_prefix: str = "vnode",
-        group_of: Optional[Callable[[IPv4Address], Optional[str]]] = None,
     ) -> List[VirtualNode]:
         """Place one virtual node per address onto the physical nodes.
 
@@ -99,33 +94,33 @@ class Testbed:
         (ceil(N/M) per node, the paper's "32 virtual nodes per physical
         node" style); ``round-robin`` deals addresses out cyclically.
         """
-        return list(
-            self.place(
-                addresses,
-                count=len(addresses),
-                placement=placement,
-                name_prefix=name_prefix,
-                group_of=group_of,
-            )
-        )
+        return list(self.place(addresses, len(addresses), placement, name_prefix))
 
-    def place(
+    def place(self, *args, **kwargs) -> Iterator[VirtualNode]:
+        """Streaming placement: yield each vnode as it is placed (the
+        arguments are :meth:`place_runs`')."""
+        for run, k in self.place_runs(*args, **kwargs):
+            yield run.vnode(k)
+
+    def place_runs(
         self,
         items: Iterable[Union[IPv4Address, Tuple[IPv4Address, Optional[str]]]],
         count: Optional[int] = None,
         placement: str = PLACEMENT_BLOCK,
         name_prefix: str = "vnode",
-        group_of: Optional[Callable[[IPv4Address], Optional[str]]] = None,
         block_register: bool = False,
-    ) -> Iterator[VirtualNode]:
-        """Streaming placement: yield vnodes as they are created.
+    ) -> Iterator[Tuple[VnodeRun, int]]:
+        """The placement routine: record each item as the next position
+        of a run on its physical node and yield ``(run, position)``.
 
         ``items`` is an iterable of addresses or ``(address, group)``
         pairs — a generator works, so a million-address topology never
         exists as a list. ``count`` must be given when ``items`` has no
-        ``len()`` (block placement needs the total up front). Created
-        vnodes carry deferred names (``f"{name_prefix}{ordinal}"``,
-        formatted on first use) and lazy libc state.
+        ``len()`` (block placement needs the total up front). The vnode
+        at ordinal ``o`` is named ``f"{name_prefix}{o}"``; a run only
+        grows while addresses and ordinals advance by the same step,
+        and only within one call, so its positions are contiguous in
+        its pnode's hosting order.
 
         ``block_register=True`` registers contiguous address runs with
         the stack/switch as O(1) blocks instead of per-address entries
@@ -144,42 +139,29 @@ class Testbed:
         if n == 0:
             return
         per_node = -(-n // m)  # ceil
-        start = len(self._vnodes)
-        pnodes = self.pnodes
-        # Name- and address-keyed views go stale as vnodes stream in;
-        # they rebuild from the list on next access.
-        self._vnode_map = None
-        self._by_address = None
-        if placement == PLACEMENT_BLOCK:
-            block_placement = True
-        elif placement == PLACEMENT_ROUND_ROBIN:
-            block_placement = False
-        else:
+        if placement not in (PLACEMENT_BLOCK, PLACEMENT_ROUND_ROBIN):
             raise VirtualizationError(f"unknown placement {placement!r}")
-        vnodes = self._vnodes
-        pnode = pnodes[0]
-        pnode_index = 0
+        block_placement = placement == PLACEMENT_BLOCK
+        pnodes = self.pnodes
+        open_runs: List[Optional[VnodeRun]] = [None] * m  # this call's, per pnode
+        index = 0
         slots_left = per_node  # countdown replaces a per-item division
         run_stack = None  # current contiguous (stack, value-run) slice
         run_start = run_end = 0
         try:
             for i, item in enumerate(items):
-                if type(item) is tuple:
-                    addr, group = item
-                else:
-                    addr = item
-                    group = group_of(addr) if group_of is not None else None
+                addr, group = item if type(item) is tuple else (item, None)
                 if block_placement:
                     if slots_left == 0:
-                        pnode_index += 1
-                        pnode = pnodes[pnode_index]
+                        index += 1
                         slots_left = per_node
                     slots_left -= 1
                 else:
-                    pnode = pnodes[i % m]
+                    index = i % m
+                pnode = pnodes[index]
+                value = addr.value
                 if block_register:
                     stack = pnode.stack
-                    value = addr.value
                     if stack is run_stack and value == run_end:
                         run_end = value + 1
                     else:
@@ -188,32 +170,32 @@ class Testbed:
                         run_stack = stack
                         run_start = value
                         run_end = value + 1
-                    vnode = pnode.host(
-                        addr, group=group, name_prefix=name_prefix,
-                        ordinal=start + i + 1, register=False,
-                    )
                 else:
-                    vnode = pnode.host(
-                        addr, group=group, name_prefix=name_prefix,
-                        ordinal=start + i + 1,
-                    )
-                vnodes.append(vnode)
-                yield vnode
+                    pnode.stack.add_address(addr)
+                ordinal = self.placed = self.placed + 1
+                run = open_runs[index]
+                if run is not None and run.group == group and pnode.runs[-1] is run:
+                    k, offset = run.count, value - run.start
+                    if offset == ordinal - run.first > 0 and (k == 1 or offset == k * run.step):
+                        run.step = offset // k
+                        run.count = k + 1
+                        yield run, k
+                        continue
+                run = open_runs[index] = VnodeRun(pnode, group, name_prefix, value, ordinal)
+                pnode.runs.append(run)
+                yield run, 0
         finally:
             if run_stack is not None and run_end > run_start:
                 run_stack.add_address_block(run_start, run_end)
 
     def vnode_at(self, address: Union[IPv4Address, str]) -> VirtualNode:
         value = address.value if isinstance(address, IPv4Address) else IPv4Address(address).value
-        by_address = self._by_address
-        if by_address is None:
-            by_address = self._by_address = {
-                v.address.value: v for v in self._vnodes
-            }
-        try:
-            return by_address[value]
-        except KeyError:
-            raise VirtualizationError(f"no vnode at {address}") from None
+        for pnode in self.pnodes:
+            for run in pnode.runs:
+                k = run.index_of_value(value)
+                if k is not None:
+                    return run.vnode(k)
+        raise VirtualizationError(f"no vnode at {address}")
 
     # ------------------------------------------------------------------
     @property
@@ -221,7 +203,7 @@ class Testbed:
         return [p.folding_ratio for p in self.pnodes]
 
     def total_vnodes(self) -> int:
-        return len(self._vnodes)
+        return sum(p.folding_ratio for p in self.pnodes)
 
     def run(self, until: Optional[float] = None) -> None:
         """Convenience passthrough to the simulator."""
@@ -229,6 +211,6 @@ class Testbed:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Testbed(pnodes={len(self.pnodes)}, vnodes={len(self._vnodes)}, "
+            f"Testbed(pnodes={len(self.pnodes)}, vnodes={self.total_vnodes()}, "
             f"t={self.sim.now:.1f}s)"
         )

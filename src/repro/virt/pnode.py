@@ -6,18 +6,21 @@ account used to study virtualization overhead: the paper monitored
 "the system load, the memory usage, and the disk I/O on every physical
 node" and found none limiting before the network saturated, so CPU
 enforcement is off by default and available for ablations.
+
+Its hosted vnodes are :class:`~repro.virt.vnode.VnodeRun` runs in
+hosting order, the one record of membership that every view reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from collections.abc import Mapping
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import VirtualizationError
 from repro.net.addr import IPv4Address, ip
 from repro.net.stack import NetworkStack
 from repro.net.switch import Switch
-from repro.virt.libc import DEFAULT_SYSCALL_COST
-from repro.virt.vnode import VirtualNode
+from repro.virt.vnode import VirtualNode, VnodeRun
 
 
 class CpuAccount:
@@ -70,12 +73,47 @@ class CpuAccount:
         return self.busy_seconds / (elapsed * self.ncpus)
 
 
+class VnodeView(Mapping):
+    """Name-keyed view of the vnodes hosted on some physical nodes, in
+    hosting order. Looking a name up finds its run by arithmetic and
+    builds at most that one vnode; membership tests build none."""
+
+    __slots__ = ("_pnodes",)
+
+    def __init__(self, pnodes: Sequence["PhysicalNode"]) -> None:
+        self._pnodes = pnodes
+
+    def locate(self, name: str) -> Optional[Tuple[VnodeRun, int]]:
+        for pnode in self._pnodes:
+            for run in pnode.runs:
+                k = run.index_of_name(name)
+                if k is not None:
+                    return run, k
+        return None
+
+    def __getitem__(self, name: str) -> VirtualNode:
+        found = self.locate(name)
+        if found is None:
+            raise KeyError(name)
+        return found[0].vnode(found[1])
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and self.locate(name) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return (run.name_at(k) for p in self._pnodes for run in p.runs for k in range(run.count))
+
+    def __len__(self) -> int:
+        return sum(p.folding_ratio for p in self._pnodes)
+
+    def values(self) -> List[VirtualNode]:  # type: ignore[override]
+        return [run.vnode(k) for p in self._pnodes for run in p.runs for k in range(run.count)]
+
+
 class PhysicalNode:
     """One cluster machine (GridExplorer dual-Opteron in the paper)."""
 
-    __slots__ = (
-        "sim", "name", "stack", "admin_address", "cpu", "_vnodes", "_by_name",
-    )
+    __slots__ = ("sim", "name", "stack", "admin_address", "cpu", "runs")
 
     def __init__(
         self,
@@ -94,19 +132,13 @@ class PhysicalNode:
         )
         self.admin_address = self.stack.set_admin_address(ip(admin_address))
         self.cpu = CpuAccount(sim, ncpus=ncpus, enforce=enforce_cpu)
-        # Hosted vnodes live in a list; the name-keyed view is built on
-        # demand (building it forces every deferred vnode name, so the
-        # streaming deploy path must not touch it).
-        self._vnodes: List[VirtualNode] = []
-        self._by_name: Optional[Dict[str, VirtualNode]] = {}
+        #: Hosted vnodes as runs, in hosting order (read-only).
+        self.runs: List[VnodeRun] = []
 
     @property
-    def vnodes(self) -> Dict[str, VirtualNode]:
-        """Name-keyed view of the hosted vnodes (built lazily)."""
-        by_name = self._by_name
-        if by_name is None:
-            by_name = self._by_name = {v.name: v for v in self._vnodes}
-        return by_name
+    def vnodes(self) -> VnodeView:
+        """Name-keyed view of the hosted vnodes."""
+        return VnodeView((self,))
 
     def add_vnode(
         self,
@@ -119,58 +151,24 @@ class PhysicalNode:
             raise VirtualizationError(f"vnode {name!r} already hosted on {self.name!r}")
         address = ip(address)
         self.stack.add_address(address)
-        vnode = VirtualNode(self, name, address, group=group)
-        self._vnodes.append(vnode)
-        self.vnodes[name] = vnode
-        return vnode
-
-    def host(
-        self,
-        address: IPv4Address,
-        group: Optional[str] = None,
-        name_prefix: str = "vnode",
-        ordinal: int = 1,
-        register: bool = True,
-    ) -> VirtualNode:
-        """Streaming-placement fast path: host a vnode with a deferred
-        name (``f"{name_prefix}{ordinal}"`` formatted on first use) and
-        no duplicate-name check — the deployment generator numbers
-        vnodes uniquely by construction. ``register=False`` skips the
-        per-address stack registration; the caller must cover the
-        address via :meth:`NetworkStack.add_address_block`.
-        """
-        if register:
-            self.stack.add_address(address)
-        # Direct slot stores instead of the validating constructor —
-        # this is the million-vnode build's hot loop, and every field
-        # shape is fixed by this call site.
-        vnode = VirtualNode.__new__(VirtualNode)
-        vnode.pnode = self
-        vnode.address = address
-        vnode.group = group
-        vnode.sim = self.sim
-        vnode.cpu_speed = 1.0
-        vnode._name = None
-        vnode._name_prefix = name_prefix
-        vnode._ordinal = ordinal
-        vnode._libc = None
-        vnode._processes = None
-        vnode._syscall_cost = DEFAULT_SYSCALL_COST
-        self._vnodes.append(vnode)
-        self._by_name = None
-        return vnode
+        run = VnodeRun(self, group, name, address.value, None)
+        run._built.append(VirtualNode(self, name, address, group=group))
+        self.runs.append(run)
+        return run._built[0]
 
     def remove_vnode(self, name: str) -> None:
-        vnode = self.vnodes.pop(name, None)
-        if vnode is None:
+        found = self.vnodes.locate(name)
+        if found is None:
             raise VirtualizationError(f"no vnode {name!r} on {self.name!r}")
-        self._vnodes.remove(vnode)
-        self.stack.remove_address(vnode.address)
+        run, k = found
+        i = self.runs.index(run)
+        self.runs[i:i + 1] = [r for r in (run, run.split(k)) if r is not None and r.count]
+        self.stack.remove_address(IPv4Address.from_value(run.start + k * run.step))
 
     @property
     def folding_ratio(self) -> int:
         """Number of virtual nodes hosted here."""
-        return len(self._vnodes)
+        return sum(run.count for run in self.runs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PhysicalNode({self.name!r}, {self.admin_address}, vnodes={len(self._vnodes)})"
+        return f"PhysicalNode({self.name!r}, {self.admin_address}, vnodes={self.folding_ratio})"

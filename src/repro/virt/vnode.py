@@ -7,11 +7,8 @@ configured with ``BINDIP`` pointing at that alias. All other resources
 folding experiments must watch for host saturation.
 
 At million-vnode scale the per-node footprint matters more than the
-API: the class is ``__slots__``-based, its ``name`` may be deferred
-(stored as a shared prefix plus an ordinal and formatted on first
-use), and the :class:`~repro.virt.libc.Libc` instance is created
-lazily — an idle vnode is little more than an address and a couple of
-firewall rules.
+API: a placed vnode is a position of a :class:`VnodeRun` until something
+reads it, and a :class:`VirtualNode`'s libc is built on first use.
 """
 
 from __future__ import annotations
@@ -33,24 +30,20 @@ class VirtualNode:
     """One emulated peer: address, libc, processes, and a log."""
 
     __slots__ = (
-        "pnode", "address", "group", "sim", "cpu_speed",
-        "_name", "_name_prefix", "_ordinal", "_libc", "_processes",
-        "_syscall_cost",
+        "pnode", "name", "address", "group", "sim", "cpu_speed",
+        "_libc", "_processes", "_syscall_cost",
     )
 
     def __init__(
         self,
         pnode: "PhysicalNode",
-        name: Optional[str],
+        name: str,
         address: IPv4Address,
         group: Optional[str] = None,
         syscall_cost: float = DEFAULT_SYSCALL_COST,
-        name_prefix: Optional[str] = None,
-        ordinal: Optional[int] = None,
     ) -> None:
-        if name is None and name_prefix is None:
-            raise ValueError("VirtualNode needs a name or a name_prefix/ordinal")
         self.pnode = pnode
+        self.name = name
         self.address = address
         self.group = group
         self.sim = pnode.sim
@@ -58,22 +51,9 @@ class VirtualNode:
         #: the Desktop-Computing extension the paper lists as future
         #: work; see CpuAccount.charge.
         self.cpu_speed: float = 1.0
-        # Deferred-name storage: the prefix string is shared by every
-        # vnode of a deployment, so an un-named vnode costs one int
-        # instead of one unique string.
-        self._name = name
-        self._name_prefix = name_prefix
-        self._ordinal = ordinal
         self._libc: Optional[Libc] = None
         self._processes: Optional[List[Process]] = None
         self._syscall_cost = syscall_cost
-
-    @property
-    def name(self) -> str:
-        n = self._name
-        if n is None:
-            n = self._name = f"{self._name_prefix}{self._ordinal}"
-        return n
 
     @property
     def libc(self) -> Libc:
@@ -137,3 +117,65 @@ class VirtualNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualNode({self.name!r}, {self.address}, on {self.pnode.name!r})"
+
+
+class VnodeRun:
+    """Vnodes placed on one physical node and one group, in hosting
+    order: position ``k`` has address value ``start + k * step`` and
+    name ``f"{prefix}{first + k * step}"`` (a run of one added by name
+    has ``first=None`` and that name as ``prefix``). :meth:`vnode`
+    builds a position's :class:`VirtualNode` on first read and keeps it.
+    """
+
+    __slots__ = ("pnode", "group", "prefix", "start", "step", "first", "count", "_built")
+
+    def __init__(self, pnode, group, prefix, start, first, step=1, count=1) -> None:
+        self.pnode = pnode
+        self.group = group
+        self.prefix = prefix
+        self.start = start
+        self.step = step
+        self.first = first
+        self.count = count
+        self._built: List[Optional[VirtualNode]] = []  # by position, as read
+
+    def name_at(self, k: int) -> str:
+        first = self.first
+        return self.prefix if first is None else f"{self.prefix}{first + k * self.step}"
+
+    def vnode(self, k: int) -> VirtualNode:
+        built = self._built
+        if len(built) <= k:
+            built.extend([None] * (self.count - len(built)))
+        vnode = built[k]
+        if vnode is None:
+            vnode = built[k] = VirtualNode(
+                self.pnode, self.name_at(k),
+                IPv4Address.from_value(self.start + k * self.step), group=self.group,
+            )
+        return vnode
+
+    def index_of_value(self, value: int) -> Optional[int]:
+        k, rem = divmod(value - self.start, self.step)
+        return k if not rem and 0 <= k < self.count else None
+
+    def index_of_name(self, name: str) -> Optional[int]:
+        prefix, first = self.prefix, self.first
+        digits = name[len(prefix):]
+        if first is None or not (name.startswith(prefix) and digits.isascii()
+                                 and digits.isdigit() and digits[0] != "0"):
+            return 0 if name == prefix and first is None else None
+        return self.index_of_value(self.start + int(digits) - first)
+
+    def split(self, k: int) -> Optional["VnodeRun"]:
+        """Drop position ``k``: the positions after it move to the
+        returned run (``None`` if there are none)."""
+        skip, rest, built = (k + 1) * self.step, self.count - k - 1, self._built
+        tail = None
+        if rest:  # a run of one (``first is None``) has no positions after it
+            tail = VnodeRun(self.pnode, self.group, self.prefix, self.start + skip,
+                            self.first + skip, self.step, rest)
+            tail._built = built[k + 1:]
+        self.count = k
+        del built[k:]
+        return tail

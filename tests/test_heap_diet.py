@@ -312,6 +312,33 @@ def test_idle_vnode_stays_under_byte_budget():
     assert per_vnode <= 400, f"an idle vnode retains {per_vnode:.0f} B"
 
 
+def test_idle_vnode_is_a_run_position_and_an_access_entry():
+    """The same idle layout, placed as runs: no vnode object, address
+    object or name is built, so a vnode costs its access-table entry
+    (its address value and rule number) and at most 160 B in all."""
+    count = 20_000
+    spec = TopologySpec("idle")
+    spec.add_group(
+        "peers", "10.0.0.0/8", count,
+        down_bw=kbps(1024), up_bw=kbps(512), latency=ms(20),
+    )
+    spec.add_latency("peers", "172.16.0.0/12", ms(100))
+    testbed = Testbed(num_pnodes=32, observe=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        compiler = compile_topology(spec, testbed)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert compiler.stats()["vnodes"] == testbed.total_vnodes() == count
+    assert sum(len(p.runs) for p in testbed.pnodes) == 32
+    per_vnode = (after - before) / count
+    assert per_vnode <= 160, f"an idle vnode retains {per_vnode:.0f} B"
+
+
 def test_idle_peer_connection_side_stays_under_byte_budget():
     """2 000 handshaked peer-connection sides that never requested or
     moved a byte hold no request set and no rate meter, and the bytes

@@ -9,18 +9,20 @@ reference deployer in ``tests/reference/eager_deploy.py``, while an
 idle vnode never materialises any Dummynet state.
 """
 
+import gc
 import hashlib
 import json
 import tracemalloc
 
 import pytest
 
-from repro.errors import FirewallError
+from repro.errors import FirewallError, VirtualizationError
+from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.ping import ping
 from repro.topology import TopologySpec, compile_topology
 from repro.topology.presets import uniform_swarm
 from repro.units import kbps, ms
-from repro.virt import Testbed
+from repro.virt import Testbed, VirtualNode
 from tests.reference.eager_deploy import eager_deploy
 from tests.test_fluid import _run_child
 
@@ -205,3 +207,114 @@ def test_lazy_100k_deploy_stays_under_per_vnode_memory_budget():
     assert comp.stats()["vnodes"] == 100_000
     per_vnode = (after - before) / 100_000
     assert per_vnode < 1200, f"lazy deploy retains {per_vnode:.0f} B/vnode"
+
+
+# ----------------------------------------------------------------------
+# Placement runs: a vnode is built when something reads its position
+# ----------------------------------------------------------------------
+def _live(cls, lo=0, hi=1 << 32):
+    """Live ``cls`` objects (an address type: those with a value in
+    ``[lo, hi)``)."""
+    gc.collect()
+    return sum(
+        1 for o in gc.get_objects()
+        if type(o) is cls and (cls is not IPv4Address or lo <= o.value < hi)
+    )
+
+
+def test_deploy_builds_no_vnode_until_a_position_is_read():
+    """A 20 000-vnode deploy builds no VirtualNode and no vnode address
+    object; reading one position builds exactly one of each, and the
+    position returns that object from then on."""
+    prefix = IPv4Network("10.0.0.0/8")
+    lo, hi = prefix.address.value, prefix.address.value + prefix.num_addresses
+    spec = TopologySpec("idle")
+    spec.add_group("peers", prefix, 20_000, up_bw=kbps(512), latency=ms(20))
+    testbed = Testbed(num_pnodes=32, observe=False)
+    vnodes0, addrs0 = _live(VirtualNode), _live(IPv4Address, lo, hi)
+    compiler = compile_topology(spec, testbed)
+    assert compiler.stats()["vnodes"] == testbed.total_vnodes() == 20_000
+    assert "node12345" in testbed.vnodes and "node20001" not in testbed.vnodes
+    assert _live(VirtualNode) == vnodes0
+    assert _live(IPv4Address, lo, hi) == addrs0
+
+    vnode = testbed.vnode_at("10.0.48.57")  # 10.0.0.0 + 12345
+    assert vnode.name == "node12345" and vnode.group == "peers"
+    assert _live(VirtualNode) == vnodes0 + 1
+    assert _live(IPv4Address, lo, hi) == addrs0 + 1
+    assert testbed.vnodes["node12345"] is vnode
+    assert vnode.pnode.vnodes.get("node12345") is vnode
+    assert testbed.vnode_at(vnode.address) is vnode
+    assert _live(VirtualNode) == vnodes0 + 1
+
+
+def _three_group_spec():
+    spec = _two_group_spec()
+    spec.add_group("c", "10.3.0.0/24", 7, up_bw=kbps(64), latency=ms(40))
+    spec.add_latency("c", "a", ms(70))
+    return spec
+
+
+@pytest.mark.parametrize("placement", ["block", "round-robin"])
+def test_run_views_match_the_eager_reference_vnode_by_vnode(placement):
+    """Runs yield the vnodes the eager reference places: same name,
+    address, group, pnode, hosting order and access-rule numbers, and
+    every lookup view agrees."""
+    spec = _three_group_spec()
+    lazy_tb, eager_tb = Testbed(num_pnodes=3), Testbed(num_pnodes=3)
+    compiler = compile_topology(spec, lazy_tb, placement=placement)
+    by_group = eager_deploy(spec, eager_tb, placement=placement)
+
+    def rows(vnodes, testbed):
+        out = []
+        for v in vnodes:
+            fw, hosted = v.pnode.stack.fw, list(v.pnode.vnodes)
+            numbers = [r.number for r in fw.rules_for(src=v.address)]
+            numbers += [r.number for r in fw.rules_for(dst=v.address)]
+            out.append((v.name, v.address.value, v.group, v.pnode.name,
+                        hosted.index(v.name), numbers))
+            assert testbed.vnode_at(v.address) is v
+            assert v.pnode.vnodes[v.name] is v and testbed.vnodes[v.name] is v
+        return out
+
+    for group in spec.groups:
+        assert rows(compiler.vnodes(group), lazy_tb) == rows(by_group[group], eager_tb)
+    assert lazy_tb.folding_ratios == eager_tb.folding_ratios
+    assert lazy_tb.total_vnodes() == eager_tb.total_vnodes() == spec.total_nodes()
+    assert list(lazy_tb.vnodes) == list(eager_tb.vnodes)
+    for lazy_p, eager_p in zip(lazy_tb.pnodes, eager_tb.pnodes):
+        assert list(lazy_p.vnodes) == list(eager_p.vnodes)
+    assert [v.name for v in compiler.all_vnodes()] == [
+        v.name for group in spec.groups for v in by_group[group]
+    ]
+
+
+def test_remove_vnode_updates_every_view():
+    """The pnode's runs are the one record of membership: a removed
+    vnode leaves every count and lookup at once."""
+    testbed = Testbed(num_pnodes=2)
+    compiler = compile_topology(uniform_swarm(4), testbed)
+    testbed.pnodes[0].remove_vnode("node1")
+    assert testbed.pnodes[0].folding_ratio == 1
+    assert testbed.total_vnodes() == 3 == len(testbed.vnodes)
+    with pytest.raises(VirtualizationError):
+        testbed.vnode_at("10.0.0.1")
+    assert "node1" not in testbed.vnodes
+    assert [v.name for v in compiler.vnodes("peers")] == ["node2", "node3", "node4"]
+    assert compiler.stats()["vnodes"] == 3
+    assert not testbed.pnodes[0].stack.has_address("10.0.0.1")
+
+
+def test_removing_a_middle_position_splits_its_run():
+    testbed = Testbed(num_pnodes=1)
+    compiler = compile_topology(uniform_swarm(10), testbed)
+    (pnode,) = testbed.pnodes
+    node6 = testbed.vnode_at("10.0.0.6")
+    pnode.remove_vnode("node5")
+    assert [r.count for r in pnode.runs] == [4, 5]
+    assert list(pnode.vnodes) == [f"node{i}" for i in (1, 2, 3, 4, 6, 7, 8, 9, 10)]
+    assert testbed.vnode_at("10.0.0.6") is node6 and pnode.vnodes["node6"] is node6
+    assert "node5" not in pnode.vnodes and pnode.folding_ratio == 9
+    assert len(compiler.vnodes("peers")) == 9
+    with pytest.raises(VirtualizationError):
+        pnode.remove_vnode("node5")
