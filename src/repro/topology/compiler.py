@@ -266,11 +266,7 @@ class TopologyCompiler:
                 if src_net.contains_network(group.prefix):
                     pnodes.update(hosting[gname])
                 elif group.prefix.contains_network(src_net):
-                    pnodes.update(
-                        run.pnode for run in self._runs(gname)
-                        if any(src_net.contains_value(run.start + k * run.step)
-                               for k in range(run.count))
-                    )
+                    pnodes.update(run.pnode for run in self._runs(gname) if run.covers(src_net))
             covered.append(pnodes)
         for pnode in self.testbed.pnodes:
             if not pnode.folding_ratio:

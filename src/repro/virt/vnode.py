@@ -167,6 +167,11 @@ class VnodeRun:
             return 0 if name == prefix and first is None else None
         return self.index_of_value(self.start + int(digits) - first)
 
+    def covers(self, net) -> bool:
+        """Does ``net`` hold one of this run's address values?"""
+        k = max(0, -((self.start - net.address.value) // self.step))  # first one >= its base
+        return k < self.count and net.contains_value(self.start + k * self.step)
+
     def split(self, k: int) -> Optional["VnodeRun"]:
         """Drop position ``k``: the positions after it move to the
         returned run (``None`` if there are none)."""

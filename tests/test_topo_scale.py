@@ -252,6 +252,9 @@ def _three_group_spec():
     spec = _two_group_spec()
     spec.add_group("c", "10.3.0.0/24", 7, up_bw=kbps(64), latency=ms(40))
     spec.add_latency("c", "a", ms(70))
+    # Strictly inside group c: under round-robin on 3 pnodes it holds
+    # the vnodes of two of the three pnodes hosting c.
+    spec.add_latency("10.3.0.6/31", "b", ms(15), symmetric=False)
     return spec
 
 
@@ -284,6 +287,9 @@ def test_run_views_match_the_eager_reference_vnode_by_vnode(placement):
     assert list(lazy_tb.vnodes) == list(eager_tb.vnodes)
     for lazy_p, eager_p in zip(lazy_tb.pnodes, eager_tb.pnodes):
         assert list(lazy_p.vnodes) == list(eager_p.vnodes)
+        assert [(r.number, str(r.src), str(r.dst), r.direction) for r in lazy_p.stack.fw] == [
+            (r.number, str(r.src), str(r.dst), r.direction) for r in eager_p.stack.fw
+        ]
     assert [v.name for v in compiler.all_vnodes()] == [
         v.name for group in spec.groups for v in by_group[group]
     ]
